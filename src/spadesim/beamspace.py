@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import _is_power_of_4
 from .numerics import TWIDDLE_FMT, QFormat, dequantize, quantize_raw
 
 
@@ -23,10 +24,6 @@ class TwiddleConfig:
 
     exact: bool = True
     twiddle_fmt: QFormat = field(default=TWIDDLE_FMT)
-
-
-def _is_power_of_4(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0 and (n.bit_length() - 1) % 2 == 0
 
 
 def dft_matrix(B: int) -> np.ndarray:
@@ -51,28 +48,51 @@ def _quantized_twiddles(n: int, fmt: QFormat):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _digit_reversal(n: int) -> np.ndarray:
+    """Base-4 digit-reversed order: the leaf order of the decimation-in-time recursion."""
+    perm = np.zeros(1, dtype=np.intp)
+    while perm.size < n:
+        perm = np.concatenate([4 * perm + r for r in range(4)])
+    perm.setflags(write=False)
+    return perm
+
+
 def _radix4(x: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """Radix-4 DIT FFT, one vectorized butterfly stage per base-4 digit.
+
+    Each stage performs the recursive formulation's exact operations (twiddle
+    product ``w * f``, then the four butterfly sums in their written order),
+    so the result is bit-identical to it.
+    """
     n = x.shape[0]
-    if n == 1:
-        return x.astype(np.complex128)
-    f0 = _radix4(x[0::4], fmt)
-    f1 = _radix4(x[1::4], fmt)
-    f2 = _radix4(x[2::4], fmt)
-    f3 = _radix4(x[3::4], fmt)
-    w1, w2, w3 = _quantized_twiddles(n, fmt)
-    if x.ndim > 1:
-        shape = (-1,) + (1,) * (x.ndim - 1)
-        w1, w2, w3 = w1.reshape(shape), w2.reshape(shape), w3.reshape(shape)
-    t0, t1, t2, t3 = f0, w1 * f1, w2 * f2, w3 * f3
-    return np.concatenate(
-        [
-            t0 + t1 + t2 + t3,
-            t0 - 1j * t1 - t2 + 1j * t3,
-            t0 - t1 + t2 - t3,
-            t0 + 1j * t1 - t2 - 1j * t3,
-        ],
-        axis=0,
-    )
+    tail = x.shape[1:]
+    a = x[_digit_reversal(n)].astype(np.complex128, copy=False)
+    size = 1
+    while size < n:
+        w1, w2, w3 = (w.reshape((size,) + (1,) * len(tail)) for w in _quantized_twiddles(4 * size, fmt))
+        f = a.reshape((n // (4 * size), 4, size) + tail)
+        t0, t1, t2, t3 = f[:, 0], w1 * f[:, 1], w2 * f[:, 2], w3 * f[:, 3]
+        j1, j3 = 1j * t1, 1j * t3
+        out = np.empty_like(f)
+        o0, o1, o2, o3 = out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+        # each sum accumulates left to right in place, e.g. o1 = t0 - 1j*t1 - t2 + 1j*t3,
+        # so large blocks allocate no temporaries
+        np.add(t0, t1, out=o0)
+        o0 += t2
+        o0 += t3
+        np.subtract(t0, j1, out=o1)
+        o1 -= t2
+        o1 += j3
+        np.subtract(t0, t1, out=o2)
+        o2 += t2
+        o2 -= t3
+        np.add(t0, j1, out=o3)
+        o3 -= t2
+        o3 -= j3
+        a = out.reshape((n,) + tail)
+        size *= 4
+    return a
 
 
 def to_beamspace(y: np.ndarray, cfg: TwiddleConfig = TwiddleConfig()) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt, log2
 
 import numpy as np
@@ -114,16 +115,26 @@ def steering(phi: float, B: int) -> np.ndarray:
     return np.exp(1j * phi * np.arange(B))
 
 
+def _synth(gains: np.ndarray, freqs: np.ndarray, B: int) -> np.ndarray:
+    """Superpose each row's path steering vectors; rows rescaled to squared norm B.
+
+    ``gains`` and ``freqs`` are (U, P); the result is (U, B). The norm is taken
+    one row at a time, as a batched norm would sum in another order.
+    """
+    n = np.arange(B)
+    E = np.exp(1j * (n[:, None] * freqs[:, None, :]))
+    h = np.matmul(E, gains[..., None])[..., 0]
+    norms = np.array([np.linalg.norm(row) for row in h])
+    if np.any(norms == 0.0):
+        raise ValueError("degenerate channel")
+    return h * (np.sqrt(B) / norms)[:, None]
+
+
 def synth_channel(paths: PathSet, B: int) -> np.ndarray:
     """Superpose the path steering vectors and rescale to squared norm B."""
     if len(paths) > B:
         raise ValueError("more paths than antennas")
-    n = np.arange(B)
-    h = np.exp(1j * np.outer(n, paths.freqs)) @ paths.gains
-    norm = np.linalg.norm(h)
-    if norm == 0.0:
-        raise ValueError("degenerate channel")
-    return h * (np.sqrt(B) / norm)
+    return _synth(paths.gains[None], paths.freqs[None], B)[0]
 
 
 # Profile constants: LoS has one dominant path 10 dB above the combined
@@ -134,21 +145,46 @@ NLOS_PATHS = 12
 NLOS_DECAY_DB = 3.0
 
 
-def draw_profile(kind: str, rng: np.random.Generator) -> PathSet:
-    """Draw one user's paths from the "los" or "nlos" parametric profile."""
+def _draw_paths(kind: str, U: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """U independent profile draws as (U, P) gains and frequencies.
+
+    The generator calls run user by user in a fixed order (the stream is part
+    of the reproducibility contract); the gain arithmetic then runs on all
+    users at once.
+    """
     if kind == "los":
-        reflect = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)
-        dominant_power = 10 ** (LOS_DOMINANCE_DB / 10) * np.sum(np.abs(reflect) ** 2)
-        phase = rng.uniform(0.0, 2 * np.pi)
-        gains = np.concatenate(([np.sqrt(dominant_power) * np.exp(1j * phase)], reflect))
-        freqs = rng.uniform(-np.pi, np.pi, size=LOS_PATHS)
+        re = np.empty((U, 2))
+        im = np.empty((U, 2))
+        phase = np.empty(U)
+        freqs = np.empty((U, LOS_PATHS))
+        for u in range(U):
+            re[u] = rng.standard_normal(2)
+            im[u] = rng.standard_normal(2)
+            phase[u] = rng.uniform(0.0, 2 * np.pi)
+            freqs[u] = rng.uniform(-np.pi, np.pi, size=LOS_PATHS)
+        reflect = (re + 1j * im) / np.sqrt(2)
+        dominant_power = 10 ** (LOS_DOMINANCE_DB / 10) * np.sum(np.abs(reflect) ** 2, axis=1)
+        dominant = np.sqrt(dominant_power) * np.exp(1j * phase)
+        gains = np.concatenate((dominant[:, None], reflect), axis=1)
     elif kind == "nlos":
+        re = np.empty((U, NLOS_PATHS))
+        im = np.empty((U, NLOS_PATHS))
+        freqs = np.empty((U, NLOS_PATHS))
+        for u in range(U):
+            re[u] = rng.standard_normal(NLOS_PATHS)
+            im[u] = rng.standard_normal(NLOS_PATHS)
+            freqs[u] = rng.uniform(-np.pi, np.pi, size=NLOS_PATHS)
         sigma = np.sqrt(10 ** (-NLOS_DECAY_DB * np.arange(NLOS_PATHS) / 10))
-        gains = sigma * (rng.standard_normal(NLOS_PATHS) + 1j * rng.standard_normal(NLOS_PATHS)) / np.sqrt(2)
-        freqs = rng.uniform(-np.pi, np.pi, size=NLOS_PATHS)
+        gains = sigma * (re + 1j * im) / np.sqrt(2)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
-    return PathSet(gains=gains, freqs=freqs)
+    return gains, freqs
+
+
+def draw_profile(kind: str, rng: np.random.Generator) -> PathSet:
+    """Draw one user's paths from the "los" or "nlos" parametric profile."""
+    gains, freqs = _draw_paths(kind, 1, rng)
+    return PathSet(gains=gains[0], freqs=freqs[0])
 
 
 def draw_channel_matrix(kind: str, B: int, U: int, rng: np.random.Generator) -> ChannelMatrix:
@@ -157,13 +193,9 @@ def draw_channel_matrix(kind: str, B: int, U: int, rng: np.random.Generator) -> 
     Arrays smaller than a profile's path count resolve only the leading paths
     (for LoS that is the dominant one), so profiles are truncated to B.
     """
-    cols = []
-    for _ in range(U):
-        p = draw_profile(kind, rng)
-        if len(p) > B:
-            p = PathSet(gains=p.gains[:B], freqs=p.freqs[:B])
-        cols.append(synth_channel(p, B))
-    return ChannelMatrix(entries=np.stack(cols, axis=1), domain="antenna")
+    gains, freqs = _draw_paths(kind, U, rng)
+    h = _synth(gains[:, :B], freqs[:, :B], B)
+    return ChannelMatrix(entries=np.ascontiguousarray(h.T), domain="antenna")
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +218,19 @@ def qam_scale(M: int, Es: float) -> float:
     return np.sqrt(3.0 * Es / (2.0 * (M - 1)))
 
 
+@lru_cache(maxsize=64)
+def _qam_table(M: int, Es: float) -> np.ndarray:
+    """Read-only constellation indexed by the symbol's bits read as an integer (MSB first)."""
+    m = isqrt(M)
+    half = int(log2(M)) // 2
+    idx = np.arange(M)
+    li = 2 * _gray_decode(idx >> half) - (m - 1)
+    lq = 2 * _gray_decode(idx & (m - 1)) - (m - 1)
+    table = qam_scale(M, Es) * (li + 1j * lq)
+    table.setflags(write=False)
+    return table
+
+
 def qam_modulate(bitgroups: np.ndarray, M: int, Es: float) -> np.ndarray:
     """Map bit groups (last axis, MSB first, I bits then Q bits) to symbols."""
     if M not in QAM_ORDERS:
@@ -194,14 +239,7 @@ def qam_modulate(bitgroups: np.ndarray, M: int, Es: float) -> np.ndarray:
     bitgroups = np.asarray(bitgroups)
     if bitgroups.shape[-1] != k:
         raise ValueError(f"expected {k} bits per symbol, got {bitgroups.shape[-1]}")
-    m = isqrt(M)
-    half = k // 2
-    weights = 1 << np.arange(half - 1, -1, -1)
-    gi = (bitgroups[..., :half] * weights).sum(axis=-1)
-    gq = (bitgroups[..., half:] * weights).sum(axis=-1)
-    li = 2 * _gray_decode(gi) - (m - 1)
-    lq = 2 * _gray_decode(gq) - (m - 1)
-    return qam_scale(M, Es) * (li + 1j * lq)
+    return _qam_table(M, Es)[bitgroups @ (1 << np.arange(k - 1, -1, -1))]
 
 
 def qam_demodulate(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
@@ -285,25 +323,38 @@ def save_channel(path: str, cm: ChannelMatrix, fmt: str = "csv") -> None:
 
 
 def load_channel(path: str) -> ChannelMatrix:
-    """Read a channel matrix written by :func:`save_channel` (either format)."""
+    """Read a channel matrix written by :func:`save_channel` (either format).
+
+    A malformed dump (truncated header or body, unknown domain, non-finite
+    entries) raises ``ValueError``.
+    """
     with open(path, "rb") as f:
         head = f.read(4)
     if head == _MAGIC:
         with open(path, "rb") as f:
             f.read(4)
-            code, B, U = struct.unpack("<BII", f.read(9))
+            header = f.read(9)
             data = np.frombuffer(f.read(), dtype="<f8")
+        if len(header) != 9:
+            raise ValueError("channel dump truncated")
+        code, B, U = struct.unpack("<BII", header)
+        if code not in _DOMAIN_NAME:
+            raise ValueError(f"unknown channel domain code {code}")
         if data.size != 2 * B * U:
             raise ValueError("channel dump truncated")
         flat = data[0::2] + 1j * data[1::2]
-        return ChannelMatrix(entries=flat.reshape(U, B).T, domain=_DOMAIN_NAME[code])
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if lines[0] != "domain,B,U":
-        raise ValueError("not a channel dump")
-    domain, b_s, u_s = lines[1].split(",")
-    B, U = int(b_s), int(u_s)
-    vals = [complex(float(r), float(i)) for r, i in (ln.split(",") for ln in lines[3:])]
-    if len(vals) != B * U:
-        raise ValueError("channel dump truncated")
-    return ChannelMatrix(entries=np.array(vals).reshape(U, B).T, domain=domain)
+        entries, domain = flat.reshape(U, B).T, _DOMAIN_NAME[code]
+    else:
+        with open(path, "r", encoding="ascii") as f:
+            lines = [ln.strip() for ln in f if ln.strip()]
+        if not lines or lines[0] != "domain,B,U":
+            raise ValueError("not a channel dump")
+        domain, b_s, u_s = lines[1].split(",")
+        B, U = int(b_s), int(u_s)
+        vals = [complex(float(r), float(i)) for r, i in (ln.split(",") for ln in lines[3:])]
+        if len(vals) != B * U:
+            raise ValueError("channel dump truncated")
+        entries = np.array(vals).reshape(U, B).T
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("channel entries must be finite")
+    return ChannelMatrix(entries=entries, domain=domain)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -134,9 +135,13 @@ def _snr_list(opt: dict) -> list[float]:
     start = opt.get("snr_start", 0.0)
     stop = opt.get("snr_stop", start)
     step = opt.get("snr_step", 2.0)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("snr-start, snr-stop and snr-step must be finite")
     if step <= 0:
         raise ValueError("snr-step must be positive")
-    return [float(s) for s in np.arange(start, stop + step / 2, step)]
+    # points from an integer count, not accumulated steps, so 0.1 steps do not drift
+    count = max(0, math.ceil((stop + step / 2 - start) / step))
+    return [round(start + i * step, 12) for i in range(count)]
 
 
 def _write_out(text: str, path: str | None) -> None:

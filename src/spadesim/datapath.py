@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import QAM_ORDERS
 from .equalizer import ActivityReport, BeamVector, EqualizerWeights, equalize_tagged
-
-QAM_ORDERS = (4, 16, 64, 256)
 
 # register indices within one complex multiplier: the four real products
 # (w_re*y_re, w_im*y_im, w_re*y_im, w_im*y_re)

@@ -229,7 +229,8 @@ def _masked_mvm(wre, wim, cwR, cwI, yre, yim, cyR, cyI, save_power: bool, B: int
     yimI = yim * myI
     acc_re = full_re - wreR @ yreR + wimI @ yimI
     acc_im = full_im - wreR @ yimI - wimI @ yreR
-    skipped = mwR @ myR + mwI @ myI + mwR @ myI + mwI @ myR
+    # 0/1 masks in float64: the four skip counts sum exactly in one product
+    skipped = (mwR + mwI) @ (myR + myI)
     executed = (4 * B - skipped).astype(np.int64)
     return acc_re, acc_im, executed
 

@@ -57,8 +57,15 @@ _M64 = (1 << 64) - 1
 
 
 def derive_stream(seed: int, purpose: int, tag: int, index: int) -> np.random.Generator:
-    """Independent Philox stream keyed by (seed, purpose, tag, index)."""
-    hi = ((purpose & 0xFFFF) << 48) | ((tag & 0xFFFF) << 32) | (index & 0xFFFFFFFF)
+    """Independent Philox stream keyed by (seed, purpose, tag, index).
+
+    purpose, tag and index are packed into 16, 16 and 32 bits of one key word;
+    a value that does not fit would alias another stream, so it raises.
+    """
+    for name, value, bits in (("purpose", purpose, 16), ("tag", tag, 16), ("index", index, 32)):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"stream {name} {value} outside [0, 2**{bits})")
+    hi = (purpose << 48) | (tag << 32) | index
     key = np.array([seed & _M64, hi], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

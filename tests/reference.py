@@ -101,3 +101,83 @@ def qam_constellation(M: int, Es: float) -> dict[tuple[int, ...], complex]:
             bits = tuple(gray_code_bits(i, half) + gray_code_bits(q, half))
             points[bits] = scale * complex(2 * i - (m - 1), 2 * q - (m - 1))
     return points
+
+
+def radix4_recursive(x: np.ndarray, twiddle_fmt) -> np.ndarray:
+    """Recursive radix-4 DIT FFT with quantized twiddles, unnormalized.
+
+    The formulation the stage-wise production kernel must match bit for bit:
+    split into the four x[r::4] subsequences, transform each, apply the
+    quantized twiddles, combine with the exact +-1/+-j butterfly.
+    """
+    from spadesim.numerics import dequantize, quantize_raw
+
+    n = x.shape[0]
+    if n == 1:
+        return x.astype(np.complex128)
+    f0, f1, f2, f3 = (radix4_recursive(x[r::4], twiddle_fmt) for r in range(4))
+    k = np.arange(n // 4)
+    tw = []
+    for p in (1, 2, 3):
+        w = np.exp(-2j * np.pi * ((p * k) % n) / n)
+        wq = dequantize(quantize_raw(w.real, twiddle_fmt), twiddle_fmt) \
+            + 1j * dequantize(quantize_raw(w.imag, twiddle_fmt), twiddle_fmt)
+        tw.append(wq.reshape((-1,) + (1,) * (x.ndim - 1)))
+    w1, w2, w3 = tw
+    t0, t1, t2, t3 = f0, w1 * f1, w2 * f2, w3 * f3
+    return np.concatenate(
+        [
+            t0 + t1 + t2 + t3,
+            t0 - 1j * t1 - t2 + 1j * t3,
+            t0 - t1 + t2 - t3,
+            t0 + 1j * t1 - t2 - 1j * t3,
+        ],
+        axis=0,
+    )
+
+
+def draw_channel_matrix_per_user(kind: str, B: int, U: int, rng: np.random.Generator) -> np.ndarray:
+    """One user at a time: draw the profile, truncate to B paths, synthesize, normalize.
+
+    Profiles: "los" is a dominant path 10 dB above two Rayleigh reflections,
+    "nlos" twelve Rayleigh paths decaying 3 dB per index. Returns the B x U
+    antenna-domain entries with every column at squared norm B.
+    """
+    cols = []
+    n = np.arange(B)
+    for _ in range(U):
+        if kind == "los":
+            reflect = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / np.sqrt(2)
+            dominant_power = 10 ** (10.0 / 10) * np.sum(np.abs(reflect) ** 2)
+            phase = rng.uniform(0.0, 2 * np.pi)
+            gains = np.concatenate(([np.sqrt(dominant_power) * np.exp(1j * phase)], reflect))
+            freqs = rng.uniform(-np.pi, np.pi, size=3)
+        elif kind == "nlos":
+            sigma = np.sqrt(10 ** (-3.0 * np.arange(12) / 10))
+            gains = sigma * (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / np.sqrt(2)
+            freqs = rng.uniform(-np.pi, np.pi, size=12)
+        else:
+            raise ValueError(f"unknown profile kind {kind!r}")
+        gains, freqs = gains[:B], freqs[:B]
+        h = np.exp(1j * np.outer(n, freqs)) @ gains
+        cols.append(h * (np.sqrt(B) / np.linalg.norm(h)))
+    return np.stack(cols, axis=1)
+
+
+def qam_modulate_formula(bitgroups: np.ndarray, M: int, Es: float) -> np.ndarray:
+    """Gray-mapped square QAM evaluated per symbol: scale * (li + 1j*lq)."""
+    k = int(math.log2(M))
+    m = int(round(math.sqrt(M)))
+    half = k // 2
+    bitgroups = np.asarray(bitgroups)
+    weights = 1 << np.arange(half - 1, -1, -1)
+
+    def level(g):
+        n = g.copy()
+        for shift in (1, 2, 4, 8, 16):
+            n ^= n >> shift
+        return 2 * n - (m - 1)
+
+    li = level((bitgroups[..., :half] * weights).sum(axis=-1))
+    lq = level((bitgroups[..., half:] * weights).sum(axis=-1))
+    return np.sqrt(3.0 * Es / (2.0 * (M - 1))) * (li + 1j * lq)

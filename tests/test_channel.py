@@ -200,3 +200,20 @@ def test_channel_dump_round_trip(fmt, tmp_path):
     back = load_channel(path)
     assert back.domain == cm.domain
     assert np.array_equal(back.entries, cm.entries)
+
+
+def _bin_header(code, B, U):
+    import struct
+    return b"CHNL" + struct.pack("<BII", code, B, U)
+
+
+@pytest.mark.parametrize("name,content", [
+    ("truncated_header.bin", _bin_header(0, 4, 1)[:8]),
+    ("unknown_domain.bin", _bin_header(7, 1, 1) + np.zeros(2, dtype="<f8").tobytes()),
+    ("nan_entry.csv", b"domain,B,U\nantenna,1,1\nre,im\nnan,0.0\n"),
+])
+def test_load_channel_rejects_malformed_dump(name, content, tmp_path):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ValueError):
+        load_channel(str(path))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spadesim.channel import draw_channel_matrix, save_channel
+from spadesim.cli import _snr_list
 from spadesim.cli import main as cli_main
 from spadesim.harness import (
     RunConfig,
@@ -43,6 +44,14 @@ def test_derive_stream_independent_of_order():
     assert np.array_equal(a1, a2)
     b = derive_stream(9, 1, 0, 4).standard_normal(4)
     assert not np.array_equal(a1, b)
+
+
+def test_derive_stream_rejects_fields_that_would_alias():
+    assert np.array_equal(derive_stream(9, 0xFFFF, 0xFFFF, 2**32 - 1).standard_normal(2),
+                          derive_stream(9, 0xFFFF, 0xFFFF, 2**32 - 1).standard_normal(2))
+    for purpose, tag, index in [(1, 65536, 0), (1, 0, 2**32), (65536, 0, 0), (1, -1, 0), (1, 0, -1)]:
+        with pytest.raises(ValueError):
+            derive_stream(9, purpose, tag, index)
 
 
 def test_run_ber_deterministic_across_worker_counts():
@@ -331,6 +340,16 @@ def test_cli_stdout_and_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "\n" == err[err.index("\n"):]  # single line
+
+
+def test_snr_list_points_do_not_drift():
+    assert _snr_list({"snr_start": 6.0, "snr_stop": 7.0, "snr_step": 0.1}) == \
+        [6.0, 6.1, 6.2, 6.3, 6.4, 6.5, 6.6, 6.7, 6.8, 6.9, 7.0]
+    assert _snr_list({"snr_start": 0.0, "snr_stop": 10.0}) == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+    assert _snr_list({"snr_start": 3.0}) == [3.0]
+    assert _snr_list({"snr_start": 5.0, "snr_stop": 4.0, "snr_step": 0.5}) == []
+    with pytest.raises(ValueError):
+        _snr_list({"snr_start": 0.0, "snr_stop": float("inf")})
 
 
 def test_cli_opoint(tmp_path, capsys):
