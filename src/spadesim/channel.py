@@ -242,6 +242,15 @@ def qam_modulate(bitgroups: np.ndarray, M: int, Es: float) -> np.ndarray:
     return _qam_table(M, Es)[bitgroups @ (1 << np.arange(k - 1, -1, -1))]
 
 
+@lru_cache(maxsize=8)
+def _slice_table(m: int, half: int) -> np.ndarray:
+    """Read-only (m, half) bits of each level index's Gray code, MSB first."""
+    g = _gray_encode(np.arange(m))
+    table = ((g[:, None] >> np.arange(half - 1, -1, -1)) & 1).astype(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
 def qam_demodulate(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
     """Hard-slice symbols to bit groups (inverse of :func:`qam_modulate`).
 
@@ -252,18 +261,13 @@ def qam_demodulate(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
         raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
     symbols = np.asarray(symbols)
     m = isqrt(M)
-    half = int(log2(M)) // 2
     c = qam_scale(M, Es)
-
-    def axis_bits(x):
-        # ceil(v - 0.5) rounds to nearest index with ties toward the lower level
-        idx = np.ceil((x / c + (m - 1)) / 2.0 - 0.5).astype(np.int64)
-        idx = np.clip(idx, 0, m - 1)
-        g = _gray_encode(idx)
-        shifts = np.arange(half - 1, -1, -1)
-        return ((g[..., None] >> shifts) & 1).astype(np.uint8)
-
-    return np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=-1)
+    k = int(log2(M))
+    table = _slice_table(m, k // 2)
+    # one level index per axis; ceil(v - 0.5) rounds to nearest with ties toward the lower level
+    v = np.stack((symbols.real, symbols.imag), axis=-1)
+    idx = np.ceil((v / c + (m - 1)) / 2.0 - 0.5).astype(np.int64)
+    return table[np.clip(idx, 0, m - 1)].reshape(symbols.shape + (k,))
 
 
 def map_qam(bits, M: int, Es: float) -> SymbolVector:

@@ -14,7 +14,7 @@ independent of summation order. A width guard enforces that precondition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +55,11 @@ class EqualizerWeights:
         if self.fmt is None:
             return self.re + 1j * self.im
         return (self.re + 1j * self.im) / self.fmt.scale
+
+    def retag(self, tau_w: float) -> "EqualizerWeights":
+        """The same raws with comparison bits against another threshold."""
+        return replace(self, cw_re=_comparison_bits(self.re, tau_w, self.fmt),
+                       cw_im=_comparison_bits(self.im, tau_w, self.fmt), tau_w=tau_w)
 
 
 @dataclass(frozen=True)
@@ -137,15 +142,21 @@ def scale_rows(V: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return alpha[:, None] * V, alpha
 
 
-def _threshold_raw(tau: float, fmt: QFormat) -> int:
+def _threshold_raw(tau: float, fmt: QFormat | None) -> int | float:
     """Threshold snapped to the format's fractional grid (nearest-even).
 
     Deliberately not clamped to the storage range: the comparator's threshold
     register is one bit wider, so tau = 1.0 can sit above every stored value.
+    Without a format (quantization disabled) the threshold is tau itself.
     """
     if not (np.isfinite(tau) and tau >= 0):
         raise ValueError("threshold must be finite and nonnegative")
-    return int(np.round(tau * fmt.scale))
+    return tau if fmt is None else int(np.round(tau * fmt.scale))
+
+
+def _comparison_bits(raw: np.ndarray, tau: float, fmt: QFormat | None) -> np.ndarray:
+    """Comparison bits of quantized values: magnitude strictly below the threshold."""
+    return np.abs(raw) < _threshold_raw(tau, fmt)
 
 
 def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
@@ -167,18 +178,12 @@ def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
             raise ValueError("weight format must span [-1, 1): use frac_bits = total_bits - 1")
         re = quantize_raw(W_real.real, fmt)
         im = quantize_raw(W_real.imag, fmt)
-        t = _threshold_raw(tau_w, fmt)
-        cw_re = np.abs(re) < t
-        cw_im = np.abs(im) < t
     else:
-        if not (np.isfinite(tau_w) and tau_w >= 0):
-            raise ValueError("threshold must be finite and nonnegative")
         re = W_real.real.copy()
         im = W_real.imag.copy()
-        cw_re = np.abs(re) < tau_w
-        cw_im = np.abs(im) < tau_w
     return EqualizerWeights(re=re, im=im, fmt=fmt, alpha=alpha,
-                            cw_re=cw_re, cw_im=cw_im, tau_w=tau_w, domain=domain)
+                            cw_re=_comparison_bits(re, tau_w, fmt),
+                            cw_im=_comparison_bits(im, tau_w, fmt), tau_w=tau_w, domain=domain)
 
 
 def tag_input(y_raw: np.ndarray, tau_y: float, fmt: QFormat | None) -> BeamVector:
@@ -187,17 +192,11 @@ def tag_input(y_raw: np.ndarray, tau_y: float, fmt: QFormat | None) -> BeamVecto
     if fmt is not None:
         re = quantize_raw(y_raw.real, fmt)
         im = quantize_raw(y_raw.imag, fmt)
-        t = _threshold_raw(tau_y, fmt)
-        cy_re = np.abs(re) < t
-        cy_im = np.abs(im) < t
     else:
-        if not (np.isfinite(tau_y) and tau_y >= 0):
-            raise ValueError("threshold must be finite and nonnegative")
         re = y_raw.real.copy()
         im = y_raw.imag.copy()
-        cy_re = np.abs(re) < tau_y
-        cy_im = np.abs(im) < tau_y
-    return BeamVector(re=re, im=im, fmt=fmt, cy_re=cy_re, cy_im=cy_im, tau_y=tau_y)
+    return BeamVector(re=re, im=im, fmt=fmt, cy_re=_comparison_bits(re, tau_y, fmt),
+                      cy_im=_comparison_bits(im, tau_y, fmt), tau_y=tau_y)
 
 
 def _check_accumulator(wfmt: QFormat, yfmt: QFormat, B: int) -> None:
@@ -320,38 +319,51 @@ def equalize_block(mode: str, weights_ant: EqualizerWeights | None,
     if Y.shape[0] != w.B:
         raise ValueError("length mismatch")
 
-    Z = frontend.gain * Y
-    if mode != "lmmse-a":
-        Z = to_beamspace(Z, frontend.twiddle)
-
-    if quantized:
-        _check_accumulator(w.fmt, frontend.input_fmt, w.B)
-        yre = quantize_raw(Z.real, frontend.input_fmt).astype(np.float64)
-        yim = quantize_raw(Z.imag, frontend.input_fmt).astype(np.float64)
-        t = _threshold_raw(frontend.tau_y, frontend.input_fmt)
-        cy_re = np.abs(yre) < t
-        cy_im = np.abs(yim) < t
-    else:
-        yre = np.ascontiguousarray(Z.real)
-        yim = np.ascontiguousarray(Z.imag)
-        cy_re = np.abs(yre) < frontend.tau_y
-        cy_im = np.abs(yim) < frontend.tau_y
-
-    acc_re, acc_im, executed = _masked_mvm(
-        np.asarray(w.re, dtype=np.float64), np.asarray(w.im, dtype=np.float64),
-        w.cw_re, w.cw_im, yre, yim, cy_re, cy_im,
-        save_power=(mode == "lmmse-spade"), B=w.B,
-    )
-    vs = _value_scale(w, frontend.input_fmt)
-    S = (acc_re + 1j * acc_im) * vs / (w.alpha[:, None] * frontend.gain)
-
-    per_vector = executed.sum(axis=0)
+    yre, yim = front_end(mode, Y, frontend)
+    S, per_vector = equalize_raws(w, yre, yim, frontend, save_power=(mode == "lmmse-spade"))
     report = ActivityReport(
         executed=int(per_vector.sum()),
         total=4 * w.B * w.U * Y.shape[1],
         per_vector=per_vector,
     )
     return (S[:, 0] if single else S), report
+
+
+def front_end(mode: str, Y: np.ndarray, frontend: FrontEnd) -> tuple[np.ndarray, np.ndarray]:
+    """Input raws of a (B, N) block of antenna-domain receive vectors, as float64.
+
+    Scales by the front-end gain, transforms to beamspace unless the mode
+    bypasses the transform, and quantizes to the input format. Nothing here
+    depends on the input threshold.
+    """
+    Z = frontend.gain * Y
+    if mode != "lmmse-a":
+        Z = to_beamspace(Z, frontend.twiddle)
+    if frontend.input_fmt is None:
+        return np.ascontiguousarray(Z.real), np.ascontiguousarray(Z.imag)
+    return (quantize_raw(Z.real, frontend.input_fmt).astype(np.float64),
+            quantize_raw(Z.imag, frontend.input_fmt).astype(np.float64))
+
+
+def equalize_raws(w: EqualizerWeights, yre: np.ndarray, yim: np.ndarray, frontend: FrontEnd,
+                  save_power: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Tag front-end raws against ``frontend.tau_y`` and run the masked MVM.
+
+    Returns the descaled (U, N) estimates and the executed real products per
+    vector.
+    """
+    if w.fmt is not None:
+        _check_accumulator(w.fmt, frontend.input_fmt, w.B)
+    acc_re, acc_im, executed = _masked_mvm(
+        np.asarray(w.re, dtype=np.float64), np.asarray(w.im, dtype=np.float64),
+        w.cw_re, w.cw_im, yre, yim,
+        _comparison_bits(yre, frontend.tau_y, frontend.input_fmt),
+        _comparison_bits(yim, frontend.tau_y, frontend.input_fmt),
+        save_power=save_power, B=w.B,
+    )
+    vs = _value_scale(w, frontend.input_fmt)
+    S = (acc_re + 1j * acc_im) * vs / (w.alpha[:, None] * frontend.gain)
+    return S, executed.sum(axis=0)
 
 
 def equalize(mode: str, weights_ant: EqualizerWeights | None,

@@ -14,6 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,11 +33,12 @@ from .equalizer import (
     FrontEnd,
     build_weights,
     compute_lmmse,
-    equalize_block,
+    equalize_raws,
+    front_end,
     scale_rows,
     _threshold_raw,
 )
-from .numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat, quantize_raw
+from .numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat
 
 # Threshold pair used by default in lmmse-spade runs; picked from the
 # artifact's own 8x8 sweep on LoS channels (lowest mean activity among pairs
@@ -53,20 +55,21 @@ _P_ACTIVITY = 2
 _P_PROBE = 3
 
 _WAVE_BLOCKS = 8
-_M64 = (1 << 64) - 1
 
 
 def derive_stream(seed: int, purpose: int, tag: int, index: int) -> np.random.Generator:
     """Independent Philox stream keyed by (seed, purpose, tag, index).
 
-    purpose, tag and index are packed into 16, 16 and 32 bits of one key word;
-    a value that does not fit would alias another stream, so it raises.
+    The seed fills one 64-bit key word; purpose, tag and index are packed into
+    16, 16 and 32 bits of the other. A value that does not fit would alias
+    another stream, so it raises.
     """
-    for name, value, bits in (("purpose", purpose, 16), ("tag", tag, 16), ("index", index, 32)):
+    for name, value, bits in (("seed", seed, 64), ("purpose", purpose, 16), ("tag", tag, 16),
+                              ("index", index, 32)):
         if not 0 <= value < 1 << bits:
             raise ValueError(f"stream {name} {value} outside [0, 2**{bits})")
     hi = (purpose << 48) | (tag << 32) | index
-    key = np.array([seed & _M64, hi], dtype=np.uint64)
+    key = np.array([seed, hi], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -110,6 +113,8 @@ class RunConfig:
             raise ValueError("channel 'file' needs channel_file")
         if self.vectors_per_block < 1 or self.workers < 1:
             raise ValueError("vectors_per_block and workers must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -183,60 +188,85 @@ def _build_weights(cfg: RunConfig, H: ChannelMatrix, mode: str, n0: float):
     return None, build_weights(W, a, cfg.tau_w, fmt, "beamspace")
 
 
-def _run_block(cfg: RunConfig, mode: str, n0: float, purpose: int, tag: int,
-               block_idx: int, n_vectors: int, H_fixed: ChannelMatrix | None):
-    """One coherence block: draw channel, preprocess once, equalize a burst."""
+def _synth_block(cfg: RunConfig, fe: FrontEnd, mode: str, n0: float, purpose: int, tag: int,
+                 block_idx: int, n_vectors: int, H_fixed: ChannelMatrix | None):
+    """One coherence block up to its comparison bits, which no threshold reaches.
+
+    Draws the channel, preprocesses once, sends a burst and runs the input
+    front end. Returns the (U, N, k) bits, the quantized weights of the mode's
+    domain and the (B, N) input raws (re, im).
+    """
     rng = derive_stream(cfg.seed, purpose, tag, block_idx)
     H = H_fixed if H_fixed is not None else draw_channel_matrix(cfg.channel, cfg.B, cfg.U, rng)
     wa, wb = _build_weights(cfg, H, mode, n0)
-    k = cfg.bits_per_symbol
-    bits = rng.integers(0, 2, size=(cfg.U, n_vectors, k), dtype=np.uint8)
-    symbols = qam_modulate(bits, cfg.M, cfg.Es)
-    y_bar = H.entries @ symbols
+    bits = rng.integers(0, 2, size=(cfg.U, n_vectors, cfg.bits_per_symbol), dtype=np.uint8)
+    y_bar = H.entries @ qam_modulate(bits, cfg.M, cfg.Es)
     if n0 > 0.0:
         noise = rng.standard_normal(y_bar.shape) + 1j * rng.standard_normal(y_bar.shape)
         y_bar = y_bar + noise * math.sqrt(n0 / 2.0)
-    s_hat, report = equalize_block(mode, wa, wb, y_bar, cfg.frontend())
-    bits_hat = qam_demodulate(s_hat, cfg.M, cfg.Es)
-    errors = int((bits != bits_hat).sum())
-    per_vec = report.per_vector
-    return (errors, cfg.U * k * n_vectors, n_vectors,
-            int(per_vec.sum()), int(per_vec.min()), int(per_vec.max()))
+    return (bits, wa if wb is None else wb, *front_end(mode, y_bar, fe))
+
+
+def _score(cfg: RunConfig, mode: str, block, fe: FrontEnd,
+           tau_w: float, tau_y: float) -> tuple[int, np.ndarray]:
+    """Bit errors and executed products per vector of one block at one threshold pair."""
+    bits, w, yre, yim = block
+    S, per_vec = equalize_raws(w.retag(tau_w), yre, yim, replace(fe, tau_y=tau_y),
+                               save_power=(mode == "lmmse-spade"))
+    return int((bits != qam_demodulate(S, cfg.M, cfg.Es)).sum()), per_vec
+
+
+def _waves(block_size: int, cap: int):
+    """Blocks as (index, vectors) in waves of up to _WAVE_BLOCKS, until cap vectors are planned.
+
+    Callers evaluate their stopping rule between waves, which keeps the set of
+    simulated blocks independent of the worker count.
+    """
+    block_idx = planned = 0
+    while planned < cap:
+        wave = []
+        while len(wave) < _WAVE_BLOCKS and planned < cap:
+            size = min(block_size, cap - planned)
+            wave.append((block_idx, size))
+            block_idx += 1
+            planned += size
+        yield wave
+
+
+@contextmanager
+def _block_map(workers: int):
+    """A map over one wave's blocks that yields results in block order."""
+    if workers == 1:
+        yield map
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            yield pool.map
 
 
 def _ber_point(cfg: RunConfig, mode: str, n0: float, purpose: int, tag: int,
                stop: StopRule, H_fixed: ChannelMatrix | None):
+    fe = cfg.frontend()
+
+    def run(args):
+        block = _synth_block(cfg, fe, mode, n0, purpose, tag, args[0], args[1], H_fixed)
+        return _score(cfg, mode, block, fe, cfg.tau_w, cfg.tau_y)
+
     errors = 0
-    nbits = 0
     vectors = 0
     exec_sum = 0
-    exec_min = None
-    exec_max = None
-    block_idx = 0
-    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    try:
-        while vectors < stop.max_vectors and errors < stop.target_errors:
-            wave = []
-            planned = vectors
-            for _ in range(_WAVE_BLOCKS):
-                size = min(cfg.vectors_per_block, stop.max_vectors - planned)
-                if size == 0:
-                    break
-                wave.append((block_idx, size))
-                block_idx += 1
-                planned += size
-            run = lambda args: _run_block(cfg, mode, n0, purpose, tag, args[0], args[1], H_fixed)
-            results = list(pool.map(run, wave)) if pool else [run(a) for a in wave]
-            for err, nb, nv, es, emin, emax in results:
+    exec_min = math.inf
+    exec_max = -math.inf
+    with _block_map(cfg.workers) as block_map:
+        for wave in _waves(cfg.vectors_per_block, stop.max_vectors):
+            if errors >= stop.target_errors:
+                break
+            for err, per_vec in block_map(run, wave):
                 errors += err
-                nbits += nb
-                vectors += nv
-                exec_sum += es
-                exec_min = emin if exec_min is None else min(exec_min, emin)
-                exec_max = emax if exec_max is None else max(exec_max, emax)
-    finally:
-        if pool:
-            pool.shutdown()
+                vectors += per_vec.size
+                exec_sum += int(per_vec.sum())
+                exec_min = min(exec_min, int(per_vec.min()))
+                exec_max = max(exec_max, int(per_vec.max()))
+    nbits = cfg.U * cfg.bits_per_symbol * vectors
     per_mvm = 4 * cfg.B * cfg.U
     return SnrPoint(
         snr_db=float("nan"),  # caller fills in
@@ -244,8 +274,8 @@ def _ber_point(cfg: RunConfig, mode: str, n0: float, purpose: int, tag: int,
         bit_errors=errors,
         ber=errors / nbits if nbits else 0.0,
         activity_mean=exec_sum / (per_mvm * vectors) if vectors else 1.0,
-        activity_min=(exec_min / per_mvm) if exec_min is not None else 1.0,
-        activity_max=(exec_max / per_mvm) if exec_max is not None else 1.0,
+        activity_min=exec_min / per_mvm if vectors else 1.0,
+        activity_max=exec_max / per_mvm if vectors else 1.0,
     )
 
 
@@ -291,42 +321,102 @@ def _wilson(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return center - half, center + half
 
 
-def _probe(cfg: RunConfig, mode: str, snr_db: float, tag: int, target: float,
-           probe_cap: int, H_fixed: ChannelMatrix | None):
-    """Run trials at one SNR until the 95% interval excludes the target BER."""
+def _probe_group(cfg: RunConfig, mode: str, snr_db: float, tag: int, pairs: list,
+                 target: float, probe_cap: int, H_fixed: ChannelMatrix | None, block_map):
+    """Probe threshold pairs at one SNR until each 95% interval excludes the target BER.
+
+    The pairs share every block: its prefix is built once and scored for each
+    pair still undecided, so a pair sees the blocks it would see alone. Returns
+    (side, ber, vectors) per pair.
+    """
     n0 = _n0_for_snr(cfg, snr_db)
-    errors = 0
+    fe = cfg.frontend()
+    outcome = [None] * len(pairs)
+    errors = [0] * len(pairs)
     nbits = 0
     vectors = 0
-    block_idx = 0
-    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    try:
-        while vectors < probe_cap:
-            wave = []
-            planned = vectors
-            for _ in range(_WAVE_BLOCKS):
-                size = min(cfg.vectors_per_block, probe_cap - planned)
-                if size == 0:
-                    break
-                wave.append((block_idx, size))
-                block_idx += 1
-                planned += size
-            run = lambda args: _run_block(cfg, mode, n0, _P_PROBE, tag, args[0], args[1], H_fixed)
-            results = list(pool.map(run, wave)) if pool else [run(a) for a in wave]
-            for err, nb, nv, *_ in results:
-                errors += err
-                nbits += nb
-                vectors += nv
-            lo, hi = _wilson(errors, nbits)
+    active = list(range(len(pairs)))
+    for wave in _waves(cfg.vectors_per_block, probe_cap):
+        def run(args, live=tuple(active)):
+            block = _synth_block(cfg, fe, mode, n0, _P_PROBE, tag, args[0], args[1], H_fixed)
+            return [_score(cfg, mode, block, fe, *pairs[i])[0] for i in live]
+
+        for block_errors in block_map(run, wave):
+            for i, err in zip(active, block_errors):
+                errors[i] += err
+        n = sum(size for _, size in wave)
+        vectors += n
+        nbits += cfg.U * cfg.bits_per_symbol * n
+        for i in active:
+            lo, hi = _wilson(errors[i], nbits)
             if hi < target:
-                return "below", errors / nbits, vectors
-            if lo > target:
-                return "above", errors / nbits, vectors
-    finally:
-        if pool:
-            pool.shutdown()
-    ber = errors / nbits if nbits else 0.0
-    return ("below" if ber <= target else "above"), ber, vectors
+                outcome[i] = ("below", errors[i] / nbits, vectors)
+            elif lo > target:
+                outcome[i] = ("above", errors[i] / nbits, vectors)
+        active = [i for i in active if outcome[i] is None]
+        if not active:
+            break
+    for i in active:
+        ber = errors[i] / nbits if nbits else 0.0
+        outcome[i] = ("below" if ber <= target else "above", ber, vectors)
+    return outcome
+
+
+def _bisection(lo_db: float, hi_db: float, tol_db: float):
+    """Operating-point search: yields each probe SNR and is sent that probe's side.
+
+    Returns None when even hi_db stays above the target, lo_db when lo_db is
+    already below it, else the upper end of the final bracket.
+    """
+    if (yield hi_db) == "above":
+        return None
+    if (yield lo_db) == "below":
+        return lo_db
+    lo, hi = lo_db, hi_db
+    while hi - lo > tol_db:
+        mid = 0.5 * (lo + hi)
+        if (yield mid) == "above":
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_db: float,
+                      hi_db: float, tol_db: float, probe_cap: int) -> list[tuple[float | None, list]]:
+    """Bisect every threshold pair's operating point in lockstep.
+
+    Probe k of every pair uses stream tag k, so round k groups the pairs still
+    searching by probe SNR and probes each group on shared blocks. Returns the
+    operating point and the (snr, ber, vectors) probe list of each pair.
+    """
+    if not 0.0 < target < 0.5:
+        raise ValueError("target_ber must be in (0, 0.5)")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    H_fixed = _load_fixed_channel(cfg)
+    searches = [_bisection(lo_db, hi_db, tol_db) for _ in pairs]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    curves = [[] for _ in pairs]
+    ops = [None] * len(pairs)
+    tag = 0
+    with _block_map(cfg.workers) as block_map:
+        while pending:
+            groups = {}
+            for i, snr in pending.items():
+                groups.setdefault(snr, []).append(i)
+            for snr, members in groups.items():
+                outcomes = _probe_group(cfg, mode, snr, tag, [pairs[i] for i in members],
+                                        target, probe_cap, H_fixed, block_map)
+                for i, (side, ber, vectors) in zip(members, outcomes):
+                    curves[i].append((pending[i], ber, vectors))
+                    try:
+                        pending[i] = searches[i].send(side)
+                    except StopIteration as done:
+                        ops[i] = done.value
+                        del pending[i]
+            tag += 1
+    return list(zip(ops, curves))
 
 
 def snr_operating_point(config: RunConfig, mode: str, target_ber: float = 0.01,
@@ -334,33 +424,11 @@ def snr_operating_point(config: RunConfig, mode: str, target_ber: float = 0.01,
                         tol_db: float = 0.1, probe_cap: int = 200_000,
                         curve: list | None = None) -> float | None:
     """Minimum SNR reaching the target BER, or None when unreached in range."""
-    if not 0.0 < target_ber < 0.5:
-        raise ValueError("target_ber must be in (0, 0.5)")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    H_fixed = _load_fixed_channel(config)
-    tag = 0
-
-    def probe(snr):
-        nonlocal tag
-        side, ber, vectors = _probe(config, mode, snr, tag, target_ber, probe_cap, H_fixed)
-        if curve is not None:
-            curve.append((snr, ber, vectors))
-        tag += 1
-        return side
-
-    if probe(hi_db) == "above":
-        return None
-    if probe(lo_db) == "below":
-        return lo_db
-    lo, hi = lo_db, hi_db
-    while hi - lo > tol_db:
-        mid = 0.5 * (lo + hi)
-        if probe(mid) == "above":
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    [(op, probes)] = _operating_points(config, mode, [(config.tau_w, config.tau_y)], target_ber,
+                                       lo_db, hi_db, tol_db, probe_cap)
+    if curve is not None:
+        curve.extend(probes)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -391,33 +459,15 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     n0 = _n0_for_snr(config, snr_db)
     H_fixed = _load_fixed_channel(config)
     fe = config.frontend()
-    k = config.bits_per_symbol
+    w_thresh = [_threshold_raw(t, config.weight_fmt if config.quantized else None)
+                for t in tau_w_grid]
+    y_thresh = [_threshold_raw(t, fe.input_fmt) for t in tau_y_grid]
     per_mvm_total = 4 * config.B * config.U * vectors_per_draw
     rates = np.zeros((nw, ny, draws))
     for d in range(draws):
-        rng = derive_stream(config.seed, _P_ACTIVITY, 0, d)
-        H = H_fixed if H_fixed is not None else draw_channel_matrix(config.channel, config.B, config.U, rng)
-        Hb = ChannelMatrix(to_beamspace(H.entries), "beamspace")
-        V = compute_lmmse(Hb, n0, config.Es)
-        W, _alpha = scale_rows(V, config.epsilon)
-        bits = rng.integers(0, 2, size=(config.U, vectors_per_draw, k), dtype=np.uint8)
-        symbols = qam_modulate(bits, config.M, config.Es)
-        y_bar = H.entries @ symbols
-        if n0 > 0.0:
-            noise = rng.standard_normal(y_bar.shape) + 1j * rng.standard_normal(y_bar.shape)
-            y_bar = y_bar + noise * math.sqrt(n0 / 2.0)
-        X = to_beamspace(config.input_gain * y_bar, fe.twiddle)
-        if config.quantized:
-            wre = np.abs(quantize_raw(W.real, config.weight_fmt))
-            wim = np.abs(quantize_raw(W.imag, config.weight_fmt))
-            xre = np.abs(quantize_raw(X.real, config.input_fmt))
-            xim = np.abs(quantize_raw(X.imag, config.input_fmt))
-            w_thresh = [_threshold_raw(t, config.weight_fmt) for t in tau_w_grid]
-            y_thresh = [_threshold_raw(t, config.input_fmt) for t in tau_y_grid]
-        else:
-            wre, wim = np.abs(W.real), np.abs(W.imag)
-            xre, xim = np.abs(X.real), np.abs(X.imag)
-            w_thresh, y_thresh = tau_w_grid, tau_y_grid
+        _, w, yre, yim = _synth_block(config, fe, mode, n0, _P_ACTIVITY, 0, d, vectors_per_draw,
+                                      H_fixed)
+        wre, wim, xre, xim = np.abs(w.re), np.abs(w.im), np.abs(yre), np.abs(yim)
         # per-column counts of set bits; the skipped total for a pair is their dot
         w_counts = [(wre < t).sum(axis=0) + (wim < t).sum(axis=0) for t in w_thresh]
         y_counts = [(xre < t).sum(axis=1) + (xim < t).sum(axis=1) for t in y_thresh]
@@ -445,33 +495,34 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
     Activity is measured at each pair's own operating point (at the top of the
     probe range when the target is unreached). Records on the activity/SNR
     Pareto frontier are flagged.
+
+    All pairs bisect in lockstep (see :func:`_operating_points`), so each
+    block's threshold-independent prefix is built once per probe SNR, not once
+    per pair; activity is measured on one grid per distinct activity SNR.
     """
-    records = []
-    for tw in tau_w_grid:
-        for ty in tau_y_grid:
-            cfg = replace(config, tau_w=float(tw), tau_y=float(ty))
-            curve: list[tuple[float, float, int]] = []
-            op = snr_operating_point(cfg, mode, target_ber, hi_db=hi_db,
-                                     probe_cap=probe_cap, curve=curve)
-            act_snr = op if op is not None else hi_db
-            act = mean_activity(cfg, mode, act_snr, draws=activity_draws,
-                                vectors_per_draw=vectors_per_draw)
-            records.append(SweepRecord(tau_w=float(tw), tau_y=float(ty),
-                                       mean_activity_rate=act,
-                                       snr_operating_point_db=op,
-                                       ber_curve=curve))
+    pairs = [(float(tw), float(ty)) for tw in tau_w_grid for ty in tau_y_grid]
+    searched = _operating_points(config, mode, pairs, target_ber, -10.0, hi_db, 0.1, probe_cap)
+    act_snrs = [hi_db if op is None else op for op, _ in searched]
+    activity = [0.0] * len(pairs)
+    for snr in dict.fromkeys(act_snrs):
+        members = [i for i, s in enumerate(act_snrs) if s == snr]
+        tws = list(dict.fromkeys(pairs[i][0] for i in members))
+        tys = list(dict.fromkeys(pairs[i][1] for i in members))
+        rates = activity_grid(config, mode, snr, tws, tys, draws=activity_draws,
+                              vectors_per_draw=vectors_per_draw)
+        for i in members:
+            activity[i] = float(rates[tws.index(pairs[i][0]), tys.index(pairs[i][1])])
+    records = [SweepRecord(tau_w=tw, tau_y=ty, mean_activity_rate=act,
+                           snr_operating_point_db=op, ber_curve=curve)
+               for (tw, ty), (op, curve), act in zip(pairs, searched, activity)]
     records.sort(key=lambda r: (r.mean_activity_rate, r.tau_w, r.tau_y))
+    op_of = lambda r: math.inf if r.snr_operating_point_db is None else r.snr_operating_point_db
     for r in records:
-        r_op = math.inf if r.snr_operating_point_db is None else r.snr_operating_point_db
+        # dominated: another record no worse on both axes and better on one
         r.pareto = not any(
-            (o.mean_activity_rate <= r.mean_activity_rate)
-            and ((math.inf if o.snr_operating_point_db is None else o.snr_operating_point_db) <= r_op)
-            and (
-                o.mean_activity_rate < r.mean_activity_rate
-                or (math.inf if o.snr_operating_point_db is None else o.snr_operating_point_db) < r_op
-            )
-            for o in records
-        )
+            o.mean_activity_rate <= r.mean_activity_rate and op_of(o) <= op_of(r)
+            and (o.mean_activity_rate, op_of(o)) != (r.mean_activity_rate, op_of(r))
+            for o in records)
     return records
 
 

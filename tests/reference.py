@@ -181,3 +181,53 @@ def qam_modulate_formula(bitgroups: np.ndarray, M: int, Es: float) -> np.ndarray
     li = level((bitgroups[..., :half] * weights).sum(axis=-1))
     lq = level((bitgroups[..., half:] * weights).sum(axis=-1))
     return np.sqrt(3.0 * Es / (2.0 * (M - 1))) * (li + 1j * lq)
+
+
+def qam_demodulate_formula(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
+    """Hard slicing per axis: nearest level index (ties to the lower level), Gray-encoded, shifted out MSB first."""
+    m = int(round(math.sqrt(M)))
+    half = int(math.log2(M)) // 2
+    c = math.sqrt(3.0 * Es / (2.0 * (M - 1)))
+    symbols = np.asarray(symbols)
+
+    def axis_bits(x):
+        idx = np.ceil((x / c + (m - 1)) / 2.0 - 0.5).astype(np.int64)
+        idx = np.clip(idx, 0, m - 1)
+        g = idx ^ (idx >> 1)
+        shifts = np.arange(half - 1, -1, -1)
+        return ((g[..., None] >> shifts) & 1).astype(np.uint8)
+
+    return np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=-1)
+
+
+def threshold_sweep_per_pair(config, tau_w_grid, tau_y_grid, mode="lmmse-spade", target_ber=0.01,
+                             activity_draws=1000, vectors_per_draw=2, probe_cap=100_000,
+                             hi_db=40.0):
+    """One operating-point search and one activity measurement per threshold pair.
+
+    The sweep without any sharing between pairs: what the lockstep sweep must
+    reproduce record for record. Sorted by activity, Pareto frontier flagged.
+    """
+    from dataclasses import replace
+
+    from spadesim.harness import SweepRecord, mean_activity, snr_operating_point
+
+    records = []
+    for tw in tau_w_grid:
+        for ty in tau_y_grid:
+            cfg = replace(config, tau_w=float(tw), tau_y=float(ty))
+            curve = []
+            op = snr_operating_point(cfg, mode, target_ber, hi_db=hi_db, probe_cap=probe_cap,
+                                     curve=curve)
+            act = mean_activity(cfg, mode, hi_db if op is None else op, draws=activity_draws,
+                                vectors_per_draw=vectors_per_draw)
+            records.append(SweepRecord(tau_w=float(tw), tau_y=float(ty), mean_activity_rate=act,
+                                       snr_operating_point_db=op, ber_curve=curve))
+    records.sort(key=lambda r: (r.mean_activity_rate, r.tau_w, r.tau_y))
+    op_of = lambda r: math.inf if r.snr_operating_point_db is None else r.snr_operating_point_db
+    for r in records:
+        r.pareto = not any(
+            o.mean_activity_rate <= r.mean_activity_rate and op_of(o) <= op_of(r)
+            and (o.mean_activity_rate < r.mean_activity_rate or op_of(o) < op_of(r))
+            for o in records)
+    return records

@@ -54,6 +54,22 @@ def test_derive_stream_rejects_fields_that_would_alias():
             derive_stream(9, purpose, tag, index)
 
 
+def test_seed_outside_64_bits_is_rejected(capsys):
+    # masking would run -1 as 2**64-1 and 2**64 as 0
+    assert np.array_equal(derive_stream(2**64 - 1, 1, 0, 0).standard_normal(2),
+                          derive_stream(2**64 - 1, 1, 0, 0).standard_normal(2))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            derive_stream(seed, 1, 0, 0)
+        with pytest.raises(ValueError, match="seed"):
+            small_cfg(seed=seed)
+        code = cli_main(["ber", "--b", "4", "--u", "1", "--mod", "4", "--snr-start", "0",
+                         "--snr-stop", "0", "--max-vectors", "10", "--seed", str(seed)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed") and err.count("\n") == 1
+
+
 def test_run_ber_deterministic_across_worker_counts():
     stop = StopRule(target_errors=200, max_vectors=2000)
     rep1 = run_ber(small_cfg(workers=1), [4.0, 8.0], "lmmse-spade", stop)

@@ -1,28 +1,43 @@
 """Property tests: the vectorized kernels are bit-identical to their oracles.
 
-The stage-wise radix-4, the batched channel synthesis and the QAM lookup table
-each replace a per-element or per-user formulation; every comparison here is
-byte for byte (``tobytes``), not within a tolerance.
+The stage-wise radix-4, the batched channel synthesis, the QAM lookup tables
+and the lockstep threshold sweep each replace a per-element, per-user or
+per-pair formulation; every comparison here is byte for byte (``tobytes``,
+``repr`` of floats, file bytes), not within a tolerance.
 """
 
+import os
+import tempfile
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spadesim.beamspace import TwiddleConfig, _radix4, to_beamspace
 from spadesim.channel import (
+    MODES,
     QAM_ORDERS,
     PathSet,
     _qam_table,
     draw_channel_matrix,
     draw_profile,
+    qam_demodulate,
     qam_modulate,
+    qam_scale,
     synth_channel,
 )
+from spadesim.harness import RunConfig, activity_grid, emit_sweep, threshold_sweep
 from spadesim.numerics import TWIDDLE_FMT, QFormat
 
-from reference import draw_channel_matrix_per_user, qam_modulate_formula, radix4_recursive
+from reference import (
+    draw_channel_matrix_per_user,
+    qam_demodulate_formula,
+    qam_modulate_formula,
+    radix4_recursive,
+    threshold_sweep_per_pair,
+)
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -94,3 +109,89 @@ def test_qam_table_matches_formula(M, Es, seed):
     assert out.shape == (3, 5)
     assert out.tobytes() == qam_modulate_formula(bits, M, Es).tobytes()
 
+
+
+@PROPS
+@given(M=st.sampled_from(QAM_ORDERS), Es=st.floats(1e-3, 1e3), data=st.data())
+def test_qam_slice_table_matches_formula(M, Es, data):
+    m = int(np.sqrt(M))
+    c = qam_scale(M, Es)
+    # integer multiples of the level spacing: odd ones are exact midpoints between
+    # levels, those beyond +-(m-1) saturate at the outer levels
+    grid = st.integers(-(m + 3), m + 3).map(lambda j: c * j)
+    axis = st.one_of(grid, st.floats(-4.0 * m * c, 4.0 * m * c), st.floats(-1e12, 1e12))
+    n = data.draw(st.integers(0, 12))
+    re = np.array(data.draw(st.lists(axis, min_size=n, max_size=n)), dtype=np.float64)
+    im = np.array(data.draw(st.lists(axis, min_size=n, max_size=n)), dtype=np.float64)
+    shape = data.draw(st.sampled_from(((n,), (1, n))))
+    symbols = (re + 1j * im).reshape(shape)
+    out = qam_demodulate(symbols, M, Es)
+    ref = qam_demodulate_formula(symbols, M, Es)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+THRESHOLD = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def sweep_setups(draw):
+    """A small sweep: config, both threshold axes and the sweep's own arguments."""
+    B = draw(st.sampled_from((4, 16)))
+    cfg = RunConfig(B=B, U=draw(st.integers(1, B)), M=draw(st.sampled_from((4, 16))),
+                    channel=draw(st.sampled_from(("los", "nlos"))),
+                    seed=draw(st.integers(0, 2**64 - 1)), quantized=draw(st.booleans()),
+                    vectors_per_block=draw(st.integers(8, 64)))
+    taus = st.lists(THRESHOLD, min_size=1, max_size=3)
+    kwargs = dict(mode=draw(st.sampled_from(MODES)), target_ber=draw(st.floats(0.005, 0.2)),
+                  activity_draws=draw(st.integers(1, 4)), vectors_per_draw=draw(st.integers(1, 3)),
+                  probe_cap=draw(st.integers(1, 400)), hi_db=draw(st.sampled_from((20.0, 40.0))))
+    return cfg, draw(taus), draw(taus), kwargs
+
+
+def _records(records):
+    return repr([(r.tau_w, r.tau_y, r.mean_activity_rate, r.snr_operating_point_db,
+                  r.ber_curve, r.pareto) for r in records])
+
+
+def _sweep_csv(records) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.csv")
+        emit_sweep(records, path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+# pairs of one probe group that leave it after different waves
+SPLITTING = (RunConfig(B=16, U=4, M=16, seed=0, vectors_per_block=10), [0.0, 0.1, 0.3],
+             [0.0, 0.2, 0.5], dict(probe_cap=400, activity_draws=1, hi_db=20.0, target_ber=0.05))
+
+
+@settings(max_examples=40)
+@given(sweep_setups())
+@example(SPLITTING)
+def test_lockstep_sweep_matches_per_pair_oracle(setup):
+    cfg, tws, tys, kwargs = setup
+    lockstep = threshold_sweep(cfg, tws, tys, **kwargs)
+    oracle = threshold_sweep_per_pair(cfg, tws, tys, **kwargs)
+    assert _records(lockstep) == _records(oracle)
+    assert _sweep_csv(lockstep) == _sweep_csv(oracle)
+
+
+@settings(max_examples=20)
+@given(sweep_setups())
+def test_sweep_identical_for_any_worker_count(setup):
+    cfg, tws, tys, kwargs = setup
+    one = threshold_sweep(cfg, tws, tys, **kwargs)
+    two = threshold_sweep(replace(cfg, workers=2), tws, tys, **kwargs)
+    assert _records(one) == _records(two)
+
+
+@PROPS
+@given(sweep_setups(), st.floats(-5.0, 30.0))
+def test_activity_monotone_in_both_thresholds(setup, snr_db):
+    cfg, tws, tys, _ = setup
+    rates = activity_grid(cfg, "lmmse-spade", snr_db, sorted(tws), sorted(tys), draws=3,
+                          per_draw=True)
+    assert np.all(np.diff(rates, axis=0) <= 0)
+    assert np.all(np.diff(rates, axis=1) <= 0)
