@@ -200,25 +200,79 @@ def qam_demodulate_formula(symbols: np.ndarray, M: int, Es: float) -> np.ndarray
     return np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=-1)
 
 
+def _probe_per_pair(cfg, mode, snr_db, tag, target, probe_cap):
+    """One pair's probe: waves of blocks, each block equalized on its own, until the
+    95% Wilson interval excludes the target BER or probe_cap vectors are spent."""
+    from spadesim.channel import draw_channel_matrix, qam_demodulate, qam_modulate
+    from spadesim.equalizer import equalize_block
+    from spadesim.harness import _P_PROBE, _WAVE_BLOCKS, _build_weights, _wilson, derive_stream
+
+    n0 = cfg.U * cfg.Es / 10 ** (snr_db / 10.0)
+    k = cfg.bits_per_symbol
+    errors = nbits = vectors = block_idx = 0
+    while vectors < probe_cap:
+        for _ in range(_WAVE_BLOCKS):
+            size = min(cfg.vectors_per_block, probe_cap - vectors)
+            if size == 0:
+                break
+            rng = derive_stream(cfg.seed, _P_PROBE, tag, block_idx)
+            H = draw_channel_matrix(cfg.channel, cfg.B, cfg.U, rng)
+            wa, wb = _build_weights(cfg, H, mode, n0)
+            bits = rng.integers(0, 2, size=(cfg.U, size, k), dtype=np.uint8)
+            y = H.entries @ qam_modulate(bits, cfg.M, cfg.Es)
+            noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+            s_hat, _ = equalize_block(mode, wa, wb, y + noise * math.sqrt(n0 / 2.0), cfg.frontend())
+            errors += int((bits != qam_demodulate(s_hat, cfg.M, cfg.Es)).sum())
+            nbits += cfg.U * k * size
+            vectors += size
+            block_idx += 1
+        lo, hi = _wilson(errors, nbits)
+        if hi < target:
+            return "below", errors / nbits, vectors
+        if lo > target:
+            return "above", errors / nbits, vectors
+    ber = errors / nbits if nbits else 0.0
+    return ("below" if ber <= target else "above"), ber, vectors
+
+
 def threshold_sweep_per_pair(config, tau_w_grid, tau_y_grid, mode="lmmse-spade", target_ber=0.01,
                              activity_draws=1000, vectors_per_draw=2, probe_cap=100_000,
                              hi_db=40.0):
-    """One operating-point search and one activity measurement per threshold pair.
+    """One bisection and one activity measurement per threshold pair, nothing shared.
 
-    The sweep without any sharing between pairs: what the lockstep sweep must
-    reproduce record for record. Sorted by activity, Pareto frontier flagged.
+    What the lockstep sweep must reproduce record for record: each probe k uses
+    stream tag k and runs its own blocks. Sorted by activity, Pareto frontier
+    flagged. Drawn channels only (no channel file).
     """
     from dataclasses import replace
 
-    from spadesim.harness import SweepRecord, mean_activity, snr_operating_point
+    from spadesim.harness import SweepRecord, mean_activity
 
     records = []
     for tw in tau_w_grid:
         for ty in tau_y_grid:
             cfg = replace(config, tau_w=float(tw), tau_y=float(ty))
             curve = []
-            op = snr_operating_point(cfg, mode, target_ber, hi_db=hi_db, probe_cap=probe_cap,
-                                     curve=curve)
+
+            def probe(snr):
+                side, ber, vectors = _probe_per_pair(cfg, mode, snr, len(curve), target_ber,
+                                                     probe_cap)
+                curve.append((snr, ber, vectors))
+                return side
+
+            lo, hi = -10.0, hi_db
+            if probe(hi) == "above":
+                op = None
+            elif probe(lo) == "below":
+                op = lo
+            else:
+                while hi - lo > 0.1:
+                    mid = 0.5 * (lo + hi)
+                    if probe(mid) == "above":
+                        lo = mid
+                    else:
+                        hi = mid
+                op = hi
             act = mean_activity(cfg, mode, hi_db if op is None else op, draws=activity_draws,
                                 vectors_per_draw=vectors_per_draw)
             records.append(SweepRecord(tau_w=float(tw), tau_y=float(ty), mean_activity_rate=act,
