@@ -45,11 +45,16 @@ class EqualizerWeights:
 
     @property
     def U(self) -> int:
-        return self.re.shape[0]
+        return self.re.shape[-2]
 
     @property
     def B(self) -> int:
-        return self.re.shape[1]
+        return self.re.shape[-1]
+
+    def __getitem__(self, i) -> "EqualizerWeights":
+        """Matrix ``i`` of a stack built by :func:`build_weights`."""
+        return replace(self, re=self.re[i], im=self.im[i], alpha=self.alpha[i],
+                       cw_re=self.cw_re[i], cw_im=self.cw_im[i])
 
     def as_complex(self) -> np.ndarray:
         if self.fmt is None:
@@ -132,14 +137,15 @@ def scale_rows(V: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row to componentwise magnitude just below one.
 
     Returns (W, alpha) with W = diag(alpha) V and
-    alpha_u = 1 / (max-abs-component of row u + epsilon).
+    alpha_u = 1 / (max-abs-component of row u + epsilon); a stack of matrices
+    is scaled matrix by matrix.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     V = np.asarray(V, dtype=np.complex128)
-    mags = np.maximum(np.abs(V.real).max(axis=1), np.abs(V.imag).max(axis=1))
+    mags = np.maximum(np.abs(V.real).max(axis=-1), np.abs(V.imag).max(axis=-1))
     alpha = 1.0 / (mags + epsilon)
-    return alpha[:, None] * V, alpha
+    return alpha[..., None] * V, alpha
 
 
 def _threshold_raw(tau: float, fmt: QFormat | None) -> int | float:
@@ -161,14 +167,18 @@ def _comparison_bits(raw: np.ndarray, tau: float, fmt: QFormat | None) -> np.nda
 
 def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
                   fmt: QFormat | None, domain: str) -> EqualizerWeights:
-    """Quantize a row-scaled matrix and precompute its weight comparison bits."""
+    """Quantize a row-scaled matrix and precompute its weight comparison bits.
+
+    A (..., U, B) stack of matrices, with (..., U) scale factors, gives one
+    stacked set of weights; index it to get each matrix's.
+    """
     W_real = np.asarray(W_real, dtype=np.complex128)
     alpha = np.asarray(alpha, dtype=np.float64)
     if domain not in DOMAINS:
         raise ValueError(f"domain must be one of {DOMAINS}")
     if np.any(alpha <= 0):
         raise ValueError("alpha entries must be positive")
-    mags = np.maximum(np.abs(W_real.real).max(axis=1), np.abs(W_real.imag).max(axis=1))
+    mags = np.maximum(np.abs(W_real.real).max(axis=-1), np.abs(W_real.imag).max(axis=-1))
     if np.any(mags >= 1.0):
         raise ValueError("scale before loading")
     if fmt is not None:

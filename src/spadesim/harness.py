@@ -177,34 +177,55 @@ def _load_fixed_channel(cfg: RunConfig) -> ChannelMatrix | None:
 
 
 def _build_weights(cfg: RunConfig, H: ChannelMatrix, mode: str, n0: float):
-    fmt = cfg.weight_fmt if cfg.quantized else None
-    if mode == "lmmse-a":
-        V = compute_lmmse(H, n0, cfg.Es)
-        W, a = scale_rows(V, cfg.epsilon)
-        return build_weights(W, a, cfg.tau_w, fmt, "antenna"), None
-    Hb = ChannelMatrix(to_beamspace(H.entries), "beamspace")
-    V = compute_lmmse(Hb, n0, cfg.Es)
-    W, a = scale_rows(V, cfg.epsilon)
-    return None, build_weights(W, a, cfg.tau_w, fmt, "beamspace")
+    """(antenna, beamspace) weights of an antenna-domain channel; the mode's other one is None."""
+    Hd = H if mode == "lmmse-a" else ChannelMatrix(to_beamspace(H.entries), "beamspace")
+    W, a = scale_rows(compute_lmmse(Hd, n0, cfg.Es), cfg.epsilon)
+    w = build_weights(W, a, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None, Hd.domain)
+    return (w, None) if mode == "lmmse-a" else (None, w)
 
 
-def _synth_block(cfg: RunConfig, fe: FrontEnd, mode: str, n0: float, purpose: int, tag: int,
-                 block_idx: int, n_vectors: int, H_fixed: ChannelMatrix | None):
-    """One coherence block up to its comparison bits, which no threshold reaches.
+def _draw_block(cfg: RunConfig, mode: str, purpose: int, tag: int, block_idx: int,
+                n_vectors: int, H_fixed: ChannelMatrix | None):
+    """Everything of one coherence block that no SNR reaches.
 
-    Draws the channel, preprocesses once, sends a burst and runs the input
-    front end. Returns the (U, N, k) bits, the quantized weights of the mode's
-    domain and the (B, N) input raws (re, im).
+    Draws the channel (in the domain the mode equalizes in), the bits, the
+    noise-free receive block and the unit-variance complex noise. Every SNR
+    probed on this block takes its weights from :func:`_block_weights` and its
+    receive vectors from :func:`_receive`.
     """
     rng = derive_stream(cfg.seed, purpose, tag, block_idx)
     H = H_fixed if H_fixed is not None else draw_channel_matrix(cfg.channel, cfg.B, cfg.U, rng)
-    wa, wb = _build_weights(cfg, H, mode, n0)
+    Hd = H if mode == "lmmse-a" else ChannelMatrix(to_beamspace(H.entries), "beamspace")
     bits = rng.integers(0, 2, size=(cfg.U, n_vectors, cfg.bits_per_symbol), dtype=np.uint8)
     y_bar = H.entries @ qam_modulate(bits, cfg.M, cfg.Es)
-    if n0 > 0.0:
-        noise = rng.standard_normal(y_bar.shape) + 1j * rng.standard_normal(y_bar.shape)
-        y_bar = y_bar + noise * math.sqrt(n0 / 2.0)
-    return (bits, wa if wb is None else wb, *front_end(mode, y_bar, fe))
+    noise = rng.standard_normal(y_bar.shape) + 1j * rng.standard_normal(y_bar.shape)
+    return Hd, bits, y_bar, noise
+
+
+def _block_weights(cfg: RunConfig, drawn, n0s: list):
+    """Quantized weights of a drawn block at each of S SNRs, scaled and quantized as one stack.
+
+    Index s gives the weights at SNR s, tagged against ``cfg.tau_w`` (retag
+    them for another threshold; the raws do not depend on it).
+    """
+    Hd = drawn[0]
+    V = np.stack([compute_lmmse(Hd, n0, cfg.Es) for n0 in n0s])
+    W, alpha = scale_rows(V, cfg.epsilon)
+    return build_weights(W, alpha, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None, Hd.domain)
+
+
+def _receive(drawn, n0s: list) -> np.ndarray:
+    """The drawn block's receive vectors at each of S SNRs, side by side: (B, S*N).
+
+    The front end transforms and quantizes column by column, so one call on
+    this serves every SNR.
+    """
+    _, _, y_bar, noise = drawn
+    n0 = np.array(n0s)
+    Y = noise[:, None] * np.sqrt(n0 / 2.0)[:, None]
+    Y += y_bar[:, None]
+    Y[:, n0 == 0.0] = y_bar[:, None]  # no noise at all, not a zero-scaled one
+    return Y.reshape(y_bar.shape[0], -1)
 
 
 def _score(cfg: RunConfig, mode: str, block, fe: FrontEnd,
@@ -248,8 +269,12 @@ def _ber_point(cfg: RunConfig, mode: str, n0: float, purpose: int, tag: int,
     fe = cfg.frontend()
 
     def run(args):
-        block = _synth_block(cfg, fe, mode, n0, purpose, tag, args[0], args[1], H_fixed)
-        return _score(cfg, mode, block, fe, cfg.tau_w, cfg.tau_y)
+        drawn = _draw_block(cfg, mode, purpose, tag, args[0], args[1], H_fixed)
+        bits, w, Y = drawn[1], _block_weights(cfg, drawn, [n0])[0], _receive(drawn, [n0])
+        # release the noise-free block and the noise before the front end: with
+        # large blocks and several workers, the smaller working set is faster
+        del drawn
+        return _score(cfg, mode, (bits, w, *front_end(mode, Y, fe)), fe, cfg.tau_w, cfg.tau_y)
 
     errors = 0
     vectors = 0
@@ -321,25 +346,40 @@ def _wilson(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return center - half, center + half
 
 
-def _probe_group(cfg: RunConfig, mode: str, snr_db: float, tag: int, pairs: list,
-                 target: float, probe_cap: int, H_fixed: ChannelMatrix | None, block_map):
-    """Probe threshold pairs at one SNR until each 95% interval excludes the target BER.
+def _probe_round(cfg: RunConfig, mode: str, tag: int, probes: list, target: float,
+                 probe_cap: int, H_fixed: ChannelMatrix | None, block_map):
+    """Probe threshold pairs until each 95% interval excludes the target BER.
 
-    The pairs share every block: its prefix is built once and scored for each
-    pair still undecided, so a pair sees the blocks it would see alone. Returns
-    (side, ber, vectors) per pair.
+    ``probes`` holds one (snr_db, tau_w, tau_y) per pair. Every probe of the
+    round runs the same waves of the same blocks (stream tag ``tag``): each
+    block is drawn once (channel, bits, noise) and its weights are computed
+    once per probe SNR, as one stack; each pair still undecided
+    then adds the noise at its SNR, runs the front end and scores the block,
+    so a pair sees the blocks it would see alone. Returns (side, ber,
+    vectors) per pair.
+
+    The front end runs per pair even where pairs share an SNR. It costs about
+    0.4 ms per 64x100 block, more than a pair's scoring; shared, it made a
+    round's cost follow the number of distinct SNRs among its pairs, which
+    changes from seed to seed, instead of the number of pairs probed.
     """
-    n0 = _n0_for_snr(cfg, snr_db)
     fe = cfg.frontend()
-    outcome = [None] * len(pairs)
-    errors = [0] * len(pairs)
+    n0s = [_n0_for_snr(cfg, snr_db) for snr_db, _, _ in probes]
+    outcome = [None] * len(probes)
+    errors = [0] * len(probes)
     nbits = 0
     vectors = 0
-    active = list(range(len(pairs)))
+    active = list(range(len(probes)))
     for wave in _waves(cfg.vectors_per_block, probe_cap):
         def run(args, live=tuple(active)):
-            block = _synth_block(cfg, fe, mode, n0, _P_PROBE, tag, args[0], args[1], H_fixed)
-            return [_score(cfg, mode, block, fe, *pairs[i])[0] for i in live]
+            drawn = _draw_block(cfg, mode, _P_PROBE, tag, args[0], args[1], H_fixed)
+            at = {n0: s for s, n0 in enumerate(dict.fromkeys(n0s[i] for i in live))}
+            w = _block_weights(cfg, drawn, list(at))
+            block_errors = []
+            for i in live:
+                block = (drawn[1], w[at[n0s[i]]], *front_end(mode, _receive(drawn, [n0s[i]]), fe))
+                block_errors.append(_score(cfg, mode, block, fe, *probes[i][1:])[0])
+            return block_errors
 
         for block_errors in block_map(run, wave):
             for i, err in zip(active, block_errors):
@@ -383,18 +423,18 @@ def _bisection(lo_db: float, hi_db: float, tol_db: float):
 
 
 def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_db: float,
-                      hi_db: float, tol_db: float, probe_cap: int) -> list[tuple[float | None, list]]:
+                      hi_db: float, tol_db: float, probe_cap: int,
+                      H_fixed: ChannelMatrix | None) -> list[tuple[float | None, list]]:
     """Bisect every threshold pair's operating point in lockstep.
 
-    Probe k of every pair uses stream tag k, so round k groups the pairs still
-    searching by probe SNR and probes each group on shared blocks. Returns the
-    operating point and the (snr, ber, vectors) probe list of each pair.
+    Probe k of every pair uses stream tag k, so round k probes all pairs still
+    searching on shared blocks. Returns the operating point and the (snr, ber,
+    vectors) probe list of each pair.
     """
     if not 0.0 < target < 0.5:
         raise ValueError("target_ber must be in (0, 0.5)")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    H_fixed = _load_fixed_channel(cfg)
     searches = [_bisection(lo_db, hi_db, tol_db) for _ in pairs]
     pending = {i: next(search) for i, search in enumerate(searches)}
     curves = [[] for _ in pairs]
@@ -402,19 +442,16 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_
     tag = 0
     with _block_map(cfg.workers) as block_map:
         while pending:
-            groups = {}
-            for i, snr in pending.items():
-                groups.setdefault(snr, []).append(i)
-            for snr, members in groups.items():
-                outcomes = _probe_group(cfg, mode, snr, tag, [pairs[i] for i in members],
-                                        target, probe_cap, H_fixed, block_map)
-                for i, (side, ber, vectors) in zip(members, outcomes):
-                    curves[i].append((pending[i], ber, vectors))
-                    try:
-                        pending[i] = searches[i].send(side)
-                    except StopIteration as done:
-                        ops[i] = done.value
-                        del pending[i]
+            order = list(pending)
+            outcomes = _probe_round(cfg, mode, tag, [(pending[i], *pairs[i]) for i in order],
+                                    target, probe_cap, H_fixed, block_map)
+            for i, (side, ber, vectors) in zip(order, outcomes):
+                curves[i].append((pending[i], ber, vectors))
+                try:
+                    pending[i] = searches[i].send(side)
+                except StopIteration as done:
+                    ops[i] = done.value
+                    del pending[i]
             tag += 1
     return list(zip(ops, curves))
 
@@ -425,7 +462,8 @@ def snr_operating_point(config: RunConfig, mode: str, target_ber: float = 0.01,
                         curve: list | None = None) -> float | None:
     """Minimum SNR reaching the target BER, or None when unreached in range."""
     [(op, probes)] = _operating_points(config, mode, [(config.tau_w, config.tau_y)], target_ber,
-                                       lo_db, hi_db, tol_db, probe_cap)
+                                       lo_db, hi_db, tol_db, probe_cap,
+                                       _load_fixed_channel(config))
     if curve is not None:
         curve.extend(probes)
     return op
@@ -456,26 +494,44 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     if mode != "lmmse-spade":
         ones = np.ones((nw, ny, draws)) if per_draw else np.ones((nw, ny))
         return ones
-    n0 = _n0_for_snr(config, snr_db)
-    H_fixed = _load_fixed_channel(config)
-    fe = config.frontend()
-    w_thresh = [_threshold_raw(t, config.weight_fmt if config.quantized else None)
-                for t in tau_w_grid]
-    y_thresh = [_threshold_raw(t, fe.input_fmt) for t in tau_y_grid]
-    per_mvm_total = 4 * config.B * config.U * vectors_per_draw
-    rates = np.zeros((nw, ny, draws))
-    for d in range(draws):
-        _, w, yre, yim = _synth_block(config, fe, mode, n0, _P_ACTIVITY, 0, d, vectors_per_draw,
-                                      H_fixed)
-        wre, wim, xre, xim = np.abs(w.re), np.abs(w.im), np.abs(yre), np.abs(yim)
-        # per-column counts of set bits; the skipped total for a pair is their dot
-        w_counts = [(wre < t).sum(axis=0) + (wim < t).sum(axis=0) for t in w_thresh]
-        y_counts = [(xre < t).sum(axis=1) + (xim < t).sum(axis=1) for t in y_thresh]
-        for iw, wc in enumerate(w_counts):
-            for iy, yc in enumerate(y_counts):
-                skipped = int(wc @ yc)
-                rates[iw, iy, d] = (per_mvm_total - skipped) / per_mvm_total
+    [rates] = _activity_rates(config, [(snr_db, tau_w_grid, tau_y_grid)], draws,
+                              vectors_per_draw, _load_fixed_channel(config))
     return rates if per_draw else rates.mean(axis=2)
+
+
+def _activity_rates(config: RunConfig, grids: list, draws: int, vectors_per_draw: int,
+                    H_fixed: ChannelMatrix | None) -> list[np.ndarray]:
+    """Per-draw lmmse-spade activity, an (nw, ny, draws) array per (snr_db, tau_w, tau_y) grid.
+
+    Each draw is drawn once and finished for all the grids' SNRs at once.
+    """
+    fe = config.frontend()
+    wfmt = config.weight_fmt if config.quantized else None
+    # every grid's thresholds index into one list per axis, compared at once
+    tw_all = list(dict.fromkeys(t for _, tws, _ in grids for t in tws))
+    ty_all = list(dict.fromkeys(t for _, _, tys in grids for t in tys))
+    w_thr = np.array([_threshold_raw(t, wfmt) for t in tw_all])[:, None, None, None]
+    y_thr = np.array([_threshold_raw(t, fe.input_fmt) for t in ty_all])[:, None, None, None]
+    picks = [np.ix_([tw_all.index(t) for t in tws], [ty_all.index(t) for t in tys])
+             for _, tws, tys in grids]
+    n0s = [_n0_for_snr(config, snr_db) for snr_db, _, _ in grids]
+    per_mvm_total = 4 * config.B * config.U * vectors_per_draw
+    rates = [np.zeros((len(tws), len(tys), draws)) for _, tws, tys in grids]
+    for d in range(draws):
+        drawn = _draw_block(config, "lmmse-spade", _P_ACTIVITY, 0, d, vectors_per_draw, H_fixed)
+        w = _block_weights(config, drawn, n0s)
+        yre, yim = (z.reshape(config.B, len(n0s), -1)
+                    for z in front_end("lmmse-spade", _receive(drawn, n0s), fe))
+        # per-column counts of set bits, (threshold, SNR, column) for the
+        # weights and (threshold, column, SNR) for the inputs; the skipped total
+        # of a pair is the dot of its two count rows
+        w_counts = (np.abs(w.re) < w_thr).sum(axis=2) + (np.abs(w.im) < w_thr).sum(axis=2)
+        y_counts = (np.abs(yre) < y_thr).sum(axis=3) + (np.abs(yim) < y_thr).sum(axis=3)
+        skipped = np.einsum("wsb,ybs->swy", w_counts, y_counts)
+        active = (per_mvm_total - skipped) / per_mvm_total
+        for pick, act, r in zip(picks, active, rates):
+            r[:, :, d] = act[pick]
+    return rates
 
 
 def mean_activity(config: RunConfig, mode: str, snr_db: float, draws: int = 1000,
@@ -497,21 +553,29 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
     Pareto frontier are flagged.
 
     All pairs bisect in lockstep (see :func:`_operating_points`), so each
-    block's threshold-independent prefix is built once per probe SNR, not once
-    per pair; activity is measured on one grid per distinct activity SNR.
+    block is drawn once per probe round, not once per pair, and its weights
+    are computed once per probe SNR; activity is measured on one grid per
+    distinct activity SNR, all grids sharing each draw.
     """
     pairs = [(float(tw), float(ty)) for tw in tau_w_grid for ty in tau_y_grid]
-    searched = _operating_points(config, mode, pairs, target_ber, -10.0, hi_db, 0.1, probe_cap)
+    H_fixed = _load_fixed_channel(config)
+    searched = _operating_points(config, mode, pairs, target_ber, -10.0, hi_db, 0.1, probe_cap,
+                                 H_fixed)
     act_snrs = [hi_db if op is None else op for op, _ in searched]
-    activity = [0.0] * len(pairs)
-    for snr in dict.fromkeys(act_snrs):
-        members = [i for i, s in enumerate(act_snrs) if s == snr]
-        tws = list(dict.fromkeys(pairs[i][0] for i in members))
-        tys = list(dict.fromkeys(pairs[i][1] for i in members))
-        rates = activity_grid(config, mode, snr, tws, tys, draws=activity_draws,
-                              vectors_per_draw=vectors_per_draw)
-        for i in members:
-            activity[i] = float(rates[tws.index(pairs[i][0]), tys.index(pairs[i][1])])
+    grids = {}
+    for (tw, ty), snr in zip(pairs, act_snrs):
+        tws, tys = grids.setdefault(snr, ({}, {}))
+        tws.setdefault(tw, len(tws))
+        tys.setdefault(ty, len(tys))
+    if mode == "lmmse-spade":
+        rates = _activity_rates(config, [(snr, list(tws), list(tys))
+                                         for snr, (tws, tys) in grids.items()],
+                                activity_draws, vectors_per_draw, H_fixed)
+        means = dict(zip(grids, (r.mean(axis=2) for r in rates)))
+        activity = [float(means[snr][grids[snr][0][tw], grids[snr][1][ty]])
+                    for (tw, ty), snr in zip(pairs, act_snrs)]
+    else:
+        activity = [1.0] * len(pairs)
     records = [SweepRecord(tau_w=tw, tau_y=ty, mean_activity_rate=act,
                            snr_operating_point_db=op, ber_curve=curve)
                for (tw, ty), (op, curve), act in zip(pairs, searched, activity)]

@@ -1,9 +1,10 @@
 """Property tests: the vectorized kernels are bit-identical to their oracles.
 
-The stage-wise radix-4, the batched channel synthesis, the QAM lookup tables
-and the lockstep threshold sweep each replace a per-element, per-user or
-per-pair formulation; every comparison here is byte for byte (``tobytes``,
-``repr`` of floats, file bytes), not within a tolerance.
+The stage-wise radix-4, the batched channel synthesis, the QAM lookup tables,
+the stacked weight scaling and quantization and the lockstep threshold sweep
+each replace a per-element, per-user, per-SNR or per-pair formulation; every comparison here
+is byte for byte (``tobytes``, ``repr`` of floats, file bytes), not within a
+tolerance.
 """
 
 import os
@@ -28,8 +29,9 @@ from spadesim.channel import (
     qam_scale,
     synth_channel,
 )
+from spadesim.equalizer import build_weights, compute_lmmse, scale_rows
 from spadesim.harness import RunConfig, activity_grid, emit_sweep, threshold_sweep
-from spadesim.numerics import TWIDDLE_FMT, QFormat
+from spadesim.numerics import TWIDDLE_FMT, WEIGHT_FMT, QFormat
 
 from reference import (
     draw_channel_matrix_per_user,
@@ -69,6 +71,26 @@ def test_stagewise_radix4_matches_recursion(x, fmt):
     B = x.shape[0]
     scaled = to_beamspace(x, TwiddleConfig(exact=False, twiddle_fmt=fmt))
     assert scaled.tobytes() == (ref / np.sqrt(B)).tobytes()
+
+
+@PROPS
+@given(B=st.sampled_from((4, 16, 64)), U=st.integers(1, 4), S=st.integers(1, 4),
+       quantized=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_preprocessing_matches_per_matrix(B, U, S, quantized, seed):
+    # LMMSE matrices at S noise variances, scaled and quantized as one stack,
+    # equal S separate passes, matrix by matrix
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((B, U)) + 1j * rng.standard_normal((B, U))
+    n0s = rng.uniform(1e-3, 10.0, S)
+    fmt = WEIGHT_FMT if quantized else None
+    W, alpha = scale_rows(np.stack([compute_lmmse(H, n0, 1.0) for n0 in n0s]), 2.0**-10)
+    stacked = build_weights(W, alpha, 0.1, fmt, "antenna")
+    for s, n0 in enumerate(n0s):
+        Ws, alphas = scale_rows(compute_lmmse(H, float(n0), 1.0), 2.0**-10)
+        one = build_weights(Ws, alphas, 0.1, fmt, "antenna")
+        assert W[s].tobytes() == Ws.tobytes() and alpha[s].tobytes() == alphas.tobytes()
+        for name in ("re", "im", "alpha", "cw_re", "cw_im"):
+            assert getattr(stacked[s], name).tobytes() == getattr(one, name).tobytes()
 
 
 @st.composite
