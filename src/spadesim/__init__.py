@@ -39,11 +39,9 @@ from .equalizer import (
     compute_lmmse,
     dump_beam_vector,
     dump_weights,
-    equalize,
     equalize_block,
     scale_rows,
     slice_symbols,
-    spade_dotp,
     tag_input,
 )
 from .harness import (

@@ -264,10 +264,15 @@ def qam_demodulate(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
     c = qam_scale(M, Es)
     k = int(log2(M))
     table = _slice_table(m, k // 2)
-    # one level index per axis; ceil(v - 0.5) rounds to nearest with ties toward the lower level
+    # one level index per axis; ceil(v - 0.5) rounds to nearest with ties toward the lower
+    # level. It is clipped before the integer cast, so estimates beyond the outer levels,
+    # infinite or overflowing ones too, saturate instead of wrapping.
     v = np.stack((symbols.real, symbols.imag), axis=-1)
-    idx = np.ceil((v / c + (m - 1)) / 2.0 - 0.5).astype(np.int64)
-    return table[np.clip(idx, 0, m - 1)].reshape(symbols.shape + (k,))
+    if np.isnan(v).any():
+        raise ValueError("cannot slice NaN estimates")
+    with np.errstate(over="ignore"):
+        idx = np.ceil(np.clip((v / c + (m - 1)) / 2.0 - 0.5, 0, m - 1)).astype(np.int64)
+    return table[idx].reshape(symbols.shape + (k,))
 
 
 def map_qam(bits, M: int, Es: float) -> SymbolVector:

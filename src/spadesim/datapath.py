@@ -16,10 +16,6 @@ import numpy as np
 from .channel import QAM_ORDERS
 from .equalizer import ActivityReport, BeamVector, EqualizerWeights, equalize_tagged
 
-# register indices within one complex multiplier: the four real products
-# (w_re*y_re, w_im*y_im, w_re*y_im, w_im*y_re)
-REGISTERS_PER_CM = 4
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -42,78 +38,86 @@ class PipelineConfig:
 class MuteTrace:
     """Per-cycle record of disabled multiplier input registers.
 
-    One (U, B, 4) boolean mask per accepted vector; a register is disabled in
-    a cycle iff power saving is on and both of its operands' comparison bits
-    are set.
+    A register is disabled in a cycle iff power saving is on and both of its
+    operands' comparison bits are set. The trace keeps the weights' (U, B)
+    comparison bits once (cleared without power saving) and the (B, N) input
+    bits of the accepted vectors, and derives each cycle's (U, B, 4) mask
+    when asked.
     """
 
-    def __init__(self, U: int, B: int):
-        self.U = U
-        self.B = B
-        self.cycles: list[int] = []
-        self.masks: list[np.ndarray] = []
+    def __init__(self, cw_re: np.ndarray, cw_im: np.ndarray, cy_re: np.ndarray,
+                 cy_im: np.ndarray, first_cycle: int):
+        self.U, self.B = cw_re.shape
+        self.cw_re, self.cw_im = cw_re, cw_im
+        self.cy_re, self.cy_im = cy_re, cy_im
+        self.cycles = first_cycle + np.arange(cy_re.shape[1], dtype=np.int64)
 
-    def record(self, cycle: int, mask: np.ndarray) -> None:
-        self.cycles.append(cycle)
-        self.masks.append(mask)
+    def _mask(self, i: int) -> np.ndarray:
+        # register indices within one complex multiplier: the four real
+        # products (w_re*y_re, w_im*y_im, w_re*y_im, w_im*y_re)
+        yre, yim = self.cy_re[:, i], self.cy_im[:, i]
+        return np.stack([self.cw_re & yre, self.cw_im & yim,
+                         self.cw_re & yim, self.cw_im & yre], axis=-1)
 
     def mute_count(self) -> int:
-        return int(sum(int(m.sum()) for m in self.masks))
+        # every register pairs one weight bit with one input bit, so the count
+        # is the dot of the per-column counts of set bits
+        w = self.cw_re.sum(axis=0) + self.cw_im.sum(axis=0)
+        y = self.cy_re.sum(axis=1) + self.cy_im.sum(axis=1)
+        return int(w @ y)
 
     def to_csv(self, path: str) -> None:
         """Summary CSV of mute events: one row per (cycle, CM index, register)."""
         with open(path, "w", encoding="ascii") as f:
             f.write("cycle,cm,register\n")
-            for cycle, mask in zip(self.cycles, self.masks):
-                us, bs, regs = np.nonzero(mask)
+            for i, cycle in enumerate(self.cycles):
+                us, bs, regs = np.nonzero(self._mask(i))
                 for u, b, r in zip(us, bs, regs):
                     f.write(f"{cycle},{u * self.B + b},{r}\n")
 
     def save_bitmap(self, path: str) -> None:
         """Compressed packed-bit dump of the per-cycle masks."""
-        packed = np.stack([np.packbits(m.reshape(-1)) for m in self.masks]) if self.masks \
+        n = self.cycles.size
+        packed = np.stack([np.packbits(self._mask(i).reshape(-1)) for i in range(n)]) if n \
             else np.empty((0, 0), dtype=np.uint8)
-        np.savez_compressed(path, cycles=np.asarray(self.cycles, dtype=np.int64),
-                            packed=packed, U=self.U, B=self.B)
-
-
-def _mute_mask(weights: EqualizerWeights, x: BeamVector) -> np.ndarray:
-    mask = np.empty((weights.U, weights.B, REGISTERS_PER_CM), dtype=bool)
-    mask[:, :, 0] = weights.cw_re & x.cy_re[None, :]
-    mask[:, :, 1] = weights.cw_im & x.cy_im[None, :]
-    mask[:, :, 2] = weights.cw_re & x.cy_im[None, :]
-    mask[:, :, 3] = weights.cw_im & x.cy_re[None, :]
-    return mask
+        np.savez_compressed(path, cycles=self.cycles, packed=packed, U=self.U, B=self.B)
 
 
 def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
                     save_power: bool, gain: float = 1.0):
     """Stream tagged vectors through the array, one accepted per cycle.
 
-    Returns (outputs, cycles, trace, report): outputs is (N, U) estimates
-    bit-identical to the equalizer module, cycles counts the U-cycle weight
-    load plus N acceptance cycles plus the drain latency.
+    The vectors run as one (B, N) block through the equalizer, so they must
+    share one length and input format. Returns (outputs, cycles, trace,
+    report): outputs is (N, U) estimates bit-identical to the equalizer
+    module, cycles counts the U-cycle weight load plus N acceptance cycles
+    plus the drain latency.
     """
     vectors = list(vectors)
-    n = len(vectors)
-    trace = MuteTrace(weights.U, weights.B)
-    outputs = np.empty((n, weights.U), dtype=np.complex128)
-    per_vector = np.empty(n, dtype=np.int64)
-    for i, x in enumerate(vectors):
-        s_hat, executed = equalize_tagged(weights, x, save_power, gain=gain)
-        outputs[i] = s_hat
-        per_vector[i] = executed
-        if save_power:
-            trace.record(weights.U + i, _mute_mask(weights, x))
-        else:
-            trace.record(weights.U + i, np.zeros((weights.U, weights.B, REGISTERS_PER_CM), dtype=bool))
-    cycles = weights.U + n + cfg.latency(weights.B)
+    U, B, n = weights.U, weights.B, len(vectors)
+    if len({(x.re.shape, x.fmt) for x in vectors}) > 1:
+        raise ValueError("stream vectors must share one length and input format")
+    if vectors:
+        def stacked(name):
+            return np.stack([getattr(x, name) for x in vectors], axis=1)
+
+        block = BeamVector(re=stacked("re"), im=stacked("im"), fmt=vectors[0].fmt,
+                           cy_re=stacked("cy_re"), cy_im=stacked("cy_im"), tau_y=vectors[0].tau_y)
+        S, per_vector = equalize_tagged(weights, block, save_power, gain=gain)
+        cy_re, cy_im = block.cy_re, block.cy_im
+    else:
+        S, per_vector = np.empty((U, 0), dtype=np.complex128), np.empty(0, dtype=np.int64)
+        cy_re = cy_im = np.empty((B, 0), dtype=bool)
+    cw_re, cw_im = (weights.cw_re, weights.cw_im) if save_power \
+        else (np.zeros((U, B), dtype=bool),) * 2
+    trace = MuteTrace(cw_re, cw_im, cy_re, cy_im, first_cycle=U)
+    cycles = U + n + cfg.latency(B)
     report = ActivityReport(
         executed=int(per_vector.sum()),
-        total=4 * weights.B * weights.U * n,
+        total=4 * B * U * n,
         per_vector=per_vector,
     )
-    return outputs, cycles, trace, report
+    return np.ascontiguousarray(S.T), cycles, trace, report
 
 
 def throughput_bps(clock_hz: float, U: int, M: int) -> float:

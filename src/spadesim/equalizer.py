@@ -69,7 +69,7 @@ class EqualizerWeights:
 
 @dataclass(frozen=True)
 class BeamVector:
-    """One quantized input vector with its threshold comparison bits."""
+    """A quantized (B,) input vector or (B, N) block with its threshold comparison bits."""
 
     re: np.ndarray
     im: np.ndarray
@@ -157,7 +157,7 @@ def _threshold_raw(tau: float, fmt: QFormat | None) -> int | float:
     """
     if not (np.isfinite(tau) and tau >= 0):
         raise ValueError("threshold must be finite and nonnegative")
-    return tau if fmt is None else int(np.round(tau * fmt.scale))
+    return tau if fmt is None else round(tau * fmt.scale)
 
 
 def _comparison_bits(raw: np.ndarray, tau: float, fmt: QFormat | None) -> np.ndarray:
@@ -197,11 +197,14 @@ def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
 
 
 def tag_input(y_raw: np.ndarray, tau_y: float, fmt: QFormat | None) -> BeamVector:
-    """Quantize one input vector and compute its comparison bits against tau_y."""
+    """Quantize a (B,) input vector or (B, N) block and compute its comparison bits.
+
+    The integer raws are held as float64, the type the MVM computes in.
+    """
     y_raw = np.asarray(y_raw, dtype=np.complex128)
     if fmt is not None:
-        re = quantize_raw(y_raw.real, fmt)
-        im = quantize_raw(y_raw.imag, fmt)
+        re = quantize_raw(y_raw.real, fmt).astype(np.float64)
+        im = quantize_raw(y_raw.imag, fmt).astype(np.float64)
     else:
         re = y_raw.real.copy()
         im = y_raw.imag.copy()
@@ -238,24 +241,22 @@ def _masked_mvm(wre, wim, cwR, cwI, yre, yim, cyR, cyI, save_power: bool, B: int
     yimI = yim * myI
     acc_re = full_re - wreR @ yreR + wimI @ yimI
     acc_im = full_im - wreR @ yimI - wimI @ yreR
-    # 0/1 masks in float64: the four skip counts sum exactly in one product
-    skipped = (mwR + mwI) @ (myR + myI)
+    # 0/1 masks in float64: the four skip counts sum exactly in one product;
+    # summed in place, since the input-side masks are as large as the block
+    mwR += mwI
+    myR += myI
+    skipped = mwR @ myR
     executed = (4 * B - skipped).astype(np.int64)
     return acc_re, acc_im, executed
 
 
-def _value_scale(w: EqualizerWeights, yfmt: QFormat | None) -> float:
-    if w.fmt is None:
-        return 1.0
-    return 1.0 / (w.fmt.scale * yfmt.scale)
+def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
+                    gain: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Masked matrix-vector product of a tagged (B,) vector or (B, N) block, descaled.
 
-
-def spade_dotp(weights: EqualizerWeights, u: int, x: BeamVector,
-               save_power: bool) -> tuple[complex, int]:
-    """Inner product of weight row u with a tagged input vector.
-
-    Returns the exact accumulator value and the number of executed real
-    multiplications (4B minus the skipped count).
+    The one entry into the datapath's arithmetic. Returns the (U,) or (U, N)
+    estimates and the executed real multiplications per vector (4BU minus the
+    skipped ones), shaped () or (N,) to match.
     """
     if x.B != weights.B:
         raise ValueError("length mismatch")
@@ -263,40 +264,18 @@ def spade_dotp(weights: EqualizerWeights, u: int, x: BeamVector,
         raise ValueError("weights and input must agree on quantization")
     if weights.fmt is not None:
         _check_accumulator(weights.fmt, x.fmt, weights.B)
+    cols = x.re.shape[1:]
     acc_re, acc_im, executed = _masked_mvm(
-        np.asarray(weights.re[u : u + 1], dtype=np.float64),
-        np.asarray(weights.im[u : u + 1], dtype=np.float64),
-        weights.cw_re[u : u + 1], weights.cw_im[u : u + 1],
-        np.asarray(x.re, dtype=np.float64)[:, None],
-        np.asarray(x.im, dtype=np.float64)[:, None],
-        x.cy_re[:, None], x.cy_im[:, None],
-        save_power, weights.B,
-    )
-    vs = _value_scale(weights, x.fmt)
-    return complex(acc_re[0, 0] * vs, acc_im[0, 0] * vs), int(executed[0, 0])
-
-
-def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
-                    gain: float = 1.0) -> tuple[np.ndarray, int]:
-    """Full matrix-vector product on an already-tagged vector, with descaling."""
-    if x.B != weights.B:
-        raise ValueError("length mismatch")
-    if (weights.fmt is None) != (x.fmt is None):
-        raise ValueError("weights and input must agree on quantization")
-    if weights.fmt is not None:
-        _check_accumulator(weights.fmt, x.fmt, weights.B)
-    acc_re, acc_im, executed = _masked_mvm(
-        np.asarray(weights.re, dtype=np.float64),
-        np.asarray(weights.im, dtype=np.float64),
+        np.asarray(weights.re, dtype=np.float64), np.asarray(weights.im, dtype=np.float64),
         weights.cw_re, weights.cw_im,
-        np.asarray(x.re, dtype=np.float64)[:, None],
-        np.asarray(x.im, dtype=np.float64)[:, None],
-        x.cy_re[:, None], x.cy_im[:, None],
+        np.asarray(x.re, dtype=np.float64).reshape(x.B, -1),
+        np.asarray(x.im, dtype=np.float64).reshape(x.B, -1),
+        x.cy_re.reshape(x.B, -1), x.cy_im.reshape(x.B, -1),
         save_power, weights.B,
     )
-    vs = _value_scale(weights, x.fmt)
-    s_hat = (acc_re[:, 0] + 1j * acc_im[:, 0]) * vs / (weights.alpha * gain)
-    return s_hat, int(executed.sum())
+    vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
+    S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
+    return S.reshape((weights.U, *cols)), executed.sum(axis=0).reshape(cols)
 
 
 def equalize_block(mode: str, weights_ant: EqualizerWeights | None,
@@ -318,72 +297,34 @@ def equalize_block(mode: str, weights_ant: EqualizerWeights | None,
         wanted = "beamspace"
     if w is None or w.domain != wanted:
         raise ValueError(f"mode/domain mismatch: {mode} needs {wanted} weights")
-    quantized = w.fmt is not None
-    if (frontend.input_fmt is not None) != quantized:
+    if (frontend.input_fmt is not None) != (w.fmt is not None):
         raise ValueError("weights and input must agree on quantization")
 
     Y = np.asarray(y_bar, dtype=np.complex128)
-    single = Y.ndim == 1
-    if single:
-        Y = Y[:, None]
     if Y.shape[0] != w.B:
         raise ValueError("length mismatch")
-
-    yre, yim = front_end(mode, Y, frontend)
-    S, per_vector = equalize_raws(w, yre, yim, frontend, save_power=(mode == "lmmse-spade"))
+    S, executed = equalize_tagged(w, front_end(mode, Y, frontend),
+                                  save_power=(mode == "lmmse-spade"), gain=frontend.gain)
+    per_vector = executed.reshape(-1)
     report = ActivityReport(
         executed=int(per_vector.sum()),
-        total=4 * w.B * w.U * Y.shape[1],
+        total=4 * w.B * w.U * per_vector.size,
         per_vector=per_vector,
     )
-    return (S[:, 0] if single else S), report
+    return S, report
 
 
-def front_end(mode: str, Y: np.ndarray, frontend: FrontEnd) -> tuple[np.ndarray, np.ndarray]:
-    """Input raws of a (B, N) block of antenna-domain receive vectors, as float64.
+def front_end(mode: str, Y: np.ndarray, frontend: FrontEnd) -> BeamVector:
+    """Tagged input of a (B,) vector or (B, N) block of antenna-domain receive vectors.
 
     Scales by the front-end gain, transforms to beamspace unless the mode
-    bypasses the transform, and quantizes to the input format. Nothing here
-    depends on the input threshold.
+    bypasses the transform, then quantizes to the input format and tags
+    against ``frontend.tau_y``.
     """
     Z = frontend.gain * Y
     if mode != "lmmse-a":
         Z = to_beamspace(Z, frontend.twiddle)
-    if frontend.input_fmt is None:
-        return np.ascontiguousarray(Z.real), np.ascontiguousarray(Z.imag)
-    return (quantize_raw(Z.real, frontend.input_fmt).astype(np.float64),
-            quantize_raw(Z.imag, frontend.input_fmt).astype(np.float64))
-
-
-def equalize_raws(w: EqualizerWeights, yre: np.ndarray, yim: np.ndarray, frontend: FrontEnd,
-                  save_power: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Tag front-end raws against ``frontend.tau_y`` and run the masked MVM.
-
-    Returns the descaled (U, N) estimates and the executed real products per
-    vector.
-    """
-    if w.fmt is not None:
-        _check_accumulator(w.fmt, frontend.input_fmt, w.B)
-    acc_re, acc_im, executed = _masked_mvm(
-        np.asarray(w.re, dtype=np.float64), np.asarray(w.im, dtype=np.float64),
-        w.cw_re, w.cw_im, yre, yim,
-        _comparison_bits(yre, frontend.tau_y, frontend.input_fmt),
-        _comparison_bits(yim, frontend.tau_y, frontend.input_fmt),
-        save_power=save_power, B=w.B,
-    )
-    vs = _value_scale(w, frontend.input_fmt)
-    S = (acc_re + 1j * acc_im) * vs / (w.alpha[:, None] * frontend.gain)
-    return S, executed.sum(axis=0)
-
-
-def equalize(mode: str, weights_ant: EqualizerWeights | None,
-             weights_beam: EqualizerWeights | None, y_bar: np.ndarray,
-             frontend: FrontEnd = FrontEnd()) -> tuple[np.ndarray, ActivityReport]:
-    """Single-vector form of :func:`equalize_block`."""
-    y_bar = np.asarray(y_bar)
-    if y_bar.ndim != 1:
-        raise ValueError("equalize expects one vector; use equalize_block for blocks")
-    return equalize_block(mode, weights_ant, weights_beam, y_bar, frontend)
+    return tag_input(Z, frontend.tau_y, frontend.input_fmt)
 
 
 def slice_symbols(s_hat: np.ndarray, M: int, Es: float) -> np.ndarray:

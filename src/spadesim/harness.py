@@ -30,10 +30,12 @@ from .channel import (
     qam_modulate,
 )
 from .equalizer import (
+    BeamVector,
+    EqualizerWeights,
     FrontEnd,
     build_weights,
     compute_lmmse,
-    equalize_raws,
+    equalize_tagged,
     front_end,
     scale_rows,
     _threshold_raw,
@@ -228,12 +230,10 @@ def _receive(drawn, n0s: list) -> np.ndarray:
     return Y.reshape(y_bar.shape[0], -1)
 
 
-def _score(cfg: RunConfig, mode: str, block, fe: FrontEnd,
-           tau_w: float, tau_y: float) -> tuple[int, np.ndarray]:
-    """Bit errors and executed products per vector of one block at one threshold pair."""
-    bits, w, yre, yim = block
-    S, per_vec = equalize_raws(w.retag(tau_w), yre, yim, replace(fe, tau_y=tau_y),
-                               save_power=(mode == "lmmse-spade"))
+def _score(cfg: RunConfig, mode: str, bits: np.ndarray, w: EqualizerWeights, x: BeamVector,
+           gain: float) -> tuple[int, np.ndarray]:
+    """Bit errors and executed products per vector of one tagged block."""
+    S, per_vec = equalize_tagged(w, x, save_power=(mode == "lmmse-spade"), gain=gain)
     return int((bits != qam_demodulate(S, cfg.M, cfg.Es)).sum()), per_vec
 
 
@@ -274,7 +274,7 @@ def _ber_point(cfg: RunConfig, mode: str, n0: float, purpose: int, tag: int,
         # release the noise-free block and the noise before the front end: with
         # large blocks and several workers, the smaller working set is faster
         del drawn
-        return _score(cfg, mode, (bits, w, *front_end(mode, Y, fe)), fe, cfg.tau_w, cfg.tau_y)
+        return _score(cfg, mode, bits, w, front_end(mode, Y, fe), fe.gain)
 
     errors = 0
     vectors = 0
@@ -321,10 +321,7 @@ def run_ber(config: RunConfig, snr_list_db, mode: str, stop: StopRule | None = N
     t0 = time.perf_counter()
     points = []
     for i, snr_db in enumerate(snr_list):
-        n0 = _n0_for_snr(config, snr_db)
-        SystemConfig(B=config.B, U=config.U, M=config.M, Es=config.Es,
-                     N0=n0, mode=mode, seed=config.seed)
-        pt = _ber_point(config, mode, n0, _P_BER, i, stop, H_fixed)
+        pt = _ber_point(config, mode, _n0_for_snr(config, snr_db), _P_BER, i, stop, H_fixed)
         pt.snr_db = snr_db
         points.append(pt)
     return RunReport(config=config, mode=mode, points=points, seed=config.seed,
@@ -353,10 +350,10 @@ def _probe_round(cfg: RunConfig, mode: str, tag: int, probes: list, target: floa
     ``probes`` holds one (snr_db, tau_w, tau_y) per pair. Every probe of the
     round runs the same waves of the same blocks (stream tag ``tag``): each
     block is drawn once (channel, bits, noise) and its weights are computed
-    once per probe SNR, as one stack; each pair still undecided
-    then adds the noise at its SNR, runs the front end and scores the block,
-    so a pair sees the blocks it would see alone. Returns (side, ber,
-    vectors) per pair.
+    once per probe SNR, as one stack. Each pair still undecided then adds the
+    noise at its SNR, runs the front end (which tags the inputs at its tau_y),
+    retags the weights at its tau_w and scores the block, so a pair sees the
+    blocks it would see alone. Returns (side, ber, vectors) per pair.
 
     The front end runs per pair even where pairs share an SNR. It costs about
     0.4 ms per 64x100 block, more than a pair's scoring; shared, it made a
@@ -377,8 +374,10 @@ def _probe_round(cfg: RunConfig, mode: str, tag: int, probes: list, target: floa
             w = _block_weights(cfg, drawn, list(at))
             block_errors = []
             for i in live:
-                block = (drawn[1], w[at[n0s[i]]], *front_end(mode, _receive(drawn, [n0s[i]]), fe))
-                block_errors.append(_score(cfg, mode, block, fe, *probes[i][1:])[0])
+                _, tau_w, tau_y = probes[i]
+                x = front_end(mode, _receive(drawn, [n0s[i]]), replace(fe, tau_y=tau_y))
+                block_errors.append(_score(cfg, mode, drawn[1], w[at[n0s[i]]].retag(tau_w), x,
+                                           fe.gain)[0])
             return block_errors
 
         for block_errors in block_map(run, wave):
@@ -520,8 +519,8 @@ def _activity_rates(config: RunConfig, grids: list, draws: int, vectors_per_draw
     for d in range(draws):
         drawn = _draw_block(config, "lmmse-spade", _P_ACTIVITY, 0, d, vectors_per_draw, H_fixed)
         w = _block_weights(config, drawn, n0s)
-        yre, yim = (z.reshape(config.B, len(n0s), -1)
-                    for z in front_end("lmmse-spade", _receive(drawn, n0s), fe))
+        x = front_end("lmmse-spade", _receive(drawn, n0s), fe)
+        yre, yim = (z.reshape(config.B, len(n0s), -1) for z in (x.re, x.im))
         # per-column counts of set bits, (threshold, SNR, column) for the
         # weights and (threshold, column, SNR) for the inputs; the skipped total
         # of a pair is the dot of its two count rows

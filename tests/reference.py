@@ -73,6 +73,27 @@ def naive_dotp(w_re, w_im, cw_re, cw_im, y_re, y_im, cy_re, cy_im, save_power):
     return acc_re, acc_im, executed
 
 
+def mute_mask(weights, x) -> np.ndarray:
+    """Dense (U, B, 4) mute mask of one tagged vector: register r of CM (u, b) is
+    muted iff both operands' comparison bits are set, in the product order
+    (w_re*y_re, w_im*y_im, w_re*y_im, w_im*y_re)."""
+    mask = np.empty((weights.U, weights.B, 4), dtype=bool)
+    mask[:, :, 0] = weights.cw_re & x.cy_re[None, :]
+    mask[:, :, 1] = weights.cw_im & x.cy_im[None, :]
+    mask[:, :, 2] = weights.cw_re & x.cy_im[None, :]
+    mask[:, :, 3] = weights.cw_im & x.cy_re[None, :]
+    return mask
+
+
+def mute_trace_csv(cycles, masks, B: int) -> str:
+    """The mute-trace CSV written from dense per-cycle masks, one row per muted register."""
+    lines = ["cycle,cm,register"]
+    for cycle, mask in zip(cycles, masks):
+        for u, b, r in zip(*np.nonzero(mask)):
+            lines.append(f"{cycle},{u * B + b},{r}")
+    return "\n".join(lines) + "\n"
+
+
 def naive_threshold_raw(tau: float, frac_bits: int) -> int:
     """Round-half-even of tau * 2^frac via the fraction's exact halves."""
     scaled = tau * (1 << frac_bits)

@@ -22,7 +22,6 @@ from spadesim.equalizer import (
     equalize_block,
     equalize_tagged,
     scale_rows,
-    spade_dotp,
     tag_input,
 )
 from spadesim.harness import (
@@ -63,7 +62,7 @@ def test_c01_oracle_equivalence_exact():
                 w = random_weights(rng, U, B, tau_w)
                 x = random_tagged(rng, B, tau_y)
                 for u in range(U):
-                    acc, executed = spade_dotp(w, u, x, save_power=True)
+                    (acc,), executed = equalize_tagged(w[u:u + 1], x, save_power=True)
                     ref, ref_exec = oracle_dotp(w, u, x, save_power=True)
                     assert acc == ref and executed == ref_exec
                 checked += 1
@@ -120,8 +119,8 @@ def test_c04_skip_error_bound():
         tau_y = float(rng.uniform(0.0, 0.5))
         w = random_weights(rng, 1, B, tau_w)
         x = random_tagged(rng, B, tau_y)
-        exact, _ = spade_dotp(w, 0, x, save_power=False)
-        approx, _ = spade_dotp(w, 0, x, save_power=True)
+        (exact,), _ = equalize_tagged(w[0:1], x, save_power=False)
+        (approx,), _ = equalize_tagged(w[0:1], x, save_power=True)
         bound = 2 * B * tau_w * tau_y
         if abs(exact.real - approx.real) > bound or abs(exact.imag - approx.imag) > bound:
             violations += 1

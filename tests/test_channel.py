@@ -150,6 +150,25 @@ def test_qam_round_trip_all_points(M):
     assert np.array_equal(all_bits, back)
 
 
+@pytest.mark.parametrize("M", [4, 16, 64, 256])
+def test_qam_demodulate_saturates_beyond_outer_levels(M):
+    # far beyond the outer levels, finite or not, an estimate slices like one just past them
+    edge = 2.0 * np.sqrt(M)  # past the outer level at Es=1
+    for far in (1e19, 1e308, np.inf):
+        for re, im in ((far, 0.0), (-far, 0.0), (0.0, far), (0.0, -far), (far, -far)):
+            near = complex(np.sign(re) * edge, np.sign(im) * edge)
+            got = qam_demodulate(np.array([complex(re, im)]), M, 1.0)
+            assert np.array_equal(got, qam_demodulate(np.array([near]), M, 1.0))
+    top, bottom = (qam_demodulate(np.array([complex(v, 0.0)]), M, 1.0) for v in (np.inf, -1e19))
+    assert not np.array_equal(top, bottom)
+
+
+def test_qam_demodulate_rejects_nan():
+    for s in (complex(np.nan, 0.0), complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            qam_demodulate(np.array([0.5 + 0.5j, s]), 16, 1.0)
+
+
 def test_map_qam_validation():
     with pytest.raises(ValueError):
         map_qam(np.zeros(4, dtype=np.uint8), 8, 1.0)

@@ -12,7 +12,9 @@ from spadesim.datapath import (
     throughput_bps,
 )
 from spadesim.equalizer import ActivityReport, equalize_tagged
+from spadesim.numerics import QFormat
 
+from reference import mute_mask, mute_trace_csv
 from test_equalizer import random_tagged, random_weights
 
 
@@ -79,6 +81,40 @@ def test_mute_trace_csv_and_bitmap(tmp_path):
     trace.save_bitmap(str(npz_path))
     loaded = np.load(npz_path)
     assert loaded["cycles"].shape[0] == 3
+
+
+@pytest.mark.parametrize("save_power", [True, False])
+@pytest.mark.parametrize("U,B,n", [(1, 1, 5), (2, 4, 7), (3, 16, 30), (16, 64, 12), (4, 16, 0)])
+def test_mute_trace_matches_dense_oracle(tmp_path, save_power, U, B, n):
+    rng = np.random.default_rng(1000 * U + 10 * B + n)
+    weights = random_weights(rng, U, B, tau_w=0.5)
+    vectors = [random_tagged(rng, B, tau_y=2.0) for _ in range(n)]
+    _, _, trace, _ = simulate_stream(weights, vectors, PipelineConfig(), save_power)
+    masks = [mute_mask(weights, x) if save_power else np.zeros((U, B, 4), dtype=bool)
+             for x in vectors]
+    cycles = [U + i for i in range(n)]
+    assert trace.mute_count() == sum(int(m.sum()) for m in masks)
+    trace.to_csv(str(tmp_path / "trace.csv"))
+    assert (tmp_path / "trace.csv").read_bytes() == mute_trace_csv(cycles, masks, B).encode("ascii")
+    trace.save_bitmap(str(tmp_path / "trace.npz"))
+    packed = np.stack([np.packbits(m.reshape(-1)) for m in masks]) if masks \
+        else np.empty((0, 0), dtype=np.uint8)
+    expected = dict(cycles=np.array(cycles, dtype=np.int64), packed=packed, U=np.array(U),
+                    B=np.array(B))
+    with np.load(tmp_path / "trace.npz") as saved:
+        assert sorted(saved.files) == sorted(expected)
+        for name, want in expected.items():
+            assert saved[name].dtype == want.dtype and np.array_equal(saved[name], want)
+
+
+def test_stream_rejects_mixed_lengths_and_formats():
+    rng = np.random.default_rng(69)
+    weights = random_weights(rng, 2, 16, tau_w=0.1)
+    x = random_tagged(rng, 16, tau_y=0.1)
+    for other in (random_tagged(rng, 4, tau_y=0.1),
+                  random_tagged(rng, 16, tau_y=0.1, fmt=QFormat(10, 7))):
+        with pytest.raises(ValueError, match="one length and input format"):
+            simulate_stream(weights, [x, other], PipelineConfig(), save_power=True)
 
 
 def test_no_mutes_without_save_power():

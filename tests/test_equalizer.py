@@ -11,11 +11,10 @@ from spadesim.equalizer import (
     compute_lmmse,
     dump_beam_vector,
     dump_weights,
-    equalize,
     equalize_block,
+    equalize_tagged,
     scale_rows,
     slice_symbols,
-    spade_dotp,
     tag_input,
     _threshold_raw,
 )
@@ -155,6 +154,9 @@ def test_tag_input_saturates():
 # The skip-capable inner product
 # ---------------------------------------------------------------------------
 
+# Each row runs through the block entry as a one-row weight set, w[u:u + 1];
+# with unit alpha and gain its estimate is the accumulator, undescaled.
+
 def oracle_dotp(weights, u, x, save_power):
     acc_re, acc_im, executed = naive_dotp(
         [int(r) for r in weights.re[u]], [int(r) for r in weights.im[u]],
@@ -171,7 +173,7 @@ def test_dotp_save_power_off_is_plain_product():
     w = random_weights(rng, 2, 64, tau_w=0.3)
     x = random_tagged(rng, 64, tau_y=0.3)
     for u in range(2):
-        acc, executed = spade_dotp(w, u, x, save_power=False)
+        (acc,), executed = equalize_tagged(w[u:u + 1], x, save_power=False)
         ref, ref_exec = oracle_dotp(w, u, x, save_power=False)
         assert acc == ref
         assert executed == 4 * 64 == ref_exec
@@ -181,7 +183,7 @@ def test_dotp_all_bits_set_skips_everything():
     rng = np.random.default_rng(48)
     w = random_weights(rng, 2, 16, tau_w=1.0)
     x = random_tagged(rng, 16, tau_y=4.1)  # above the input format's range
-    acc, executed = spade_dotp(w, 0, x, save_power=True)
+    (acc,), executed = equalize_tagged(w[0:1], x, save_power=True)
     assert acc == 0 and executed == 0
 
 
@@ -189,7 +191,7 @@ def test_dotp_hand_case_b2():
     w = build_weights(np.array([[0.04 + 0.5j, 0.03 + 0.02j]]), np.ones(1),
                       0.05, WEIGHT_FMT, "beamspace")
     x = tag_input(np.array([0.03 + 0.6j, 0.01 + 0.04j]), 0.05, INPUT_FMT)
-    acc, executed = spade_dotp(w, 0, x, save_power=True)
+    (acc,), executed = equalize_tagged(w[0:1], x, save_power=True)
     ref, ref_exec = oracle_dotp(w, 0, x, save_power=True)
     assert acc == ref
     assert executed == ref_exec == 3  # only b=0's p2/p3/p4 survive
@@ -205,7 +207,7 @@ def test_dotp_matches_oracle_randomized():
         w = random_weights(rng, U, B, tau_w)
         x = random_tagged(rng, B, tau_y)
         for u in range(U):
-            acc, executed = spade_dotp(w, u, x, save_power=True)
+            (acc,), executed = equalize_tagged(w[u:u + 1], x, save_power=True)
             ref, ref_exec = oracle_dotp(w, u, x, save_power=True)
             assert acc == ref and executed == ref_exec
 
@@ -215,7 +217,7 @@ def test_dotp_length_mismatch():
     w = random_weights(rng, 1, 8, 0.1)
     x = random_tagged(rng, 4, 0.1)
     with pytest.raises(ValueError, match="length mismatch"):
-        spade_dotp(w, 0, x, True)
+        equalize_tagged(w[0:1], x, True)
 
 
 def test_skip_error_bound():
@@ -225,8 +227,8 @@ def test_skip_error_bound():
     for _ in range(200):
         w = random_weights(rng, 1, B, tau_w)
         x = random_tagged(rng, B, tau_y)
-        exact, _ = spade_dotp(w, 0, x, save_power=False)
-        approx, _ = spade_dotp(w, 0, x, save_power=True)
+        (exact,), _ = equalize_tagged(w[0:1], x, save_power=False)
+        (approx,), _ = equalize_tagged(w[0:1], x, save_power=True)
         assert abs(exact.real - approx.real) <= bound
         assert abs(exact.imag - approx.imag) <= bound
 
@@ -242,7 +244,7 @@ def test_executed_monotone_in_thresholds():
         row = []
         for ty in grid:
             x = tag_input(y, float(ty), INPUT_FMT)
-            _, executed = spade_dotp(w, 0, x, save_power=True)
+            _, executed = equalize_tagged(w[0:1], x, save_power=True)
             row.append(executed)
         assert all(a >= b for a, b in zip(row, row[1:]))  # along tau_y
         if prev_row is not None:
@@ -266,26 +268,26 @@ def scalar_setup(fmt_w=WEIGHT_FMT, fmt_in=INPUT_FMT):
 
 def test_equalize_scalar_lmmse_a():
     wa, _, fe = scalar_setup()
-    s, report = equalize("lmmse-a", wa, None, np.array([1.0 + 0j]), fe)
+    s, report = equalize_block("lmmse-a", wa, None, np.array([1.0 + 0j]), fe)
     assert abs(s[0] - 0.5) < 2.0**-9
     assert report.activity_rate == 1.0
 
 
 def test_equalize_scalar_modes_agree():
     wa, wb, fe = scalar_setup()
-    sa, _ = equalize("lmmse-a", wa, None, np.array([1.0 + 0j]), fe)
-    sb, _ = equalize("lmmse-b", None, wb, np.array([1.0 + 0j]), fe)
+    sa, _ = equalize_block("lmmse-a", wa, None, np.array([1.0 + 0j]), fe)
+    sb, _ = equalize_block("lmmse-b", None, wb, np.array([1.0 + 0j]), fe)
     assert abs(sa[0] - sb[0]) < 1e-9 + 2.0**-9
 
 
 def test_equalize_mode_domain_mismatch():
     wa, wb, fe = scalar_setup()
     with pytest.raises(ValueError, match="mode/domain mismatch"):
-        equalize("lmmse-a", wb, None, np.array([1.0 + 0j]), fe)
+        equalize_block("lmmse-a", wb, None, np.array([1.0 + 0j]), fe)
     with pytest.raises(ValueError, match="mode/domain mismatch"):
-        equalize("lmmse-spade", None, None, np.array([1.0 + 0j]), fe)
+        equalize_block("lmmse-spade", None, None, np.array([1.0 + 0j]), fe)
     with pytest.raises(ValueError, match="mode must be"):
-        equalize("zf", wa, wb, np.array([1.0 + 0j]), fe)
+        equalize_block("zf", wa, wb, np.array([1.0 + 0j]), fe)
 
 
 def test_zero_thresholds_make_spade_exact():
@@ -317,8 +319,8 @@ def test_mode_equivalence_without_quantization():
         wa = build_weights(Wa, aa, 0.0, None, "antenna")
         wb = build_weights(Wb, ab, 0.0, None, "beamspace")
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        sa, _ = equalize("lmmse-a", wa, None, y, fe)
-        sb, _ = equalize("lmmse-b", None, wb, y, fe)
+        sa, _ = equalize_block("lmmse-a", wa, None, y, fe)
+        sb, _ = equalize_block("lmmse-b", None, wb, y, fe)
         assert np.max(np.abs(sa - sb)) < 1e-6
 
 
@@ -327,7 +329,7 @@ def test_quantization_flag_mismatch():
     w = random_weights(rng, 2, 4, 0.1, fmt=None)
     fe = FrontEnd(input_fmt=INPUT_FMT)
     with pytest.raises(ValueError, match="agree on quantization"):
-        equalize("lmmse-b", None, w, rng.standard_normal(4) + 0j, fe)
+        equalize_block("lmmse-b", None, w, rng.standard_normal(4) + 0j, fe)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -29,12 +30,20 @@ from spadesim.channel import (
     qam_scale,
     synth_channel,
 )
-from spadesim.equalizer import build_weights, compute_lmmse, scale_rows
+from spadesim.equalizer import (
+    BeamVector,
+    EqualizerWeights,
+    build_weights,
+    compute_lmmse,
+    equalize_tagged,
+    scale_rows,
+)
 from spadesim.harness import RunConfig, activity_grid, emit_sweep, threshold_sweep
 from spadesim.numerics import TWIDDLE_FMT, WEIGHT_FMT, QFormat
 
 from reference import (
     draw_channel_matrix_per_user,
+    naive_dotp,
     qam_demodulate_formula,
     qam_modulate_formula,
     radix4_recursive,
@@ -91,6 +100,56 @@ def test_stacked_preprocessing_matches_per_matrix(B, U, S, quantized, seed):
         assert W[s].tobytes() == Ws.tobytes() and alpha[s].tobytes() == alphas.tobytes()
         for name in ("re", "im", "alpha", "cw_re", "cw_im"):
             assert getattr(stacked[s], name).tobytes() == getattr(one, name).tobytes()
+
+
+@PROPS
+@given(B=st.sampled_from((1, 4, 16, 64, 256)), data=st.data())
+def test_accumulator_bound_is_tight(B, data):
+    # formats exactly at the width _check_accumulator allows: every sum must
+    # still be float64-exact, and one bit more must be refused
+    budget = 54 - max(B - 1, 1).bit_length()  # wt + yt with the bound's bit count at 52
+    wt = data.draw(st.integers(budget - 32, 32))
+    yt = budget - wt
+    wfmt, yfmt = QFormat(wt, wt - 1), QFormat(yt, data.draw(st.integers(0, yt - 1)))
+    U = data.draw(st.integers(1, 3))
+    kind = data.draw(st.sampled_from(("peak", "extremes", "random")))
+    save_power = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def raws(fmt, shape):
+        if kind == "random":
+            return rng.integers(fmt.min_raw, fmt.max_raw, size=shape, endpoint=True)
+        return rng.choice(np.array([fmt.min_raw, fmt.max_raw]), size=shape)
+
+    if kind == "peak":  # the largest real part: every term min*min - min*max
+        wre = wim = np.full((U, B), wfmt.min_raw)
+        yre, yim = np.full(B, yfmt.min_raw), np.full(B, yfmt.max_raw)
+    else:
+        wre, wim, yre, yim = raws(wfmt, (U, B)), raws(wfmt, (U, B)), raws(yfmt, B), raws(yfmt, B)
+    density = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
+    cw_re, cw_im = rng.random((2, U, B)) < density
+    cy_re, cy_im = rng.random((2, B)) < density
+    w = EqualizerWeights(re=wre, im=wim, fmt=wfmt, alpha=np.ones(U), cw_re=cw_re, cw_im=cw_im,
+                         tau_w=0.0, domain="beamspace")
+    x = BeamVector(re=yre, im=yim, fmt=yfmt, cy_re=cy_re, cy_im=cy_im, tau_y=0.0)
+    S, executed = equalize_tagged(w, x, save_power)
+    scale = wfmt.scale * yfmt.scale
+    total = 0
+    for u in range(U):
+        acc_re, acc_im, ref_exec = naive_dotp(
+            wre[u].tolist(), wim[u].tolist(), cw_re[u].tolist(), cw_im[u].tolist(),
+            yre.tolist(), yim.tolist(), cy_re.tolist(), cy_im.tolist(), save_power)
+        assert max(abs(acc_re), abs(acc_im)) <= 2**53
+        assert S[u] == complex(acc_re / scale, acc_im / scale)
+        total += ref_exec
+    assert executed == total
+    # one bit wider, on whichever operand still fits a QFormat
+    if yt < 32:
+        x = replace(x, fmt=QFormat(yt + 1, yfmt.frac_bits))
+    else:
+        w = replace(w, fmt=QFormat(wt + 1, wt - 1))
+    with pytest.raises(ValueError, match="too wide"):
+        equalize_tagged(w, x, save_power)
 
 
 @st.composite
