@@ -11,7 +11,6 @@ from .channel import (
     ChannelMatrix,
     PathSet,
     SymbolVector,
-    SystemConfig,
     draw_channel_matrix,
     draw_profile,
     load_channel,
@@ -64,12 +63,8 @@ from .numerics import (
     INPUT_FMT,
     TWIDDLE_FMT,
     WEIGHT_FMT,
-    ComplexFixed,
-    FixedScalar,
     QFormat,
-    fixed_mul,
     linf_tilde,
-    quantize,
 )
 
 __version__ = "0.1.0"

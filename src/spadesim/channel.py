@@ -25,37 +25,6 @@ def _is_power_of_4(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class SystemConfig:
-    """Dimensions and operating point of one simulated uplink."""
-
-    B: int = 64
-    U: int = 16
-    M: int = 16
-    Es: float = 1.0
-    N0: float = 1.0
-    mode: str = "lmmse-spade"
-    seed: int = 1
-
-    def __post_init__(self) -> None:
-        if not _is_power_of_4(self.B):
-            raise ValueError(f"B must be a power of 4, got {self.B}")
-        if not 1 <= self.U <= self.B:
-            raise ValueError(f"U must be in [1, B], got {self.U}")
-        if self.M not in QAM_ORDERS:
-            raise ValueError(f"M must be one of {QAM_ORDERS}, got {self.M}")
-        if self.Es <= 0:
-            raise ValueError("Es must be positive")
-        if self.N0 < 0:
-            raise ValueError("N0 must be nonnegative")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return int(log2(self.M))
-
-
-@dataclass(frozen=True)
 class PathSet:
     """Propagation paths for one user: complex gains and spatial frequencies."""
 

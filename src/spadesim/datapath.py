@@ -88,21 +88,19 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     """Stream tagged vectors through the array, one accepted per cycle.
 
     The vectors run as one (B, N) block through the equalizer, so they must
-    share one length and input format. Returns (outputs, cycles, trace,
-    report): outputs is (N, U) estimates bit-identical to the equalizer
+    share one length, input format and threshold. Returns (outputs, cycles,
+    trace, report): outputs is (N, U) estimates bit-identical to the equalizer
     module, cycles counts the U-cycle weight load plus N acceptance cycles
     plus the drain latency.
     """
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
-    if len({(x.re.shape, x.fmt) for x in vectors}) > 1:
-        raise ValueError("stream vectors must share one length and input format")
+    if len({(x.re.shape, x.fmt, x.tau_y) for x in vectors}) > 1:
+        raise ValueError("stream vectors must share one length and input format and one tau_y")
     if vectors:
-        def stacked(name):
-            return np.stack([getattr(x, name) for x in vectors], axis=1)
-
-        block = BeamVector(re=stacked("re"), im=stacked("im"), fmt=vectors[0].fmt,
-                           cy_re=stacked("cy_re"), cy_im=stacked("cy_im"), tau_y=vectors[0].tau_y)
+        block = BeamVector(re=np.stack([x.re for x in vectors], axis=1),
+                           im=np.stack([x.im for x in vectors], axis=1),
+                           fmt=vectors[0].fmt, tau_y=vectors[0].tau_y)
         S, per_vector = equalize_tagged(weights, block, save_power, gain=gain)
         cy_re, cy_im = block.cy_re, block.cy_im
     else:

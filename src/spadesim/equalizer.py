@@ -5,7 +5,8 @@ external preprocessing engine. The equalization datapath itself is modeled
 bit-accurately: weights and inputs are quantized, each complex multiply
 decomposes into four real products, and in power-saving mode a real product is
 skipped (contributing exactly zero) whenever the comparison bits of both of
-its operands are set. Accumulation is exact, with no intermediate rounding.
+its operands are set; each bit is derived from its raw, threshold and format
+on first read. Accumulation is exact, with no intermediate rounding.
 
 Internally the integer raws are carried through float64 matrix products; every
 intermediate is an integer below 2**52, so the results are bit-exact and
@@ -14,7 +15,9 @@ independent of summation order. A width guard enforces that precondition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,21 +30,23 @@ DOMAINS = ("antenna", "beamspace")
 
 @dataclass(frozen=True)
 class EqualizerWeights:
-    """Quantized, row-scaled equalization matrix with threshold comparison bits.
+    """Quantized, row-scaled equalization matrix and its comparison threshold.
 
     ``re``/``im`` hold integer raws in ``fmt`` (or plain floats when ``fmt`` is
     None, the quantization-disabled mode). ``alpha`` holds the per-row scale
-    factors applied before quantization; estimates are descaled by it.
+    factors applied before quantization; estimates are descaled by it. The
+    comparison bits ``cw_re``/``cw_im`` follow from ``tau_w`` on first read.
     """
 
     re: np.ndarray
     im: np.ndarray
     fmt: QFormat | None
     alpha: np.ndarray
-    cw_re: np.ndarray
-    cw_im: np.ndarray
     tau_w: float
     domain: str
+
+    def __post_init__(self) -> None:
+        _threshold_raw(self.tau_w, self.fmt)
 
     @property
     def U(self) -> int:
@@ -51,36 +56,47 @@ class EqualizerWeights:
     def B(self) -> int:
         return self.re.shape[-1]
 
+    @cached_property
+    def cw_re(self) -> np.ndarray:
+        return _comparison_bits(self.re, self.tau_w, self.fmt)
+
+    @cached_property
+    def cw_im(self) -> np.ndarray:
+        return _comparison_bits(self.im, self.tau_w, self.fmt)
+
     def __getitem__(self, i) -> "EqualizerWeights":
         """Matrix ``i`` of a stack built by :func:`build_weights`."""
-        return replace(self, re=self.re[i], im=self.im[i], alpha=self.alpha[i],
-                       cw_re=self.cw_re[i], cw_im=self.cw_im[i])
+        return replace(self, re=self.re[i], im=self.im[i], alpha=self.alpha[i])
 
     def as_complex(self) -> np.ndarray:
         if self.fmt is None:
             return self.re + 1j * self.im
         return (self.re + 1j * self.im) / self.fmt.scale
 
-    def retag(self, tau_w: float) -> "EqualizerWeights":
-        """The same raws with comparison bits against another threshold."""
-        return replace(self, cw_re=_comparison_bits(self.re, tau_w, self.fmt),
-                       cw_im=_comparison_bits(self.im, tau_w, self.fmt), tau_w=tau_w)
-
 
 @dataclass(frozen=True)
 class BeamVector:
-    """A quantized (B,) input vector or (B, N) block with its threshold comparison bits."""
+    """A quantized (B,) input vector or (B, N) block; its bits follow from ``tau_y``."""
 
     re: np.ndarray
     im: np.ndarray
     fmt: QFormat | None
-    cy_re: np.ndarray
-    cy_im: np.ndarray
     tau_y: float
+
+    def __post_init__(self) -> None:
+        _threshold_raw(self.tau_y, self.fmt)
 
     @property
     def B(self) -> int:
         return self.re.shape[0]
+
+    @cached_property
+    def cy_re(self) -> np.ndarray:
+        return _comparison_bits(self.re, self.tau_y, self.fmt)
+
+    @cached_property
+    def cy_im(self) -> np.ndarray:
+        return _comparison_bits(self.im, self.tau_y, self.fmt)
 
     def as_complex(self) -> np.ndarray:
         if self.fmt is None:
@@ -99,13 +115,6 @@ class ActivityReport:
     @property
     def activity_rate(self) -> float:
         return self.executed / self.total if self.total else 1.0
-
-    def merge(self, other: "ActivityReport") -> "ActivityReport":
-        return ActivityReport(
-            executed=self.executed + other.executed,
-            total=self.total + other.total,
-            per_vector=np.concatenate([self.per_vector, other.per_vector]),
-        )
 
 
 @dataclass(frozen=True)
@@ -155,7 +164,7 @@ def _threshold_raw(tau: float, fmt: QFormat | None) -> int | float:
     register is one bit wider, so tau = 1.0 can sit above every stored value.
     Without a format (quantization disabled) the threshold is tau itself.
     """
-    if not (np.isfinite(tau) and tau >= 0):
+    if not (math.isfinite(tau) and tau >= 0):
         raise ValueError("threshold must be finite and nonnegative")
     return tau if fmt is None else round(tau * fmt.scale)
 
@@ -167,7 +176,7 @@ def _comparison_bits(raw: np.ndarray, tau: float, fmt: QFormat | None) -> np.nda
 
 def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
                   fmt: QFormat | None, domain: str) -> EqualizerWeights:
-    """Quantize a row-scaled matrix and precompute its weight comparison bits.
+    """Quantize a row-scaled matrix; its comparison bits follow from ``tau_w``.
 
     A (..., U, B) stack of matrices, with (..., U) scale factors, gives one
     stacked set of weights; index it to get each matrix's.
@@ -191,13 +200,11 @@ def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
     else:
         re = W_real.real.copy()
         im = W_real.imag.copy()
-    return EqualizerWeights(re=re, im=im, fmt=fmt, alpha=alpha,
-                            cw_re=_comparison_bits(re, tau_w, fmt),
-                            cw_im=_comparison_bits(im, tau_w, fmt), tau_w=tau_w, domain=domain)
+    return EqualizerWeights(re=re, im=im, fmt=fmt, alpha=alpha, tau_w=tau_w, domain=domain)
 
 
 def tag_input(y_raw: np.ndarray, tau_y: float, fmt: QFormat | None) -> BeamVector:
-    """Quantize a (B,) input vector or (B, N) block and compute its comparison bits.
+    """Quantize a (B,) input vector or (B, N) block; its comparison bits follow from ``tau_y``.
 
     The integer raws are held as float64, the type the MVM computes in.
     """
@@ -208,8 +215,7 @@ def tag_input(y_raw: np.ndarray, tau_y: float, fmt: QFormat | None) -> BeamVecto
     else:
         re = y_raw.real.copy()
         im = y_raw.imag.copy()
-    return BeamVector(re=re, im=im, fmt=fmt, cy_re=_comparison_bits(re, tau_y, fmt),
-                      cy_im=_comparison_bits(im, tau_y, fmt), tau_y=tau_y)
+    return BeamVector(re=re, im=im, fmt=fmt, tau_y=tau_y)
 
 
 def _check_accumulator(wfmt: QFormat, yfmt: QFormat, B: int) -> None:
@@ -219,22 +225,21 @@ def _check_accumulator(wfmt: QFormat, yfmt: QFormat, B: int) -> None:
         raise ValueError("formats too wide for exact accumulation")
 
 
-def _masked_mvm(wre, wim, cwR, cwI, yre, yim, cyR, cyI, save_power: bool, B: int):
+def _masked_mvm(wre, wim, yre, yim, bits, B: int):
     """Core accumulate: four real products per entry, skipped ones contribute zero.
 
-    Skip masks are separable (weight bit AND input bit), so the skipped part of
-    each sum is itself a matrix product of masked factors. All inputs are
-    float64; with integer-valued raws every intermediate is exact.
+    ``bits`` is None without power saving, else the (cw_re, cw_im, cy_re,
+    cy_im) comparison bits. Skip masks are separable (weight bit AND input
+    bit), so the skipped part of each sum is itself a matrix product of masked
+    factors. All inputs are float64; with integer-valued raws every
+    intermediate is exact.
     """
     full_re = wre @ yre - wim @ yim
     full_im = wre @ yim + wim @ yre
-    if not save_power:
+    if bits is None:
         executed = np.full(full_re.shape, 4 * B, dtype=np.int64)
         return full_re, full_im, executed
-    mwR = cwR.astype(np.float64)
-    mwI = cwI.astype(np.float64)
-    myR = cyR.astype(np.float64)
-    myI = cyI.astype(np.float64)
+    mwR, mwI, myR, myI = (b.astype(np.float64) for b in bits)
     wreR = wre * mwR
     wimI = wim * mwI
     yreR = yre * myR
@@ -254,9 +259,10 @@ def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
                     gain: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Masked matrix-vector product of a tagged (B,) vector or (B, N) block, descaled.
 
-    The one entry into the datapath's arithmetic. Returns the (U,) or (U, N)
-    estimates and the executed real multiplications per vector (4BU minus the
-    skipped ones), shaped () or (N,) to match.
+    The one entry into the datapath's arithmetic; comparison bits are read
+    only with ``save_power``. Returns the (U,) or (U, N) estimates and the
+    executed real multiplications per vector (4BU minus the skipped ones),
+    shaped () or (N,) to match.
     """
     if x.B != weights.B:
         raise ValueError("length mismatch")
@@ -265,13 +271,13 @@ def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
     if weights.fmt is not None:
         _check_accumulator(weights.fmt, x.fmt, weights.B)
     cols = x.re.shape[1:]
+    bits = (weights.cw_re, weights.cw_im, x.cy_re.reshape(x.B, -1),
+            x.cy_im.reshape(x.B, -1)) if save_power else None
     acc_re, acc_im, executed = _masked_mvm(
         np.asarray(weights.re, dtype=np.float64), np.asarray(weights.im, dtype=np.float64),
-        weights.cw_re, weights.cw_im,
         np.asarray(x.re, dtype=np.float64).reshape(x.B, -1),
         np.asarray(x.im, dtype=np.float64).reshape(x.B, -1),
-        x.cy_re.reshape(x.B, -1), x.cy_im.reshape(x.B, -1),
-        save_power, weights.B,
+        bits, weights.B,
     )
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
     S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)

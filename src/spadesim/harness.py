@@ -6,6 +6,10 @@ reproducible bit for bit regardless of how many workers process the blocks.
 Blocks are scheduled in fixed-size waves and merged in block order; the
 stopping rule is evaluated between waves, which keeps the set of simulated
 blocks independent of the worker count.
+
+One block loop, :func:`_simulate`, runs every simulated point: a BER point
+of :func:`run_ber` and each threshold pair's probe in a sweep round. Points
+differ only in their (N0, tau_w, tau_y) and in the rule that retires them.
 """
 
 from __future__ import annotations
@@ -22,16 +26,15 @@ import numpy as np
 from .beamspace import TwiddleConfig, to_beamspace
 from .channel import (
     MODES,
+    QAM_ORDERS,
     ChannelMatrix,
-    SystemConfig,
+    _is_power_of_4,
     draw_channel_matrix,
     load_channel,
     qam_demodulate,
     qam_modulate,
 )
 from .equalizer import (
-    BeamVector,
-    EqualizerWeights,
     FrontEnd,
     build_weights,
     compute_lmmse,
@@ -106,9 +109,14 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # dimension/order checks are SystemConfig's; instantiate one to run them
-        SystemConfig(B=self.B, U=self.U, M=self.M, Es=self.Es, N0=1.0,
-                     mode="lmmse-b", seed=self.seed)
+        if not _is_power_of_4(self.B):
+            raise ValueError(f"B must be a power of 4, got {self.B}")
+        if not 1 <= self.U <= self.B:
+            raise ValueError(f"U must be in [1, B], got {self.U}")
+        if self.M not in QAM_ORDERS:
+            raise ValueError(f"M must be one of {QAM_ORDERS}, got {self.M}")
+        if self.Es <= 0:
+            raise ValueError("Es must be positive")
         if self.channel not in CHANNEL_KINDS:
             raise ValueError(f"channel must be one of {CHANNEL_KINDS}")
         if self.channel == "file" and not self.channel_file:
@@ -178,14 +186,6 @@ def _load_fixed_channel(cfg: RunConfig) -> ChannelMatrix | None:
     return cm
 
 
-def _build_weights(cfg: RunConfig, H: ChannelMatrix, mode: str, n0: float):
-    """(antenna, beamspace) weights of an antenna-domain channel; the mode's other one is None."""
-    Hd = H if mode == "lmmse-a" else ChannelMatrix(to_beamspace(H.entries), "beamspace")
-    W, a = scale_rows(compute_lmmse(Hd, n0, cfg.Es), cfg.epsilon)
-    w = build_weights(W, a, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None, Hd.domain)
-    return (w, None) if mode == "lmmse-a" else (None, w)
-
-
 def _draw_block(cfg: RunConfig, mode: str, purpose: int, tag: int, block_idx: int,
                 n_vectors: int, H_fixed: ChannelMatrix | None):
     """Everything of one coherence block that no SNR reaches.
@@ -207,8 +207,8 @@ def _draw_block(cfg: RunConfig, mode: str, purpose: int, tag: int, block_idx: in
 def _block_weights(cfg: RunConfig, drawn, n0s: list):
     """Quantized weights of a drawn block at each of S SNRs, scaled and quantized as one stack.
 
-    Index s gives the weights at SNR s, tagged against ``cfg.tau_w`` (retag
-    them for another threshold; the raws do not depend on it).
+    Index s gives the weights at SNR s, at threshold ``cfg.tau_w``; the raws do
+    not depend on it, and ``replace(w[s], tau_w=...)`` gives another.
     """
     Hd = drawn[0]
     V = np.stack([compute_lmmse(Hd, n0, cfg.Es) for n0 in n0s])
@@ -228,13 +228,6 @@ def _receive(drawn, n0s: list) -> np.ndarray:
     Y += y_bar[:, None]
     Y[:, n0 == 0.0] = y_bar[:, None]  # no noise at all, not a zero-scaled one
     return Y.reshape(y_bar.shape[0], -1)
-
-
-def _score(cfg: RunConfig, mode: str, bits: np.ndarray, w: EqualizerWeights, x: BeamVector,
-           gain: float) -> tuple[int, np.ndarray]:
-    """Bit errors and executed products per vector of one tagged block."""
-    S, per_vec = equalize_tagged(w, x, save_power=(mode == "lmmse-spade"), gain=gain)
-    return int((bits != qam_demodulate(S, cfg.M, cfg.Es)).sum()), per_vec
 
 
 def _waves(block_size: int, cap: int):
@@ -264,44 +257,68 @@ def _block_map(workers: int):
             yield pool.map
 
 
-def _ber_point(cfg: RunConfig, mode: str, n0: float, purpose: int, tag: int,
-               stop: StopRule, H_fixed: ChannelMatrix | None):
-    fe = cfg.frontend()
+def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, cap: int,
+              done, H_fixed: ChannelMatrix | None, block_map) -> list[SnrPoint]:
+    """Simulate points on shared blocks until each is done or cap vectors are spent.
 
-    def run(args):
-        drawn = _draw_block(cfg, mode, purpose, tag, args[0], args[1], H_fixed)
-        bits, w, Y = drawn[1], _block_weights(cfg, drawn, [n0])[0], _receive(drawn, [n0])
-        # release the noise-free block and the noise before the front end: with
-        # large blocks and several workers, the smaller working set is faster
-        del drawn
-        return _score(cfg, mode, bits, w, front_end(mode, Y, fe), fe.gain)
+    ``points`` holds one (n0, tau_w, tau_y) per point. Every point runs the
+    same waves of the same blocks (stream ``purpose``, ``tag``): each block
+    is drawn once (channel, bits, noise) and its weights are computed once per
+    distinct N0, as one stack. Each live point then adds the noise at its N0,
+    runs the front end at its tau_y and scores the block with the weights at
+    its tau_w, so a point sees the blocks it would see alone. Before each
+    wave, ``done(errors, vectors)`` retires a point. Returns one SnrPoint per
+    point, its ``snr_db`` left for the caller.
 
-    errors = 0
-    vectors = 0
-    exec_sum = 0
-    exec_min = math.inf
-    exec_max = -math.inf
-    with _block_map(cfg.workers) as block_map:
-        for wave in _waves(cfg.vectors_per_block, stop.max_vectors):
-            if errors >= stop.target_errors:
-                break
-            for err, per_vec in block_map(run, wave):
-                errors += err
-                vectors += per_vec.size
-                exec_sum += int(per_vec.sum())
-                exec_min = min(exec_min, int(per_vec.min()))
-                exec_max = max(exec_max, int(per_vec.max()))
-    nbits = cfg.U * cfg.bits_per_symbol * vectors
+    The front end runs per point even where points share an N0. It costs
+    about 0.4 ms per 64x100 block, more than a point's scoring; shared, it
+    made a sweep round's cost follow the number of distinct SNRs among its
+    pairs, which changes from seed to seed, instead of the number of pairs.
+    """
+    fes = [replace(cfg.frontend(), tau_y=tau_y) for _, _, tau_y in points]
+    # errors, vectors, executed products: sum, min and max per vector
+    stats = [[0, 0, 0, math.inf, -math.inf] for _ in points]
+    for wave in _waves(cfg.vectors_per_block, cap):
+        live = [i for i, st in enumerate(stats) if not done(st[0], st[1])]
+        if not live:
+            break
+        at = {n0: s for s, n0 in enumerate(dict.fromkeys(points[i][0] for i in live))}
+
+        def run(args, live=live, at=at):
+            drawn = _draw_block(cfg, mode, purpose, tag, args[0], args[1], H_fixed)
+            bits = drawn[1]
+            w = _block_weights(cfg, drawn, list(at))
+            scored = []
+            for i in live:
+                n0, tau_w, _ = points[i]
+                Y = _receive(drawn, [n0])
+                if i == live[-1]:
+                    # release the noise-free block and the noise before the last
+                    # front end: with large blocks and several workers, the
+                    # smaller working set is faster
+                    del drawn
+                S, per_vec = equalize_tagged(replace(w[at[n0]], tau_w=tau_w),
+                                             front_end(mode, Y, fes[i]),
+                                             save_power=(mode == "lmmse-spade"), gain=fes[i].gain)
+                scored.append((int((bits != qam_demodulate(S, cfg.M, cfg.Es)).sum()), per_vec))
+            return scored
+
+        for scored in block_map(run, wave):
+            for i, (err, per_vec) in zip(live, scored):
+                st = stats[i]
+                st[0] += err
+                st[1] += per_vec.size
+                st[2] += int(per_vec.sum())
+                st[3] = min(st[3], int(per_vec.min()))
+                st[4] = max(st[4], int(per_vec.max()))
+    nbits = cfg.U * cfg.bits_per_symbol
     per_mvm = 4 * cfg.B * cfg.U
-    return SnrPoint(
-        snr_db=float("nan"),  # caller fills in
-        trials=vectors,
-        bit_errors=errors,
-        ber=errors / nbits if nbits else 0.0,
-        activity_mean=exec_sum / (per_mvm * vectors) if vectors else 1.0,
-        activity_min=exec_min / per_mvm if vectors else 1.0,
-        activity_max=exec_max / per_mvm if vectors else 1.0,
-    )
+    return [SnrPoint(snr_db=float("nan"), trials=vectors, bit_errors=errors,
+                     ber=errors / (nbits * vectors) if vectors else 0.0,
+                     activity_mean=exec_sum / (per_mvm * vectors) if vectors else 1.0,
+                     activity_min=exec_min / per_mvm if vectors else 1.0,
+                     activity_max=exec_max / per_mvm if vectors else 1.0)
+            for errors, vectors, exec_sum, exec_min, exec_max in stats]
 
 
 def _n0_for_snr(cfg: RunConfig, snr_db: float) -> float:
@@ -320,10 +337,14 @@ def run_ber(config: RunConfig, snr_list_db, mode: str, stop: StopRule | None = N
     H_fixed = _load_fixed_channel(config)
     t0 = time.perf_counter()
     points = []
-    for i, snr_db in enumerate(snr_list):
-        pt = _ber_point(config, mode, _n0_for_snr(config, snr_db), _P_BER, i, stop, H_fixed)
-        pt.snr_db = snr_db
-        points.append(pt)
+    with _block_map(config.workers) as block_map:
+        for i, snr_db in enumerate(snr_list):
+            [pt] = _simulate(config, mode, _P_BER, i,
+                             [(_n0_for_snr(config, snr_db), config.tau_w, config.tau_y)],
+                             stop.max_vectors, lambda errors, _: errors >= stop.target_errors,
+                             H_fixed, block_map)
+            pt.snr_db = snr_db
+            points.append(pt)
     return RunReport(config=config, mode=mode, points=points, seed=config.seed,
                      wall_time_s=time.perf_counter() - t0)
 
@@ -341,64 +362,6 @@ def _wilson(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
     center = (p + z2 / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
     return center - half, center + half
-
-
-def _probe_round(cfg: RunConfig, mode: str, tag: int, probes: list, target: float,
-                 probe_cap: int, H_fixed: ChannelMatrix | None, block_map):
-    """Probe threshold pairs until each 95% interval excludes the target BER.
-
-    ``probes`` holds one (snr_db, tau_w, tau_y) per pair. Every probe of the
-    round runs the same waves of the same blocks (stream tag ``tag``): each
-    block is drawn once (channel, bits, noise) and its weights are computed
-    once per probe SNR, as one stack. Each pair still undecided then adds the
-    noise at its SNR, runs the front end (which tags the inputs at its tau_y),
-    retags the weights at its tau_w and scores the block, so a pair sees the
-    blocks it would see alone. Returns (side, ber, vectors) per pair.
-
-    The front end runs per pair even where pairs share an SNR. It costs about
-    0.4 ms per 64x100 block, more than a pair's scoring; shared, it made a
-    round's cost follow the number of distinct SNRs among its pairs, which
-    changes from seed to seed, instead of the number of pairs probed.
-    """
-    fe = cfg.frontend()
-    n0s = [_n0_for_snr(cfg, snr_db) for snr_db, _, _ in probes]
-    outcome = [None] * len(probes)
-    errors = [0] * len(probes)
-    nbits = 0
-    vectors = 0
-    active = list(range(len(probes)))
-    for wave in _waves(cfg.vectors_per_block, probe_cap):
-        def run(args, live=tuple(active)):
-            drawn = _draw_block(cfg, mode, _P_PROBE, tag, args[0], args[1], H_fixed)
-            at = {n0: s for s, n0 in enumerate(dict.fromkeys(n0s[i] for i in live))}
-            w = _block_weights(cfg, drawn, list(at))
-            block_errors = []
-            for i in live:
-                _, tau_w, tau_y = probes[i]
-                x = front_end(mode, _receive(drawn, [n0s[i]]), replace(fe, tau_y=tau_y))
-                block_errors.append(_score(cfg, mode, drawn[1], w[at[n0s[i]]].retag(tau_w), x,
-                                           fe.gain)[0])
-            return block_errors
-
-        for block_errors in block_map(run, wave):
-            for i, err in zip(active, block_errors):
-                errors[i] += err
-        n = sum(size for _, size in wave)
-        vectors += n
-        nbits += cfg.U * cfg.bits_per_symbol * n
-        for i in active:
-            lo, hi = _wilson(errors[i], nbits)
-            if hi < target:
-                outcome[i] = ("below", errors[i] / nbits, vectors)
-            elif lo > target:
-                outcome[i] = ("above", errors[i] / nbits, vectors)
-        active = [i for i in active if outcome[i] is None]
-        if not active:
-            break
-    for i in active:
-        ber = errors[i] / nbits if nbits else 0.0
-        outcome[i] = ("below" if ber <= target else "above", ber, vectors)
-    return outcome
 
 
 def _bisection(lo_db: float, hi_db: float, tol_db: float):
@@ -434,6 +397,12 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_
         raise ValueError("target_ber must be in (0, 0.5)")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    nbits = cfg.U * cfg.bits_per_symbol
+
+    def decided(errors: int, vectors: int) -> bool:
+        lo, hi = _wilson(errors, nbits * vectors)
+        return hi < target or lo > target
+
     searches = [_bisection(lo_db, hi_db, tol_db) for _ in pairs]
     pending = {i: next(search) for i, search in enumerate(searches)}
     curves = [[] for _ in pairs]
@@ -442,10 +411,14 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_
     with _block_map(cfg.workers) as block_map:
         while pending:
             order = list(pending)
-            outcomes = _probe_round(cfg, mode, tag, [(pending[i], *pairs[i]) for i in order],
-                                    target, probe_cap, H_fixed, block_map)
-            for i, (side, ber, vectors) in zip(order, outcomes):
-                curves[i].append((pending[i], ber, vectors))
+            probed = _simulate(cfg, mode, _P_PROBE, tag,
+                               [(_n0_for_snr(cfg, pending[i]), *pairs[i]) for i in order],
+                               probe_cap, decided, H_fixed, block_map)
+            for i, pt in zip(order, probed):
+                # the Wilson interval holds the estimate, so a decided probe's
+                # side is the estimate's side too
+                side = "below" if pt.ber <= target else "above"
+                curves[i].append((pending[i], pt.ber, pt.trials))
                 try:
                     pending[i] = searches[i].send(side)
                 except StopIteration as done:

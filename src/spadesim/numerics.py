@@ -64,42 +64,6 @@ INPUT_FMT = QFormat(12, 9)    # receive-vector components after input scaling
 TWIDDLE_FMT = QFormat(6, 4)   # low-resolution FFT twiddle factors
 
 
-@dataclass(frozen=True)
-class FixedScalar:
-    """One fixed-point number: integer ``raw`` interpreted in format ``fmt``."""
-
-    raw: int
-    fmt: QFormat
-
-    def __post_init__(self) -> None:
-        if not self.fmt.min_raw <= self.raw <= self.fmt.max_raw:
-            raise ValueError(f"raw {self.raw} out of range for {self.fmt}")
-
-    @property
-    def value(self) -> float:
-        return self.raw / self.fmt.scale
-
-
-@dataclass(frozen=True)
-class ComplexFixed:
-    """Complex value whose real and imaginary parts share one format."""
-
-    re: FixedScalar
-    im: FixedScalar
-
-    def __post_init__(self) -> None:
-        if self.re.fmt != self.im.fmt:
-            raise ValueError("re and im must share one QFormat")
-
-    @property
-    def fmt(self) -> QFormat:
-        return self.re.fmt
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re.value, self.im.value)
-
-
 def quantize_raw(x, fmt: QFormat) -> np.ndarray:
     """Quantize an array of reals to raw integers (nearest-even, saturating)."""
     x = np.asarray(x, dtype=np.float64)
@@ -110,25 +74,9 @@ def quantize_raw(x, fmt: QFormat) -> np.ndarray:
     return np.clip(raw, fmt.min_raw, fmt.max_raw).astype(np.int64)
 
 
-def quantize(x: float, fmt: QFormat) -> FixedScalar:
-    """Quantize one real number; same rounding path as the array version."""
-    return FixedScalar(int(quantize_raw(x, fmt)), fmt)
-
-
 def dequantize(raw, fmt: QFormat) -> np.ndarray:
     """Raw integers back to floats. Exact for any format up to 52 bits."""
     return np.asarray(raw, dtype=np.float64) / fmt.scale
-
-
-def fixed_mul(a: FixedScalar, b: FixedScalar) -> FixedScalar:
-    """Exact product of two fixed-point scalars.
-
-    The result format has the combined width and combined fractional bits, so
-    no rounding happens here. Operand widths must stay small enough for the
-    product format to be valid (total <= 32 bits).
-    """
-    fmt = QFormat(a.fmt.total_bits + b.fmt.total_bits, a.fmt.frac_bits + b.fmt.frac_bits)
-    return FixedScalar(a.raw * b.raw, fmt)
 
 
 def linf_tilde(v) -> float:

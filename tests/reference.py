@@ -1,15 +1,21 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive: scalar loops, Python integers, direct
-formulas. Nothing imports the production kernels it checks.
+formulas. Nothing imports the production kernels it checks. The scalar
+fixed-point types and ``weights_for_mode`` are helpers, not oracles: they call
+the production quantizer and preprocessing for tests that check something
+else.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
+
+from spadesim.numerics import QFormat
 
 
 def q_func(x: float) -> float:
@@ -32,6 +38,72 @@ def nearest_representable(x: float, total_bits: int, frac_bits: int):
         if best_err is None or err < best_err or (err == best_err and raw % 2 == 0):
             best_raw, best_err = raw, err
     return best_raw
+
+
+@dataclass(frozen=True)
+class FixedScalar:
+    """One fixed-point number: integer ``raw`` interpreted in format ``fmt``."""
+
+    raw: int
+    fmt: QFormat
+
+    def __post_init__(self) -> None:
+        if not self.fmt.min_raw <= self.raw <= self.fmt.max_raw:
+            raise ValueError(f"raw {self.raw} out of range for {self.fmt}")
+
+    @property
+    def value(self) -> float:
+        return self.raw / self.fmt.scale
+
+
+@dataclass(frozen=True)
+class ComplexFixed:
+    """Complex value whose real and imaginary parts share one format."""
+
+    re: FixedScalar
+    im: FixedScalar
+
+    def __post_init__(self) -> None:
+        if self.re.fmt != self.im.fmt:
+            raise ValueError("re and im must share one QFormat")
+
+    @property
+    def fmt(self) -> QFormat:
+        return self.re.fmt
+
+    @property
+    def value(self) -> complex:
+        return complex(self.re.value, self.im.value)
+
+
+def quantize(x: float, fmt: QFormat) -> FixedScalar:
+    """Quantize one real number through the array quantizer under test."""
+    from spadesim.numerics import quantize_raw
+
+    return FixedScalar(int(quantize_raw(x, fmt)), fmt)
+
+
+def fixed_mul(a: FixedScalar, b: FixedScalar) -> FixedScalar:
+    """Exact product of two fixed-point scalars.
+
+    The result format has the combined width and combined fractional bits, so
+    no rounding happens here. Operand widths must stay small enough for the
+    product format to be valid (total <= 32 bits).
+    """
+    fmt = QFormat(a.fmt.total_bits + b.fmt.total_bits, a.fmt.frac_bits + b.fmt.frac_bits)
+    return FixedScalar(a.raw * b.raw, fmt)
+
+
+def weights_for_mode(cfg, H, mode: str, n0: float):
+    """(antenna, beamspace) weights of an antenna-domain channel; the mode's other one is None."""
+    from spadesim.beamspace import to_beamspace
+    from spadesim.channel import ChannelMatrix
+    from spadesim.equalizer import build_weights, compute_lmmse, scale_rows
+
+    Hd = H if mode == "lmmse-a" else ChannelMatrix(to_beamspace(H.entries), "beamspace")
+    W, a = scale_rows(compute_lmmse(Hd, n0, cfg.Es), cfg.epsilon)
+    w = build_weights(W, a, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None, Hd.domain)
+    return (w, None) if mode == "lmmse-a" else (None, w)
 
 
 def dft_oracle_matrix(B: int) -> np.ndarray:
@@ -226,7 +298,7 @@ def _probe_per_pair(cfg, mode, snr_db, tag, target, probe_cap):
     95% Wilson interval excludes the target BER or probe_cap vectors are spent."""
     from spadesim.channel import draw_channel_matrix, qam_demodulate, qam_modulate
     from spadesim.equalizer import equalize_block
-    from spadesim.harness import _P_PROBE, _WAVE_BLOCKS, _build_weights, _wilson, derive_stream
+    from spadesim.harness import _P_PROBE, _WAVE_BLOCKS, _wilson, derive_stream
 
     n0 = cfg.U * cfg.Es / 10 ** (snr_db / 10.0)
     k = cfg.bits_per_symbol
@@ -238,7 +310,7 @@ def _probe_per_pair(cfg, mode, snr_db, tag, target, probe_cap):
                 break
             rng = derive_stream(cfg.seed, _P_PROBE, tag, block_idx)
             H = draw_channel_matrix(cfg.channel, cfg.B, cfg.U, rng)
-            wa, wb = _build_weights(cfg, H, mode, n0)
+            wa, wb = weights_for_mode(cfg, H, mode, n0)
             bits = rng.integers(0, 2, size=(cfg.U, size, k), dtype=np.uint8)
             y = H.entries @ qam_modulate(bits, cfg.M, cfg.Es)
             noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)

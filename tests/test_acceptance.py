@@ -37,7 +37,7 @@ from spadesim.harness import (
 )
 from spadesim.numerics import INPUT_FMT, WEIGHT_FMT
 
-from reference import q_func
+from reference import q_func, weights_for_mode
 from test_equalizer import oracle_dotp, random_tagged, random_weights
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "artifacts"
@@ -75,9 +75,7 @@ def test_c02_zero_threshold_degeneracy():
     cfg = RunConfig(**FULL, tau_w=0.0, tau_y=0.0)
     rng = derive_stream(cfg.seed, 99, 0, 0)
     H = draw_channel_matrix("los", 64, 16, rng)
-    from spadesim.harness import _build_weights
-
-    _, wb = _build_weights(cfg, H, "lmmse-spade", n0=1.0)
+    _, wb = weights_for_mode(cfg, H, "lmmse-spade", n0=1.0)
     Y = rng.standard_normal((64, 1000)) + 1j * rng.standard_normal((64, 1000))
     s_spade, r_spade = equalize_block("lmmse-spade", None, wb, Y, cfg.frontend())
     s_b, r_b = equalize_block("lmmse-b", None, wb, Y, cfg.frontend())

@@ -7,7 +7,6 @@ from spadesim.beamspace import to_beamspace
 from spadesim.channel import (
     ChannelMatrix,
     PathSet,
-    SystemConfig,
     draw_channel_matrix,
     draw_profile,
     load_channel,
@@ -19,21 +18,24 @@ from spadesim.channel import (
     synth_channel,
     synth_receive,
 )
+from spadesim.harness import RunConfig
 
 from reference import qam_constellation
 
 
 def test_system_config_invariants():
-    SystemConfig(B=64, U=16, M=16, Es=1.0, N0=0.5, mode="lmmse-spade", seed=3)
-    SystemConfig(B=1, U=1, M=4, Es=1.0, N0=0.0, mode="lmmse-a", seed=0)
+    # RunConfig holds no mode or N0: run_ber checks the mode (test_harness)
+    # and derives N0 from each SNR
+    RunConfig(B=64, U=16, M=16, Es=1.0, seed=3)
+    RunConfig(B=1, U=1, M=4, Es=1.0, seed=0)
     with pytest.raises(ValueError):
-        SystemConfig(B=32)  # not a power of 4
+        RunConfig(B=32)  # not a power of 4
     with pytest.raises(ValueError):
-        SystemConfig(B=16, U=17)
+        RunConfig(B=16, U=17)
     with pytest.raises(ValueError):
-        SystemConfig(M=8)
+        RunConfig(M=8)
     with pytest.raises(ValueError):
-        SystemConfig(mode="zf")
+        RunConfig(Es=0.0)
 
 
 def test_steering_trivial():

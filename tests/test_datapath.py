@@ -112,7 +112,8 @@ def test_stream_rejects_mixed_lengths_and_formats():
     weights = random_weights(rng, 2, 16, tau_w=0.1)
     x = random_tagged(rng, 16, tau_y=0.1)
     for other in (random_tagged(rng, 4, tau_y=0.1),
-                  random_tagged(rng, 16, tau_y=0.1, fmt=QFormat(10, 7))):
+                  random_tagged(rng, 16, tau_y=0.1, fmt=QFormat(10, 7)),
+                  random_tagged(rng, 16, tau_y=0.2)):
         with pytest.raises(ValueError, match="one length and input format"):
             simulate_stream(weights, [x, other], PipelineConfig(), save_power=True)
 

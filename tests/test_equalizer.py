@@ -1,5 +1,7 @@
 """Equalizer core: LMMSE oracle, row scaling, comparison bits, skip accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,45 @@ def test_tag_input_extremes_and_recompute():
     t = naive_threshold_raw(0.07, INPUT_FMT.frac_bits)
     assert np.array_equal(v2.cy_re, np.abs(v2.re) < t)
     assert np.array_equal(v2.cy_im, np.abs(v2.im) < t)
+
+
+@pytest.mark.parametrize("fmts", [(WEIGHT_FMT, INPUT_FMT), (None, None)])
+@pytest.mark.parametrize("tau", [-2.0**-9, float("nan"), float("inf")])
+def test_bad_threshold_rejected_at_construction(tau, fmts):
+    wfmt, yfmt = fmts
+    with pytest.raises(ValueError, match="threshold"):
+        build_weights(np.array([[0.5 + 0j]]), np.ones(1), tau, wfmt, "antenna")
+    with pytest.raises(ValueError, match="threshold"):
+        tag_input(np.array([0.5 + 0j]), tau, yfmt)
+    w = build_weights(np.array([[0.5 + 0j]]), np.ones(1), 0.0, wfmt, "antenna")
+    with pytest.raises(ValueError, match="threshold"):
+        replace(w, tau_w=tau)
+    with pytest.raises(ValueError, match="threshold"):
+        replace(tag_input(np.array([0.5 + 0j]), 0.0, yfmt), tau_y=tau)
+
+
+def test_bits_follow_a_new_threshold():
+    # bits read (and cached) at one threshold never leak into a replaced or
+    # indexed object at another
+    rng = np.random.default_rng(49)
+    W = rng.uniform(-0.999, 0.999, (3, 2, 16)) + 1j * rng.uniform(-0.999, 0.999, (3, 2, 16))
+    stack = build_weights(W, np.ones((3, 2)), 0.0, WEIGHT_FMT, "beamspace")
+    assert not stack.cw_re.any() and not stack.cw_im.any()
+    t = naive_threshold_raw(0.3, WEIGHT_FMT.frac_bits)
+    for s in range(3):
+        assert not stack[s].cw_re.any() and not stack[s].cw_im.any()
+        w = replace(stack[s], tau_w=0.3)
+        assert np.array_equal(w.cw_re, np.abs(stack.re[s]) < t)
+        assert np.array_equal(w.cw_im, np.abs(stack.im[s]) < t)
+        assert np.array_equal(replace(stack, tau_w=0.3)[s].cw_re, w.cw_re)
+        assert not stack[s].cw_re.any()
+    assert replace(stack, tau_w=1.0)[1].cw_re.all()
+    x = random_tagged(rng, 32, tau_y=0.0)
+    assert not x.cy_re.any()
+    ty = naive_threshold_raw(0.5, INPUT_FMT.frac_bits)
+    x5 = replace(x, tau_y=0.5)
+    assert np.array_equal(x5.cy_re, np.abs(x.re) < ty) and np.array_equal(x5.cy_im, np.abs(x.im) < ty)
+    assert x5.cy_re.any() and not x.cy_re.any()
 
 
 def test_tag_input_saturates():

@@ -11,6 +11,7 @@ from spadesim.channel import draw_channel_matrix, save_channel
 from spadesim.cli import _snr_list
 from spadesim.cli import main as cli_main
 from spadesim.harness import (
+    _WAVE_BLOCKS,
     RunConfig,
     RunReport,
     SnrPoint,
@@ -86,6 +87,18 @@ def test_spade_with_zero_thresholds_equals_lmmse_b():
     assert rep_spade.points[0].bit_errors == rep_b.points[0].bit_errors
     assert rep_spade.points[0].trials == rep_b.points[0].trials
     assert rep_spade.points[0].activity_mean == 1.0
+
+
+def test_ber_point_stops_at_the_first_wave_reaching_the_target():
+    # the error target is checked between waves: a point stops after the first
+    # wave whose running error count reaches it, not one wave later
+    cfg = small_cfg()
+    wave = _WAVE_BLOCKS * cfg.vectors_per_block
+    first = run_ber(cfg, [4.0], "lmmse-spade", StopRule(1 << 62, wave)).points[0]
+    assert first.trials == wave and first.bit_errors > 0
+    for target, waves in ((first.bit_errors, 1), (first.bit_errors + 1, 2)):
+        pt = run_ber(cfg, [4.0], "lmmse-spade", StopRule(target, 10 * wave)).points[0]
+        assert pt.trials == waves * wave
 
 
 def test_noise_free_ber_is_zero():

@@ -5,17 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spadesim.numerics import (
-    ComplexFixed,
-    FixedScalar,
-    QFormat,
-    fixed_mul,
-    linf_tilde,
-    quantize,
-    quantize_raw,
-)
+from spadesim.numerics import QFormat, linf_tilde, quantize_raw
 
-from reference import nearest_representable
+from reference import ComplexFixed, FixedScalar, fixed_mul, nearest_representable, quantize
 
 
 def test_qformat_validation():

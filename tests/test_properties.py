@@ -4,7 +4,8 @@ The stage-wise radix-4, the batched channel synthesis, the QAM lookup tables,
 the stacked weight scaling and quantization and the lockstep threshold sweep
 each replace a per-element, per-user, per-SNR or per-pair formulation; every comparison here
 is byte for byte (``tobytes``, ``repr`` of floats, file bytes), not within a
-tolerance.
+tolerance. The last two properties are run_ber's contract: the same report for
+any worker count, and zero thresholds make lmmse-spade equal lmmse-b.
 """
 
 import os
@@ -38,7 +39,15 @@ from spadesim.equalizer import (
     equalize_tagged,
     scale_rows,
 )
-from spadesim.harness import RunConfig, activity_grid, emit_sweep, threshold_sweep
+from spadesim.harness import (
+    RunConfig,
+    StopRule,
+    activity_grid,
+    emit_sweep,
+    render_report,
+    run_ber,
+    threshold_sweep,
+)
 from spadesim.numerics import TWIDDLE_FMT, WEIGHT_FMT, QFormat
 
 from reference import (
@@ -126,12 +135,14 @@ def test_accumulator_bound_is_tight(B, data):
         yre, yim = np.full(B, yfmt.min_raw), np.full(B, yfmt.max_raw)
     else:
         wre, wim, yre, yim = raws(wfmt, (U, B)), raws(wfmt, (U, B)), raws(yfmt, B), raws(yfmt, B)
-    density = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
-    cw_re, cw_im = rng.random((2, U, B)) < density
-    cy_re, cy_im = rng.random((2, B)) < density
-    w = EqualizerWeights(re=wre, im=wim, fmt=wfmt, alpha=np.ones(U), cw_re=cw_re, cw_im=cw_im,
-                         tau_w=0.0, domain="beamspace")
-    x = BeamVector(re=yre, im=yim, fmt=yfmt, cy_re=cy_re, cy_im=cy_im, tau_y=0.0)
+    # the comparison bits follow from the thresholds: a raw threshold of 0 sets
+    # none, |min_raw| all but the min_raw entries, |min_raw| + 1 all of them
+    kw, ky = (data.draw(st.sampled_from((0, -fmt.min_raw, 1 - fmt.min_raw))) for fmt in (wfmt, yfmt))
+    w = EqualizerWeights(re=wre, im=wim, fmt=wfmt, alpha=np.ones(U), tau_w=kw / wfmt.scale,
+                         domain="beamspace")
+    x = BeamVector(re=yre, im=yim, fmt=yfmt, tau_y=ky / yfmt.scale)
+    cw_re, cw_im = np.abs(wre) < kw, np.abs(wim) < kw
+    cy_re, cy_im = np.abs(yre) < ky, np.abs(yim) < ky
     S, executed = equalize_tagged(w, x, save_power)
     scale = wfmt.scale * yfmt.scale
     total = 0
@@ -276,3 +287,39 @@ def test_activity_monotone_in_both_thresholds(setup, snr_db):
                           per_draw=True)
     assert np.all(np.diff(rates, axis=0) <= 0)
     assert np.all(np.diff(rates, axis=1) <= 0)
+
+
+@st.composite
+def ber_setups(draw):
+    """A small BER run: config, SNR list and stop rule."""
+    B = draw(st.sampled_from((4, 16)))
+    cfg = RunConfig(B=B, U=draw(st.integers(1, B)), M=draw(st.sampled_from((4, 16))),
+                    channel=draw(st.sampled_from(("los", "nlos"))),
+                    seed=draw(st.integers(0, 2**64 - 1)), quantized=draw(st.booleans()),
+                    vectors_per_block=draw(st.integers(1, 64)),
+                    tau_w=draw(THRESHOLD), tau_y=draw(THRESHOLD))
+    snrs = draw(st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=3))
+    stop = StopRule(target_errors=draw(st.integers(0, 300)), max_vectors=draw(st.integers(0, 800)))
+    return cfg, snrs, stop
+
+
+@settings(max_examples=40)
+@given(ber_setups(), st.sampled_from(MODES))
+def test_run_ber_identical_for_any_worker_count(setup, mode):
+    cfg, snrs, stop = setup
+    one = run_ber(cfg, snrs, mode, stop)
+    two = run_ber(replace(cfg, workers=2), snrs, mode, stop)
+    assert repr(one.points) == repr(two.points)
+    assert render_report(one, "json") == render_report(two, "json")
+
+
+@settings(max_examples=40)
+@given(ber_setups())
+def test_zero_thresholds_make_spade_equal_lmmse_b(setup):
+    cfg, snrs, stop = setup
+    cfg = replace(cfg, tau_w=0.0, tau_y=0.0)
+    spade = run_ber(cfg, snrs, "lmmse-spade", stop)
+    plain = run_ber(cfg, snrs, "lmmse-b", stop)
+    for s, b in zip(spade.points, plain.points):
+        assert (s.trials, s.bit_errors) == (b.trials, b.bit_errors)
+        assert s.activity_mean == s.activity_min == s.activity_max == 1.0
