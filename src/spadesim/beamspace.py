@@ -5,6 +5,11 @@ output order, 1/sqrt(B) inside the transform). The quantized path mirrors a
 fully-unrolled radix-4 decimation-in-time FFT whose twiddle factors are
 rounded to a low-resolution fixed-point format; the radix-4 butterfly factors
 (+-1, +-j) stay exact, as they cost no multiplier in hardware.
+
+:func:`beamspace_raws` gives the quantized path's input raws directly: the
+radix-4 cached as a matrix, one GEMM, and a rounding certificate that sends
+any column it cannot vouch for back through the radix-4, so the raws are
+bit-identical to quantizing :func:`to_beamspace`'s output.
 """
 
 from __future__ import annotations
@@ -93,6 +98,112 @@ def _radix4(x: np.ndarray, fmt: QFormat) -> np.ndarray:
         a = out.reshape((n,) + tail)
         size *= 4
     return a
+
+
+def _gamma(n: int) -> float:
+    # Higham's gamma_n = n u / (1 - n u): bounds the relative error of n roundings
+    u = 2.0**-53
+    return n * u / (1 - n * u)
+
+
+@lru_cache(maxsize=None)
+def _raw_transform(n: int, fmt: QFormat, frac_bits: int):
+    """The radix-4 as one matrix, scaled to input raws, and its rounding certificate.
+
+    Returns (T, coef, limit): T = _radix4(eye(n)) times k = 2**frac_bits /
+    sqrt(n), an exact power of two; ``coef * S_c`` bounds the raw-unit gap
+    between the GEMM and the radix-4 in a column with input sum S_c; ``limit``
+    caps the input magnitude the bound holds for. See :func:`beamspace_raws`.
+    """
+    k = 2.0**frac_bits / np.sqrt(n)
+    T = _radix4(np.eye(n, dtype=np.complex128), fmt)
+    T *= k
+    T.setflags(write=False)
+    stages = 0
+    P = 1.0
+    while 4**stages < n:
+        P *= max(1.0, *(float((np.abs(w.real) + np.abs(w.imag)).max())
+                        for w in _quantized_twiddles(4 ** (stages + 1), fmt)))
+        stages += 1
+    # the factor 2 covers the rounding of E_c's own evaluation
+    coef = 2 * k * P * (2 * _gamma(5 * stages) + _gamma(2 * n + 2) * (1 + _gamma(5 * stages)))
+    limit = 2.0**1000 / (2 * n * P * max(k, 1.0))
+    return T, coef, limit
+
+
+def _radix4_raws(z: np.ndarray, fmt: QFormat, input_fmt: QFormat):
+    """Input raws the stage-by-stage way: radix-4, 1/sqrt(B), then quantize."""
+    r = _radix4(z, fmt) / np.sqrt(z.shape[0])
+    return (quantize_raw(r.real, input_fmt).astype(np.float64),
+            quantize_raw(r.imag, input_fmt).astype(np.float64))
+
+
+def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):
+    """Quantized beamspace raws (re, im) of a (B,) vector or (B, N) block, bit for bit.
+
+    Equal byte for byte to quantizing ``to_beamspace(x, TwiddleConfig(False,
+    twiddle_fmt))`` to ``input_fmt`` (nearest-even, saturating, zeros +0.0),
+    but computed as one complex GEMM, v = k T x with T = _radix4(eye(B)) and
+    k = scale / sqrt(B), then rounded half-even and clipped in the float
+    domain.
+
+    Certificate. Write |z|_1 = |Re z| + |Im z| and S_c = sum_j |x_jc|_1. Let P
+    be the product over the L = log4(B) stages of the largest |w|_1 of the
+    stage's twiddles (at least 1, for the unit butterfly factors); every entry
+    of the exact T, one path through the butterflies, has |T_kj|_1 <= P. In
+    raw units, both paths stay near the exact k T x:
+    - the radix-4: each stage's real output sums terms that each see at most
+      five roundings (two in the twiddle product, three in the left-to-right
+      sum; the factors +-1, +-j are exact), so a stage computes
+      (A + D) a with |D| <= gamma_5 |A|, and L stages give
+      |error| <= gamma_5L k P S_c;
+    - the cached T: the same radix-4 run on unit vectors, so each entry is off
+      by at most gamma_5L P. This is zero when the twiddle products are
+      float-exact, but wide twiddle formats (L frac_bits > 52) round them;
+    - the GEMM: each real or imaginary output sums 2B real products, so for
+      any summation order or FMA use |error| <= gamma_{2B+2} sum_j |kT_kj|_1 |x_jc|_1
+      <= gamma_{2B+2} (1 + gamma_5L) k P S_c.
+    Their sum, doubled for its own evaluation, is E_c = coef * S_c. A sample
+    further than E_c (plus 2**-40 for the rounding of 0.5 - E_c and for
+    underflow) from every rounding boundary j + 1/2 rounds the same on both
+    paths; the block's largest |component| m, with S_c <= 2 B m, checks the
+    whole block at once. Only when that fails is S_c computed per column, and
+    a column with a sample inside its bound is recomputed with the radix-4.
+    Scaling by k and by 1/sqrt(B) is exact (powers of two). Input that is not
+    finite, or large enough to overflow, goes down the radix-4 path whole,
+    which raises on it as :func:`quantize_raw` does.
+    """
+    x = np.asarray(x)
+    B = x.shape[0]
+    if not _is_power_of_4(B):
+        raise ValueError(f"radix-4 transform needs a power-of-4 length, got {B}")
+    z = np.ascontiguousarray(x.reshape(B, -1), dtype=np.complex128)
+    N = z.shape[1]
+    T, coef, limit = _raw_transform(B, twiddle_fmt, input_fmt.frac_bits)
+    zv = z.view(np.float64)
+    m = max(zv.max(initial=0.0), -zv.min(initial=0.0))
+    if not m < limit:
+        return tuple(r.reshape(x.shape) for r in _radix4_raws(z, twiddle_fmt, input_fmt))
+    v = (T @ z).view(np.float64)  # (B, 2N): real and imaginary parts interleaved
+    raws = np.rint(v)
+    np.subtract(v, raws, out=v)
+    np.abs(v, out=v)
+    np.minimum(raws, input_fmt.max_raw, out=raws)
+    np.maximum(raws, input_fmt.min_raw, out=raws)
+    raws += 0.0  # -0.0 -> +0.0, as the int64 round trip of quantize_raw gives
+    slack = 2.0**-40
+    if not v.max(initial=0.0) < 0.5 - coef * 2 * B * m - slack:
+        S = np.abs(zv).reshape(B, N, 2).sum(axis=(0, 2))
+        near = v.reshape(B, N, 2).max(axis=(0, 2))
+        cols = np.flatnonzero(~(near < 0.5 - coef * S - slack))
+        if cols.size:
+            per_col = raws.reshape(B, N, 2)
+            per_col[:, cols, 0], per_col[:, cols, 1] = _radix4_raws(z[:, cols], twiddle_fmt,
+                                                                    input_fmt)
+    out = v.reshape(2, B, N)  # the distances are read: split the raws into their buffer
+    np.copyto(out[0], raws[:, 0::2])
+    np.copyto(out[1], raws[:, 1::2])
+    return out[0].reshape(x.shape), out[1].reshape(x.shape)
 
 
 def to_beamspace(y: np.ndarray, cfg: TwiddleConfig = TwiddleConfig()) -> np.ndarray:

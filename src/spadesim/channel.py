@@ -303,8 +303,8 @@ def save_channel(path: str, cm: ChannelMatrix, fmt: str = "csv") -> None:
 def load_channel(path: str) -> ChannelMatrix:
     """Read a channel matrix written by :func:`save_channel` (either format).
 
-    A malformed dump (truncated header or body, unknown domain, non-finite
-    entries) raises ``ValueError``.
+    A malformed dump (truncated header or body, unknown domain, no entries,
+    non-finite entries) raises ``ValueError``.
     """
     with open(path, "rb") as f:
         head = f.read(4)
@@ -316,6 +316,8 @@ def load_channel(path: str) -> ChannelMatrix:
         if len(header) != 9:
             raise ValueError("channel dump truncated")
         code, B, U = struct.unpack("<BII", header)
+        if B < 1 or U < 1:
+            raise ValueError("channel dump has no entries")
         if code not in _DOMAIN_NAME:
             raise ValueError(f"unknown channel domain code {code}")
         if data.size != 2 * B * U:
@@ -327,8 +329,12 @@ def load_channel(path: str) -> ChannelMatrix:
             lines = [ln.strip() for ln in f if ln.strip()]
         if not lines or lines[0] != "domain,B,U":
             raise ValueError("not a channel dump")
+        if len(lines) < 2:
+            raise ValueError("channel dump truncated")
         domain, b_s, u_s = lines[1].split(",")
         B, U = int(b_s), int(u_s)
+        if B < 1 or U < 1:
+            raise ValueError("channel dump has no entries")
         vals = [complex(float(r), float(i)) for r, i in (ln.split(",") for ln in lines[3:])]
         if len(vals) != B * U:
             raise ValueError("channel dump truncated")

@@ -27,6 +27,15 @@ def _parse_fmt(text: str) -> QFormat:
     return QFormat(int(total), int(frac))
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r} (use true/false, 1/0 or yes/no)")
+
+
 def _parse_grid(text: str | None) -> np.ndarray:
     if text is None:
         return default_grid()
@@ -76,8 +85,8 @@ _CONFIG_PARSERS = {
     "mode": str, "b": int, "u": int, "mod": int, "channel": str,
     "channel_file": str, "tau_w": float, "tau_y": float, "seed": int,
     "weight_fmt": _parse_fmt, "input_fmt": _parse_fmt, "twiddle_fmt": _parse_fmt,
-    "exact_fft": lambda s: s.lower() in ("1", "true", "yes"),
-    "float": lambda s: s.lower() in ("1", "true", "yes"),
+    "exact_fft": _parse_bool,
+    "float": _parse_bool,
     "vectors_per_block": int, "workers": int,
     "target_errors": int, "max_vectors": int,
     "snr_start": float, "snr_stop": float, "snr_step": float,
@@ -123,12 +132,7 @@ def _run_config(opt: dict) -> RunConfig:
 
 
 def _stop_rule(opt: dict) -> StopRule:
-    stop = StopRule()
-    if "target_errors" in opt:
-        stop.target_errors = opt["target_errors"]
-    if "max_vectors" in opt:
-        stop.max_vectors = opt["max_vectors"]
-    return stop
+    return StopRule(**{k: opt[k] for k in ("target_errors", "max_vectors") if k in opt})
 
 
 def _snr_list(opt: dict) -> list[float]:

@@ -11,6 +11,11 @@ on first read. Accumulation is exact, with no intermediate rounding.
 Internally the integer raws are carried through float64 matrix products; every
 intermediate is an integer below 2**52, so the results are bit-exact and
 independent of summation order. A width guard enforces that precondition.
+
+The input front end (gain, radix-4 transform, input quantization) computes
+its raws as one GEMM whose rounding is certified against the radix-4's, so
+they are bit-identical to transforming and then quantizing (see
+:func:`beamspace.beamspace_raws`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .beamspace import TwiddleConfig, to_beamspace
+from .beamspace import TwiddleConfig, beamspace_raws, to_beamspace
 from .channel import MODES, ChannelMatrix, qam_demodulate
 from .numerics import INPUT_FMT, QFormat, quantize_raw
 
@@ -325,12 +330,18 @@ def front_end(mode: str, Y: np.ndarray, frontend: FrontEnd) -> BeamVector:
 
     Scales by the front-end gain, transforms to beamspace unless the mode
     bypasses the transform, then quantizes to the input format and tags
-    against ``frontend.tau_y``.
+    against ``frontend.tau_y``. With quantized input and twiddles (the
+    defaults), transform and quantization are one GEMM whose raws are
+    certified bit-identical to the radix-4's (:func:`beamspace_raws`).
     """
     Z = frontend.gain * Y
+    fmt = frontend.input_fmt
+    if mode != "lmmse-a" and fmt is not None and not frontend.twiddle.exact:
+        re, im = beamspace_raws(Z, frontend.twiddle.twiddle_fmt, fmt)
+        return BeamVector(re=re, im=im, fmt=fmt, tau_y=frontend.tau_y)
     if mode != "lmmse-a":
         Z = to_beamspace(Z, frontend.twiddle)
-    return tag_input(Z, frontend.tau_y, frontend.input_fmt)
+    return tag_input(Z, frontend.tau_y, fmt)
 
 
 def slice_symbols(s_hat: np.ndarray, M: int, Es: float) -> np.ndarray:

@@ -78,12 +78,16 @@ def derive_stream(seed: int, purpose: int, tag: int, index: int) -> np.random.Ge
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopRule:
     """Stop a BER point at this many bit errors or this many vectors."""
 
     target_errors: int = 500
     max_vectors: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        if self.target_errors < 0 or self.max_vectors < 0:
+            raise ValueError("target_errors and max_vectors must be >= 0")
 
 
 @dataclass
@@ -270,8 +274,7 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
     wave, ``done(errors, vectors)`` retires a point. Returns one SnrPoint per
     point, its ``snr_db`` left for the caller.
 
-    The front end runs per point even where points share an N0. It costs
-    about 0.4 ms per 64x100 block, more than a point's scoring; shared, it
+    The front end runs per point even where points share an N0. Shared, it
     made a sweep round's cost follow the number of distinct SNRs among its
     pairs, which changes from seed to seed, instead of the number of pairs.
     """
@@ -395,6 +398,8 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_
     """
     if not 0.0 < target < 0.5:
         raise ValueError("target_ber must be in (0, 0.5)")
+    if probe_cap < 1:
+        raise ValueError("probe_cap must be >= 1")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     nbits = cfg.U * cfg.bits_per_symbol

@@ -245,3 +245,25 @@ def test_c11_determinism_across_workers(tmp_path):
     assert b1 == b4
     report(11, f"1-worker and 4-worker CSV outputs byte-identical ({len(b1)} bytes)",
            time.perf_counter() - t0, 120.0)
+
+
+def test_c12_spade_within_0p7_db_of_lmmse_a():
+    # the abstract's claim: less than 0.7 dB SNR degradation at 1% target BER,
+    # with the shipped threshold pair; both modes search on matched streams
+    t0 = time.perf_counter()
+    cap = 200_000
+    details = []
+    for channel in ("los", "nlos"):
+        cfg = RunConfig(**{**FULL, "channel": channel})
+        ops = {}
+        for mode in ("lmmse-a", "lmmse-spade"):
+            probes = []
+            ops[mode] = snr_operating_point(cfg, mode, target_ber=0.01, probe_cap=cap,
+                                            curve=probes)
+            assert ops[mode] is not None
+            assert all(trials < cap for _, _, trials in probes), "undecided probe"
+        loss = ops["lmmse-spade"] - ops["lmmse-a"]
+        assert loss < 0.7
+        details.append(f"{channel} {loss:+.3f} dB")
+    report(12, "lmmse-spade within 0.7 dB of lmmse-a at 1% BER: " + ", ".join(details),
+           time.perf_counter() - t0, 60.0)

@@ -1,10 +1,13 @@
-"""Spatial DFT: unitarity, conventions, and the quantized-twiddle radix-4 path."""
+"""Spatial DFT: unitarity, conventions, the quantized-twiddle radix-4 path and its GEMM form."""
 
 import numpy as np
 import pytest
 
+from spadesim import beamspace
 from spadesim.beamspace import TwiddleConfig, dft_matrix, to_beamspace
 from spadesim.channel import steering
+from spadesim.equalizer import FrontEnd, front_end, tag_input
+from spadesim.harness import RunConfig, StopRule, run_ber
 from spadesim.numerics import QFormat
 
 from reference import dft_oracle_matrix
@@ -93,3 +96,50 @@ def test_quantized_twiddle_error_bound():
         x /= np.linalg.norm(x)
         err = np.abs(to_beamspace(x, cfg) - to_beamspace(x)).max()
         assert err <= bound
+
+
+def _near_tie_blocks(B, fe, rng, count=12, N=40):
+    """Dyadic blocks whose raws sit exactly on .5 boundaries, most of them nudged off.
+
+    Every entry of the front end's GEMM operator is a multiple of 2**-e, so
+    integer inputs times 2**(e - 1) make every raw a multiple of 1/2, and
+    about half of them ties. A relative nudge of 1e-16 to 1e-14 moves a raw
+    off its tie by about as much as the radix-4 and the GEMM round, where the
+    two can disagree.
+    """
+    T = beamspace._raw_transform(B, fe.twiddle.twiddle_fmt, fe.input_fmt.frac_bits)[0]
+    e = next(e for e in range(-64, 64) if np.all(np.mod(T.view(np.float64) * 2.0**e, 1.0) == 0))
+    for i in range(count):
+        Y = (rng.integers(-64, 65, (B, N)) + 1j * rng.integers(-64, 65, (B, N))) * 2.0**(e - 1)
+        if i % 4:
+            nudge = rng.choice((-1.0, 1.0), (B, N)) * 10.0 ** rng.uniform(-16, -14, (B, N))
+            Y = Y + Y * nudge
+        yield Y
+
+
+@pytest.mark.parametrize("B", (4, 16, 64))
+def test_front_end_near_ties_match_the_radix4(B):
+    fe = FrontEnd(input_fmt=QFormat(32, 24), twiddle=TwiddleConfig(exact=False), gain=1.0)
+    rng = np.random.default_rng(36 + B)
+    for Y in _near_tie_blocks(B, fe, rng):
+        ref = tag_input(to_beamspace(Y, fe.twiddle), 0.0, fe.input_fmt)
+        out = front_end("lmmse-b", Y, fe)
+        assert out.re.tobytes() == ref.re.tobytes()
+        assert out.im.tobytes() == ref.im.tobytes()
+
+
+def test_front_end_on_gaussian_blocks_never_falls_back(monkeypatch):
+    # a certificate that always failed would stay bit-exact and only run slower
+    cfg = RunConfig()
+    fe = cfg.frontend()
+    beamspace._raw_transform(cfg.B, cfg.twiddle_fmt, cfg.input_fmt.frac_bits)  # built with the radix-4
+
+    def forbidden(*args):
+        raise AssertionError("the front end fell back to the radix-4")
+
+    monkeypatch.setattr(beamspace, "_radix4", forbidden)
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        Y = 4 * (rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100)))
+        front_end("lmmse-spade", Y, fe)
+    run_ber(cfg, [4.0, 12.0], "lmmse-spade", StopRule(target_errors=10**9, max_vectors=1000))

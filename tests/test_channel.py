@@ -232,6 +232,9 @@ def _bin_header(code, B, U):
     ("truncated_header.bin", _bin_header(0, 4, 1)[:8]),
     ("unknown_domain.bin", _bin_header(7, 1, 1) + np.zeros(2, dtype="<f8").tobytes()),
     ("nan_entry.csv", b"domain,B,U\nantenna,1,1\nre,im\nnan,0.0\n"),
+    ("header_only.csv", b"domain,B,U\n"),
+    ("negative_shape.csv", b"domain,B,U\nantenna,-1,-1\nre,im\n1.0,0.0\n"),
+    ("empty_shape.bin", _bin_header(0, 0, 3)),
 ])
 def test_load_channel_rejects_malformed_dump(name, content, tmp_path):
     path = tmp_path / name

@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, closed-form checks, reports, CLI."""
 
+import argparse
 import json
 import math
 from dataclasses import replace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from spadesim.channel import draw_channel_matrix, save_channel
-from spadesim.cli import _snr_list
+from spadesim.cli import _effective, _snr_list
 from spadesim.cli import main as cli_main
 from spadesim.harness import (
     _WAVE_BLOCKS,
@@ -132,6 +133,35 @@ def test_invalid_inputs():
         RunConfig(channel="file")
     with pytest.raises(ValueError):
         snr_operating_point(small_cfg(), "lmmse-a", target_ber=0.6)
+
+
+def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
+    # a zero-vector probe reads BER 0.0, so the search would return lo_db
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="probe_cap"):
+            snr_operating_point(small_cfg(), "lmmse-a", probe_cap=cap)
+        with pytest.raises(ValueError, match="probe_cap"):
+            threshold_sweep(small_cfg(), [0.0], [0.0], activity_draws=1, probe_cap=cap)
+    assert cli_main(["opoint", "--b", "4", "--u", "1", "--probe-cap", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: probe_cap") and err.count("\n") == 1
+    code = cli_main(["sweep", "--b", "4", "--u", "1", "--probe-cap", "0",
+                     "--out", str(tmp_path / "s.csv")])
+    assert code == 1 and capsys.readouterr().err.startswith("error: probe_cap")
+
+
+def test_stop_rule_rejects_negative_counts(capsys):
+    for kw in (dict(target_errors=-1), dict(max_vectors=-5)):
+        with pytest.raises(ValueError, match="max_vectors"):
+            StopRule(**kw)
+    StopRule(target_errors=0, max_vectors=0)  # zero stays allowed
+    for flag in ("--max-vectors", "--target-errors"):
+        code = cli_main(["ber", flag, "-5", "--b", "4", "--u", "1", "--snr-start", "10",
+                         "--snr-stop", "10"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_channel_file_injection(tmp_path):
@@ -369,6 +399,22 @@ def test_cli_stdout_and_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "\n" == err[err.index("\n"):]  # single line
+
+
+def test_cli_config_booleans_are_strict(tmp_path, capsys):
+    # any other value used to read as false
+    cfg_file = tmp_path / "b.cfg"
+    for key, field in (("exact-fft", "exact_fft"), ("float", "float_mode")):
+        for text, value in [("true", True), ("YES", True), ("1", True), ("False", False),
+                            ("no", False), ("0", False)]:
+            cfg_file.write_text(f"{key}={text}\n")
+            assert _effective(argparse.Namespace(config=str(cfg_file)))[field] is value
+        for text in ("ture", "", "2", "on"):
+            cfg_file.write_text(f"b=4\nu=1\nmod=4\nsnr-start=6\nmax-vectors=10\n{key}={text}\n")
+            assert cli_main(["ber", "--config", str(cfg_file)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: not a boolean") and captured.err.count("\n") == 1
 
 
 def test_snr_list_points_do_not_drift():

@@ -1,14 +1,18 @@
 """Property tests: the vectorized kernels are bit-identical to their oracles.
 
-The stage-wise radix-4, the batched channel synthesis, the QAM lookup tables,
-the stacked weight scaling and quantization and the lockstep threshold sweep
-each replace a per-element, per-user, per-SNR or per-pair formulation; every comparison here
-is byte for byte (``tobytes``, ``repr`` of floats, file bytes), not within a
-tolerance. The last two properties are run_ber's contract: the same report for
-any worker count, and zero thresholds make lmmse-spade equal lmmse-b.
+The stage-wise radix-4, the GEMM front end, the batched channel synthesis,
+the QAM lookup tables, the stacked weight scaling and quantization and the
+lockstep threshold sweep each replace a per-element, per-stage, per-user,
+per-SNR or per-pair formulation; every comparison here is byte for byte
+(``tobytes``, ``repr`` of floats, file bytes), not within a tolerance. Then
+come run_ber's contract (the same report for any worker count, and zero
+thresholds make lmmse-spade equal lmmse-b) and fuzzed files from outside,
+which may only raise ``ValueError``.
 """
 
+import argparse
 import os
+import struct
 import tempfile
 from dataclasses import replace
 
@@ -26,18 +30,23 @@ from spadesim.channel import (
     _qam_table,
     draw_channel_matrix,
     draw_profile,
+    load_channel,
     qam_demodulate,
     qam_modulate,
     qam_scale,
     synth_channel,
 )
+from spadesim.cli import _CONFIG_PARSERS, _effective
 from spadesim.equalizer import (
     BeamVector,
     EqualizerWeights,
+    FrontEnd,
     build_weights,
     compute_lmmse,
     equalize_tagged,
+    front_end,
     scale_rows,
+    tag_input,
 )
 from spadesim.harness import (
     RunConfig,
@@ -48,7 +57,7 @@ from spadesim.harness import (
     run_ber,
     threshold_sweep,
 )
-from spadesim.numerics import TWIDDLE_FMT, WEIGHT_FMT, QFormat
+from spadesim.numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat
 
 from reference import (
     draw_channel_matrix_per_user,
@@ -89,6 +98,45 @@ def test_stagewise_radix4_matches_recursion(x, fmt):
     B = x.shape[0]
     scaled = to_beamspace(x, TwiddleConfig(exact=False, twiddle_fmt=fmt))
     assert scaled.tobytes() == (ref / np.sqrt(B)).tobytes()
+
+
+@st.composite
+def front_end_inputs(draw):
+    """A receive block with a quantized front end: sizes, scales and formats at their edges."""
+    B = draw(st.sampled_from((4, 16, 64, 256)))
+    shape = (B,) if draw(st.booleans()) else (B, draw(st.integers(0, 6)))
+    kind = draw(st.sampled_from(("gaussian", "dyadic", "zero", "drawn")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    elif kind == "dyadic":
+        # few-bit inputs: many raws land exactly on a .5 rounding boundary
+        Y = (rng.integers(-8, 9, shape) + 1j * rng.integers(-8, 9, shape)) / 16
+    elif kind == "zero":
+        Y = np.zeros(shape, dtype=np.complex128)
+        Y.real = np.copysign(Y.real, rng.choice((-1.0, 1.0), shape))
+    else:
+        Y = draw(hnp.arrays(np.complex128, shape[:1] + tuple(min(n, 2) for n in shape[1:]),
+                            elements=st.complex_numbers(max_magnitude=1e6, **FINITE)))
+    twiddle = draw(st.sampled_from((TWIDDLE_FMT, QFormat(3, 1), QFormat(16, 14), QFormat(32, 31))))
+    fe = FrontEnd(input_fmt=draw(st.sampled_from((INPUT_FMT, QFormat(8, 7), QFormat(16, 0),
+                                                  QFormat(32, 20)))),
+                  tau_y=draw(THRESHOLD), twiddle=TwiddleConfig(exact=False, twiddle_fmt=twiddle),
+                  # the larger gains saturate most raws
+                  gain=draw(st.sampled_from((1e-3, 0.25, 1.0, 40.0, 1e5))))
+    return Y, fe
+
+
+@PROPS
+@given(front_end_inputs(), st.sampled_from(("lmmse-b", "lmmse-spade")))
+def test_front_end_raws_equal_the_radix4_path(setup, mode):
+    Y, fe = setup
+    ref = tag_input(to_beamspace(fe.gain * Y, fe.twiddle), fe.tau_y, fe.input_fmt)
+    out = front_end(mode, Y, fe)
+    for name in ("re", "im", "cy_re", "cy_im"):
+        a, b = getattr(out, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()  # zero signs included
 
 
 @PROPS
@@ -323,3 +371,72 @@ def test_zero_thresholds_make_spade_equal_lmmse_b(setup):
     for s, b in zip(spade.points, plain.points):
         assert (s.trials, s.bit_errors) == (b.trials, b.bit_errors)
         assert s.activity_mean == s.activity_min == s.activity_max == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Files from outside: fuzzed channel dumps and config files
+# ---------------------------------------------------------------------------
+
+CSV_CHARS = "0123456789.,-+eEinfa\n #"
+
+
+@st.composite
+def channel_dumps(draw):
+    """Bytes for a channel file: noise, or noise behind a real CSV or binary header."""
+    kind = draw(st.sampled_from(("bytes", "text", "csv", "bin")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=300))
+    if kind == "text":
+        return draw(st.text(max_size=300)).encode("utf-8", "surrogatepass")
+    if kind == "csv":
+        if draw(st.booleans()):
+            domain = draw(st.sampled_from(("antenna", "beamspace", "x")))
+            shape = f"{domain},{draw(st.integers(-2, 3))},{draw(st.integers(-2, 3))}\n"
+        else:
+            shape = draw(st.text(CSV_CHARS, max_size=12))
+        return ("domain,B,U\n" + shape + draw(st.sampled_from(("re,im\n", "")))
+                + draw(st.text(CSV_CHARS, max_size=200))).encode("ascii")
+    head = struct.pack("<BII", draw(st.integers(0, 2)), draw(st.integers(0, 4)),
+                       draw(st.integers(0, 4)))
+    return b"CHNL" + draw(st.binary(max_size=12) | st.just(head)) + draw(st.binary(max_size=300))
+
+
+@PROPS
+@given(channel_dumps())
+def test_fuzzed_channel_dump_raises_only_value_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chan")
+        with open(path, "wb") as f:
+            f.write(content)
+        try:
+            cm = load_channel(path)
+        except ValueError:
+            return
+    assert cm.B >= 1 and cm.U >= 1 and np.all(np.isfinite(cm.entries))
+
+
+CONFIG_KEYS = sorted(_CONFIG_PARSERS) + ["exact-fft", "max-vectors", "unknown", ""]
+
+
+@st.composite
+def config_files(draw):
+    """Bytes for a config file: noise, or key=value lines with fuzzed values."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200) | st.text(max_size=200).map(
+            lambda t: t.encode("utf-8", "surrogatepass")))
+    lines = draw(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.text(max_size=12)),
+                          max_size=6))
+    return "\n".join(f"{k}={v}" for k, v in lines).encode("utf-8", "surrogatepass")
+
+
+@PROPS
+@given(config_files())
+def test_fuzzed_config_file_raises_only_value_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as f:
+            f.write(content)
+        try:
+            _effective(argparse.Namespace(config=path, command="ber"))
+        except ValueError:
+            pass
