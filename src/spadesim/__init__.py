@@ -6,18 +6,12 @@ fall below configurable thresholds, plus the Monte Carlo machinery to measure
 what that skipping costs in BER and buys in multiplier activity.
 """
 
-from .beamspace import TwiddleConfig, dft_matrix, to_beamspace
+from .beamspace import TwiddleConfig, to_beamspace
 from .channel import (
     ChannelMatrix,
-    PathSet,
-    SymbolVector,
     draw_channel_matrix,
-    draw_profile,
     load_channel,
-    map_qam,
     save_channel,
-    steering,
-    synth_channel,
     synth_receive,
 )
 from .datapath import (
@@ -36,11 +30,8 @@ from .equalizer import (
     FrontEnd,
     build_weights,
     compute_lmmse,
-    dump_beam_vector,
-    dump_weights,
     equalize_block,
     scale_rows,
-    slice_symbols,
     tag_input,
 )
 from .harness import (
@@ -53,7 +44,6 @@ from .harness import (
     derive_stream,
     emit_report,
     emit_sweep,
-    mean_activity,
     render_report,
     run_ber,
     snr_operating_point,
@@ -64,7 +54,6 @@ from .numerics import (
     TWIDDLE_FMT,
     WEIGHT_FMT,
     QFormat,
-    linf_tilde,
 )
 
 __version__ = "0.1.0"

@@ -31,16 +31,6 @@ class TwiddleConfig:
     twiddle_fmt: QFormat = field(default=TWIDDLE_FMT)
 
 
-def dft_matrix(B: int) -> np.ndarray:
-    """Unitary DFT matrix F with F[m, n] = e^{-j 2 pi m n / B} / sqrt(B)."""
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    n = np.arange(B)
-    # reduce the index product mod B before exponentiating to keep angles small
-    phase = (np.outer(n, n) % B).astype(np.float64)
-    return np.exp(-2j * np.pi * phase / B) / np.sqrt(B)
-
-
 @lru_cache(maxsize=None)
 def _quantized_twiddles(n: int, fmt: QFormat):
     k = np.arange(n // 4)
@@ -134,8 +124,7 @@ def _raw_transform(n: int, fmt: QFormat, frac_bits: int):
 def _radix4_raws(z: np.ndarray, fmt: QFormat, input_fmt: QFormat):
     """Input raws the stage-by-stage way: radix-4, 1/sqrt(B), then quantize."""
     r = _radix4(z, fmt) / np.sqrt(z.shape[0])
-    return (quantize_raw(r.real, input_fmt).astype(np.float64),
-            quantize_raw(r.imag, input_fmt).astype(np.float64))
+    return quantize_raw(r.real, input_fmt), quantize_raw(r.imag, input_fmt)
 
 
 def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):
@@ -190,7 +179,7 @@ def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):
     np.abs(v, out=v)
     np.minimum(raws, input_fmt.max_raw, out=raws)
     np.maximum(raws, input_fmt.min_raw, out=raws)
-    raws += 0.0  # -0.0 -> +0.0, as the int64 round trip of quantize_raw gives
+    raws += 0.0  # -0.0 -> +0.0, as quantize_raw gives
     slack = 2.0**-40
     if not v.max(initial=0.0) < 0.5 - coef * 2 * B * m - slack:
         S = np.abs(zv).reshape(B, N, 2).sum(axis=(0, 2))
@@ -209,9 +198,10 @@ def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):
 def to_beamspace(y: np.ndarray, cfg: TwiddleConfig = TwiddleConfig()) -> np.ndarray:
     """Transform antenna-domain vector(s) to beamspace along axis 0.
 
-    Accepts shape (B,) or (B, N). Exact mode matches ``dft_matrix(B) @ y`` to
-    machine precision; quantized mode runs the radix-4 FFT with rounded
-    twiddles and requires B to be a power of 4. Both scale by 1/sqrt(B).
+    Accepts shape (B,) or (B, N). Exact mode matches ``F @ y`` with the unitary
+    DFT matrix F[m, n] = e^{-j 2 pi m n / B} / sqrt(B) to machine precision;
+    quantized mode runs the radix-4 FFT with rounded twiddles and requires B
+    to be a power of 4. Both scale by 1/sqrt(B).
     """
     y = np.asarray(y)
     B = y.shape[0]

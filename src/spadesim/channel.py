@@ -25,27 +25,6 @@ def _is_power_of_4(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PathSet:
-    """Propagation paths for one user: complex gains and spatial frequencies."""
-
-    gains: np.ndarray
-    freqs: np.ndarray
-
-    def __post_init__(self) -> None:
-        gains = np.asarray(self.gains, dtype=np.complex128)
-        freqs = np.asarray(self.freqs, dtype=np.float64)
-        if gains.ndim != 1 or freqs.shape != gains.shape or gains.size == 0:
-            raise ValueError("gains and freqs must be equal-length non-empty 1-D arrays")
-        if np.any(freqs < -np.pi) or np.any(freqs >= np.pi):
-            raise ValueError("spatial frequencies must lie in [-pi, pi)")
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "freqs", freqs)
-
-    def __len__(self) -> int:
-        return self.gains.size
-
-
-@dataclass(frozen=True)
 class ChannelMatrix:
     """B x U channel matrix tagged with its domain ("antenna" or "beamspace")."""
 
@@ -69,23 +48,8 @@ class ChannelMatrix:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True)
-class SymbolVector:
-    """Constellation points for one channel use plus the bits they encode."""
-
-    symbols: np.ndarray
-    bits: np.ndarray
-
-
-def steering(phi: float, B: int) -> np.ndarray:
-    """Array response [1, e^{j phi}, ..., e^{j (B-1) phi}] of a B-element ULA."""
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    return np.exp(1j * phi * np.arange(B))
-
-
 def _synth(gains: np.ndarray, freqs: np.ndarray, B: int) -> np.ndarray:
-    """Superpose each row's path steering vectors; rows rescaled to squared norm B.
+    """Superpose each row's paths, sum_p g_p e^{j n f_p}; rows rescaled to squared norm B.
 
     ``gains`` and ``freqs`` are (U, P); the result is (U, B). The norm is taken
     one row at a time, as a batched norm would sum in another order.
@@ -97,13 +61,6 @@ def _synth(gains: np.ndarray, freqs: np.ndarray, B: int) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValueError("degenerate channel")
     return h * (np.sqrt(B) / norms)[:, None]
-
-
-def synth_channel(paths: PathSet, B: int) -> np.ndarray:
-    """Superpose the path steering vectors and rescale to squared norm B."""
-    if len(paths) > B:
-        raise ValueError("more paths than antennas")
-    return _synth(paths.gains[None], paths.freqs[None], B)[0]
 
 
 # Profile constants: LoS has one dominant path 10 dB above the combined
@@ -148,12 +105,6 @@ def _draw_paths(kind: str, U: int, rng: np.random.Generator) -> tuple[np.ndarray
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
     return gains, freqs
-
-
-def draw_profile(kind: str, rng: np.random.Generator) -> PathSet:
-    """Draw one user's paths from the "los" or "nlos" parametric profile."""
-    gains, freqs = _draw_paths(kind, 1, rng)
-    return PathSet(gains=gains[0], freqs=freqs[0])
 
 
 def draw_channel_matrix(kind: str, B: int, U: int, rng: np.random.Generator) -> ChannelMatrix:
@@ -242,16 +193,6 @@ def qam_demodulate(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         idx = np.ceil(np.clip((v / c + (m - 1)) / 2.0 - 0.5, 0, m - 1)).astype(np.int64)
     return table[idx].reshape(symbols.shape + (k,))
-
-
-def map_qam(bits, M: int, Es: float) -> SymbolVector:
-    """Map a flat bit string onto Gray-coded square M-QAM with energy Es."""
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    k = int(log2(M))
-    if bits.size % k != 0:
-        raise ValueError(f"bit count {bits.size} not divisible by log2(M)={k}")
-    symbols = qam_modulate(bits.reshape(-1, k), M, Es)
-    return SymbolVector(symbols=symbols, bits=bits)
 
 
 def synth_receive(H, s, N0: float, rng: np.random.Generator) -> np.ndarray:

@@ -26,6 +26,8 @@ class PipelineConfig:
     clock_hz: float = 720e6
 
     def latency(self, B: int) -> int:
+        if B < 1:
+            raise ValueError("B must be >= 1")
         tree = self.tree_stages
         if tree is None:
             tree = math.ceil(math.log2(B) / 2) if B > 1 else 0
@@ -122,6 +124,10 @@ def throughput_bps(clock_hz: float, U: int, M: int) -> float:
     """Steady-state equalization throughput: U log2(M) bits per clock."""
     if M not in QAM_ORDERS:
         raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
+    if U < 1:
+        raise ValueError("U must be >= 1")
+    if not (math.isfinite(clock_hz) and clock_hz > 0):
+        raise ValueError("clock_hz must be finite and positive")
     return U * math.log2(M) * clock_hz
 
 

@@ -8,7 +8,8 @@ skipped (contributing exactly zero) whenever the comparison bits of both of
 its operands are set; each bit is derived from its raw, threshold and format
 on first read. Accumulation is exact, with no intermediate rounding.
 
-Internally the integer raws are carried through float64 matrix products; every
+Weights and inputs hold their integer raws as float64 (see
+:func:`numerics.quantize_raw`), the type of the matrix products; every
 intermediate is an integer below 2**52, so the results are bit-exact and
 independent of summation order. A width guard enforces that precondition.
 
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .beamspace import TwiddleConfig, beamspace_raws, to_beamspace
-from .channel import MODES, ChannelMatrix, qam_demodulate
+from .channel import MODES, ChannelMatrix
 from .numerics import INPUT_FMT, QFormat, quantize_raw
 
 DOMAINS = ("antenna", "beamspace")
@@ -37,7 +38,7 @@ DOMAINS = ("antenna", "beamspace")
 class EqualizerWeights:
     """Quantized, row-scaled equalization matrix and its comparison threshold.
 
-    ``re``/``im`` hold integer raws in ``fmt`` (or plain floats when ``fmt`` is
+    ``re``/``im`` hold float64 raws in ``fmt`` (or plain floats when ``fmt`` is
     None, the quantization-disabled mode). ``alpha`` holds the per-row scale
     factors applied before quantization; estimates are descaled by it. The
     comparison bits ``cw_re``/``cw_im`` follow from ``tau_w`` on first read.
@@ -73,11 +74,6 @@ class EqualizerWeights:
         """Matrix ``i`` of a stack built by :func:`build_weights`."""
         return replace(self, re=self.re[i], im=self.im[i], alpha=self.alpha[i])
 
-    def as_complex(self) -> np.ndarray:
-        if self.fmt is None:
-            return self.re + 1j * self.im
-        return (self.re + 1j * self.im) / self.fmt.scale
-
 
 @dataclass(frozen=True)
 class BeamVector:
@@ -102,11 +98,6 @@ class BeamVector:
     @cached_property
     def cy_im(self) -> np.ndarray:
         return _comparison_bits(self.im, self.tau_y, self.fmt)
-
-    def as_complex(self) -> np.ndarray:
-        if self.fmt is None:
-            return self.re + 1j * self.im
-        return (self.re + 1j * self.im) / self.fmt.scale
 
 
 @dataclass
@@ -209,14 +200,11 @@ def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
 
 
 def tag_input(y_raw: np.ndarray, tau_y: float, fmt: QFormat | None) -> BeamVector:
-    """Quantize a (B,) input vector or (B, N) block; its comparison bits follow from ``tau_y``.
-
-    The integer raws are held as float64, the type the MVM computes in.
-    """
+    """Quantize a (B,) input vector or (B, N) block; its comparison bits follow from ``tau_y``."""
     y_raw = np.asarray(y_raw, dtype=np.complex128)
     if fmt is not None:
-        re = quantize_raw(y_raw.real, fmt).astype(np.float64)
-        im = quantize_raw(y_raw.imag, fmt).astype(np.float64)
+        re = quantize_raw(y_raw.real, fmt)
+        im = quantize_raw(y_raw.imag, fmt)
     else:
         re = y_raw.real.copy()
         im = y_raw.imag.copy()
@@ -278,12 +266,8 @@ def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
     cols = x.re.shape[1:]
     bits = (weights.cw_re, weights.cw_im, x.cy_re.reshape(x.B, -1),
             x.cy_im.reshape(x.B, -1)) if save_power else None
-    acc_re, acc_im, executed = _masked_mvm(
-        np.asarray(weights.re, dtype=np.float64), np.asarray(weights.im, dtype=np.float64),
-        np.asarray(x.re, dtype=np.float64).reshape(x.B, -1),
-        np.asarray(x.im, dtype=np.float64).reshape(x.B, -1),
-        bits, weights.B,
-    )
+    acc_re, acc_im, executed = _masked_mvm(weights.re, weights.im, x.re.reshape(x.B, -1),
+                                           x.im.reshape(x.B, -1), bits, weights.B)
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
     S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
     return S.reshape((weights.U, *cols)), executed.sum(axis=0).reshape(cols)
@@ -343,44 +327,3 @@ def front_end(mode: str, Y: np.ndarray, frontend: FrontEnd) -> BeamVector:
         Z = to_beamspace(Z, frontend.twiddle)
     return tag_input(Z, frontend.tau_y, fmt)
 
-
-def slice_symbols(s_hat: np.ndarray, M: int, Es: float) -> np.ndarray:
-    """Hard-decide symbol estimates back to the bit string they encode."""
-    s_hat = np.asarray(s_hat)
-    if s_hat.ndim != 1:
-        raise ValueError("slice_symbols expects a 1-D vector of estimates")
-    return qam_demodulate(s_hat, M, Es).reshape(-1)
-
-
-# ---------------------------------------------------------------------------
-# Debug dumps (hex raws plus comparison bits) for cross-implementation diffing
-# ---------------------------------------------------------------------------
-
-def _hex(raw: int, fmt: QFormat) -> str:
-    width = (fmt.total_bits + 3) // 4
-    return format(int(raw) & ((1 << fmt.total_bits) - 1), f"0{width}x")
-
-
-def dump_weights(w: EqualizerWeights) -> str:
-    if w.fmt is None:
-        raise ValueError("debug dump requires fixed-point weights")
-    lines = [f"# weights domain={w.domain} fmt={w.fmt} tau_w={w.tau_w!r}", "u b re im cw_re cw_im"]
-    for u in range(w.U):
-        for b in range(w.B):
-            lines.append(
-                f"{u} {b} {_hex(w.re[u, b], w.fmt)} {_hex(w.im[u, b], w.fmt)} "
-                f"{int(w.cw_re[u, b])} {int(w.cw_im[u, b])}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def dump_beam_vector(v: BeamVector) -> str:
-    if v.fmt is None:
-        raise ValueError("debug dump requires a fixed-point vector")
-    lines = [f"# input fmt={v.fmt} tau_y={v.tau_y!r}", "b re im cy_re cy_im"]
-    for b in range(v.B):
-        lines.append(
-            f"{b} {_hex(v.re[b], v.fmt)} {_hex(v.im[b], v.fmt)} "
-            f"{int(v.cy_re[b])} {int(v.cy_im[b])}"
-        )
-    return "\n".join(lines) + "\n"

@@ -455,6 +455,12 @@ def default_grid() -> np.ndarray:
     return np.geomspace(2.0**-9, 2.0**-1, 8)
 
 
+def _check_draws(draws: int, vectors_per_draw: int) -> None:
+    # an activity mean over no draws or no vectors is 0/0
+    if draws < 1 or vectors_per_draw < 1:
+        raise ValueError("activity draws and vectors_per_draw must be >= 1")
+
+
 def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
                   tau_y_grid, draws: int = 1000, vectors_per_draw: int = 2,
                   per_draw: bool = False):
@@ -465,6 +471,7 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     uses the separability of the skip predicate: skipped products per column
     reduce to a dot product of per-column bit counts.
     """
+    _check_draws(draws, vectors_per_draw)
     tau_w_grid = [float(t) for t in tau_w_grid]
     tau_y_grid = [float(t) for t in tau_y_grid]
     nw, ny = len(tau_w_grid), len(tau_y_grid)
@@ -511,14 +518,6 @@ def _activity_rates(config: RunConfig, grids: list, draws: int, vectors_per_draw
     return rates
 
 
-def mean_activity(config: RunConfig, mode: str, snr_db: float, draws: int = 1000,
-                  vectors_per_draw: int = 2) -> float:
-    """Mean activity rate at the config's own threshold pair."""
-    grid = activity_grid(config, mode, snr_db, [config.tau_w], [config.tau_y],
-                         draws=draws, vectors_per_draw=vectors_per_draw)
-    return float(grid[0, 0])
-
-
 def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
                     mode: str = "lmmse-spade", target_ber: float = 0.01,
                     activity_draws: int = 1000, vectors_per_draw: int = 2,
@@ -534,6 +533,7 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
     are computed once per probe SNR; activity is measured on one grid per
     distinct activity SNR, all grids sharing each draw.
     """
+    _check_draws(activity_draws, vectors_per_draw)
     pairs = [(float(tw), float(ty)) for tw in tau_w_grid for ty in tau_y_grid]
     H_fixed = _load_fixed_channel(config)
     searched = _operating_points(config, mode, pairs, target_ber, -10.0, hi_db, 0.1, probe_cap,
@@ -621,14 +621,6 @@ def emit_report(report: RunReport, path: str, fmt: str = "csv") -> None:
     text = render_report(report, fmt)
     with open(path, "w", encoding="ascii") as f:
         f.write(text)
-
-
-def load_report_json(path: str) -> list[dict]:
-    with open(path, "r", encoding="ascii") as f:
-        doc = json.load(f)
-    if doc.get("schema_version") != 1:
-        raise ValueError("unsupported report schema")
-    return doc["rows"]
 
 
 def emit_sweep(records: list[SweepRecord], path: str) -> None:

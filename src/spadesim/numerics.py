@@ -4,6 +4,9 @@ All quantities use signed two's-complement Q-formats. Quantization rounds to
 nearest with ties to even and saturates at the representable bounds, which is
 the usual behavior of a DSP datapath front end. Multiplication is exact: the
 product carries the full combined width, so accumulation never rounds.
+
+A quantized value is held as its raw integer in float64, the type the
+datapath computes in: every raw of a format up to 32 bits is float-exact.
 """
 
 from __future__ import annotations
@@ -65,23 +68,16 @@ TWIDDLE_FMT = QFormat(6, 4)   # low-resolution FFT twiddle factors
 
 
 def quantize_raw(x, fmt: QFormat) -> np.ndarray:
-    """Quantize an array of reals to raw integers (nearest-even, saturating)."""
+    """Quantize reals to integer-valued float64 raws (nearest-even, saturating, zero +0.0)."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite sample")
     raw = np.round(x * fmt.scale)
     # Clip in the float domain: the raw bounds (<= 2**31) are float-exact.
-    return np.clip(raw, fmt.min_raw, fmt.max_raw).astype(np.int64)
+    return np.clip(raw, fmt.min_raw, fmt.max_raw) + 0.0  # -0.0 -> +0.0
 
 
 def dequantize(raw, fmt: QFormat) -> np.ndarray:
     """Raw integers back to floats. Exact for any format up to 52 bits."""
     return np.asarray(raw, dtype=np.float64) / fmt.scale
 
-
-def linf_tilde(v) -> float:
-    """Componentwise max of max(|real|, |imag|) over a complex vector."""
-    v = np.asarray(v)
-    if v.size == 0:
-        raise ValueError("empty vector")
-    return float(max(np.abs(v.real).max(), np.abs(v.imag).max()))

@@ -339,7 +339,7 @@ def threshold_sweep_per_pair(config, tau_w_grid, tau_y_grid, mode="lmmse-spade",
     """
     from dataclasses import replace
 
-    from spadesim.harness import SweepRecord, mean_activity
+    from spadesim.harness import SweepRecord, activity_grid
 
     records = []
     for tw in tau_w_grid:
@@ -366,8 +366,9 @@ def threshold_sweep_per_pair(config, tau_w_grid, tau_y_grid, mode="lmmse-spade",
                     else:
                         hi = mid
                 op = hi
-            act = mean_activity(cfg, mode, hi_db if op is None else op, draws=activity_draws,
-                                vectors_per_draw=vectors_per_draw)
+            act = float(activity_grid(cfg, mode, hi_db if op is None else op, [cfg.tau_w],
+                                      [cfg.tau_y], draws=activity_draws,
+                                      vectors_per_draw=vectors_per_draw)[0, 0])
             records.append(SweepRecord(tau_w=float(tw), tau_y=float(ty), mean_activity_rate=act,
                                        snr_operating_point_db=op, ber_curve=curve))
     records.sort(key=lambda r: (r.mean_activity_rate, r.tau_w, r.tau_y))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spadesim import beamspace
-from spadesim.beamspace import TwiddleConfig, dft_matrix, to_beamspace
-from spadesim.channel import steering
+from spadesim.beamspace import TwiddleConfig, to_beamspace
 from spadesim.equalizer import FrontEnd, front_end, tag_input
 from spadesim.harness import RunConfig, StopRule, run_ber
 from spadesim.numerics import QFormat
@@ -14,34 +13,32 @@ from reference import dft_oracle_matrix
 
 
 def test_dft_impulse():
-    F = dft_matrix(4)
-    out = F @ np.array([1, 0, 0, 0], dtype=complex)
+    out = to_beamspace(np.array([1, 0, 0, 0], dtype=complex))
     assert np.allclose(out, 0.5 * np.ones(4), atol=1e-12)
 
 
 def test_dft_unitary():
     for B in (1, 4, 16, 64):
-        F = dft_matrix(B)
+        F = to_beamspace(np.eye(B, dtype=complex))
         assert np.max(np.abs(F @ F.conj().T - np.eye(B))) < 1e-12
 
 
 def test_dft_matches_direct_formula():
-    F = dft_matrix(32)
+    F = to_beamspace(np.eye(32, dtype=complex))
     assert np.max(np.abs(F - dft_oracle_matrix(32))) < 1e-12
 
 
 def test_dft_norm_preservation():
     rng = np.random.default_rng(31)
-    F = dft_matrix(64)
     for _ in range(20):
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert abs(np.linalg.norm(F @ x) - np.linalg.norm(x)) < 1e-9
+        assert abs(np.linalg.norm(to_beamspace(x)) - np.linalg.norm(x)) < 1e-9
 
 
 def test_exact_mode_matches_matrix_multiply():
     rng = np.random.default_rng(32)
     B = 64
-    F = dft_matrix(B)
+    F = dft_oracle_matrix(B)
     X = rng.standard_normal((B, 1000)) + 1j * rng.standard_normal((B, 1000))
     out = to_beamspace(X)
     assert np.max(np.abs(out - F @ X)) < 1e-9
@@ -49,7 +46,7 @@ def test_exact_mode_matches_matrix_multiply():
 
 def test_on_grid_beam_lands_in_bin_5():
     B = 64
-    x = steering(2 * np.pi * 5 / B, B) / np.sqrt(B)
+    x = np.exp(1j * (2 * np.pi * 5 / B) * np.arange(B)) / np.sqrt(B)
     y = to_beamspace(x)
     assert abs(abs(y[5]) - 1.0) < 1e-9
     assert np.max(np.abs(np.delete(y, 5))) < 1e-9

@@ -6,16 +6,13 @@ import pytest
 from spadesim.beamspace import to_beamspace
 from spadesim.channel import (
     ChannelMatrix,
-    PathSet,
+    _draw_paths,
+    _synth,
     draw_channel_matrix,
-    draw_profile,
     load_channel,
-    map_qam,
     qam_demodulate,
     qam_modulate,
     save_channel,
-    steering,
-    synth_channel,
     synth_receive,
 )
 from spadesim.harness import RunConfig
@@ -38,43 +35,50 @@ def test_system_config_invariants():
         RunConfig(Es=0.0)
 
 
+def synth_one(gains, freqs, B):
+    """One user's channel from its path gains and spatial frequencies."""
+    return _synth(np.array([gains], dtype=complex), np.array([freqs], dtype=float), B)[0]
+
+
 def test_steering_trivial():
-    assert np.array_equal(steering(0.0, 4), np.ones(4, dtype=complex))
-    assert np.array_equal(steering(1.234, 1), np.ones(1, dtype=complex))
+    # a single unit-gain path is the array response [1, e^{j phi}, ..., e^{j (B-1) phi}]
+    assert np.array_equal(synth_one([1.0 + 0j], [0.0], 4), np.ones(4, dtype=complex))
+    assert np.array_equal(synth_one([1.0 + 0j], [1.234], 1), np.ones(1, dtype=complex))
     with pytest.raises(ValueError):
-        steering(0.0, 0)
+        synth_one([1.0 + 0j], [0.0], 0)
 
 
 def test_steering_entries_unit_magnitude():
-    v = steering(0.7718, 64)
+    v = synth_one([1.0 + 0j], [0.7718], 64)
     assert np.max(np.abs(np.abs(v) - 1.0)) <= 1e-15
 
 
 def test_steering_on_grid_orthogonality():
     B = 64
     for k, m in [(3, 7), (0, 1), (10, 53)]:
-        a = steering(2 * np.pi * k / B, B)
-        b = steering(2 * np.pi * m / B, B)
+        a = synth_one([1.0 + 0j], [2 * np.pi * k / B], B)
+        b = synth_one([1.0 + 0j], [2 * np.pi * m / B], B)
         assert abs(np.vdot(a, b)) < 1e-9
 
 
 def test_synth_channel_single_path():
-    h = synth_channel(PathSet(gains=[1.0 + 0j], freqs=[0.0]), B=8)
+    h = synth_one([1.0 + 0j], [0.0], B=8)
     assert np.allclose(h, np.ones(8), atol=1e-12)
     assert abs(np.linalg.norm(h) ** 2 - 8) < 1e-9
 
 
 def test_synth_channel_matches_independent_summation():
-    paths = PathSet(gains=[0.8 - 0.1j, -0.3 + 0.4j], freqs=[0.31, -2.2])
+    gains, freqs = [0.8 - 0.1j, -0.3 + 0.4j], [0.31, -2.2]
     B = 16
-    expected = paths.gains[0] * steering(0.31, B) + paths.gains[1] * steering(-2.2, B)
+    n = np.arange(B)
+    expected = gains[0] * np.exp(1j * 0.31 * n) + gains[1] * np.exp(1j * -2.2 * n)
     expected *= np.sqrt(B) / np.linalg.norm(expected)
-    assert np.allclose(synth_channel(paths, B), expected, atol=1e-12)
+    assert np.allclose(synth_one(gains, freqs, B), expected, atol=1e-12)
 
 
 def test_synth_channel_on_grid_beam():
     B, k = 64, 5
-    h = synth_channel(PathSet(gains=[1.0 + 0j], freqs=[2 * np.pi * k / B]), B)
+    h = synth_one([1.0 + 0j], [2 * np.pi * k / B], B)
     beams = to_beamspace(h)
     # single on-grid path concentrates all energy in one DFT bin
     assert abs(abs(beams[k]) - np.sqrt(B)) < 1e-9
@@ -84,30 +88,28 @@ def test_synth_channel_on_grid_beam():
 
 def test_synth_channel_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
-        synth_channel(PathSet(gains=[0.0 + 0j, 0.0 + 0j], freqs=[0.1, 0.2]), B=4)
-    with pytest.raises(ValueError):
-        synth_channel(PathSet(gains=np.ones(5, dtype=complex), freqs=np.zeros(5)), B=4)
+        synth_one([0.0 + 0j, 0.0 + 0j], [0.1, 0.2], B=4)
 
 
 def test_norm_invariant_over_profiles():
     rng = np.random.default_rng(21)
     for kind in ("los", "nlos"):
         for _ in range(50):
-            h = synth_channel(draw_profile(kind, rng), B=64)
+            h = _synth(*_draw_paths(kind, 1, rng), B=64)[0]
             assert abs(np.linalg.norm(h) ** 2 - 64) < 1e-9
 
 
 def test_draw_profile_structure():
     rng = np.random.default_rng(22)
-    los = draw_profile("los", rng)
+    [los], _ = _draw_paths("los", 1, rng)
     assert len(los) == 3
     # dominant path holds 10 dB more power than the reflections combined
-    ratio = abs(los.gains[0]) ** 2 / np.sum(np.abs(los.gains[1:]) ** 2)
+    ratio = abs(los[0]) ** 2 / np.sum(np.abs(los[1:]) ** 2)
     assert abs(10 * np.log10(ratio) - 10.0) < 1e-9
-    nlos = draw_profile("nlos", rng)
+    [nlos], _ = _draw_paths("nlos", 1, rng)
     assert len(nlos) == 12
     with pytest.raises(ValueError):
-        draw_profile("urban", rng)
+        _draw_paths("urban", 1, rng)
 
 
 def test_los_beamspace_sparser_than_nlos():
@@ -118,7 +120,7 @@ def test_los_beamspace_sparser_than_nlos():
     for kind in ("los", "nlos"):
         total = 0.0
         for _ in range(draws):
-            h = synth_channel(draw_profile(kind, rng), B)
+            h = _synth(*_draw_paths(kind, 1, rng), B)[0]
             p = np.abs(np.fft.fft(h) / np.sqrt(B)) ** 2
             p.sort()
             total += p[-8:].sum() / p.sum()
@@ -127,17 +129,17 @@ def test_los_beamspace_sparser_than_nlos():
 
 
 def test_map_qam_energy_and_gray_structure():
-    sv = map_qam(np.array([[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)]).reshape(-1), 16, 1.0)
-    assert abs(np.mean(np.abs(sv.symbols) ** 2) - 1.0) < 1e-12
+    symbols = qam_modulate(np.array([[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)]), 16, 1.0)
+    assert abs(np.mean(np.abs(symbols) ** 2) - 1.0) < 1e-12
     # independently constructed Gray constellation agrees point by point
     oracle = qam_constellation(16, 1.0)
     for bits, point in oracle.items():
-        got = map_qam(np.array(bits), 16, 1.0).symbols[0]
+        got = qam_modulate(np.array([bits]), 16, 1.0)[0]
         assert abs(got - point) < 1e-12
 
 
 def test_qpsk_equal_magnitudes():
-    pts = [map_qam(np.array(b), 4, 1.0).symbols[0] for b in ([0, 0], [0, 1], [1, 0], [1, 1])]
+    pts = [qam_modulate(np.array([b]), 4, 1.0)[0] for b in ([0, 0], [0, 1], [1, 0], [1, 1])]
     mags = [abs(p) for p in pts]
     assert max(mags) - min(mags) < 1e-12
     assert len({(round(p.real, 9), round(p.imag, 9)) for p in pts}) == 4
@@ -173,9 +175,9 @@ def test_qam_demodulate_rejects_nan():
 
 def test_map_qam_validation():
     with pytest.raises(ValueError):
-        map_qam(np.zeros(4, dtype=np.uint8), 8, 1.0)
+        qam_modulate(np.zeros((1, 4), dtype=np.uint8), 8, 1.0)
     with pytest.raises(ValueError):
-        map_qam(np.zeros(3, dtype=np.uint8), 4, 1.0)
+        qam_modulate(np.zeros((1, 3), dtype=np.uint8), 4, 1.0)
 
 
 def test_synth_receive_noise_free():
@@ -205,7 +207,7 @@ def test_receive_snr_matches_convention():
     draws = 10_000
     for _ in range(draws):
         H = draw_channel_matrix("nlos", B, U, rng)
-        s = map_qam(rng.integers(0, 2, size=U * 4, dtype=np.uint8), 16, Es).symbols
+        s = qam_modulate(rng.integers(0, 2, size=(U, 4), dtype=np.uint8), 16, Es)
         sig_power += np.mean(np.abs(H.entries @ s) ** 2)
     snr_est = (sig_power / draws) / n0
     snr_cfg = U * Es / n0

@@ -11,6 +11,7 @@ from spadesim.datapath import (
     simulate_stream,
     throughput_bps,
 )
+from spadesim.cli import main as cli_main
 from spadesim.equalizer import ActivityReport, equalize_tagged
 from spadesim.numerics import QFormat
 
@@ -153,6 +154,28 @@ def test_effective_throughput():
         effective_throughput(720e6, 16, 16, 0)
 
 
+def test_arithmetic_rejects_non_physical_inputs(capsys):
+    # a negative user count or clock used to give a negative throughput
+    for U in (0, -3):
+        with pytest.raises(ValueError, match="U must be"):
+            throughput_bps(720e6, U, 16)
+        with pytest.raises(ValueError, match="U must be"):
+            effective_throughput(720e6, U, 16, 1000)
+    for clock in (0.0, -5.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="clock_hz"):
+            throughput_bps(clock, 16, 16)
+        with pytest.raises(ValueError, match="clock_hz"):
+            effective_throughput(clock, 16, 16, 1000)
+    for B in (0, -4):
+        with pytest.raises(ValueError, match="B must be"):
+            PipelineConfig().latency(B)
+    for argv in (["--u", "-3"], ["--clock-hz", "-5"], ["--clock-hz", "-5", "--b", "0"]):
+        assert cli_main(["datapath", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def fake_report(rate):
     total = 1000
     return ActivityReport(executed=int(rate * total), total=total,
@@ -178,10 +201,10 @@ def test_power_proxy_saving_bracket_on_los():
     # default coefficients calibrate lmmse-b to the same proxy as lmmse-a
     # (fft term zero, activity 1.0 in both); the saving of the power-saving
     # mode on LoS channels should land in a broad 15..45% bracket
-    from spadesim.harness import RunConfig, mean_activity
+    from spadesim.harness import RunConfig, activity_grid
 
     cfg = RunConfig(B=64, U=16, M=16, channel="los", seed=1)
-    act = mean_activity(cfg, "lmmse-spade", snr_db=11.1, draws=200)
+    act = activity_grid(cfg, "lmmse-spade", 11.1, [cfg.tau_w], [cfg.tau_y], draws=200)[0, 0]
     coeffs = PowerCoeffs()
     full = power_proxy(fake_report(1.0), coeffs, fft_active=True)
     assert full == power_proxy(fake_report(1.0), coeffs, fft_active=False)

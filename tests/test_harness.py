@@ -22,8 +22,6 @@ from spadesim.harness import (
     derive_stream,
     emit_report,
     emit_sweep,
-    load_report_json,
-    mean_activity,
     render_report,
     run_ber,
     snr_operating_point,
@@ -226,18 +224,40 @@ def test_activity_grid_monotone_small():
 
 def test_activity_matches_run_ber_accounting():
     cfg = small_cfg(tau_w=0.05, tau_y=0.05)
-    act = mean_activity(cfg, "lmmse-spade", 10.0, draws=100, vectors_per_draw=4)
+    act = activity_grid(cfg, "lmmse-spade", 10.0, [0.05], [0.05], draws=100, vectors_per_draw=4)[0, 0]
     assert 0.0 < act <= 1.0
     # non-spade modes never skip
-    assert mean_activity(cfg, "lmmse-b", 10.0, draws=5) == 1.0
+    assert activity_grid(cfg, "lmmse-b", 10.0, [0.05], [0.05], draws=5)[0, 0] == 1.0
 
 
 def test_activity_los_below_nlos():
     snr = 12.0
     kw = dict(draws=300, vectors_per_draw=2)
-    los = mean_activity(small_cfg(tau_w=0.05, tau_y=0.05), "lmmse-spade", snr, **kw)
-    nlos = mean_activity(small_cfg(tau_w=0.05, tau_y=0.05, channel="nlos"), "lmmse-spade", snr, **kw)
+    cfg = small_cfg(tau_w=0.05, tau_y=0.05)
+    los = activity_grid(cfg, "lmmse-spade", snr, [0.05], [0.05], **kw)[0, 0]
+    nlos = activity_grid(replace(cfg, channel="nlos"), "lmmse-spade", snr, [0.05], [0.05], **kw)[0, 0]
     assert los < nlos
+
+
+def test_activity_needs_draws_and_vectors(tmp_path, capsys):
+    # an empty draw axis gave a NaN mean activity (and two RuntimeWarnings)
+    cfg = small_cfg(B=4, U=1)
+    for draws, vectors in ((0, 2), (2, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            activity_grid(cfg, "lmmse-spade", 10.0, [0.1], [0.1], draws=draws,
+                          vectors_per_draw=vectors)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            threshold_sweep(cfg, [0.1], [0.1], activity_draws=draws, vectors_per_draw=vectors,
+                            probe_cap=200)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        activity_grid(cfg, "lmmse-b", 10.0, [0.1], [0.1], draws=0)
+    out = tmp_path / "s.csv"
+    rc = cli_main(["sweep", "--b", "4", "--u", "1", "--mod", "4", "--tau-w-grid", "0.1",
+                   "--tau-y-grid", "0.1", "--activity-draws", "0", "--probe-cap", "200",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_threshold_sweep_tiny(tmp_path):
@@ -329,11 +349,11 @@ def test_report_json_round_trip(tmp_path):
     rep = fixed_report()
     path = str(tmp_path / "rep.json")
     emit_report(rep, path, "json")
-    rows = load_report_json(path)
+    with open(path, encoding="ascii") as f:
+        doc = json.load(f)
     from spadesim.harness import report_rows
 
-    assert rows == report_rows(rep)
-    doc = json.loads(open(path).read())
+    assert doc["rows"] == report_rows(rep)
     assert doc["schema_version"] == 1
 
 

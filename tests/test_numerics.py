@@ -1,11 +1,12 @@
-"""Fixed-point arithmetic: quantization, exact products, componentwise norm."""
+"""Fixed-point arithmetic: quantization, the raw form, exact products."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spadesim.numerics import QFormat, linf_tilde, quantize_raw
+from spadesim.equalizer import build_weights, tag_input
+from spadesim.numerics import INPUT_FMT, WEIGHT_FMT, QFormat, quantize_raw
 
 from reference import ComplexFixed, FixedScalar, fixed_mul, nearest_representable, quantize
 
@@ -72,6 +73,20 @@ def test_quantize_error_bound_and_saturation():
     assert err.max() <= 2.0 ** (-fmt.frac_bits - 1) + 1e-15
     assert quantize(100.0, fmt).raw == fmt.max_raw
     assert quantize(-100.0, fmt).raw == fmt.min_raw
+    # the raw form: integer-valued float64, zero always +0.0
+    assert raws.dtype == np.float64 and np.array_equal(raws, np.trunc(raws))
+    near_zero = np.array([-0.0, -fmt.step / 4, -np.nextafter(fmt.step / 2, 0.0), -fmt.step / 2])
+    assert not np.signbit(quantize_raw(near_zero, fmt)).any()
+    # ties and saturation as the exhaustive scan decides them
+    edges = np.array([(k + 0.5) * fmt.step for k in range(-6, 6)]
+                     + [fmt.min_value - fmt.step / 2, fmt.max_value + fmt.step / 2, 100.0, -100.0])
+    assert quantize_raw(edges, fmt).tolist() == [nearest_representable(float(x), 12, 9)
+                                                 for x in edges]
+    # and the datapath's raws keep it
+    w = build_weights(np.full((2, 4), 0.3 - 0.6j), np.ones(2), 0.1, WEIGHT_FMT, "beamspace")
+    y = tag_input(np.full((4, 3), -1e-4 + 2.5j), 0.1, INPUT_FMT)
+    assert all(a.dtype == np.float64 for a in (w.re, w.im, y.re, y.im))
+    assert not np.signbit(y.re).any()
 
 
 def test_quantize_ties_to_even():
@@ -117,26 +132,3 @@ def test_complex_fixed_shares_format():
     assert z.value == 0.5 - 0.25j
     with pytest.raises(ValueError):
         ComplexFixed(quantize(0.5, fmt), quantize(0.5, QFormat(12, 9)))
-
-
-def test_linf_tilde_examples():
-    assert linf_tilde([3 + 4j, -5 + 1j]) == 5.0
-    assert linf_tilde(np.zeros(8, dtype=complex)) == 0.0
-    with pytest.raises(ValueError, match="empty"):
-        linf_tilde([])
-
-
-def test_linf_tilde_matches_brute_force():
-    rng = np.random.default_rng(15)
-    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    brute = max(max(abs(z.real), abs(z.imag)) for z in v)
-    assert linf_tilde(v) == brute
-
-
-def test_linf_tilde_scales_with_real_factor():
-    rng = np.random.default_rng(16)
-    v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    base = linf_tilde(v)
-    assert linf_tilde(4.0 * v) == 4.0 * base  # power of two: exact
-    c = 1.7
-    assert abs(linf_tilde(c * v) - c * base) < 1e-12

@@ -26,15 +26,12 @@ from spadesim.beamspace import TwiddleConfig, _radix4, to_beamspace
 from spadesim.channel import (
     MODES,
     QAM_ORDERS,
-    PathSet,
     _qam_table,
     draw_channel_matrix,
-    draw_profile,
     load_channel,
     qam_demodulate,
     qam_modulate,
     qam_scale,
-    synth_channel,
 )
 from spadesim.cli import _CONFIG_PARSERS, _effective
 from spadesim.equalizer import (
@@ -227,13 +224,6 @@ def test_batched_channel_matches_per_user_synthesis(args):
     H = draw_channel_matrix(kind, B, U, np.random.default_rng(seed)).entries
     assert H.shape == (B, U) and H.flags.c_contiguous
     assert H.tobytes() == draw_channel_matrix_per_user(kind, B, U, np.random.default_rng(seed)).tobytes()
-    # the public one-user views over the same stream: truncate to B paths, then synthesize
-    rng = np.random.default_rng(seed)
-    cols = []
-    for _ in range(U):
-        p = draw_profile(kind, rng)
-        cols.append(synth_channel(PathSet(gains=p.gains[:B], freqs=p.freqs[:B]), B))
-    assert H.tobytes() == np.stack(cols, axis=1).tobytes()
 
 
 @PROPS
