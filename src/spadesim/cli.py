@@ -1,15 +1,21 @@
-"""Command-line interface: ber, sweep, opoint, and datapath subcommands."""
+"""Command-line interface: ber, sweep, opoint, and datapath subcommands.
+
+Each option is declared once, in ``_OPTIONS``. Flag values arrive as text and
+go through the same parser as config-file values, so both fail the same way.
+"""
 
 from __future__ import annotations
 
 import argparse
 import math
 import sys
+from typing import Callable, NamedTuple
 
-import numpy as np
-
+from .channel import MODES
 from .datapath import PipelineConfig, effective_throughput, throughput_bps
 from .harness import (
+    CHANNEL_KINDS,
+    REPORT_FORMATS,
     RunConfig,
     StopRule,
     default_grid,
@@ -36,35 +42,67 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r} (use true/false, 1/0 or yes/no)")
 
 
-def _parse_grid(text: str | None) -> np.ndarray:
-    if text is None:
-        return default_grid()
-    return np.array([float(t) for t in text.split(",")])
+def _parse_grid(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(","))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--mode", choices=["lmmse-a", "lmmse-b", "lmmse-spade"])
-    p.add_argument("--b", type=int, help="basestation antennas (power of 4)")
-    p.add_argument("--u", type=int, help="number of users")
-    p.add_argument("--mod", type=int, help="QAM order (4/16/64/256)")
-    p.add_argument("--channel", choices=["los", "nlos", "file"])
-    p.add_argument("--channel-file", help="path for --channel file")
-    p.add_argument("--tau-w", type=float, help="weight threshold")
-    p.add_argument("--tau-y", type=float, help="input threshold")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--weight-fmt", type=_parse_fmt, metavar="T:F")
-    p.add_argument("--input-fmt", type=_parse_fmt, metavar="T:F")
-    p.add_argument("--twiddle-fmt", type=_parse_fmt, metavar="T:F")
-    p.add_argument("--exact-fft", action="store_true", default=None)
-    p.add_argument("--float", dest="float_mode", action="store_true", default=None,
-                   help="disable all quantization (infinite-precision mode)")
-    p.add_argument("--vectors-per-block", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--target-errors", type=int)
-    p.add_argument("--max-vectors", type=int)
-    p.add_argument("--out", help="output path, or - for stdout")
-    p.add_argument("--format", choices=["csv", "json"], dest="out_format")
+def _choice(values: tuple[str, ...]) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in values:
+            raise ValueError(f"{text!r} is not one of {', '.join(values)}")
+        return text
+    return parse
+
+
+class _Option(NamedTuple):
+    parse: Callable[[str], object]  # _parse_bool makes the flag a switch
+    field: str | None  # the RunConfig field it sets
+    help: str
+
+
+_OPTIONS = {
+    "mode": _Option(_choice(MODES), None, "one of " + ", ".join(MODES)),
+    "b": _Option(int, "B", "basestation antennas (power of 4)"),
+    "u": _Option(int, "U", "number of users"),
+    "mod": _Option(int, "M", "QAM order (4/16/64/256)"),
+    "channel": _Option(_choice(CHANNEL_KINDS), "channel", "one of " + ", ".join(CHANNEL_KINDS)),
+    "channel_file": _Option(str, "channel_file", "path for --channel file"),
+    "tau_w": _Option(float, "tau_w", "weight threshold"),
+    "tau_y": _Option(float, "tau_y", "input threshold"),
+    "seed": _Option(int, "seed", "master seed"),
+    "weight_fmt": _Option(_parse_fmt, "weight_fmt", "weight format T:F"),
+    "input_fmt": _Option(_parse_fmt, "input_fmt", "input format T:F"),
+    "twiddle_fmt": _Option(_parse_fmt, "twiddle_fmt", "FFT twiddle format T:F"),
+    "exact_fft": _Option(_parse_bool, "exact_fft", "exact DFT instead of the radix-4"),
+    "float": _Option(_parse_bool, None, "disable all quantization (infinite-precision mode)"),
+    "vectors_per_block": _Option(int, "vectors_per_block", "vectors per coherence block"),
+    "workers": _Option(int, "workers", "worker threads"),
+    "target_errors": _Option(int, None, "stop a point at this many bit errors"),
+    "max_vectors": _Option(int, None, "stop a point at this many vectors"),
+    "snr_start": _Option(float, None, "first SNR in dB"),
+    "snr_stop": _Option(float, None, "last SNR in dB"),
+    "snr_step": _Option(float, None, "SNR step in dB"),
+    "tau_w_grid": _Option(_parse_grid, None, "comma-separated thresholds"),
+    "tau_y_grid": _Option(_parse_grid, None, "comma-separated thresholds"),
+    "target_ber": _Option(float, None, "target uncoded BER"),
+    "activity_draws": _Option(int, None, "channel draws per activity measurement"),
+    "probe_cap": _Option(int, None, "vectors per SNR probe at most"),
+    "clock_hz": _Option(float, None, "clock frequency in Hz"),
+    "coherence": _Option(int, None, "vectors per coherence interval for effective throughput"),
+    "out": _Option(str, None, "output path, or - for stdout"),
+    "format": _Option(_choice(REPORT_FORMATS), None, "one of " + ", ".join(REPORT_FORMATS)),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _parse(key: str, text: str):
+    try:
+        return _OPTIONS[key].parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{_flag(key)}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -81,58 +119,31 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_PARSERS = {
-    "mode": str, "b": int, "u": int, "mod": int, "channel": str,
-    "channel_file": str, "tau_w": float, "tau_y": float, "seed": int,
-    "weight_fmt": _parse_fmt, "input_fmt": _parse_fmt, "twiddle_fmt": _parse_fmt,
-    "exact_fft": _parse_bool,
-    "float": _parse_bool,
-    "vectors_per_block": int, "workers": int,
-    "target_errors": int, "max_vectors": int,
-    "snr_start": float, "snr_stop": float, "snr_step": float,
-    "target_ber": float, "tau_w_grid": str, "tau_y_grid": str,
-    "activity_draws": int, "probe_cap": int,
-    "out": str, "format": str, "clock_hz": float, "coherence": int,
-}
-
-
 def _effective(args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < explicit flags."""
+    """Parsed options: the config file's, overridden by the flags given."""
     merged: dict = {}
     if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        for key, text in raw.items():
-            if key not in _CONFIG_PARSERS:
+        for key, text in _read_config_file(args.config).items():
+            if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key if key != "float" else "float_mode"] = _CONFIG_PARSERS[key](text)
-            if key == "format":
-                merged["out_format"] = merged.pop("format")
-    for key, val in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if val is not None:
-            merged[key] = val
+            merged[key] = _parse(key, text)
+    for key, text in vars(args).items():
+        if key in _OPTIONS and text is not None:
+            # argparse passes the value of --flag=-- on as []
+            merged[key] = _parse(key, "--" if text == [] else text)
     return merged
 
 
+def _given(opt: dict, *keys: str) -> dict:
+    """The options among ``keys`` the user gave; the library defaults the rest."""
+    return {k: opt[k] for k in keys if k in opt}
+
+
 def _run_config(opt: dict) -> RunConfig:
-    kwargs = {}
-    for src, dst in [("b", "B"), ("u", "U"), ("mod", "M"), ("channel", "channel"),
-                     ("channel_file", "channel_file"), ("tau_w", "tau_w"),
-                     ("tau_y", "tau_y"), ("seed", "seed"), ("weight_fmt", "weight_fmt"),
-                     ("input_fmt", "input_fmt"), ("twiddle_fmt", "twiddle_fmt"),
-                     ("vectors_per_block", "vectors_per_block"), ("workers", "workers")]:
-        if src in opt:
-            kwargs[dst] = opt[src]
-    if opt.get("exact_fft"):
-        kwargs["exact_fft"] = True
-    if opt.get("float_mode"):
-        kwargs["quantized"] = False
+    kwargs = {o.field: opt[key] for key, o in _OPTIONS.items() if o.field and key in opt}
+    if "float" in opt:
+        kwargs["quantized"] = not opt["float"]
     return RunConfig(**kwargs)
-
-
-def _stop_rule(opt: dict) -> StopRule:
-    return StopRule(**{k: opt[k] for k in ("target_errors", "max_vectors") if k in opt})
 
 
 def _snr_list(opt: dict) -> list[float]:
@@ -156,54 +167,41 @@ def _write_out(text: str, path: str | None) -> None:
             f.write(text)
 
 
-def cmd_ber(args: argparse.Namespace) -> int:
-    opt = _effective(args)
-    cfg = _run_config(opt)
-    mode = opt.get("mode", "lmmse-spade")
-    report = run_ber(cfg, _snr_list(opt), mode, _stop_rule(opt))
-    _write_out(render_report(report, opt.get("out_format", "csv")), opt.get("out"))
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    opt = _effective(args)
-    cfg = _run_config(opt)
-    mode = opt.get("mode", "lmmse-spade")
-    records = threshold_sweep(
-        cfg,
-        _parse_grid(opt.get("tau_w_grid")),
-        _parse_grid(opt.get("tau_y_grid")),
-        mode=mode,
-        target_ber=opt.get("target_ber", 0.01),
-        activity_draws=opt.get("activity_draws", 1000),
-        probe_cap=opt.get("probe_cap", 100_000),
-    )
-    out = opt.get("out")
-    if out is None or out == "-":
-        raise ValueError("sweep needs --out path for its CSV artifact")
-    emit_sweep(records, out)
-    return 0
-
-
-def cmd_opoint(args: argparse.Namespace) -> int:
-    opt = _effective(args)
-    cfg = _run_config(opt)
-    mode = opt.get("mode", "lmmse-spade")
-    op = snr_operating_point(cfg, mode, target_ber=opt.get("target_ber", 0.01),
-                             probe_cap=opt.get("probe_cap", 200_000))
-    text = "unreached\n" if op is None else f"{op!r}\n"
+def cmd_ber(opt: dict) -> int:
+    report = run_ber(_run_config(opt), _snr_list(opt), opt.get("mode", "lmmse-spade"),
+                     StopRule(**_given(opt, "target_errors", "max_vectors")))
+    text = render_report(report, opt["format"]) if "format" in opt else render_report(report)
     _write_out(text, opt.get("out"))
     return 0
 
 
-def cmd_datapath(args: argparse.Namespace) -> int:
-    opt = _effective(args)
-    u = opt.get("u", 16)
-    mod = opt.get("mod", 16)
-    b = opt.get("b", 64)
+def cmd_sweep(opt: dict) -> int:
+    out = opt.get("out")
+    if out is None or out == "-":
+        raise ValueError("sweep needs --out path for its CSV artifact")
+    records = threshold_sweep(
+        _run_config(opt),
+        opt.get("tau_w_grid", default_grid()),
+        opt.get("tau_y_grid", default_grid()),
+        **_given(opt, "mode", "target_ber", "activity_draws", "probe_cap"),
+    )
+    emit_sweep(records, out)
+    return 0
+
+
+def cmd_opoint(opt: dict) -> int:
+    op = snr_operating_point(_run_config(opt), opt.get("mode", "lmmse-spade"),
+                             **_given(opt, "target_ber", "probe_cap"))
+    _write_out("unreached\n" if op is None else f"{op!r}\n", opt.get("out"))
+    return 0
+
+
+def cmd_datapath(opt: dict) -> int:
+    u = opt.get("u", RunConfig.U)
+    mod = opt.get("mod", RunConfig.M)
     clock = opt.get("clock_hz", 720e6)
     coherence = opt.get("coherence", 1000)
-    latency = PipelineConfig(clock_hz=clock).latency(b)
+    latency = PipelineConfig().latency(opt.get("b", RunConfig.B))
     peak = throughput_bps(clock, u, mod)
     eff = effective_throughput(clock, u, mod, coherence, latency_cycles=latency)
     lines = [
@@ -217,51 +215,42 @@ def cmd_datapath(args: argparse.Namespace) -> int:
     return 0
 
 
+_RUN_KEYS = ("mode", "b", "u", "mod", "channel", "channel_file", "tau_w", "tau_y", "seed",
+             "weight_fmt", "input_fmt", "twiddle_fmt", "exact_fft", "float",
+             "vectors_per_block", "workers", "target_errors", "max_vectors", "out", "format")
+
+_COMMANDS = {
+    "ber": (cmd_ber, "Monte Carlo BER over an SNR sweep",
+            _RUN_KEYS + ("snr_start", "snr_stop", "snr_step")),
+    "sweep": (cmd_sweep, "threshold-pair sweep (activity vs operating point)",
+              _RUN_KEYS + ("tau_w_grid", "tau_y_grid", "target_ber", "activity_draws",
+                           "probe_cap")),
+    "opoint": (cmd_opoint, "minimum SNR reaching a target BER",
+               _RUN_KEYS + ("target_ber", "probe_cap")),
+    "datapath": (cmd_datapath, "cycle and throughput arithmetic",
+                 ("b", "u", "mod", "clock_hz", "coherence", "out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spadesim",
                                      description="Sparsity-adaptive beamspace equalizer simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ber = sub.add_parser("ber", help="Monte Carlo BER over an SNR sweep")
-    _add_common(p_ber)
-    p_ber.add_argument("--snr-start", type=float)
-    p_ber.add_argument("--snr-stop", type=float)
-    p_ber.add_argument("--snr-step", type=float)
-    p_ber.set_defaults(func=cmd_ber)
-
-    p_sweep = sub.add_parser("sweep", help="threshold-pair sweep (activity vs operating point)")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--tau-w-grid", help="comma-separated thresholds")
-    p_sweep.add_argument("--tau-y-grid", help="comma-separated thresholds")
-    p_sweep.add_argument("--target-ber", type=float)
-    p_sweep.add_argument("--activity-draws", type=int)
-    p_sweep.add_argument("--probe-cap", type=int)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_op = sub.add_parser("opoint", help="minimum SNR reaching a target BER")
-    _add_common(p_op)
-    p_op.add_argument("--target-ber", type=float)
-    p_op.add_argument("--probe-cap", type=int)
-    p_op.set_defaults(func=cmd_opoint)
-
-    p_dp = sub.add_parser("datapath", help="cycle and throughput arithmetic")
-    p_dp.add_argument("--config", help="key=value config file; flags override it")
-    p_dp.add_argument("--b", type=int)
-    p_dp.add_argument("--u", type=int)
-    p_dp.add_argument("--mod", type=int)
-    p_dp.add_argument("--clock-hz", type=float)
-    p_dp.add_argument("--coherence", type=int,
-                      help="vectors per coherence interval for effective throughput")
-    p_dp.add_argument("--out")
-    p_dp.set_defaults(func=cmd_datapath)
+    for name, (func, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for key in keys:
+            opt = _OPTIONS[key]
+            switch = dict(action="store_const", const="true") if opt.parse is _parse_bool else {}
+            p.add_argument(_flag(key), help=opt.help, **switch)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_effective(args))
     except Exception as exc:  # one-line machine-parsable failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,20 +21,11 @@ from .equalizer import ActivityReport, BeamVector, EqualizerWeights, equalize_ta
 class PipelineConfig:
     """Pipeline depth of the multiplier array and its adder tree."""
 
-    input_reg_stages: int = 1
-    tree_stages: int | None = None  # None: one register per two adder layers
-    clock_hz: float = 720e6
-
     def latency(self, B: int) -> int:
+        """Drain cycles: one input register stage, then one register per two adder layers."""
         if B < 1:
             raise ValueError("B must be >= 1")
-        tree = self.tree_stages
-        if tree is None:
-            tree = math.ceil(math.log2(B) / 2) if B > 1 else 0
-        lat = self.input_reg_stages + tree
-        if lat < 1:
-            raise ValueError("pipeline latency must be at least 1 cycle")
-        return lat
+        return 1 + math.ceil(math.log2(B) / 2)
 
 
 class MuteTrace:
@@ -136,6 +127,8 @@ def effective_throughput(clock_hz: float, U: int, M: int, coherence_vectors: int
     """Throughput once the U-cycle weight reload per coherence block is amortized."""
     if coherence_vectors < 1:
         raise ValueError("coherence_vectors must be >= 1")
+    if latency_cycles < 0:
+        raise ValueError("latency_cycles must be >= 0")
     peak = throughput_bps(clock_hz, U, M)
     return peak * coherence_vectors / (coherence_vectors + U + latency_cycles)
 

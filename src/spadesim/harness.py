@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,6 +55,7 @@ DEFAULT_TAU_W = 53 / 512
 DEFAULT_TAU_Y = 1 / 2
 
 CHANNEL_KINDS = ("los", "nlos", "file")
+REPORT_FORMATS = ("csv", "json")
 
 _P_BER = 1
 _P_ACTIVITY = 2
@@ -97,7 +99,7 @@ class RunConfig:
     B: int = 64
     U: int = 16
     M: int = 16
-    Es: float = 1.0
+    Es: ClassVar[float] = 1.0  # symbol energy, fixed by the SNR convention
     channel: str = "los"
     channel_file: str | None = None
     tau_w: float = DEFAULT_TAU_W
@@ -108,7 +110,7 @@ class RunConfig:
     twiddle_fmt: QFormat = TWIDDLE_FMT
     exact_fft: bool = False
     quantized: bool = True
-    epsilon: float = 2.0**-10
+    epsilon: ClassVar[float] = 2.0**-10  # row-scaling guard, see scale_rows
     vectors_per_block: int = 100
     workers: int = 1
 
@@ -119,8 +121,6 @@ class RunConfig:
             raise ValueError(f"U must be in [1, B], got {self.U}")
         if self.M not in QAM_ORDERS:
             raise ValueError(f"M must be one of {QAM_ORDERS}, got {self.M}")
-        if self.Es <= 0:
-            raise ValueError("Es must be positive")
         if self.channel not in CHANNEL_KINDS:
             raise ValueError(f"channel must be one of {CHANNEL_KINDS}")
         if self.channel == "file" and not self.channel_file:
@@ -604,16 +604,16 @@ def _csv_cell(v) -> str:
 
 
 def render_report(report: RunReport, fmt: str = "csv") -> str:
-    """Serialize a run report; byte-stable for a fixed report."""
+    """Serialize a run report in one of ``REPORT_FORMATS``; byte-stable for a fixed report."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
     rows = report_rows(report)
-    if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[k]) for k in _CSV_HEADER.split(",")))
-        return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps({"schema_version": 1, "rows": rows}, sort_keys=True, indent=2) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+    lines = [_CSV_HEADER]
+    for row in rows:
+        lines.append(",".join(_csv_cell(row[k]) for k in _CSV_HEADER.split(",")))
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(report: RunReport, path: str, fmt: str = "csv") -> None:

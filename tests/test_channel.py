@@ -23,16 +23,14 @@ from reference import qam_constellation
 def test_system_config_invariants():
     # RunConfig holds no mode or N0: run_ber checks the mode (test_harness)
     # and derives N0 from each SNR
-    RunConfig(B=64, U=16, M=16, Es=1.0, seed=3)
-    RunConfig(B=1, U=1, M=4, Es=1.0, seed=0)
+    RunConfig(B=64, U=16, M=16, seed=3)
+    RunConfig(B=1, U=1, M=4, seed=0)
     with pytest.raises(ValueError):
         RunConfig(B=32)  # not a power of 4
     with pytest.raises(ValueError):
         RunConfig(B=16, U=17)
     with pytest.raises(ValueError):
         RunConfig(M=8)
-    with pytest.raises(ValueError):
-        RunConfig(Es=0.0)
 
 
 def synth_one(gains, freqs, B):

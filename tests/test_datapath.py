@@ -132,9 +132,6 @@ def test_pipeline_latency_defaults():
     assert cfg.latency(64) == 4   # 1 input stage + ceil(6/2) tree stages
     assert cfg.latency(16) == 3
     assert cfg.latency(1) == 1
-    assert PipelineConfig(tree_stages=5).latency(64) == 6
-    with pytest.raises(ValueError):
-        PipelineConfig(input_reg_stages=0, tree_stages=0).latency(4)
 
 
 def test_throughput_table_values():
@@ -166,6 +163,13 @@ def test_arithmetic_rejects_non_physical_inputs(capsys):
             throughput_bps(clock, 16, 16)
         with pytest.raises(ValueError, match="clock_hz"):
             effective_throughput(clock, 16, 16, 1000)
+    # a negative latency used to divide by zero (-17 with U = 16 and one vector)
+    # or return more than the peak (-20 with 1000 vectors)
+    for latency in (-1, -17, -20):
+        with pytest.raises(ValueError, match="latency_cycles"):
+            effective_throughput(720e6, 16, 16, 1, latency_cycles=latency)
+    with pytest.raises(ValueError, match="latency_cycles"):
+        effective_throughput(720e6, 16, 16, 1000, latency_cycles=-20)
     for B in (0, -4):
         with pytest.raises(ValueError, match="B must be"):
             PipelineConfig().latency(B)

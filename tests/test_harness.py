@@ -424,7 +424,7 @@ def test_cli_stdout_and_errors(tmp_path, capsys):
 def test_cli_config_booleans_are_strict(tmp_path, capsys):
     # any other value used to read as false
     cfg_file = tmp_path / "b.cfg"
-    for key, field in (("exact-fft", "exact_fft"), ("float", "float_mode")):
+    for key, field in (("exact-fft", "exact_fft"), ("float", "float")):
         for text, value in [("true", True), ("YES", True), ("1", True), ("False", False),
                             ("no", False), ("0", False)]:
             cfg_file.write_text(f"{key}={text}\n")
@@ -434,7 +434,25 @@ def test_cli_config_booleans_are_strict(tmp_path, capsys):
             assert cli_main(["ber", "--config", str(cfg_file)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: not a boolean") and captured.err.count("\n") == 1
+            assert captured.err.startswith(f"error: --{key}: not a boolean")
+            assert captured.err.count("\n") == 1
+
+
+def test_cli_checks_output_options_before_running(tmp_path, capsys, monkeypatch):
+    # a sweep without --out and a config file's unknown report format used to
+    # fail only after the whole run
+    def ran(*args, **kwargs):
+        pytest.fail("the run started before its output options were checked")
+
+    monkeypatch.setattr("spadesim.cli.run_ber", ran)
+    monkeypatch.setattr("spadesim.cli.threshold_sweep", ran)
+    cfg_file = tmp_path / "x.cfg"
+    cfg_file.write_text("b=4\nu=1\nformat=xml\n")
+    for argv in (["sweep", "--b", "4", "--u", "1"], ["ber", "--config", str(cfg_file)]):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_snr_list_points_do_not_drift():

@@ -6,14 +6,17 @@ lockstep threshold sweep each replace a per-element, per-stage, per-user,
 per-SNR or per-pair formulation; every comparison here is byte for byte
 (``tobytes``, ``repr`` of floats, file bytes), not within a tolerance. Then
 come run_ber's contract (the same report for any worker count, and zero
-thresholds make lmmse-spade equal lmmse-b) and fuzzed files from outside,
-which may only raise ``ValueError``.
+thresholds make lmmse-spade equal lmmse-b), fuzzed files from outside,
+which may only raise ``ValueError``, and fuzzed option values, which parse
+alike from a flag and from a config line.
 """
 
 import argparse
+import io
 import os
 import struct
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +36,8 @@ from spadesim.channel import (
     qam_modulate,
     qam_scale,
 )
-from spadesim.cli import _CONFIG_PARSERS, _effective
+from spadesim.cli import _COMMANDS, _OPTIONS, _effective, _parse_bool, build_parser
+from spadesim.cli import main as cli_main
 from spadesim.equalizer import (
     BeamVector,
     EqualizerWeights,
@@ -405,7 +409,7 @@ def test_fuzzed_channel_dump_raises_only_value_error(content):
     assert cm.B >= 1 and cm.U >= 1 and np.all(np.isfinite(cm.entries))
 
 
-CONFIG_KEYS = sorted(_CONFIG_PARSERS) + ["exact-fft", "max-vectors", "unknown", ""]
+CONFIG_KEYS = sorted(_OPTIONS) + ["exact-fft", "max-vectors", "unknown", ""]
 
 
 @st.composite
@@ -430,3 +434,41 @@ def test_fuzzed_config_file_raises_only_value_error(content):
             _effective(argparse.Namespace(config=path, command="ber"))
         except ValueError:
             pass
+
+
+VALUE_OPTIONS = [key for key, o in _OPTIONS.items() if o.parse is not _parse_bool]
+
+# text a config line carries unchanged: no comment mark, no line break, no
+# surrounding whitespace (the reader strips it)
+config_values = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="#\r\n"),
+                        max_size=12).filter(lambda t: t == t.strip()) | st.sampled_from(
+    ["4", "-3", "0.5", "1e3", "nan", "10:9", "12", "0.1,0.2", "csv", "xml", "los", "lmmse-a"])
+
+
+@PROPS
+@given(key=st.sampled_from(VALUE_OPTIONS), text=config_values)
+@example(key="b", text="x")
+@example(key="mode", text="foo")
+@example(key="coherence", text="x")
+@example(key="out", text="--")
+def test_flag_and_config_values_parse_alike(key, text):
+    command = next(name for name, (_, _, keys) in _COMMANDS.items() if key in keys)
+    flag = "--" + key.replace("_", "-")
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(f"{flag[2:]}={text}\n")
+        for argv in ([command, f"{flag}={text}"], [command, "--config", path]):
+            try:
+                outcomes.append(repr(_effective(build_parser().parse_args(argv))))
+            except ValueError:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli_main(argv)
+                outcomes.append((code, out.getvalue(), err.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], tuple):
+        code, out, err = outcomes[0]
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
