@@ -124,8 +124,8 @@ def _effective(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
         for key, text in _read_config_file(args.config).items():
-            if key not in _OPTIONS:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in _COMMANDS[args.command][2]:
+                raise ValueError(f"unknown config key {key!r} for {args.command}")
             merged[key] = _parse(key, text)
     for key, text in vars(args).items():
         if key in _OPTIONS and text is not None:
@@ -217,11 +217,12 @@ def cmd_datapath(opt: dict) -> int:
 
 _RUN_KEYS = ("mode", "b", "u", "mod", "channel", "channel_file", "tau_w", "tau_y", "seed",
              "weight_fmt", "input_fmt", "twiddle_fmt", "exact_fft", "float",
-             "vectors_per_block", "workers", "target_errors", "max_vectors", "out", "format")
+             "vectors_per_block", "workers", "out")
 
 _COMMANDS = {
     "ber": (cmd_ber, "Monte Carlo BER over an SNR sweep",
-            _RUN_KEYS + ("snr_start", "snr_stop", "snr_step")),
+            _RUN_KEYS + ("target_errors", "max_vectors", "format", "snr_start", "snr_stop",
+                         "snr_step")),
     "sweep": (cmd_sweep, "threshold-pair sweep (activity vs operating point)",
               _RUN_KEYS + ("tau_w_grid", "tau_y_grid", "target_ber", "activity_draws",
                            "probe_cap")),

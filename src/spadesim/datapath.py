@@ -103,12 +103,7 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
         else (np.zeros((U, B), dtype=bool),) * 2
     trace = MuteTrace(cw_re, cw_im, cy_re, cy_im, first_cycle=U)
     cycles = U + n + cfg.latency(B)
-    report = ActivityReport(
-        executed=int(per_vector.sum()),
-        total=4 * B * U * n,
-        per_vector=per_vector,
-    )
-    return np.ascontiguousarray(S.T), cycles, trace, report
+    return np.ascontiguousarray(S.T), cycles, trace, ActivityReport(per_vector, 4 * B * U)
 
 
 def throughput_bps(clock_hz: float, U: int, M: int) -> float:

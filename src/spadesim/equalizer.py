@@ -102,11 +102,18 @@ class BeamVector:
 
 @dataclass
 class ActivityReport:
-    """Executed-multiplication accounting for one or more matrix-vector products."""
+    """Executed real multiplications per vector, out of ``products`` (4BU) each."""
 
-    executed: int
-    total: int
     per_vector: np.ndarray
+    products: int
+
+    @property
+    def executed(self) -> int:
+        return int(self.per_vector.sum())
+
+    @property
+    def total(self) -> int:
+        return self.products * self.per_vector.size
 
     @property
     def activity_rate(self) -> float:
@@ -218,20 +225,22 @@ def _check_accumulator(wfmt: QFormat, yfmt: QFormat, B: int) -> None:
         raise ValueError("formats too wide for exact accumulation")
 
 
-def _masked_mvm(wre, wim, yre, yim, bits, B: int):
+def _masked_mvm(wre, wim, yre, yim, bits):
     """Core accumulate: four real products per entry, skipped ones contribute zero.
 
     ``bits`` is None without power saving, else the (cw_re, cw_im, cy_re,
     cy_im) comparison bits. Skip masks are separable (weight bit AND input
     bit), so the skipped part of each sum is itself a matrix product of masked
-    factors. All inputs are float64; with integer-valued raws every
-    intermediate is exact.
+    factors, and the skipped count of a vector is the dot of the per-column
+    counts of set bits. All inputs are float64; with integer-valued raws every
+    intermediate is exact. Returns the accumulators and the executed products
+    per vector.
     """
+    products = 4 * wre.size
     full_re = wre @ yre - wim @ yim
     full_im = wre @ yim + wim @ yre
     if bits is None:
-        executed = np.full(full_re.shape, 4 * B, dtype=np.int64)
-        return full_re, full_im, executed
+        return full_re, full_im, np.full(yre.shape[1], products, dtype=np.int64)
     mwR, mwI, myR, myI = (b.astype(np.float64) for b in bits)
     wreR = wre * mwR
     wimI = wim * mwI
@@ -239,13 +248,10 @@ def _masked_mvm(wre, wim, yre, yim, bits, B: int):
     yimI = yim * myI
     acc_re = full_re - wreR @ yreR + wimI @ yimI
     acc_im = full_im - wreR @ yimI - wimI @ yreR
-    # 0/1 masks in float64: the four skip counts sum exactly in one product;
     # summed in place, since the input-side masks are as large as the block
-    mwR += mwI
     myR += myI
-    skipped = mwR @ myR
-    executed = (4 * B - skipped).astype(np.int64)
-    return acc_re, acc_im, executed
+    skipped = (mwR + mwI).sum(axis=0) @ myR
+    return acc_re, acc_im, (products - skipped).astype(np.int64)
 
 
 def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
@@ -267,10 +273,10 @@ def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
     bits = (weights.cw_re, weights.cw_im, x.cy_re.reshape(x.B, -1),
             x.cy_im.reshape(x.B, -1)) if save_power else None
     acc_re, acc_im, executed = _masked_mvm(weights.re, weights.im, x.re.reshape(x.B, -1),
-                                           x.im.reshape(x.B, -1), bits, weights.B)
+                                           x.im.reshape(x.B, -1), bits)
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
     S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
-    return S.reshape((weights.U, *cols)), executed.sum(axis=0).reshape(cols)
+    return S.reshape((weights.U, *cols)), executed.reshape(cols)
 
 
 def equalize_block(mode: str, weights_ant: EqualizerWeights | None,
@@ -292,21 +298,13 @@ def equalize_block(mode: str, weights_ant: EqualizerWeights | None,
         wanted = "beamspace"
     if w is None or w.domain != wanted:
         raise ValueError(f"mode/domain mismatch: {mode} needs {wanted} weights")
-    if (frontend.input_fmt is not None) != (w.fmt is not None):
-        raise ValueError("weights and input must agree on quantization")
 
     Y = np.asarray(y_bar, dtype=np.complex128)
     if Y.shape[0] != w.B:
         raise ValueError("length mismatch")
     S, executed = equalize_tagged(w, front_end(mode, Y, frontend),
                                   save_power=(mode == "lmmse-spade"), gain=frontend.gain)
-    per_vector = executed.reshape(-1)
-    report = ActivityReport(
-        executed=int(per_vector.sum()),
-        total=4 * w.B * w.U * per_vector.size,
-        per_vector=per_vector,
-    )
-    return S, report
+    return S, ActivityReport(executed.reshape(-1), 4 * w.B * w.U)
 
 
 def front_end(mode: str, Y: np.ndarray, frontend: FrontEnd) -> BeamVector:

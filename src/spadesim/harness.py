@@ -467,55 +467,54 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     """Mean multiplier activity rate for every threshold pair, matched seeds.
 
     Channel, symbol, and noise realizations depend only on (seed, draw index),
-    so the measurement is pointwise monotone along both grid axes. Counting
-    uses the separability of the skip predicate: skipped products per column
-    reduce to a dot product of per-column bit counts.
+    so the measurement is pointwise monotone along both grid axes. Returns an
+    (nw, ny) array, or (nw, ny, draws) with ``per_draw``; see
+    :func:`_activity_rates`.
     """
     _check_draws(draws, vectors_per_draw)
     tau_w_grid = [float(t) for t in tau_w_grid]
     tau_y_grid = [float(t) for t in tau_y_grid]
-    nw, ny = len(tau_w_grid), len(tau_y_grid)
-    if mode != "lmmse-spade":
-        ones = np.ones((nw, ny, draws)) if per_draw else np.ones((nw, ny))
-        return ones
-    [rates] = _activity_rates(config, [(snr_db, tau_w_grid, tau_y_grid)], draws,
-                              vectors_per_draw, _load_fixed_channel(config))
+    cells = [(snr_db, tw, ty) for tw in tau_w_grid for ty in tau_y_grid]
+    rates = _activity_rates(config, mode, cells, draws, vectors_per_draw,
+                            _load_fixed_channel(config))
+    rates = rates.reshape(len(tau_w_grid), len(tau_y_grid), draws)
     return rates if per_draw else rates.mean(axis=2)
 
 
-def _activity_rates(config: RunConfig, grids: list, draws: int, vectors_per_draw: int,
-                    H_fixed: ChannelMatrix | None) -> list[np.ndarray]:
-    """Per-draw lmmse-spade activity, an (nw, ny, draws) array per (snr_db, tau_w, tau_y) grid.
+def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
+                    vectors_per_draw: int, H_fixed: ChannelMatrix | None) -> np.ndarray:
+    """Per-draw activity of each (snr_db, tau_w, tau_y) cell, a (cells, draws) array.
 
-    Each draw is drawn once and finished for all the grids' SNRs at once.
+    Only lmmse-spade skips; every other mode executes every product. Each
+    draw is drawn once and finished for all the cells' distinct SNRs at once.
+    Skipping is separable, so a vector's skipped count is the dot of the
+    per-column counts of set weight and input bits; one ``einsum`` counts
+    every (SNR, tau_w, tau_y) of the distinct values, and each cell gathers
+    its own.
     """
+    if mode != "lmmse-spade" or not cells:
+        return np.ones((len(cells), draws))
     fe = config.frontend()
     wfmt = config.weight_fmt if config.quantized else None
-    # every grid's thresholds index into one list per axis, compared at once
-    tw_all = list(dict.fromkeys(t for _, tws, _ in grids for t in tws))
-    ty_all = list(dict.fromkeys(t for _, _, tys in grids for t in tys))
-    w_thr = np.array([_threshold_raw(t, wfmt) for t in tw_all])[:, None, None, None]
-    y_thr = np.array([_threshold_raw(t, fe.input_fmt) for t in ty_all])[:, None, None, None]
-    picks = [np.ix_([tw_all.index(t) for t in tws], [ty_all.index(t) for t in tys])
-             for _, tws, tys in grids]
-    n0s = [_n0_for_snr(config, snr_db) for snr_db, _, _ in grids]
-    per_mvm_total = 4 * config.B * config.U * vectors_per_draw
-    rates = [np.zeros((len(tws), len(tys), draws)) for _, tws, tys in grids]
+    # the distinct values of each axis, and each cell's index into them
+    (snrs, s_at), (tws, w_at), (tys, y_at) = (
+        np.unique(axis, return_inverse=True) for axis in np.array(cells, dtype=float).T)
+    w_thr = np.array([_threshold_raw(t, wfmt) for t in tws.tolist()])[:, None, None, None]
+    y_thr = np.array([_threshold_raw(t, fe.input_fmt) for t in tys.tolist()])[:, None, None, None]
+    n0s = [_n0_for_snr(config, snr_db) for snr_db in snrs.tolist()]
+    skipped = np.empty((len(cells), draws))
     for d in range(draws):
         drawn = _draw_block(config, "lmmse-spade", _P_ACTIVITY, 0, d, vectors_per_draw, H_fixed)
         w = _block_weights(config, drawn, n0s)
         x = front_end("lmmse-spade", _receive(drawn, n0s), fe)
         yre, yim = (z.reshape(config.B, len(n0s), -1) for z in (x.re, x.im))
         # per-column counts of set bits, (threshold, SNR, column) for the
-        # weights and (threshold, column, SNR) for the inputs; the skipped total
-        # of a pair is the dot of its two count rows
+        # weights and (threshold, column, SNR) for the inputs
         w_counts = (np.abs(w.re) < w_thr).sum(axis=2) + (np.abs(w.im) < w_thr).sum(axis=2)
         y_counts = (np.abs(yre) < y_thr).sum(axis=3) + (np.abs(yim) < y_thr).sum(axis=3)
-        skipped = np.einsum("wsb,ybs->swy", w_counts, y_counts)
-        active = (per_mvm_total - skipped) / per_mvm_total
-        for pick, act, r in zip(picks, active, rates):
-            r[:, :, d] = act[pick]
-    return rates
+        skipped[:, d] = np.einsum("wsb,ybs->swy", w_counts, y_counts)[s_at, w_at, y_at]
+    total = 4 * config.B * config.U * vectors_per_draw
+    return (total - skipped) / total
 
 
 def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
@@ -530,30 +529,18 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
 
     All pairs bisect in lockstep (see :func:`_operating_points`), so each
     block is drawn once per probe round, not once per pair, and its weights
-    are computed once per probe SNR; activity is measured on one grid per
-    distinct activity SNR, all grids sharing each draw.
+    are computed once per probe SNR; activity is measured as one cell per
+    pair, at its activity SNR, all cells sharing each draw.
     """
     _check_draws(activity_draws, vectors_per_draw)
     pairs = [(float(tw), float(ty)) for tw in tau_w_grid for ty in tau_y_grid]
     H_fixed = _load_fixed_channel(config)
     searched = _operating_points(config, mode, pairs, target_ber, -10.0, hi_db, 0.1, probe_cap,
                                  H_fixed)
-    act_snrs = [hi_db if op is None else op for op, _ in searched]
-    grids = {}
-    for (tw, ty), snr in zip(pairs, act_snrs):
-        tws, tys = grids.setdefault(snr, ({}, {}))
-        tws.setdefault(tw, len(tws))
-        tys.setdefault(ty, len(tys))
-    if mode == "lmmse-spade":
-        rates = _activity_rates(config, [(snr, list(tws), list(tys))
-                                         for snr, (tws, tys) in grids.items()],
-                                activity_draws, vectors_per_draw, H_fixed)
-        means = dict(zip(grids, (r.mean(axis=2) for r in rates)))
-        activity = [float(means[snr][grids[snr][0][tw], grids[snr][1][ty]])
-                    for (tw, ty), snr in zip(pairs, act_snrs)]
-    else:
-        activity = [1.0] * len(pairs)
-    records = [SweepRecord(tau_w=tw, tau_y=ty, mean_activity_rate=act,
+    cells = [(hi_db if op is None else op, tw, ty) for (tw, ty), (op, _) in zip(pairs, searched)]
+    activity = _activity_rates(config, mode, cells, activity_draws, vectors_per_draw,
+                               H_fixed).mean(axis=1)
+    records = [SweepRecord(tau_w=tw, tau_y=ty, mean_activity_rate=float(act),
                            snr_operating_point_db=op, ber_curve=curve)
                for (tw, ty), (op, curve), act in zip(pairs, searched, activity)]
     records.sort(key=lambda r: (r.mean_activity_rate, r.tau_w, r.tau_y))

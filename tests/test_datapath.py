@@ -181,9 +181,7 @@ def test_arithmetic_rejects_non_physical_inputs(capsys):
 
 
 def fake_report(rate):
-    total = 1000
-    return ActivityReport(executed=int(rate * total), total=total,
-                          per_vector=np.array([int(rate * total)]))
+    return ActivityReport(per_vector=np.array([int(rate * 1000)]), products=1000)
 
 
 def test_power_proxy_linear():

@@ -222,6 +222,22 @@ def test_activity_grid_monotone_small():
     assert np.all(np.diff(rates, axis=1) <= 0)
 
 
+def test_activity_cells_match_single_cell_grids():
+    # an unsorted grid with a repeated threshold: every cell gathers its own
+    # count from the draw's shared count, as if it were measured alone
+    cfg = small_cfg()
+    tws, tys = [0.3, 0.05, 0.3], [0.2, 0.0]
+    kw = dict(draws=6, per_draw=True)
+    rates = activity_grid(cfg, "lmmse-spade", 10.0, tws, tys, **kw)
+    assert rates.shape == (3, 2, 6)
+    for i, tw in enumerate(tws):
+        for j, ty in enumerate(tys):
+            alone = activity_grid(cfg, "lmmse-spade", 10.0, [tw], [ty], **kw)
+            assert np.array_equal(rates[i, j], alone[0, 0])
+    assert np.all(rates[:, 1] == 1.0) and not np.array_equal(rates[0, 0], rates[1, 0])
+    assert np.array_equal(activity_grid(cfg, "lmmse-b", 10.0, tws, tys, **kw), np.ones((3, 2, 6)))
+
+
 def test_activity_matches_run_ber_accounting():
     cfg = small_cfg(tau_w=0.05, tau_y=0.05)
     act = activity_grid(cfg, "lmmse-spade", 10.0, [0.05], [0.05], draws=100, vectors_per_draw=4)[0, 0]
@@ -428,7 +444,8 @@ def test_cli_config_booleans_are_strict(tmp_path, capsys):
         for text, value in [("true", True), ("YES", True), ("1", True), ("False", False),
                             ("no", False), ("0", False)]:
             cfg_file.write_text(f"{key}={text}\n")
-            assert _effective(argparse.Namespace(config=str(cfg_file)))[field] is value
+            args = argparse.Namespace(config=str(cfg_file), command="ber")
+            assert _effective(args)[field] is value
         for text in ("ture", "", "2", "on"):
             cfg_file.write_text(f"b=4\nu=1\nmod=4\nsnr-start=6\nmax-vectors=10\n{key}={text}\n")
             assert cli_main(["ber", "--config", str(cfg_file)]) == 1
@@ -453,6 +470,23 @@ def test_cli_checks_output_options_before_running(tmp_path, capsys, monkeypatch)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_subcommands_accept_only_their_options(tmp_path, capsys):
+    # opoint used to take the BER stop rule and report format, and every
+    # subcommand's config file every key of any subcommand, and ignore them
+    argv = ["opoint", "--b", "4", "--u", "1", "--mod", "4", "--mode", "lmmse-a",
+            "--probe-cap", "2000"]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--max-vectors", "1", "--target-errors", "0", "--format", "json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg_file = tmp_path / "op.cfg"
+    cfg_file.write_text("coherence=0\nclock-hz=-5\nsnr-step=-1\n")
+    assert cli_main(argv + ["--config", str(cfg_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown config key ") and captured.err.count("\n") == 1
 
 
 def test_snr_list_points_do_not_drift():
