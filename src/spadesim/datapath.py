@@ -88,12 +88,16 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     """
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
-    if len({(x.re.shape, x.fmt, x.tau_y) for x in vectors}) > 1:
-        raise ValueError("stream vectors must share one length and input format and one tau_y")
     if vectors:
-        block = BeamVector(re=np.stack([x.re for x in vectors], axis=1),
-                           im=np.stack([x.im for x in vectors], axis=1),
-                           fmt=vectors[0].fmt, tau_y=vectors[0].tau_y)
+        first = vectors[0]
+        shape, fmt, tau_y = first.re.shape, first.fmt, first.tau_y
+        if any(x.re.shape != shape or x.tau_y != tau_y or (x.fmt is not fmt and x.fmt != fmt)
+               for x in vectors):
+            raise ValueError("stream vectors must share one length and input format and one tau_y")
+        # one (N, B) copy per component, viewed as the (B, N) block
+        block = BeamVector(re=np.moveaxis(np.array([x.re for x in vectors]), 0, 1),
+                           im=np.moveaxis(np.array([x.im for x in vectors]), 0, 1),
+                           fmt=fmt, tau_y=tau_y)
         S, per_vector = equalize_tagged(weights, block, save_power, gain=gain)
         cy_re, cy_im = block.cy_re, block.cy_im
     else:

@@ -225,20 +225,20 @@ def _check_accumulator(wfmt: QFormat, yfmt: QFormat, B: int) -> None:
         raise ValueError("formats too wide for exact accumulation")
 
 
-def _masked_mvm(wre, wim, yre, yim, bits):
+def _masked_mvm(wre, wim, yre, yim, full, bits):
     """Core accumulate: four real products per entry, skipped ones contribute zero.
 
-    ``bits`` is None without power saving, else the (cw_re, cw_im, cy_re,
-    cy_im) comparison bits. Skip masks are separable (weight bit AND input
-    bit), so the skipped part of each sum is itself a matrix product of masked
-    factors, and the skipped count of a vector is the dot of the per-column
-    counts of set bits. All inputs are float64; with integer-valued raws every
-    intermediate is exact. Returns the accumulators and the executed products
-    per vector.
+    ``full`` holds the unmasked sums (wre@yre - wim@yim, wre@yim + wim@yre);
+    they do not depend on the thresholds. ``bits`` is None without power
+    saving, else the (cw_re, cw_im, cy_re, cy_im) comparison bits. Skip masks
+    are separable (weight bit AND input bit), so the skipped part of each sum
+    is itself a matrix product of masked factors, and the skipped count of a
+    vector is the dot of the per-column counts of set bits. All inputs are
+    float64; with integer-valued raws every intermediate is exact. Returns the
+    accumulators and the executed products per vector.
     """
     products = 4 * wre.size
-    full_re = wre @ yre - wim @ yim
-    full_im = wre @ yim + wim @ yre
+    full_re, full_im = full
     if bits is None:
         return full_re, full_im, np.full(yre.shape[1], products, dtype=np.int64)
     mwR, mwI, myR, myI = (b.astype(np.float64) for b in bits)
@@ -254,14 +254,14 @@ def _masked_mvm(wre, wim, yre, yim, bits):
     return acc_re, acc_im, (products - skipped).astype(np.int64)
 
 
-def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
-                    gain: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Masked matrix-vector product of a tagged (B,) vector or (B, N) block, descaled.
+def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_power: bool,
+                   gain: float = 1.0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`equalize_tagged` of one tagged (B,) vector or (B, N) block at each (tau_w, tau_y).
 
-    The one entry into the datapath's arithmetic; comparison bits are read
-    only with ``save_power``. Returns the (U,) or (U, N) estimates and the
-    executed real multiplications per vector (4BU minus the skipped ones),
-    shaped () or (N,) to match.
+    The raws do not depend on the thresholds, so the four full products are
+    computed once and each pair of ``taus`` adds only its masked terms. Entry
+    k equals ``equalize_tagged(replace(weights, tau_w=tw), replace(x,
+    tau_y=ty), save_power, gain)`` for ``taus[k] == (tw, ty)``, byte for byte.
     """
     if x.B != weights.B:
         raise ValueError("length mismatch")
@@ -270,13 +270,34 @@ def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
     if weights.fmt is not None:
         _check_accumulator(weights.fmt, x.fmt, weights.B)
     cols = x.re.shape[1:]
-    bits = (weights.cw_re, weights.cw_im, x.cy_re.reshape(x.B, -1),
-            x.cy_im.reshape(x.B, -1)) if save_power else None
-    acc_re, acc_im, executed = _masked_mvm(weights.re, weights.im, x.re.reshape(x.B, -1),
-                                           x.im.reshape(x.B, -1), bits)
+    wre, wim = weights.re, weights.im
+    yre, yim = x.re.reshape(x.B, -1), x.im.reshape(x.B, -1)
+    full = (wre @ yre - wim @ yim, wre @ yim + wim @ yre)
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
-    S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
-    return S.reshape((weights.U, *cols)), executed.reshape(cols)
+    out = []
+    for tau_w, tau_y in taus:
+        # a threshold the operand already carries keeps its cached bits
+        w = weights if tau_w == weights.tau_w else replace(weights, tau_w=tau_w)
+        xt = x if tau_y == x.tau_y else replace(x, tau_y=tau_y)
+        bits = (w.cw_re, w.cw_im, xt.cy_re.reshape(x.B, -1),
+                xt.cy_im.reshape(x.B, -1)) if save_power else None
+        acc_re, acc_im, executed = _masked_mvm(wre, wim, yre, yim, full, bits)
+        S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
+        out.append((S.reshape((weights.U, *cols)), executed.reshape(cols)))
+    return out
+
+
+def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
+                    gain: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Masked matrix-vector product of a tagged (B,) vector or (B, N) block, descaled.
+
+    The one-pair case of :func:`equalize_pairs`, at the operands' own
+    thresholds; comparison bits are read only with ``save_power``. Returns the
+    (U,) or (U, N) estimates and the executed real multiplications per vector
+    (4BU minus the skipped ones), shaped () or (N,) to match.
+    """
+    [scored] = equalize_pairs(weights, x, [(weights.tau_w, x.tau_y)], save_power, gain)
+    return scored
 
 
 def equalize_block(mode: str, weights_ant: EqualizerWeights | None,

@@ -39,7 +39,7 @@ from .equalizer import (
     FrontEnd,
     build_weights,
     compute_lmmse,
-    equalize_tagged,
+    equalize_pairs,
     front_end,
     scale_rows,
     _threshold_raw,
@@ -267,47 +267,54 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
 
     ``points`` holds one (n0, tau_w, tau_y) per point. Every point runs the
     same waves of the same blocks (stream ``purpose``, ``tag``): each block
-    is drawn once (channel, bits, noise) and its weights are computed once per
-    distinct N0, as one stack. Each live point then adds the noise at its N0,
-    runs the front end at its tau_y and scores the block with the weights at
-    its tau_w, so a point sees the blocks it would see alone. Before each
-    wave, ``done(errors, vectors)`` retires a point. Returns one SnrPoint per
-    point, its ``snr_db`` left for the caller.
+    is drawn once (channel, bits, noise), and its weights and its receive
+    vectors are made once per distinct N0 among the live points, the weights
+    as one stack and the receive vectors side by side through one front end.
+    Per distinct N0, one :func:`equalize_pairs` call then scores the block at
+    each of that N0's points' (tau_w, tau_y): the full products once, the
+    masked terms per point. So a point sees the blocks it would see alone.
+    Before each wave, ``done(errors, vectors)`` retires a point. Returns one
+    SnrPoint per point, its ``snr_db`` left for the caller.
 
-    The front end runs per point even where points share an N0. Shared, it
-    made a sweep round's cost follow the number of distinct SNRs among its
-    pairs, which changes from seed to seed, instead of the number of pairs.
+    A round's cost thus follows its distinct N0s, which vary from seed to
+    seed in a sweep; see README for the measured spread.
     """
-    fes = [replace(cfg.frontend(), tau_y=tau_y) for _, _, tau_y in points]
+    fe = cfg.frontend()
+    save_power = mode == "lmmse-spade"
     # errors, vectors, executed products: sum, min and max per vector
     stats = [[0, 0, 0, math.inf, -math.inf] for _ in points]
     for wave in _waves(cfg.vectors_per_block, cap):
         live = [i for i, st in enumerate(stats) if not done(st[0], st[1])]
         if not live:
             break
-        at = {n0: s for s, n0 in enumerate(dict.fromkeys(points[i][0] for i in live))}
+        groups = {}  # distinct N0 -> its live points, in order of first appearance
+        for i in live:
+            groups.setdefault(points[i][0], []).append(i)
 
-        def run(args, live=live, at=at):
-            drawn = _draw_block(cfg, mode, purpose, tag, args[0], args[1], H_fixed)
+        def run(args, groups=groups):
+            block_idx, n = args
+            drawn = _draw_block(cfg, mode, purpose, tag, block_idx, n, H_fixed)
             bits = drawn[1]
-            w = _block_weights(cfg, drawn, list(at))
-            scored = []
-            for i in live:
-                n0, tau_w, _ = points[i]
-                Y = _receive(drawn, [n0])
-                if i == live[-1]:
-                    # release the noise-free block and the noise before the last
-                    # front end: with large blocks and several workers, the
-                    # smaller working set is faster
-                    del drawn
-                S, per_vec = equalize_tagged(replace(w[at[n0]], tau_w=tau_w),
-                                             front_end(mode, Y, fes[i]),
-                                             save_power=(mode == "lmmse-spade"), gain=fes[i].gain)
-                scored.append((int((bits != qam_demodulate(S, cfg.M, cfg.Es)).sum()), per_vec))
+            n0s = list(groups)
+            w = _block_weights(cfg, drawn, n0s)
+            Y = _receive(drawn, n0s)
+            # release the noise-free block and the noise before the front end:
+            # with large blocks and several workers, the smaller working set is
+            # faster
+            del drawn
+            x = front_end(mode, Y, fe)
+            scored = {}
+            for s, group in enumerate(groups.values()):
+                cols = slice(s * n, (s + 1) * n)
+                xs = replace(x, re=x.re[:, cols], im=x.im[:, cols])
+                taus = [points[i][1:] for i in group]
+                for i, (S, per_vec) in zip(group, equalize_pairs(w[s], xs, taus, save_power,
+                                                                 fe.gain)):
+                    scored[i] = (int((bits != qam_demodulate(S, cfg.M, cfg.Es)).sum()), per_vec)
             return scored
 
         for scored in block_map(run, wave):
-            for i, (err, per_vec) in zip(live, scored):
+            for i, (err, per_vec) in scored.items():
                 st = stats[i]
                 st[0] += err
                 st[1] += per_vec.size
@@ -400,6 +407,10 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_
         raise ValueError("target_ber must be in (0, 0.5)")
     if probe_cap < 1:
         raise ValueError("probe_cap must be >= 1")
+    # a bracket that is empty, reversed or not finite, or a tolerance that is
+    # not positive, would end the bisection at once or never
+    if not all(map(math.isfinite, (lo_db, hi_db, tol_db))) or tol_db <= 0 or hi_db <= lo_db:
+        raise ValueError("the search needs finite lo_db < hi_db and tol_db > 0")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     nbits = cfg.U * cfg.bits_per_symbol

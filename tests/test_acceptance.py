@@ -156,17 +156,19 @@ def test_c06_awgn_closed_form():
 @pytest.fixture(scope="module")
 def los_sweep():
     cfg = RunConfig(**FULL)
+    t0 = time.perf_counter()
     records = threshold_sweep(cfg, default_grid(), default_grid(),
                               activity_draws=300, probe_cap=60_000)
+    sweep_s = time.perf_counter() - t0  # the 8x8 sweep's wall time, shown by c07
     op_a = snr_operating_point(cfg, "lmmse-a", probe_cap=60_000)
     ARTIFACT_DIR.mkdir(exist_ok=True)
     emit_sweep(records, str(ARTIFACT_DIR / "threshold_sweep_los.csv"))
-    return records, op_a
+    return records, op_a, sweep_s
 
 
 def test_c07_trend_reproduction(los_sweep):
     t0 = time.perf_counter()
-    records, op_a = los_sweep
+    records, op_a, sweep_s = los_sweep
     assert op_a is not None
     ok = [r for r in records
           if r.mean_activity_rate <= 0.7
@@ -176,13 +178,13 @@ def test_c07_trend_reproduction(los_sweep):
     best = min(ok, key=lambda r: r.mean_activity_rate)
     report(7, f"pair (tau_w={best.tau_w:.4f}, tau_y={best.tau_y:.4f}) reaches activity "
               f"{best.mean_activity_rate:.3f} at {best.snr_operating_point_db - op_a:+.2f} dB "
-              f"vs lmmse-a ({op_a:.2f} dB); artifact written",
+              f"vs lmmse-a ({op_a:.2f} dB); artifact written; 8x8 sweep {sweep_s:.1f}s",
            time.perf_counter() - t0, 1800.0)
 
 
 def test_c08_sparsity_ordering(los_sweep):
     t0 = time.perf_counter()
-    records, op_a = los_sweep
+    records, op_a, _ = los_sweep
     ok = [r for r in records
           if r.mean_activity_rate <= 0.7
           and r.snr_operating_point_db is not None

@@ -148,6 +148,26 @@ def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
     assert code == 1 and capsys.readouterr().err.startswith("error: probe_cap")
 
 
+@pytest.mark.parametrize("search", [dict(tol_db=-0.1), dict(tol_db=0.0), dict(tol_db=math.nan),
+                                    dict(lo_db=math.nan), dict(lo_db=-math.inf),
+                                    dict(hi_db=math.inf), dict(lo_db=40.0, hi_db=-10.0),
+                                    dict(lo_db=5.0, hi_db=5.0)],
+                         ids=["tol_negative", "tol_zero", "tol_nan", "lo_nan", "lo_minus_inf",
+                              "hi_inf", "reversed", "empty"])
+def test_operating_point_search_rejects_bad_bracket(search):
+    # tol_db < 0 kept probing until the stream tags ran out, tol_db = nan
+    # stopped after two probes and a reversed bracket returned None
+    with pytest.raises(ValueError, match="lo_db < hi_db and tol_db > 0"):
+        snr_operating_point(small_cfg(), "lmmse-a", probe_cap=25, **search)
+
+
+@pytest.mark.parametrize("hi_db", [-10.0, -20.0, math.nan, math.inf])
+def test_sweep_rejects_bad_top_of_range(hi_db):
+    # the sweep searches [-10, hi_db]
+    with pytest.raises(ValueError, match="lo_db < hi_db and tol_db > 0"):
+        threshold_sweep(small_cfg(), [0.0], [0.0], activity_draws=1, probe_cap=25, hi_db=hi_db)
+
+
 def test_stop_rule_rejects_negative_counts(capsys):
     for kw in (dict(target_errors=-1), dict(max_vectors=-5)):
         with pytest.raises(ValueError, match="max_vectors"):

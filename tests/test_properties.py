@@ -1,9 +1,10 @@
 """Property tests: the vectorized kernels are bit-identical to their oracles.
 
 The stage-wise radix-4, the GEMM front end, the batched channel synthesis,
-the QAM lookup tables, the stacked weight scaling and quantization and the
-lockstep threshold sweep each replace a per-element, per-stage, per-user,
-per-SNR or per-pair formulation; every comparison here is byte for byte
+the QAM lookup tables, the stacked weight scaling and quantization, the
+multi-pair MVM with its shared full products and the lockstep threshold
+sweep each replace a per-element, per-stage, per-user, per-SNR or per-pair
+formulation; every comparison here is byte for byte
 (``tobytes``, ``repr`` of floats, file bytes), not within a tolerance. Then
 come run_ber's contract (the same report for any worker count, and zero
 thresholds make lmmse-spade equal lmmse-b), fuzzed files from outside,
@@ -44,6 +45,7 @@ from spadesim.equalizer import (
     FrontEnd,
     build_weights,
     compute_lmmse,
+    equalize_pairs,
     equalize_tagged,
     front_end,
     scale_rows,
@@ -213,6 +215,41 @@ def test_accumulator_bound_is_tight(B, data):
 
 
 @st.composite
+def pair_setups(draw):
+    """Weights and a tagged vector or block, both from one path, and the pairs to score.
+
+    Thresholds come from a small set, so pairs repeat, include zeros and
+    sometimes equal the operands' own thresholds.
+    """
+    B = draw(st.sampled_from((1, 4, 16, 64)))
+    U = draw(st.integers(1, 4))
+    shape = (B,) if draw(st.booleans()) else (B, draw(st.integers(1, 6)))
+    quantized = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taus = st.sampled_from((0.0, 2.0**-9, 0.05, 0.3, 1.0))
+    W, alpha = scale_rows(rng.standard_normal((U, B)) + 1j * rng.standard_normal((U, B)), 2.0**-10)
+    w = build_weights(W, alpha, draw(taus), WEIGHT_FMT if quantized else None, "beamspace")
+    Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = tag_input(draw(st.sampled_from((0.1, 1.0, 4.0))) * Y, draw(taus),
+                  INPUT_FMT if quantized else None)
+    pairs = draw(st.lists(st.tuples(taus, taus), min_size=1, max_size=6))
+    return w, x, pairs, draw(st.booleans()), draw(st.sampled_from((1.0, 0.25)))
+
+
+@PROPS
+@given(pair_setups())
+def test_shared_full_products_equal_one_call_per_pair(setup):
+    w, x, pairs, save_power, gain = setup
+    scored = equalize_pairs(w, x, pairs, save_power, gain)
+    assert len(scored) == len(pairs)
+    for (tw, ty), (S, executed) in zip(pairs, scored):
+        S1, executed1 = equalize_tagged(replace(w, tau_w=tw), replace(x, tau_y=ty), save_power,
+                                        gain)
+        assert S.shape == S1.shape and S.tobytes() == S1.tobytes()
+        assert executed.shape == executed1.shape and executed.tobytes() == executed1.tobytes()
+
+
+@st.composite
 def channel_draws(draw):
     kind = draw(st.sampled_from(("los", "nlos")))
     B = draw(st.sampled_from((1, 4, 16, 64)))
@@ -275,7 +312,7 @@ def sweep_setups(draw):
     cfg = RunConfig(B=B, U=draw(st.integers(1, B)), M=draw(st.sampled_from((4, 16))),
                     channel=draw(st.sampled_from(("los", "nlos"))),
                     seed=draw(st.integers(0, 2**64 - 1)), quantized=draw(st.booleans()),
-                    vectors_per_block=draw(st.integers(8, 64)))
+                    exact_fft=draw(st.booleans()), vectors_per_block=draw(st.integers(8, 64)))
     taus = st.lists(THRESHOLD, min_size=1, max_size=3)
     kwargs = dict(mode=draw(st.sampled_from(MODES)), target_ber=draw(st.floats(0.005, 0.2)),
                   activity_draws=draw(st.integers(1, 4)), vectors_per_draw=draw(st.integers(1, 3)),
