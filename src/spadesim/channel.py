@@ -151,15 +151,20 @@ def _qam_table(M: int, Es: float) -> np.ndarray:
     return table
 
 
-def qam_modulate(bitgroups: np.ndarray, M: int, Es: float) -> np.ndarray:
-    """Map bit groups (last axis, MSB first, I bits then Q bits) to symbols."""
+def qam_index(bitgroups: np.ndarray, M: int) -> np.ndarray:
+    """Each bit group (last axis, MSB first, I bits then Q bits) read as an integer: its symbol index."""
     if M not in QAM_ORDERS:
         raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
     k = int(log2(M))
     bitgroups = np.asarray(bitgroups)
     if bitgroups.shape[-1] != k:
         raise ValueError(f"expected {k} bits per symbol, got {bitgroups.shape[-1]}")
-    return _qam_table(M, Es)[bitgroups @ (1 << np.arange(k - 1, -1, -1))]
+    return bitgroups @ (1 << np.arange(k - 1, -1, -1))
+
+
+def qam_modulate(bitgroups: np.ndarray, M: int, Es: float) -> np.ndarray:
+    """Map bit groups (last axis, MSB first, I bits then Q bits) to symbols."""
+    return _qam_table(M, Es)[qam_index(bitgroups, M)]
 
 
 @lru_cache(maxsize=8)
@@ -171,6 +176,45 @@ def _slice_table(m: int, half: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=8)
+def _error_table(M: int) -> np.ndarray:
+    """Read-only (M, M) bit errors between a sliced point and a sent symbol index.
+
+    Row ``li * m + lq`` is the constellation point at level indices (li, lq),
+    column ``i`` the symbol index ``i``; the entry counts the bits in which
+    the point's Gray bits differ from ``i``'s.
+    """
+    m = isqrt(M)
+    k = int(log2(M))
+    g = _gray_encode(np.arange(m))
+    point = ((g[:, None] << (k // 2)) | g).reshape(-1, 1)
+    table = (((point ^ np.arange(M)) >> np.arange(k)[:, None, None]) & 1).sum(axis=0)
+    table = table.astype(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
+def _level_indices(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
+    """Sliced level index of each symbol per axis, (..., 2) for (I, Q), each in 0 .. sqrt(M) - 1.
+
+    ``ceil(v - 0.5)`` rounds to the nearest level with ties toward the lower
+    one. It is clipped before the integer cast, so values beyond the outer
+    levels, infinite or overflowing ones too, saturate instead of wrapping.
+    """
+    symbols = np.asarray(symbols)
+    v = np.ascontiguousarray(symbols, dtype=np.complex128).view(np.float64)
+    if np.isnan(v).any():
+        raise ValueError("cannot slice NaN estimates")
+    m = isqrt(M)
+    with np.errstate(over="ignore"):
+        t = v / qam_scale(M, Es)
+    t += m - 1
+    t /= 2.0
+    t -= 0.5
+    np.clip(t, 0, m - 1, out=t)
+    return np.ceil(t, out=t).astype(np.int64).reshape(symbols.shape + (2,))
+
+
 def qam_demodulate(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
     """Hard-slice symbols to bit groups (inverse of :func:`qam_modulate`).
 
@@ -180,19 +224,23 @@ def qam_demodulate(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
     if M not in QAM_ORDERS:
         raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
     symbols = np.asarray(symbols)
-    m = isqrt(M)
-    c = qam_scale(M, Es)
     k = int(log2(M))
-    table = _slice_table(m, k // 2)
-    # one level index per axis; ceil(v - 0.5) rounds to nearest with ties toward the lower
-    # level. It is clipped before the integer cast, so estimates beyond the outer levels,
-    # infinite or overflowing ones too, saturate instead of wrapping.
-    v = np.stack((symbols.real, symbols.imag), axis=-1)
-    if np.isnan(v).any():
-        raise ValueError("cannot slice NaN estimates")
-    with np.errstate(over="ignore"):
-        idx = np.ceil(np.clip((v / c + (m - 1)) / 2.0 - 0.5, 0, m - 1)).astype(np.int64)
-    return table[idx].reshape(symbols.shape + (k,))
+    table = _slice_table(isqrt(M), k // 2)
+    return table[_level_indices(symbols, M, Es)].reshape(symbols.shape + (k,))
+
+
+def bit_errors(symbols: np.ndarray, index: np.ndarray, M: int, Es: float) -> np.ndarray:
+    """Bit errors of each hard-sliced symbol against the symbol index that was sent.
+
+    Equals ``(qam_demodulate(symbols, M, Es) != bits).sum(axis=-1)`` for
+    ``index == qam_index(bits, M)``, as a uint8 array of the broadcast shape
+    of ``symbols`` and ``index``.
+    """
+    if M not in QAM_ORDERS:
+        raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
+    levels = _level_indices(symbols, M, Es)
+    point = levels[..., 0] * isqrt(M) + levels[..., 1]
+    return _error_table(M).reshape(-1)[point * M + index]
 
 
 def synth_receive(H, s, N0: float, rng: np.random.Generator) -> np.ndarray:

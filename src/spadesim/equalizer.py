@@ -169,7 +169,12 @@ def _threshold_raw(tau: float, fmt: QFormat | None) -> int | float:
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError("threshold must be finite and nonnegative")
-    return tau if fmt is None else round(tau * fmt.scale)
+    if fmt is None:
+        return tau
+    raw = tau * fmt.scale
+    if not math.isfinite(raw):
+        raise ValueError(f"threshold {tau!r} overflows its format's raw")
+    return round(raw)
 
 
 def _comparison_bits(raw: np.ndarray, tau: float, fmt: QFormat | None) -> np.ndarray:
@@ -225,43 +230,62 @@ def _check_accumulator(wfmt: QFormat, yfmt: QFormat, B: int) -> None:
         raise ValueError("formats too wide for exact accumulation")
 
 
-def _masked_mvm(wre, wim, yre, yim, full, bits):
-    """Core accumulate: four real products per entry, skipped ones contribute zero.
+def _skippable(raws, bits):
+    """Raws whose comparison bit is set, the others zeroed, and the set bits per entry.
 
-    ``full`` holds the unmasked sums (wre@yre - wim@yim, wre@yim + wim@yre);
-    they do not depend on the thresholds. ``bits`` is None without power
-    saving, else the (cw_re, cw_im, cy_re, cy_im) comparison bits. Skip masks
-    are separable (weight bit AND input bit), so the skipped part of each sum
-    is itself a matrix product of masked factors, and the skipped count of a
-    vector is the dot of the per-column counts of set bits. All inputs are
-    float64; with integer-valued raws every intermediate is exact. Returns the
-    accumulators and the executed products per vector.
+    ``raws`` and ``bits`` are (re, im) pairs of equal shape. Returns the
+    masked (re, im) raws and the count of set bits (0, 1 or 2) of each entry,
+    float64 and in the raws' memory layout.
     """
-    products = 4 * wre.size
+    m_re, m_im = (b.astype(np.float64) for b in bits)
+    masked = (raws[0] * m_re, raws[1] * m_im)
+    m_re += m_im
+    return masked, m_re
+
+
+def _masked_mvm(full, products, k, w_skip, y_skip):
+    """Core accumulate of k weight matrices against one block; skipped products contribute zero.
+
+    ``full`` holds the unmasked (U, N) sums (wre@yre - wim@yim, wre@yim +
+    wim@yre); they do not depend on the thresholds. Without power saving
+    ``w_skip`` and ``y_skip`` are None. Else ``w_skip`` holds the k matrices'
+    (k, 2, U, B) skippable raws and their (k, B) per-column counts of set
+    bits, and ``y_skip`` the block's (B, N) skippable re and im raws and
+    their (B, N) counts (see :func:`_skippable`). Skip masks are separable (weight bit AND
+    input bit), so the skipped part of each sum is itself a matrix product of
+    masked factors, and the skipped count of a vector is the dot of the
+    counts. The stack is multiplied matrix by matrix, each product the same
+    (U, B) @ (B, N) call as for a lone matrix, so unquantized raws give the
+    same bytes too; with integer-valued raws every intermediate is exact.
+    Returns the (k, U, N) accumulators and the (k, N) executed products.
+    """
     full_re, full_im = full
-    if bits is None:
-        return full_re, full_im, np.full(yre.shape[1], products, dtype=np.int64)
-    mwR, mwI, myR, myI = (b.astype(np.float64) for b in bits)
-    wreR = wre * mwR
-    wimI = wim * mwI
-    yreR = yre * myR
-    yimI = yim * myI
-    acc_re = full_re - wreR @ yreR + wimI @ yimI
-    acc_im = full_im - wreR @ yimI - wimI @ yreR
-    # summed in place, since the input-side masks are as large as the block
-    myR += myI
-    skipped = (mwR + mwI).sum(axis=0) @ myR
-    return acc_re, acc_im, (products - skipped).astype(np.int64)
+    if w_skip is None:
+        executed = np.full((k, full_re.shape[1]), products, dtype=np.int64)
+        return (np.broadcast_to(full_re, (k, *full_re.shape)),
+                np.broadcast_to(full_im, (k, *full_im.shape)), executed)
+    (wm, w_counts), (ym, y_counts) = w_skip, y_skip
+    by_re = wm @ ym[0]  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re, per matrix
+    by_im = wm @ ym[1]
+    acc_re = full_re - by_re[:, 0] + by_im[:, 1]
+    acc_im = full_im - by_im[:, 0] - by_re[:, 1]
+    return acc_re, acc_im, (products - w_counts @ y_counts).astype(np.int64)
 
 
 def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_power: bool,
-                   gain: float = 1.0) -> list[tuple[np.ndarray, np.ndarray]]:
+                   gain: float = 1.0) -> list[tuple[list, np.ndarray, np.ndarray]]:
     """:func:`equalize_tagged` of one tagged (B,) vector or (B, N) block at each (tau_w, tau_y).
 
     The raws do not depend on the thresholds, so the four full products are
-    computed once and each pair of ``taus`` adds only its masked terms. Entry
-    k equals ``equalize_tagged(replace(weights, tau_w=tw), replace(x,
-    tau_y=ty), save_power, gain)`` for ``taus[k] == (tw, ty)``, byte for byte.
+    computed once. The pairs are scored in groups of one distinct ``tau_y``,
+    in order of first appearance: the group's inputs are masked once, each
+    distinct ``tau_w``'s weights once per call, and the group's masked
+    weights are stacked into one product. Returns one (indices, S, executed)
+    per group: the indices into ``taus`` of its k pairs, their (k, U, ...)
+    estimates and their (k, ...) executed products. Entry j of a group
+    equals ``equalize_tagged(replace(weights, tau_w=tw), replace(x,
+    tau_y=ty), save_power, gain)`` for ``taus[indices[j]] == (tw, ty)``,
+    byte for byte.
     """
     if x.B != weights.B:
         raise ValueError("length mismatch")
@@ -273,17 +297,34 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     wre, wim = weights.re, weights.im
     yre, yim = x.re.reshape(x.B, -1), x.im.reshape(x.B, -1)
     full = (wre @ yre - wim @ yim, wre @ yim + wim @ yre)
+    products = 4 * wre.size
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
+    groups = {}  # distinct tau_y -> the indices of its pairs
+    w_skip = {}  # distinct tau_w -> its skippable weight raws and per-column counts
+    for i, (tau_w, tau_y) in enumerate(taus):
+        _threshold_raw(tau_w, weights.fmt)
+        _threshold_raw(tau_y, x.fmt)
+        groups.setdefault(tau_y, []).append(i)
+        if save_power and tau_w not in w_skip:
+            # a threshold the operand already carries keeps its cached bits
+            bits = (weights.cw_re, weights.cw_im) if tau_w == weights.tau_w else (
+                _comparison_bits(wre, tau_w, weights.fmt),
+                _comparison_bits(wim, tau_w, weights.fmt))
+            wm, counts = _skippable((wre, wim), bits)
+            w_skip[tau_w] = np.stack(wm)[None], counts.sum(axis=0)[None]
     out = []
-    for tau_w, tau_y in taus:
-        # a threshold the operand already carries keeps its cached bits
-        w = weights if tau_w == weights.tau_w else replace(weights, tau_w=tau_w)
-        xt = x if tau_y == x.tau_y else replace(x, tau_y=tau_y)
-        bits = (w.cw_re, w.cw_im, xt.cy_re.reshape(x.B, -1),
-                xt.cy_im.reshape(x.B, -1)) if save_power else None
-        acc_re, acc_im, executed = _masked_mvm(wre, wim, yre, yim, full, bits)
+    for tau_y, indices in groups.items():
+        k = len(indices)
+        w_stack = y_skip = None
+        if save_power:
+            xt = x if tau_y == x.tau_y else replace(x, tau_y=tau_y)
+            parts = [w_skip[taus[i][0]] for i in indices]
+            w_stack = parts[0] if k == 1 else tuple(map(np.concatenate, zip(*parts)))
+            y_skip = _skippable((yre, yim), (xt.cy_re.reshape(x.B, -1),
+                                             xt.cy_im.reshape(x.B, -1)))
+        acc_re, acc_im, executed = _masked_mvm(full, products, k, w_stack, y_skip)
         S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
-        out.append((S.reshape((weights.U, *cols)), executed.reshape(cols)))
+        out.append((indices, S.reshape((k, weights.U, *cols)), executed.reshape((k, *cols))))
     return out
 
 
@@ -296,8 +337,8 @@ def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,
     (U,) or (U, N) estimates and the executed real multiplications per vector
     (4BU minus the skipped ones), shaped () or (N,) to match.
     """
-    [scored] = equalize_pairs(weights, x, [(weights.tau_w, x.tau_y)], save_power, gain)
-    return scored
+    [(_, S, executed)] = equalize_pairs(weights, x, [(weights.tau_w, x.tau_y)], save_power, gain)
+    return S[0], executed[0, ...]
 
 
 def equalize_block(mode: str, weights_ant: EqualizerWeights | None,

@@ -30,10 +30,11 @@ from .channel import (
     QAM_ORDERS,
     ChannelMatrix,
     _is_power_of_4,
+    _qam_table,
+    bit_errors,
     draw_channel_matrix,
     load_channel,
-    qam_demodulate,
-    qam_modulate,
+    qam_index,
 )
 from .equalizer import (
     FrontEnd,
@@ -129,6 +130,11 @@ class RunConfig:
             raise ValueError("vectors_per_block and workers must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+        for name, fmt in (("tau_w", self.weight_fmt), ("tau_y", self.input_fmt)):
+            try:
+                _threshold_raw(getattr(self, name), fmt if self.quantized else None)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
     @property
     def bits_per_symbol(self) -> int:
@@ -194,18 +200,20 @@ def _draw_block(cfg: RunConfig, mode: str, purpose: int, tag: int, block_idx: in
                 n_vectors: int, H_fixed: ChannelMatrix | None):
     """Everything of one coherence block that no SNR reaches.
 
-    Draws the channel (in the domain the mode equalizes in), the bits, the
-    noise-free receive block and the unit-variance complex noise. Every SNR
-    probed on this block takes its weights from :func:`_block_weights` and its
-    receive vectors from :func:`_receive`.
+    Draws the channel (in the domain the mode equalizes in), the bits, kept
+    as the (U, N) symbol indices they select, the noise-free receive block
+    and the real and imaginary parts of the unit-variance complex noise.
+    Every SNR probed on this block takes its weights from
+    :func:`_block_weights` and its receive vectors from :func:`_receive`.
     """
     rng = derive_stream(cfg.seed, purpose, tag, block_idx)
     H = H_fixed if H_fixed is not None else draw_channel_matrix(cfg.channel, cfg.B, cfg.U, rng)
     Hd = H if mode == "lmmse-a" else ChannelMatrix(to_beamspace(H.entries), "beamspace")
     bits = rng.integers(0, 2, size=(cfg.U, n_vectors, cfg.bits_per_symbol), dtype=np.uint8)
-    y_bar = H.entries @ qam_modulate(bits, cfg.M, cfg.Es)
-    noise = rng.standard_normal(y_bar.shape) + 1j * rng.standard_normal(y_bar.shape)
-    return Hd, bits, y_bar, noise
+    sent = qam_index(bits, cfg.M)
+    y_bar = H.entries @ _qam_table(cfg.M, cfg.Es)[sent]
+    noise = rng.standard_normal(y_bar.shape), rng.standard_normal(y_bar.shape)
+    return Hd, sent, y_bar, noise
 
 
 def _block_weights(cfg: RunConfig, drawn, n0s: list):
@@ -224,11 +232,15 @@ def _receive(drawn, n0s: list) -> np.ndarray:
     """The drawn block's receive vectors at each of S SNRs, side by side: (B, S*N).
 
     The front end transforms and quantizes column by column, so one call on
-    this serves every SNR.
+    this serves every SNR. The noise is scaled part by part, which gives the
+    bytes of scaling it as one complex array.
     """
-    _, _, y_bar, noise = drawn
+    _, _, y_bar, (noise_re, noise_im) = drawn
     n0 = np.array(n0s)
-    Y = noise[:, None] * np.sqrt(n0 / 2.0)[:, None]
+    sigma = np.sqrt(n0 / 2.0)[:, None]
+    Y = np.empty((y_bar.shape[0], n0.size, y_bar.shape[1]), dtype=np.complex128)
+    np.multiply(noise_re[:, None], sigma, out=Y.real)
+    np.multiply(noise_im[:, None], sigma, out=Y.imag)
     Y += y_bar[:, None]
     Y[:, n0 == 0.0] = y_bar[:, None]  # no noise at all, not a zero-scaled one
     return Y.reshape(y_bar.shape[0], -1)
@@ -272,7 +284,9 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
     as one stack and the receive vectors side by side through one front end.
     Per distinct N0, one :func:`equalize_pairs` call then scores the block at
     each of that N0's points' (tau_w, tau_y): the full products once, the
-    masked terms per point. So a point sees the blocks it would see alone.
+    masked terms once per distinct tau_y for all of its points, and their
+    bit errors as one table lookup against the sent symbol indices
+    (:func:`channel.bit_errors`). So a point sees the blocks it would see alone.
     Before each wave, ``done(errors, vectors)`` retires a point. Returns one
     SnrPoint per point, its ``snr_db`` left for the caller.
 
@@ -294,7 +308,7 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
         def run(args, groups=groups):
             block_idx, n = args
             drawn = _draw_block(cfg, mode, purpose, tag, block_idx, n, H_fixed)
-            bits = drawn[1]
+            sent = drawn[1]
             n0s = list(groups)
             w = _block_weights(cfg, drawn, n0s)
             Y = _receive(drawn, n0s)
@@ -308,19 +322,24 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
                 cols = slice(s * n, (s + 1) * n)
                 xs = replace(x, re=x.re[:, cols], im=x.im[:, cols])
                 taus = [points[i][1:] for i in group]
-                for i, (S, per_vec) in zip(group, equalize_pairs(w[s], xs, taus, save_power,
-                                                                 fe.gain)):
-                    scored[i] = (int((bits != qam_demodulate(S, cfg.M, cfg.Es)).sum()), per_vec)
+                for pairs, S, executed in equalize_pairs(w[s], xs, taus, save_power, fe.gain):
+                    # per pair: bit errors, vectors, executed products' sum, min and max
+                    errors = bit_errors(S, sent, cfg.M, cfg.Es).reshape(len(pairs), -1).sum(1)
+                    per_vec = executed.reshape(len(pairs), n)
+                    for j, err, ex_sum, ex_min, ex_max in zip(
+                            pairs, errors.tolist(), per_vec.sum(1).tolist(),
+                            per_vec.min(1).tolist(), per_vec.max(1).tolist()):
+                        scored[group[j]] = (err, n, ex_sum, ex_min, ex_max)
             return scored
 
         for scored in block_map(run, wave):
-            for i, (err, per_vec) in scored.items():
+            for i, (err, vectors, exec_sum, exec_min, exec_max) in scored.items():
                 st = stats[i]
                 st[0] += err
-                st[1] += per_vec.size
-                st[2] += int(per_vec.sum())
-                st[3] = min(st[3], int(per_vec.min()))
-                st[4] = max(st[4], int(per_vec.max()))
+                st[1] += vectors
+                st[2] += exec_sum
+                st[3] = min(st[3], exec_min)
+                st[4] = max(st[4], exec_max)
     nbits = cfg.U * cfg.bits_per_symbol
     per_mvm = 4 * cfg.B * cfg.U
     return [SnrPoint(snr_db=float("nan"), trials=vectors, bit_errors=errors,

@@ -293,6 +293,17 @@ def qam_demodulate_formula(symbols: np.ndarray, M: int, Es: float) -> np.ndarray
     return np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=-1)
 
 
+def receive_complex(drawn, n0s: list) -> np.ndarray:
+    """A drawn block's (B, S*N) receive vectors, the noise built and scaled as one complex array."""
+    _, _, y_bar, (noise_re, noise_im) = drawn
+    noise = noise_re + 1j * noise_im
+    n0 = np.array(n0s)
+    Y = noise[:, None] * np.sqrt(n0 / 2.0)[:, None]
+    Y += y_bar[:, None]
+    Y[:, n0 == 0.0] = y_bar[:, None]
+    return Y.reshape(y_bar.shape[0], -1)
+
+
 def _probe_per_pair(cfg, mode, snr_db, tag, target, probe_cap):
     """One pair's probe: waves of blocks, each block equalized on its own, until the
     95% Wilson interval excludes the target BER or probe_cap vectors are spent."""

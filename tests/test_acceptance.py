@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The LoS threshold-sweep
 artifact (activity rate vs SNR operating point CSV) lands in ``artifacts/``.
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -180,6 +181,16 @@ def test_c07_trend_reproduction(los_sweep):
               f"{best.mean_activity_rate:.3f} at {best.snr_operating_point_db - op_a:+.2f} dB "
               f"vs lmmse-a ({op_a:.2f} dB); artifact written; 8x8 sweep {sweep_s:.1f}s",
            time.perf_counter() - t0, 1800.0)
+
+
+# sha256 of the 8x8 LoS sweep artifact, the golden tracked under artifacts/;
+# a change that moves it is a model change and updates the pin on purpose
+SWEEP_ARTIFACT_SHA256 = "0a0ad9ee1bfda257aee35eb3da5f71212889052342b766c2070ea10cc0b42455"
+
+
+def test_sweep_artifact_bytes_pinned(los_sweep):
+    data = (ARTIFACT_DIR / "threshold_sweep_los.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SWEEP_ARTIFACT_SHA256
 
 
 def test_c08_sparsity_ordering(los_sweep):

@@ -165,6 +165,19 @@ def test_bad_threshold_rejected_at_construction(tau, fmts):
         replace(tag_input(np.array([0.5 + 0j]), 0.0, yfmt), tau_y=tau)
 
 
+def test_threshold_overflowing_its_format_is_a_value_error():
+    # tau * scale is infinite: round() of it would raise OverflowError
+    with pytest.raises(ValueError, match="threshold 1e\\+308 overflows"):
+        tag_input(np.array([0.5 + 0j]), 1e308, INPUT_FMT)
+    with pytest.raises(ValueError, match="threshold 1e\\+308 overflows"):
+        build_weights(np.array([[0.5 + 0j]]), np.ones(1), 1e308, WEIGHT_FMT, "antenna")
+    # finite, and the largest raw of any format: every bit is set
+    x = tag_input(np.array([0.5 + 0j]), 1e300, INPUT_FMT)
+    assert x.cy_re.all() and x.cy_im.all()
+    # without a format the threshold is tau itself, which is finite
+    assert tag_input(np.array([0.5 + 0j]), 1e308, None).cy_re.all()
+
+
 def test_bits_follow_a_new_threshold():
     # bits read (and cached) at one threshold never leak into a replaced or
     # indexed object at another

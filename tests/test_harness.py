@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, closed-form checks, reports, CLI."""
 
 import argparse
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spadesim.channel import draw_channel_matrix, save_channel
+from spadesim.channel import MODES, draw_channel_matrix, save_channel
 from spadesim.cli import _effective, _snr_list
 from spadesim.cli import main as cli_main
 from spadesim.harness import (
@@ -538,3 +539,37 @@ def test_cli_sweep_tiny(tmp_path):
     ])
     assert code == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+# sha256 of render_report for one small run_ber per mode. The report stream is
+# part of the byte contract: a change that moves one of these is a model
+# change and updates the pin on purpose.
+REPORT_PINS = {
+    ("lmmse-a", "csv"): "3db3ed5cf644edbcab0614d896a0ec046c097d83d252c8c63d1538228a357ce9",
+    ("lmmse-a", "json"): "d0cee12d4ef825d497380369a89cf09d2f8f8c0c0475a638852e8a0dbc8ce458",
+    ("lmmse-b", "csv"): "c8b55a8470e912414c81c858f91262889b60882b8a210dbd527b56d5502fdba3",
+    ("lmmse-b", "json"): "289296ea134c45716c1338399c17f9fdcd4d8354e030e82f2094ef06030180ac",
+    ("lmmse-spade", "csv"): "1a00cdd28b3bc0ff73dffcce75a0c891ad452ea4f5c621ebad5e6653f25d753e",
+    ("lmmse-spade", "json"): "34b5ce8a29d41179628d12f3f29dcc678a30d9039ee4f8b9c8e65044e29778b2",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_report_bytes_pinned(mode):
+    cfg = RunConfig(B=16, U=4, M=16, channel="los", seed=5, vectors_per_block=50)
+    rep = run_ber(cfg, [4.0, 10.0], mode, StopRule(target_errors=300, max_vectors=1000))
+    for fmt in ("csv", "json"):
+        digest = hashlib.sha256(render_report(rep, fmt).encode("ascii")).hexdigest()
+        assert digest == REPORT_PINS[mode, fmt], (mode, fmt)
+
+
+@pytest.mark.parametrize("flag, name", [("--tau-w", "tau_w"), ("--tau-y", "tau_y")])
+def test_cli_names_a_threshold_that_overflows_its_format(flag, name, capsys):
+    with pytest.raises(ValueError, match=f"^{name}: threshold"):
+        small_cfg(**{name: 1e308})
+    small_cfg(**{name: 1e308}, quantized=False)  # no format: tau itself, finite
+    code = cli_main(["ber", "--b", "4", "--u", "1", "--mod", "4", "--snr-start", "0",
+                     "--snr-stop", "0", "--max-vectors", "10", flag, "1e308"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {name}: threshold 1e+308") and err.count("\n") == 1

@@ -1,10 +1,11 @@
 """Property tests: the vectorized kernels are bit-identical to their oracles.
 
 The stage-wise radix-4, the GEMM front end, the batched channel synthesis,
-the QAM lookup tables, the stacked weight scaling and quantization, the
-multi-pair MVM with its shared full products and the lockstep threshold
-sweep each replace a per-element, per-stage, per-user, per-SNR or per-pair
-formulation; every comparison here is byte for byte
+the QAM lookup tables, the table-driven bit-error count, the stacked weight
+scaling and quantization, the multi-pair MVM with its shared full products
+and per-tau_y weight stacks, the receive block built part by part and the
+lockstep threshold sweep each replace a per-element, per-stage, per-user,
+per-SNR or per-pair formulation; every comparison here is byte for byte
 (``tobytes``, ``repr`` of floats, file bytes), not within a tolerance. Then
 come run_ber's contract (the same report for any worker count, and zero
 thresholds make lmmse-spade equal lmmse-b), fuzzed files from outside,
@@ -31,9 +32,11 @@ from spadesim.channel import (
     MODES,
     QAM_ORDERS,
     _qam_table,
+    bit_errors,
     draw_channel_matrix,
     load_channel,
     qam_demodulate,
+    qam_index,
     qam_modulate,
     qam_scale,
 )
@@ -54,6 +57,8 @@ from spadesim.equalizer import (
 from spadesim.harness import (
     RunConfig,
     StopRule,
+    _draw_block,
+    _receive,
     activity_grid,
     emit_sweep,
     render_report,
@@ -68,6 +73,7 @@ from reference import (
     qam_demodulate_formula,
     qam_modulate_formula,
     radix4_recursive,
+    receive_complex,
     threshold_sweep_per_pair,
 )
 
@@ -219,7 +225,8 @@ def pair_setups(draw):
     """Weights and a tagged vector or block, both from one path, and the pairs to score.
 
     Thresholds come from a small set, so pairs repeat, include zeros and
-    sometimes equal the operands' own thresholds.
+    sometimes equal the operands' own thresholds; a grid of pairs puts
+    several tau_w on each tau_y.
     """
     B = draw(st.sampled_from((1, 4, 16, 64)))
     U = draw(st.integers(1, 4))
@@ -232,7 +239,12 @@ def pair_setups(draw):
     Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     x = tag_input(draw(st.sampled_from((0.1, 1.0, 4.0))) * Y, draw(taus),
                   INPUT_FMT if quantized else None)
-    pairs = draw(st.lists(st.tuples(taus, taus), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(taus, taus), min_size=1, max_size=6))
+    else:
+        tws, tys = (draw(st.lists(taus, min_size=1, max_size=3)) for _ in range(2))
+        pairs = [(tw, ty) for ty in tys for tw in tws]
+        pairs = draw(st.permutations(pairs))
     return w, x, pairs, draw(st.booleans()), draw(st.sampled_from((1.0, 0.25)))
 
 
@@ -241,12 +253,21 @@ def pair_setups(draw):
 def test_shared_full_products_equal_one_call_per_pair(setup):
     w, x, pairs, save_power, gain = setup
     scored = equalize_pairs(w, x, pairs, save_power, gain)
-    assert len(scored) == len(pairs)
-    for (tw, ty), (S, executed) in zip(pairs, scored):
-        S1, executed1 = equalize_tagged(replace(w, tau_w=tw), replace(x, tau_y=ty), save_power,
-                                        gain)
-        assert S.shape == S1.shape and S.tobytes() == S1.tobytes()
-        assert executed.shape == executed1.shape and executed.tobytes() == executed1.tobytes()
+    # one group per distinct tau_y, in order of first appearance, covering every pair once
+    assert [pairs[indices[0]][1] for indices, _, _ in scored] == list(dict.fromkeys(
+        ty for _, ty in pairs))
+    assert sorted(i for indices, _, _ in scored for i in indices) == list(range(len(pairs)))
+    for indices, S, executed in scored:
+        assert S.shape == (len(indices), w.U, *x.re.shape[1:])
+        assert executed.shape == (len(indices), *x.re.shape[1:])
+        for j, i in enumerate(indices):
+            tw, ty = pairs[i]
+            assert ty == pairs[indices[0]][1]
+            S1, executed1 = equalize_tagged(replace(w, tau_w=tw), replace(x, tau_y=ty),
+                                            save_power, gain)
+            assert S[j].shape == S1.shape and S[j].tobytes() == S1.tobytes()
+            assert executed[j].shape == executed1.shape
+            assert executed[j].tobytes() == executed1.tobytes()
 
 
 @st.composite
@@ -300,6 +321,49 @@ def test_qam_slice_table_matches_formula(M, Es, data):
     ref = qam_demodulate_formula(symbols, M, Es)
     assert out.shape == ref.shape and out.dtype == ref.dtype
     assert out.tobytes() == ref.tobytes()
+
+
+@PROPS
+@given(M=st.sampled_from(QAM_ORDERS), Es=st.floats(1e-3, 1e3), data=st.data())
+def test_bit_errors_equal_demodulate_and_compare(M, Es, data):
+    m = int(np.sqrt(M))
+    c = qam_scale(M, Es)
+    # exact midpoints, points beyond the outer levels, saturating and NaN values
+    grid = st.integers(-(m + 3), m + 3).map(lambda j: c * j)
+    edge = st.sampled_from((np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0, np.nan))
+    axis = st.one_of(grid, st.floats(-4.0 * m * c, 4.0 * m * c), edge)
+    k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 8))
+    re, im = (np.array(data.draw(st.lists(axis, min_size=k * n, max_size=k * n)),
+                       dtype=np.float64).reshape(k, n) for _ in range(2))
+    symbols = np.empty((k, n), dtype=np.complex128)  # re + 1j * im would turn inf into NaN
+    symbols.real, symbols.imag = re, im
+    bits = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
+        0, 2, size=(n, int(np.log2(M))), dtype=np.uint8)
+    sent = qam_index(bits, M)
+    if np.isnan(re).any() or np.isnan(im).any():
+        with pytest.raises(ValueError, match="NaN"):
+            bit_errors(symbols, sent, M, Es)
+        with pytest.raises(ValueError, match="NaN"):
+            qam_demodulate(symbols, M, Es)
+        return
+    errors = bit_errors(symbols, sent, M, Es)
+    assert errors.shape == (k, n) and errors.dtype == np.uint8
+    ref = (bits != qam_demodulate(symbols, M, Es)).sum(axis=-1)
+    assert np.array_equal(errors, ref)
+
+
+@PROPS
+@given(cfg=st.builds(RunConfig, B=st.sampled_from((4, 16, 64)), U=st.integers(1, 4),
+                     M=st.sampled_from(QAM_ORDERS), channel=st.sampled_from(("los", "nlos")),
+                     seed=st.integers(0, 2**64 - 1)),
+       n=st.integers(1, 40), mode=st.sampled_from(MODES),
+       n0s=st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from((0.0, 5e-324, 1e-300))),
+                    min_size=1, max_size=4))
+def test_receive_matches_complex_noise(cfg, n, mode, n0s):
+    # the noise scaled part by part gives the bytes of scaling it as one complex
+    # array; N0 = 0 takes the noise-free block
+    drawn = _draw_block(cfg, mode, 1, 0, 0, n, None)
+    assert _receive(drawn, n0s).tobytes() == receive_complex(drawn, n0s).tobytes()
 
 
 THRESHOLD = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
