@@ -42,7 +42,6 @@ from .harness import (
     activity_grid,
     default_grid,
     derive_stream,
-    emit_report,
     emit_sweep,
     render_report,
     run_ber,

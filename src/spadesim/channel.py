@@ -168,15 +168,6 @@ def qam_modulate(bitgroups: np.ndarray, M: int, Es: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _slice_table(m: int, half: int) -> np.ndarray:
-    """Read-only (m, half) bits of each level index's Gray code, MSB first."""
-    g = _gray_encode(np.arange(m))
-    table = ((g[:, None] >> np.arange(half - 1, -1, -1)) & 1).astype(np.uint8)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=8)
 def _error_table(M: int) -> np.ndarray:
     """Read-only (M, M) bit errors between a sliced point and a sent symbol index.
 
@@ -215,26 +206,15 @@ def _level_indices(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
     return np.ceil(t, out=t).astype(np.int64).reshape(symbols.shape + (2,))
 
 
-def qam_demodulate(symbols: np.ndarray, M: int, Es: float) -> np.ndarray:
-    """Hard-slice symbols to bit groups (inverse of :func:`qam_modulate`).
-
-    The nearest constellation point decides; exact midpoints resolve toward
-    the lexicographically smaller (re, im) point.
-    """
-    if M not in QAM_ORDERS:
-        raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
-    symbols = np.asarray(symbols)
-    k = int(log2(M))
-    table = _slice_table(isqrt(M), k // 2)
-    return table[_level_indices(symbols, M, Es)].reshape(symbols.shape + (k,))
-
-
 def bit_errors(symbols: np.ndarray, index: np.ndarray, M: int, Es: float) -> np.ndarray:
     """Bit errors of each hard-sliced symbol against the symbol index that was sent.
 
-    Equals ``(qam_demodulate(symbols, M, Es) != bits).sum(axis=-1)`` for
-    ``index == qam_index(bits, M)``, as a uint8 array of the broadcast shape
-    of ``symbols`` and ``index``.
+    Each axis slices to its nearest constellation level, an exact midpoint to
+    the lower level; values beyond the outer levels, infinite ones too,
+    saturate there, and a NaN raises ``ValueError``. The sliced point's Gray
+    bits are compared with ``index`` (as :func:`qam_index` reads the sent
+    bits), giving a uint8 array of the broadcast shape of ``symbols`` and
+    ``index``.
     """
     if M not in QAM_ORDERS:
         raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")

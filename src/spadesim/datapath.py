@@ -2,8 +2,8 @@
 
 The array accepts one input vector per clock cycle after a U-cycle weight
 loading phase; results drain through the pipeline latency. Arithmetic is the
-equalizer module's, bit for bit - this layer only adds timing and a trace of
-which multiplier input registers were muted on which cycle.
+equalizer module's, bit for bit - this layer only adds timing and a count of
+the multiplier input registers muted over the stream.
 """
 
 from __future__ import annotations
@@ -29,28 +29,18 @@ class PipelineConfig:
 
 
 class MuteTrace:
-    """Per-cycle record of disabled multiplier input registers.
+    """Record of the disabled multiplier input registers of a stream.
 
     A register is disabled in a cycle iff power saving is on and both of its
     operands' comparison bits are set. The trace keeps the weights' (U, B)
     comparison bits once (cleared without power saving) and the (B, N) input
-    bits of the accepted vectors, and derives each cycle's (U, B, 4) mask
-    when asked.
+    bits of the accepted vectors, and counts the disabled registers from them.
     """
 
     def __init__(self, cw_re: np.ndarray, cw_im: np.ndarray, cy_re: np.ndarray,
-                 cy_im: np.ndarray, first_cycle: int):
-        self.U, self.B = cw_re.shape
+                 cy_im: np.ndarray):
         self.cw_re, self.cw_im = cw_re, cw_im
         self.cy_re, self.cy_im = cy_re, cy_im
-        self.cycles = first_cycle + np.arange(cy_re.shape[1], dtype=np.int64)
-
-    def _mask(self, i: int) -> np.ndarray:
-        # register indices within one complex multiplier: the four real
-        # products (w_re*y_re, w_im*y_im, w_re*y_im, w_im*y_re)
-        yre, yim = self.cy_re[:, i], self.cy_im[:, i]
-        return np.stack([self.cw_re & yre, self.cw_im & yim,
-                         self.cw_re & yim, self.cw_im & yre], axis=-1)
 
     def mute_count(self) -> int:
         # every register pairs one weight bit with one input bit, so the count
@@ -58,22 +48,6 @@ class MuteTrace:
         w = self.cw_re.sum(axis=0) + self.cw_im.sum(axis=0)
         y = self.cy_re.sum(axis=1) + self.cy_im.sum(axis=1)
         return int(w @ y)
-
-    def to_csv(self, path: str) -> None:
-        """Summary CSV of mute events: one row per (cycle, CM index, register)."""
-        with open(path, "w", encoding="ascii") as f:
-            f.write("cycle,cm,register\n")
-            for i, cycle in enumerate(self.cycles):
-                us, bs, regs = np.nonzero(self._mask(i))
-                for u, b, r in zip(us, bs, regs):
-                    f.write(f"{cycle},{u * self.B + b},{r}\n")
-
-    def save_bitmap(self, path: str) -> None:
-        """Compressed packed-bit dump of the per-cycle masks."""
-        n = self.cycles.size
-        packed = np.stack([np.packbits(self._mask(i).reshape(-1)) for i in range(n)]) if n \
-            else np.empty((0, 0), dtype=np.uint8)
-        np.savez_compressed(path, cycles=self.cycles, packed=packed, U=self.U, B=self.B)
 
 
 def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
@@ -105,7 +79,7 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
         cy_re = cy_im = np.empty((B, 0), dtype=bool)
     cw_re, cw_im = (weights.cw_re, weights.cw_im) if save_power \
         else (np.zeros((U, B), dtype=bool),) * 2
-    trace = MuteTrace(cw_re, cw_im, cy_re, cy_im, first_cycle=U)
+    trace = MuteTrace(cw_re, cw_im, cy_re, cy_im)
     cycles = U + n + cfg.latency(B)
     return np.ascontiguousarray(S.T), cycles, trace, ActivityReport(per_vector, 4 * B * U)
 

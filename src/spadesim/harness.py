@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -171,8 +170,6 @@ class RunReport:
     config: RunConfig
     mode: str
     points: list[SnrPoint]
-    seed: int
-    wall_time_s: float
 
 
 @dataclass
@@ -352,7 +349,14 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
 
 def _n0_for_snr(cfg: RunConfig, snr_db: float) -> float:
     # SNR convention: per-antenna receive SNR = U * Es / N0
-    return cfg.U * cfg.Es / 10 ** (snr_db / 10.0)
+    try:
+        n0 = cfg.U * cfg.Es / 10 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        n0 = math.nan
+    # a zero or infinite N0 would fail later, as noise that is not finite
+    if not (math.isfinite(n0) and n0 > 0):
+        raise ValueError(f"SNR {snr_db!r} dB gives no finite positive noise power N0")
+    return n0
 
 
 def run_ber(config: RunConfig, snr_list_db, mode: str, stop: StopRule | None = None) -> RunReport:
@@ -362,20 +366,18 @@ def run_ber(config: RunConfig, snr_list_db, mode: str, stop: StopRule | None = N
     snr_list = [float(s) for s in snr_list_db]
     if any(not math.isfinite(s) for s in snr_list):
         raise ValueError("invalid SNR list")
+    n0s = [_n0_for_snr(config, snr_db) for snr_db in snr_list]
     stop = stop or StopRule()
     H_fixed = _load_fixed_channel(config)
-    t0 = time.perf_counter()
     points = []
     with _block_map(config.workers) as block_map:
-        for i, snr_db in enumerate(snr_list):
-            [pt] = _simulate(config, mode, _P_BER, i,
-                             [(_n0_for_snr(config, snr_db), config.tau_w, config.tau_y)],
+        for i, (snr_db, n0) in enumerate(zip(snr_list, n0s)):
+            [pt] = _simulate(config, mode, _P_BER, i, [(n0, config.tau_w, config.tau_y)],
                              stop.max_vectors, lambda errors, _: errors >= stop.target_errors,
                              H_fixed, block_map)
             pt.snr_db = snr_db
             points.append(pt)
-    return RunReport(config=config, mode=mode, points=points, seed=config.seed,
-                     wall_time_s=time.perf_counter() - t0)
+    return RunReport(config=config, mode=mode, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +434,9 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_
         raise ValueError("the search needs finite lo_db < hi_db and tol_db > 0")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    # N0 falls as the SNR rises, so the probes between two valid ends are valid
+    for snr_db in (lo_db, hi_db):
+        _n0_for_snr(cfg, snr_db)
     nbits = cfg.U * cfg.bits_per_symbol
 
     def decided(errors: int, vectors: int) -> bool:
@@ -502,6 +507,7 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     :func:`_activity_rates`.
     """
     _check_draws(draws, vectors_per_draw)
+    _n0_for_snr(config, snr_db)  # in every mode, not only where the draws need N0
     tau_w_grid = [float(t) for t in tau_w_grid]
     tau_y_grid = [float(t) for t in tau_y_grid]
     cells = [(snr_db, tw, ty) for tw in tau_w_grid for ty in tau_y_grid]
@@ -522,6 +528,8 @@ def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
     every (SNR, tau_w, tau_y) of the distinct values, and each cell gathers
     its own.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     if mode != "lmmse-spade" or not cells:
         return np.ones((len(cells), draws))
     fe = config.frontend()
@@ -611,7 +619,7 @@ def report_rows(report: RunReport) -> list[dict]:
             "activity_max": p.activity_max,
             "tau_w": cfg.tau_w,
             "tau_y": cfg.tau_y,
-            "seed": report.seed,
+            "seed": cfg.seed,
         })
     return rows
 
@@ -631,13 +639,6 @@ def render_report(report: RunReport, fmt: str = "csv") -> str:
     for row in rows:
         lines.append(",".join(_csv_cell(row[k]) for k in _CSV_HEADER.split(",")))
     return "\n".join(lines) + "\n"
-
-
-def emit_report(report: RunReport, path: str, fmt: str = "csv") -> None:
-    """Write a run report to a file; see :func:`render_report`."""
-    text = render_report(report, fmt)
-    with open(path, "w", encoding="ascii") as f:
-        f.write(text)
 
 
 def emit_sweep(records: list[SweepRecord], path: str) -> None:

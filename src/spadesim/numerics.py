@@ -45,21 +45,6 @@ class QFormat:
     def max_raw(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
-    def min_value(self) -> float:
-        return self.min_raw / self.scale
-
-    @property
-    def max_value(self) -> float:
-        return self.max_raw / self.scale
-
-    @property
-    def step(self) -> float:
-        return 1.0 / self.scale
-
-    def __str__(self) -> str:
-        return f"Q{self.total_bits}.{self.frac_bits}"
-
 
 # Defaults used throughout the artifact; every one of these is configurable.
 WEIGHT_FMT = QFormat(10, 9)   # equalizer weights, range just inside [-1, 1)

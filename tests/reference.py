@@ -157,15 +157,6 @@ def mute_mask(weights, x) -> np.ndarray:
     return mask
 
 
-def mute_trace_csv(cycles, masks, B: int) -> str:
-    """The mute-trace CSV written from dense per-cycle masks, one row per muted register."""
-    lines = ["cycle,cm,register"]
-    for cycle, mask in zip(cycles, masks):
-        for u, b, r in zip(*np.nonzero(mask)):
-            lines.append(f"{cycle},{u * B + b},{r}")
-    return "\n".join(lines) + "\n"
-
-
 def naive_threshold_raw(tau: float, frac_bits: int) -> int:
     """Round-half-even of tau * 2^frac via the fraction's exact halves."""
     scaled = tau * (1 << frac_bits)
@@ -307,7 +298,7 @@ def receive_complex(drawn, n0s: list) -> np.ndarray:
 def _probe_per_pair(cfg, mode, snr_db, tag, target, probe_cap):
     """One pair's probe: waves of blocks, each block equalized on its own, until the
     95% Wilson interval excludes the target BER or probe_cap vectors are spent."""
-    from spadesim.channel import draw_channel_matrix, qam_demodulate, qam_modulate
+    from spadesim.channel import draw_channel_matrix, qam_modulate
     from spadesim.equalizer import equalize_block
     from spadesim.harness import _P_PROBE, _WAVE_BLOCKS, _wilson, derive_stream
 
@@ -326,7 +317,7 @@ def _probe_per_pair(cfg, mode, snr_db, tag, target, probe_cap):
             y = H.entries @ qam_modulate(bits, cfg.M, cfg.Es)
             noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
             s_hat, _ = equalize_block(mode, wa, wb, y + noise * math.sqrt(n0 / 2.0), cfg.frontend())
-            errors += int((bits != qam_demodulate(s_hat, cfg.M, cfg.Es)).sum())
+            errors += int((bits != qam_demodulate_formula(s_hat, cfg.M, cfg.Es)).sum())
             nbits += cfg.U * k * size
             vectors += size
             block_idx += 1

@@ -9,8 +9,9 @@ from spadesim.channel import (
     _draw_paths,
     _synth,
     draw_channel_matrix,
+    bit_errors,
     load_channel,
-    qam_demodulate,
+    qam_index,
     qam_modulate,
     save_channel,
     synth_receive,
@@ -143,13 +144,20 @@ def test_qpsk_equal_magnitudes():
     assert len({(round(p.real, 9), round(p.imag, 9)) for p in pts}) == 4
 
 
+def errors_against_every_index(symbol: complex, M: int) -> np.ndarray:
+    """``bit_errors`` of one symbol against each of the M symbol indices: it names the sliced point."""
+    return bit_errors(np.full(M, symbol), np.arange(M), M, 1.0)
+
+
 @pytest.mark.parametrize("M", [4, 16, 64, 256])
 def test_qam_round_trip_all_points(M):
-    k = int(np.log2(M))
-    all_bits = np.array([[(i >> (k - 1 - j)) & 1 for j in range(k)] for i in range(M)], dtype=np.uint8)
-    symbols = qam_modulate(all_bits, M, 1.0)
-    back = qam_demodulate(symbols, M, 1.0)
-    assert np.array_equal(all_bits, back)
+    # every constellation point slices to itself: against symbol index j, the
+    # point of index i counts the bits in which i and j differ
+    symbols = qam_modulate((np.arange(M)[:, None] >> np.arange(int(np.log2(M)) - 1, -1, -1)) & 1,
+                           M, 1.0)
+    errors = bit_errors(symbols[:, None], np.arange(M)[None, :], M, 1.0)
+    hamming = [[bin(i ^ j).count("1") for j in range(M)] for i in range(M)]
+    assert errors.tolist() == hamming
 
 
 @pytest.mark.parametrize("M", [4, 16, 64, 256])
@@ -159,16 +167,17 @@ def test_qam_demodulate_saturates_beyond_outer_levels(M):
     for far in (1e19, 1e308, np.inf):
         for re, im in ((far, 0.0), (-far, 0.0), (0.0, far), (0.0, -far), (far, -far)):
             near = complex(np.sign(re) * edge, np.sign(im) * edge)
-            got = qam_demodulate(np.array([complex(re, im)]), M, 1.0)
-            assert np.array_equal(got, qam_demodulate(np.array([near]), M, 1.0))
-    top, bottom = (qam_demodulate(np.array([complex(v, 0.0)]), M, 1.0) for v in (np.inf, -1e19))
+            got = errors_against_every_index(complex(re, im), M)
+            assert np.array_equal(got, errors_against_every_index(near, M))
+    top, bottom = (errors_against_every_index(complex(v, 0.0), M) for v in (np.inf, -1e19))
     assert not np.array_equal(top, bottom)
 
 
 def test_qam_demodulate_rejects_nan():
+    sent = qam_index(np.zeros((2, 4), dtype=np.uint8), 16)
     for s in (complex(np.nan, 0.0), complex(0.0, np.nan)):
         with pytest.raises(ValueError, match="NaN"):
-            qam_demodulate(np.array([0.5 + 0.5j, s]), 16, 1.0)
+            bit_errors(np.array([0.5 + 0.5j, s]), sent, 16, 1.0)
 
 
 def test_map_qam_validation():

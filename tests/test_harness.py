@@ -21,7 +21,6 @@ from spadesim.harness import (
     activity_grid,
     default_grid,
     derive_stream,
-    emit_report,
     emit_sweep,
     render_report,
     run_ber,
@@ -132,6 +131,41 @@ def test_invalid_inputs():
         RunConfig(channel="file")
     with pytest.raises(ValueError):
         snr_operating_point(small_cfg(), "lmmse-a", target_ber=0.6)
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3200.0])
+def test_snr_without_finite_positive_noise_power_is_rejected(snr_db, capsys, monkeypatch):
+    # N0 = U*Es / 10^(snr/10) overflowed at 4000 dB, divided by zero at -4000 dB
+    # and was inf at -3200 dB, which failed only in the first block
+    def ran(*args, **kwargs):
+        pytest.fail("a block ran before every SNR was checked")
+
+    monkeypatch.setattr("spadesim.harness._simulate", ran)
+    named = f"SNR {snr_db!r} dB"
+    with pytest.raises(ValueError, match=named):
+        run_ber(small_cfg(), [0.0, snr_db], "lmmse-a")
+    bracket = dict(hi_db=snr_db) if snr_db > 0 else dict(lo_db=snr_db)
+    with pytest.raises(ValueError, match=named):
+        snr_operating_point(small_cfg(), "lmmse-a", **bracket)
+    if snr_db > 0:
+        with pytest.raises(ValueError, match=named):
+            threshold_sweep(small_cfg(), [0.0], [0.0], activity_draws=1, hi_db=snr_db)
+    for mode in MODES:
+        with pytest.raises(ValueError, match=named):
+            activity_grid(small_cfg(), mode, snr_db, [0.1], [0.1], draws=1)
+    monkeypatch.undo()
+    code = cli_main(["ber", "--b", "4", "--u", "1", "--mod", "4", "--snr-start", f"{snr_db:g}",
+                     "--max-vectors", "10"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}") and captured.err.count("\n") == 1
+
+
+def test_activity_grid_rejects_unknown_mode():
+    # any mode but lmmse-spade used to read as full activity
+    with pytest.raises(ValueError, match="mode"):
+        activity_grid(small_cfg(), "nonsense", 10.0, [0.1], [0.1], draws=1)
 
 
 def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
@@ -369,7 +403,7 @@ def fixed_report():
         SnrPoint(snr_db=2.0, trials=2000, bit_errors=45, ber=45 / 16000,
                  activity_mean=0.8125, activity_min=0.25, activity_max=0.9375),
     ]
-    return RunReport(config=cfg, mode="lmmse-spade", points=points, seed=9, wall_time_s=1.23)
+    return RunReport(config=cfg, mode="lmmse-spade", points=points)
 
 
 GOLDEN_CSV = """mode,B,U,M,channel_kind,snr_db,trials,bit_errors,ber,activity_mean,activity_min,activity_max,tau_w,tau_y,seed
@@ -382,12 +416,9 @@ def test_report_golden_csv():
     assert render_report(fixed_report(), "csv") == GOLDEN_CSV
 
 
-def test_report_json_round_trip(tmp_path):
+def test_report_json_round_trip():
     rep = fixed_report()
-    path = str(tmp_path / "rep.json")
-    emit_report(rep, path, "json")
-    with open(path, encoding="ascii") as f:
-        doc = json.load(f)
+    doc = json.loads(render_report(rep, "json"))
     from spadesim.harness import report_rows
 
     assert doc["rows"] == report_rows(rep)
@@ -405,14 +436,18 @@ def test_report_unknown_format():
         render_report(fixed_report(), "xml")
 
 
-def test_emit_report_unwritable_path(tmp_path):
-    with pytest.raises(OSError):
-        emit_report(fixed_report(), str(tmp_path / "missing" / "rep.csv"), "csv")
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+def test_cli_out_to_missing_directory_is_one_error_line(tmp_path, capsys):
+    code = cli_main(["ber", "--b", "4", "--u", "1", "--mod", "4", "--snr-start", "0",
+                     "--max-vectors", "10", "--out", str(tmp_path / "missing" / "r.csv")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 def test_cli_ber_writes_csv(tmp_path, capsys):
     out = tmp_path / "out.csv"

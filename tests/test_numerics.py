@@ -26,9 +26,7 @@ def test_qformat_validation():
 
 def test_qformat_range():
     fmt = QFormat(10, 9)
-    assert fmt.min_value == -1.0
-    assert fmt.max_value == 511 / 512
-    assert fmt.step == 2**-9
+    assert (fmt.min_raw, fmt.max_raw, fmt.scale) == (-512, 511, 512)
 
 
 def test_quantize_exact_and_zero():
@@ -67,7 +65,8 @@ def test_quantize_rejects_non_finite():
 def test_quantize_error_bound_and_saturation():
     fmt = QFormat(12, 9)
     rng = np.random.default_rng(13)
-    xs = rng.uniform(fmt.min_value, fmt.max_value, size=2000)
+    step, lo, hi = 1.0 / fmt.scale, fmt.min_raw / fmt.scale, fmt.max_raw / fmt.scale
+    xs = rng.uniform(lo, hi, size=2000)
     raws = quantize_raw(xs, fmt)
     err = np.abs(raws / fmt.scale - xs)
     assert err.max() <= 2.0 ** (-fmt.frac_bits - 1) + 1e-15
@@ -75,11 +74,11 @@ def test_quantize_error_bound_and_saturation():
     assert quantize(-100.0, fmt).raw == fmt.min_raw
     # the raw form: integer-valued float64, zero always +0.0
     assert raws.dtype == np.float64 and np.array_equal(raws, np.trunc(raws))
-    near_zero = np.array([-0.0, -fmt.step / 4, -np.nextafter(fmt.step / 2, 0.0), -fmt.step / 2])
+    near_zero = np.array([-0.0, -step / 4, -np.nextafter(step / 2, 0.0), -step / 2])
     assert not np.signbit(quantize_raw(near_zero, fmt)).any()
     # ties and saturation as the exhaustive scan decides them
-    edges = np.array([(k + 0.5) * fmt.step for k in range(-6, 6)]
-                     + [fmt.min_value - fmt.step / 2, fmt.max_value + fmt.step / 2, 100.0, -100.0])
+    edges = np.array([(k + 0.5) * step for k in range(-6, 6)]
+                     + [lo - step / 2, hi + step / 2, 100.0, -100.0])
     assert quantize_raw(edges, fmt).tolist() == [nearest_representable(float(x), 12, 9)
                                                  for x in edges]
     # and the datapath's raws keep it

@@ -35,7 +35,6 @@ from spadesim.channel import (
     bit_errors,
     draw_channel_matrix,
     load_channel,
-    qam_demodulate,
     qam_index,
     qam_modulate,
     qam_scale,
@@ -302,27 +301,6 @@ def test_qam_table_matches_formula(M, Es, seed):
     assert out.tobytes() == qam_modulate_formula(bits, M, Es).tobytes()
 
 
-
-@PROPS
-@given(M=st.sampled_from(QAM_ORDERS), Es=st.floats(1e-3, 1e3), data=st.data())
-def test_qam_slice_table_matches_formula(M, Es, data):
-    m = int(np.sqrt(M))
-    c = qam_scale(M, Es)
-    # integer multiples of the level spacing: odd ones are exact midpoints between
-    # levels, those beyond +-(m-1) saturate at the outer levels
-    grid = st.integers(-(m + 3), m + 3).map(lambda j: c * j)
-    axis = st.one_of(grid, st.floats(-4.0 * m * c, 4.0 * m * c), st.floats(-1e12, 1e12))
-    n = data.draw(st.integers(0, 12))
-    re = np.array(data.draw(st.lists(axis, min_size=n, max_size=n)), dtype=np.float64)
-    im = np.array(data.draw(st.lists(axis, min_size=n, max_size=n)), dtype=np.float64)
-    shape = data.draw(st.sampled_from(((n,), (1, n))))
-    symbols = (re + 1j * im).reshape(shape)
-    out = qam_demodulate(symbols, M, Es)
-    ref = qam_demodulate_formula(symbols, M, Es)
-    assert out.shape == ref.shape and out.dtype == ref.dtype
-    assert out.tobytes() == ref.tobytes()
-
-
 @PROPS
 @given(M=st.sampled_from(QAM_ORDERS), Es=st.floats(1e-3, 1e3), data=st.data())
 def test_bit_errors_equal_demodulate_and_compare(M, Es, data):
@@ -343,12 +321,15 @@ def test_bit_errors_equal_demodulate_and_compare(M, Es, data):
     if np.isnan(re).any() or np.isnan(im).any():
         with pytest.raises(ValueError, match="NaN"):
             bit_errors(symbols, sent, M, Es)
-        with pytest.raises(ValueError, match="NaN"):
-            qam_demodulate(symbols, M, Es)
         return
     errors = bit_errors(symbols, sent, M, Es)
     assert errors.shape == (k, n) and errors.dtype == np.uint8
-    ref = (bits != qam_demodulate(symbols, M, Es)).sum(axis=-1)
+    # the formula casts before it clips; clipping the symbols to +-m*c first
+    # moves no slice (+m*c is past the top level's upper edge, -m*c below the
+    # bottom level's lower one) and keeps the cast finite
+    clipped = np.empty_like(symbols)
+    clipped.real, clipped.imag = np.clip(re, -m * c, m * c), np.clip(im, -m * c, m * c)
+    ref = (bits != qam_demodulate_formula(clipped, M, Es)).sum(axis=-1)
     assert np.array_equal(errors, ref)
 
 
