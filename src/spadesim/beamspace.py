@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import _is_power_of_4
-from .numerics import TWIDDLE_FMT, QFormat, dequantize, quantize_raw
+from .numerics import TWIDDLE_FMT, QFormat, dequantize, quantize_complex
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ def _quantized_twiddles(n: int, fmt: QFormat):
     k = np.arange(n // 4)
     out = []
     for p in (1, 2, 3):
-        w = np.exp(-2j * np.pi * ((p * k) % n) / n)
-        wq = dequantize(quantize_raw(w.real, fmt), fmt) + 1j * dequantize(quantize_raw(w.imag, fmt), fmt)
+        re, im = quantize_complex(np.exp(-2j * np.pi * ((p * k) % n) / n), fmt)
+        wq = dequantize(re, fmt) + 1j * dequantize(im, fmt)
         wq.setflags(write=False)
         out.append(wq)
     return tuple(out)
@@ -123,8 +123,7 @@ def _raw_transform(n: int, fmt: QFormat, frac_bits: int):
 
 def _radix4_raws(z: np.ndarray, fmt: QFormat, input_fmt: QFormat):
     """Input raws the stage-by-stage way: radix-4, 1/sqrt(B), then quantize."""
-    r = _radix4(z, fmt) / np.sqrt(z.shape[0])
-    return quantize_raw(r.real, input_fmt), quantize_raw(r.imag, input_fmt)
+    return quantize_complex(_radix4(z, fmt) / np.sqrt(z.shape[0]), input_fmt)
 
 
 def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):

@@ -15,6 +15,7 @@ from .channel import MODES
 from .datapath import PipelineConfig, effective_throughput, throughput_bps
 from .harness import (
     CHANNEL_KINDS,
+    MAX_SNR_POINTS,
     REPORT_FORMATS,
     RunConfig,
     StopRule,
@@ -155,8 +156,10 @@ def _snr_list(opt: dict) -> list[float]:
     if step <= 0:
         raise ValueError("snr-step must be positive")
     # points from an integer count, not accumulated steps, so 0.1 steps do not drift
-    count = max(0, math.ceil((stop + step / 2 - start) / step))
-    return [round(start + i * step, 12) for i in range(count)]
+    count = (stop + step / 2 - start) / step
+    if count > MAX_SNR_POINTS:  # checked before the list is built; inf too
+        raise ValueError(f"snr-start, snr-stop and snr-step give more than {MAX_SNR_POINTS} points")
+    return [round(start + i * step, 12) for i in range(math.ceil(max(count, 0.0)))]
 
 
 def _write_out(text: str, path: str | None) -> None:

@@ -6,7 +6,9 @@ bit-accurately: weights and inputs are quantized, each complex multiply
 decomposes into four real products, and in power-saving mode a real product is
 skipped (contributing exactly zero) whenever the comparison bits of both of
 its operands are set; each bit is derived from its raw, threshold and format
-on first read. Accumulation is exact, with no intermediate rounding.
+on first read. Accumulation is exact, with no intermediate rounding. The
+masked product is written once, in :func:`equalize_pairs`; every other
+entry (:func:`equalize_tagged`, :func:`equalize_block`) reaches it there.
 
 Weights and inputs hold their integer raws as float64 (see
 :func:`numerics.quantize_raw`), the type of the matrix products; every
@@ -29,7 +31,7 @@ import numpy as np
 
 from .beamspace import TwiddleConfig, beamspace_raws, to_beamspace
 from .channel import MODES, ChannelMatrix
-from .numerics import INPUT_FMT, QFormat, quantize_raw
+from .numerics import INPUT_FMT, QFormat, quantize_complex
 
 DOMAINS = ("antenna", "beamspace")
 
@@ -198,28 +200,17 @@ def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
     mags = np.maximum(np.abs(W_real.real).max(axis=-1), np.abs(W_real.imag).max(axis=-1))
     if np.any(mags >= 1.0):
         raise ValueError("scale before loading")
-    if fmt is not None:
-        # the row-scaling guarantee only survives quantization when the format
-        # spans exactly [-1, 1): saturation then pins rows strictly below one
-        if fmt.frac_bits != fmt.total_bits - 1:
-            raise ValueError("weight format must span [-1, 1): use frac_bits = total_bits - 1")
-        re = quantize_raw(W_real.real, fmt)
-        im = quantize_raw(W_real.imag, fmt)
-    else:
-        re = W_real.real.copy()
-        im = W_real.imag.copy()
+    # the row-scaling guarantee only survives quantization when the format
+    # spans exactly [-1, 1): saturation then pins rows strictly below one
+    if fmt is not None and fmt.frac_bits != fmt.total_bits - 1:
+        raise ValueError("weight format must span [-1, 1): use frac_bits = total_bits - 1")
+    re, im = quantize_complex(W_real, fmt)
     return EqualizerWeights(re=re, im=im, fmt=fmt, alpha=alpha, tau_w=tau_w, domain=domain)
 
 
 def tag_input(y_raw: np.ndarray, tau_y: float, fmt: QFormat | None) -> BeamVector:
     """Quantize a (B,) input vector or (B, N) block; its comparison bits follow from ``tau_y``."""
-    y_raw = np.asarray(y_raw, dtype=np.complex128)
-    if fmt is not None:
-        re = quantize_raw(y_raw.real, fmt)
-        im = quantize_raw(y_raw.imag, fmt)
-    else:
-        re = y_raw.real.copy()
-        im = y_raw.imag.copy()
+    re, im = quantize_complex(y_raw, fmt)
     return BeamVector(re=re, im=im, fmt=fmt, tau_y=tau_y)
 
 
@@ -241,35 +232,6 @@ def _skippable(raws, bits):
     masked = (raws[0] * m_re, raws[1] * m_im)
     m_re += m_im
     return masked, m_re
-
-
-def _masked_mvm(full, products, k, w_skip, y_skip):
-    """Core accumulate of k weight matrices against one block; skipped products contribute zero.
-
-    ``full`` holds the unmasked (U, N) sums (wre@yre - wim@yim, wre@yim +
-    wim@yre); they do not depend on the thresholds. Without power saving
-    ``w_skip`` and ``y_skip`` are None. Else ``w_skip`` holds the k matrices'
-    (k, 2, U, B) skippable raws and their (k, B) per-column counts of set
-    bits, and ``y_skip`` the block's (B, N) skippable re and im raws and
-    their (B, N) counts (see :func:`_skippable`). Skip masks are separable (weight bit AND
-    input bit), so the skipped part of each sum is itself a matrix product of
-    masked factors, and the skipped count of a vector is the dot of the
-    counts. The stack is multiplied matrix by matrix, each product the same
-    (U, B) @ (B, N) call as for a lone matrix, so unquantized raws give the
-    same bytes too; with integer-valued raws every intermediate is exact.
-    Returns the (k, U, N) accumulators and the (k, N) executed products.
-    """
-    full_re, full_im = full
-    if w_skip is None:
-        executed = np.full((k, full_re.shape[1]), products, dtype=np.int64)
-        return (np.broadcast_to(full_re, (k, *full_re.shape)),
-                np.broadcast_to(full_im, (k, *full_im.shape)), executed)
-    (wm, w_counts), (ym, y_counts) = w_skip, y_skip
-    by_re = wm @ ym[0]  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re, per matrix
-    by_im = wm @ ym[1]
-    acc_re = full_re - by_re[:, 0] + by_im[:, 1]
-    acc_im = full_im - by_im[:, 0] - by_re[:, 1]
-    return acc_re, acc_im, (products - w_counts @ y_counts).astype(np.int64)
 
 
 def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_power: bool,
@@ -296,7 +258,7 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     cols = x.re.shape[1:]
     wre, wim = weights.re, weights.im
     yre, yim = x.re.reshape(x.B, -1), x.im.reshape(x.B, -1)
-    full = (wre @ yre - wim @ yim, wre @ yim + wim @ yre)
+    full_re, full_im = wre @ yre - wim @ yim, wre @ yim + wim @ yre
     products = 4 * wre.size
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
     groups = {}  # distinct tau_y -> the indices of its pairs
@@ -315,14 +277,26 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     out = []
     for tau_y, indices in groups.items():
         k = len(indices)
-        w_stack = y_skip = None
-        if save_power:
+        if not save_power:
+            acc_re, acc_im = (np.broadcast_to(a, (k, *a.shape)) for a in (full_re, full_im))
+            executed = np.full((k, full_re.shape[1]), products, dtype=np.int64)
+        else:
+            # Skip masks are separable (weight bit AND input bit): the skipped
+            # part of each sum is a product of masked factors, and a vector's
+            # skipped count the dot of the per-column counts. Each matrix of
+            # the (k, 2, U, B) stack is its own (U, B) @ (B, N) call, so
+            # unquantized raws give the bytes of a lone matrix too.
             xt = x if tau_y == x.tau_y else replace(x, tau_y=tau_y)
             parts = [w_skip[taus[i][0]] for i in indices]
-            w_stack = parts[0] if k == 1 else tuple(map(np.concatenate, zip(*parts)))
-            y_skip = _skippable((yre, yim), (xt.cy_re.reshape(x.B, -1),
-                                             xt.cy_im.reshape(x.B, -1)))
-        acc_re, acc_im, executed = _masked_mvm(full, products, k, w_stack, y_skip)
+            wm, w_counts = parts[0] if k == 1 else tuple(map(np.concatenate, zip(*parts)))
+            ym, y_counts = _skippable((yre, yim), (xt.cy_re.reshape(x.B, -1),
+                                                   xt.cy_im.reshape(x.B, -1)))
+            by_re = wm @ ym[0]  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re, per matrix
+            by_im = wm @ ym[1]
+            acc_re = full_re - by_re[:, 0] + by_im[:, 1]
+            acc_im = full_im - by_im[:, 0] - by_re[:, 1]
+            del by_re, by_im  # before the descale's temporaries
+            executed = (products - w_counts @ y_counts).astype(np.int64)
         S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
         out.append((indices, S.reshape((k, weights.U, *cols)), executed.reshape((k, *cols))))
     return out

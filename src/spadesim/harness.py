@@ -10,6 +10,8 @@ blocks independent of the worker count.
 One block loop, :func:`_simulate`, runs every simulated point: a BER point
 of :func:`run_ber` and each threshold pair's probe in a sweep round. Points
 differ only in their (N0, tau_w, tau_y) and in the rule that retires them.
+One function, :func:`_block`, makes every block that loop and the activity
+measurement use: the draws, the weights and the tagged input at each SNR.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ _P_ACTIVITY = 2
 _P_PROBE = 3
 
 _WAVE_BLOCKS = 8
+MAX_SNR_POINTS = 1 << 16  # run_ber runs point i on stream tag i, a 16-bit field
 
 
 def derive_stream(seed: int, purpose: int, tag: int, index: int) -> np.random.Generator:
@@ -193,15 +196,18 @@ def _load_fixed_channel(cfg: RunConfig) -> ChannelMatrix | None:
     return cm
 
 
-def _draw_block(cfg: RunConfig, mode: str, purpose: int, tag: int, block_idx: int,
-                n_vectors: int, H_fixed: ChannelMatrix | None):
-    """Everything of one coherence block that no SNR reaches.
+def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, block_idx: int, n_vectors: int,
+           H_fixed: ChannelMatrix | None, n0s: list, fe: FrontEnd):
+    """One coherence block at each of S SNRs: (sent, weights, x).
 
-    Draws the channel (in the domain the mode equalizes in), the bits, kept
-    as the (U, N) symbol indices they select, the noise-free receive block
-    and the real and imaginary parts of the unit-variance complex noise.
-    Every SNR probed on this block takes its weights from
-    :func:`_block_weights` and its receive vectors from :func:`_receive`.
+    Draws the channel (unless ``H_fixed``), the bits, kept as the (U, N)
+    symbol indices they select, and the real and imaginary parts of the
+    unit-variance noise from the block's stream, in that order. Weights s are
+    the LMMSE weights at N0 ``n0s[s]`` in the mode's domain, scaled and
+    quantized as one stack at ``cfg.tau_w`` (``replace(w[s], tau_w=...)``
+    gives another threshold on the same raws). ``x`` is the tagged (B, S*N)
+    input, SNR after SNR, from one front-end call; the noise is scaled part by
+    part, which gives the bytes of scaling it as one complex array.
     """
     rng = derive_stream(cfg.seed, purpose, tag, block_idx)
     H = H_fixed if H_fixed is not None else draw_channel_matrix(cfg.channel, cfg.B, cfg.U, rng)
@@ -209,38 +215,19 @@ def _draw_block(cfg: RunConfig, mode: str, purpose: int, tag: int, block_idx: in
     bits = rng.integers(0, 2, size=(cfg.U, n_vectors, cfg.bits_per_symbol), dtype=np.uint8)
     sent = qam_index(bits, cfg.M)
     y_bar = H.entries @ _qam_table(cfg.M, cfg.Es)[sent]
-    noise = rng.standard_normal(y_bar.shape), rng.standard_normal(y_bar.shape)
-    return Hd, sent, y_bar, noise
-
-
-def _block_weights(cfg: RunConfig, drawn, n0s: list):
-    """Quantized weights of a drawn block at each of S SNRs, scaled and quantized as one stack.
-
-    Index s gives the weights at SNR s, at threshold ``cfg.tau_w``; the raws do
-    not depend on it, and ``replace(w[s], tau_w=...)`` gives another.
-    """
-    Hd = drawn[0]
-    V = np.stack([compute_lmmse(Hd, n0, cfg.Es) for n0 in n0s])
-    W, alpha = scale_rows(V, cfg.epsilon)
-    return build_weights(W, alpha, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None, Hd.domain)
-
-
-def _receive(drawn, n0s: list) -> np.ndarray:
-    """The drawn block's receive vectors at each of S SNRs, side by side: (B, S*N).
-
-    The front end transforms and quantizes column by column, so one call on
-    this serves every SNR. The noise is scaled part by part, which gives the
-    bytes of scaling it as one complex array.
-    """
-    _, _, y_bar, (noise_re, noise_im) = drawn
-    n0 = np.array(n0s)
-    sigma = np.sqrt(n0 / 2.0)[:, None]
-    Y = np.empty((y_bar.shape[0], n0.size, y_bar.shape[1]), dtype=np.complex128)
+    noise_re, noise_im = rng.standard_normal(y_bar.shape), rng.standard_normal(y_bar.shape)
+    W, alpha = scale_rows(np.stack([compute_lmmse(Hd, n0, cfg.Es) for n0 in n0s]), cfg.epsilon)
+    weights = build_weights(W, alpha, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None,
+                            Hd.domain)
+    sigma = np.sqrt(np.array(n0s) / 2.0)[:, None]
+    Y = np.empty((cfg.B, len(n0s), n_vectors), dtype=np.complex128)
     np.multiply(noise_re[:, None], sigma, out=Y.real)
     np.multiply(noise_im[:, None], sigma, out=Y.imag)
     Y += y_bar[:, None]
-    Y[:, n0 == 0.0] = y_bar[:, None]  # no noise at all, not a zero-scaled one
-    return Y.reshape(y_bar.shape[0], -1)
+    # release the noise-free block and the noise before the front end: with
+    # large blocks and several workers, the smaller working set is faster
+    del y_bar, noise_re, noise_im
+    return sent, weights, front_end(mode, Y.reshape(cfg.B, -1), fe)
 
 
 def _waves(block_size: int, cap: int):
@@ -276,9 +263,7 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
 
     ``points`` holds one (n0, tau_w, tau_y) per point. Every point runs the
     same waves of the same blocks (stream ``purpose``, ``tag``): each block
-    is drawn once (channel, bits, noise), and its weights and its receive
-    vectors are made once per distinct N0 among the live points, the weights
-    as one stack and the receive vectors side by side through one front end.
+    is made once, by :func:`_block` at the distinct N0s of the live points.
     Per distinct N0, one :func:`equalize_pairs` call then scores the block at
     each of that N0's points' (tau_w, tau_y): the full products once, the
     masked terms once per distinct tau_y for all of its points, and their
@@ -304,16 +289,7 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
 
         def run(args, groups=groups):
             block_idx, n = args
-            drawn = _draw_block(cfg, mode, purpose, tag, block_idx, n, H_fixed)
-            sent = drawn[1]
-            n0s = list(groups)
-            w = _block_weights(cfg, drawn, n0s)
-            Y = _receive(drawn, n0s)
-            # release the noise-free block and the noise before the front end:
-            # with large blocks and several workers, the smaller working set is
-            # faster
-            del drawn
-            x = front_end(mode, Y, fe)
+            sent, w, x = _block(cfg, mode, purpose, tag, block_idx, n, H_fixed, list(groups), fe)
             scored = {}
             for s, group in enumerate(groups.values()):
                 cols = slice(s * n, (s + 1) * n)
@@ -366,6 +342,8 @@ def run_ber(config: RunConfig, snr_list_db, mode: str, stop: StopRule | None = N
     snr_list = [float(s) for s in snr_list_db]
     if any(not math.isfinite(s) for s in snr_list):
         raise ValueError("invalid SNR list")
+    if len(snr_list) > MAX_SNR_POINTS:
+        raise ValueError(f"SNR list has {len(snr_list)} points, more than {MAX_SNR_POINTS}")
     n0s = [_n0_for_snr(config, snr_db) for snr_db in snr_list]
     stop = stop or StopRule()
     H_fixed = _load_fixed_channel(config)
@@ -542,9 +520,8 @@ def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
     n0s = [_n0_for_snr(config, snr_db) for snr_db in snrs.tolist()]
     skipped = np.empty((len(cells), draws))
     for d in range(draws):
-        drawn = _draw_block(config, "lmmse-spade", _P_ACTIVITY, 0, d, vectors_per_draw, H_fixed)
-        w = _block_weights(config, drawn, n0s)
-        x = front_end("lmmse-spade", _receive(drawn, n0s), fe)
+        _, w, x = _block(config, "lmmse-spade", _P_ACTIVITY, 0, d, vectors_per_draw, H_fixed,
+                         n0s, fe)
         yre, yim = (z.reshape(config.B, len(n0s), -1) for z in (x.re, x.im))
         # per-column counts of set bits, (threshold, SNR, column) for the
         # weights and (threshold, column, SNR) for the inputs

@@ -62,6 +62,14 @@ def quantize_raw(x, fmt: QFormat) -> np.ndarray:
     return np.clip(raw, fmt.min_raw, fmt.max_raw) + 0.0  # -0.0 -> +0.0
 
 
+def quantize_complex(z, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) raws of a complex array; without a format (quantization off), copies."""
+    z = np.asarray(z, dtype=np.complex128)
+    if fmt is None:
+        return z.real.copy(), z.imag.copy()
+    return quantize_raw(z.real, fmt), quantize_raw(z.imag, fmt)
+
+
 def dequantize(raw, fmt: QFormat) -> np.ndarray:
     """Raw integers back to floats. Exact for any format up to 52 bits."""
     return np.asarray(raw, dtype=np.float64) / fmt.scale

@@ -284,15 +284,26 @@ def qam_demodulate_formula(symbols: np.ndarray, M: int, Es: float) -> np.ndarray
     return np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=-1)
 
 
-def receive_complex(drawn, n0s: list) -> np.ndarray:
-    """A drawn block's (B, S*N) receive vectors, the noise built and scaled as one complex array."""
-    _, _, y_bar, (noise_re, noise_im) = drawn
-    noise = noise_re + 1j * noise_im
-    n0 = np.array(n0s)
-    Y = noise[:, None] * np.sqrt(n0 / 2.0)[:, None]
+def block_complex(cfg, mode: str, purpose: int, tag: int, index: int, n: int, n0s: list):
+    """A harness block the plain way: (sent, weights per N0, tagged (B, S*N) input).
+
+    Draws the channel, the bits and the noise from the block's own stream,
+    solves and quantizes one weight set per N0, builds the noise as one
+    complex array and runs the front end on the receive block.
+    """
+    from spadesim.channel import draw_channel_matrix, qam_index, qam_modulate
+    from spadesim.equalizer import front_end
+    from spadesim.harness import derive_stream
+
+    rng = derive_stream(cfg.seed, purpose, tag, index)
+    H = draw_channel_matrix(cfg.channel, cfg.B, cfg.U, rng)
+    bits = rng.integers(0, 2, size=(cfg.U, n, cfg.bits_per_symbol), dtype=np.uint8)
+    y_bar = H.entries @ qam_modulate(bits, cfg.M, cfg.Es)
+    noise = rng.standard_normal(y_bar.shape) + 1j * rng.standard_normal(y_bar.shape)
+    weights = [weights_for_mode(cfg, H, mode, n0)[mode != "lmmse-a"] for n0 in n0s]
+    Y = noise[:, None] * np.sqrt(np.array(n0s) / 2.0)[:, None]
     Y += y_bar[:, None]
-    Y[:, n0 == 0.0] = y_bar[:, None]
-    return Y.reshape(y_bar.shape[0], -1)
+    return qam_index(bits, cfg.M), weights, front_end(mode, Y.reshape(cfg.B, -1), cfg.frontend())
 
 
 def _probe_per_pair(cfg, mode, snr_db, tag, target, probe_cap):

@@ -14,6 +14,7 @@ from spadesim.cli import _effective, _snr_list
 from spadesim.cli import main as cli_main
 from spadesim.harness import (
     _WAVE_BLOCKS,
+    MAX_SNR_POINTS,
     RunConfig,
     RunReport,
     SnrPoint,
@@ -160,6 +161,36 @@ def test_snr_without_finite_positive_noise_power_is_rejected(snr_db, capsys, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {named}") and captured.err.count("\n") == 1
+
+
+def test_snr_list_beyond_the_stream_tags_is_rejected(tmp_path, capsys, monkeypatch):
+    # point i runs on stream tag i, a 16-bit field: point 2**16 failed only
+    # after every earlier point had run, and the CLI built its whole list first
+    class Ran(Exception):
+        pass
+
+    def ran(*args, **kwargs):
+        raise Ran
+
+    monkeypatch.setattr("spadesim.harness._simulate", ran)
+    with pytest.raises(Ran):
+        run_ber(small_cfg(), [0.0] * MAX_SNR_POINTS, "lmmse-a")
+    with pytest.raises(ValueError, match=f"SNR list has {MAX_SNR_POINTS + 1} points"):
+        run_ber(small_cfg(), [0.0] * (MAX_SNR_POINTS + 1), "lmmse-a")
+    last = {"snr_start": 0.0, "snr_stop": MAX_SNR_POINTS - 1.0, "snr_step": 1.0}
+    assert len(_snr_list(last)) == MAX_SNR_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        _snr_list(dict(last, snr_stop=float(MAX_SNR_POINTS)))
+    monkeypatch.setattr("spadesim.cli.run_ber", ran)
+    for stop, step in (("655.37", "0.01"), ("1", "1e-9")):
+        out = tmp_path / "big.csv"
+        code = cli_main(["ber", "--b", "4", "--u", "1", "--mod", "4", "--snr-start", "0",
+                         "--snr-stop", stop, "--snr-step", step, "--max-vectors", "1",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err == f"error: snr-start, snr-stop and snr-step give more than " \
+            f"{MAX_SNR_POINTS} points\n"
 
 
 def test_activity_grid_rejects_unknown_mode():
@@ -551,6 +582,7 @@ def test_snr_list_points_do_not_drift():
     assert _snr_list({"snr_start": 0.0, "snr_stop": 10.0}) == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     assert _snr_list({"snr_start": 3.0}) == [3.0]
     assert _snr_list({"snr_start": 5.0, "snr_stop": 4.0, "snr_step": 0.5}) == []
+    assert _snr_list({"snr_start": 1.7e308, "snr_stop": -1.7e308}) == []  # a count of -inf
     with pytest.raises(ValueError):
         _snr_list({"snr_start": 0.0, "snr_stop": float("inf")})
 

@@ -3,7 +3,8 @@
 The stage-wise radix-4, the GEMM front end, the batched channel synthesis,
 the QAM lookup tables, the table-driven bit-error count, the stacked weight
 scaling and quantization, the multi-pair MVM with its shared full products
-and per-tau_y weight stacks, the receive block built part by part and the
+and per-tau_y weight stacks, the harness block made once for all its SNRs
+(stacked weights, noise scaled part by part, one front end) and the
 lockstep threshold sweep each replace a per-element, per-stage, per-user,
 per-SNR or per-pair formulation; every comparison here is byte for byte
 (``tobytes``, ``repr`` of floats, file bytes), not within a tolerance. Then
@@ -56,8 +57,7 @@ from spadesim.equalizer import (
 from spadesim.harness import (
     RunConfig,
     StopRule,
-    _draw_block,
-    _receive,
+    _block,
     activity_grid,
     emit_sweep,
     render_report,
@@ -67,12 +67,12 @@ from spadesim.harness import (
 from spadesim.numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat
 
 from reference import (
+    block_complex,
     draw_channel_matrix_per_user,
     naive_dotp,
     qam_demodulate_formula,
     qam_modulate_formula,
     radix4_recursive,
-    receive_complex,
     threshold_sweep_per_pair,
 )
 
@@ -338,13 +338,20 @@ def test_bit_errors_equal_demodulate_and_compare(M, Es, data):
                      M=st.sampled_from(QAM_ORDERS), channel=st.sampled_from(("los", "nlos")),
                      seed=st.integers(0, 2**64 - 1)),
        n=st.integers(1, 40), mode=st.sampled_from(MODES),
-       n0s=st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from((0.0, 5e-324, 1e-300))),
+       n0s=st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from((5e-324, 1e-300))),
                     min_size=1, max_size=4))
 def test_receive_matches_complex_noise(cfg, n, mode, n0s):
-    # the noise scaled part by part gives the bytes of scaling it as one complex
-    # array; N0 = 0 takes the noise-free block
-    drawn = _draw_block(cfg, mode, 1, 0, 0, n, None)
-    assert _receive(drawn, n0s).tobytes() == receive_complex(drawn, n0s).tobytes()
+    # one block at S SNRs: the weights solved and quantized as one stack, the
+    # noise scaled part by part and one front end over all S give the bytes of
+    # one weight set per N0, the noise scaled as one complex array, and the
+    # front end on that receive block
+    sent, w, x = _block(cfg, mode, 1, 0, 0, n, None, n0s, cfg.frontend())
+    ref_sent, ref_w, ref_x = block_complex(cfg, mode, 1, 0, 0, n, n0s)
+    assert sent.tobytes() == ref_sent.tobytes()
+    for s, ws in enumerate(ref_w):
+        for got, want in ((w.re[s], ws.re), (w.im[s], ws.im), (w.alpha[s], ws.alpha)):
+            assert got.tobytes() == want.tobytes()
+    assert (x.re.tobytes(), x.im.tobytes()) == (ref_x.re.tobytes(), ref_x.im.tobytes())
 
 
 THRESHOLD = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
