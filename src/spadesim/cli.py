@@ -116,7 +116,10 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise ValueError(f"config key {key!r} given twice")
+            values[key] = val.strip()
     return values
 
 
@@ -222,6 +225,8 @@ _RUN_KEYS = ("mode", "b", "u", "mod", "channel", "channel_file", "tau_w", "tau_y
              "weight_fmt", "input_fmt", "twiddle_fmt", "exact_fft", "float",
              "vectors_per_block", "workers", "out")
 
+_VALUE_FLAGS = {"--config"} | {_flag(k) for k, o in _OPTIONS.items() if o.parse is not _parse_bool}
+
 _COMMANDS = {
     "ber": (cmd_ber, "Monte Carlo BER over an SNR sweep",
             _RUN_KEYS + ("target_errors", "max_vectors", "format", "snr_start", "snr_stop",
@@ -236,12 +241,28 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Joins a number that starts with "-" to the value flag before it, as in --flag=value:
+    argparse takes only -1 or -.5 for a number, and -1e1, -inf or -nan for a flag."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in reversed(range(1, len(args))):
+            if args[i - 1] in _VALUE_FLAGS and args[i].startswith("-"):
+                try:
+                    float(args[i])
+                except ValueError:
+                    continue
+                args[i - 1:i + 1] = [f"{args[i - 1]}={args[i]}"]
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spadesim",
-                                     description="Sparsity-adaptive beamspace equalizer simulator")
+    parser = _Parser(prog="spadesim", allow_abbrev=False,
+                     description="Sparsity-adaptive beamspace equalizer simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, keys) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="key=value config file; flags override it")
         for key in keys:
             opt = _OPTIONS[key]

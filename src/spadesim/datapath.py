@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import QAM_ORDERS
-from .equalizer import ActivityReport, BeamVector, EqualizerWeights, equalize_tagged
+from .equalizer import (
+    ActivityReport,
+    BeamVector,
+    EqualizerWeights,
+    _comparison_bits,
+    equalize_tagged,
+)
 
 
 @dataclass(frozen=True)
@@ -34,19 +40,17 @@ class MuteTrace:
     A register is disabled in a cycle iff power saving is on and both of its
     operands' comparison bits are set. The trace keeps the weights' (U, B)
     comparison bits once (cleared without power saving) and the (B, N) input
-    bits of the accepted vectors, and counts the disabled registers from them.
+    bits of the accepted vectors, as (re, im) pairs, and counts from them.
     """
 
-    def __init__(self, cw_re: np.ndarray, cw_im: np.ndarray, cy_re: np.ndarray,
-                 cy_im: np.ndarray):
-        self.cw_re, self.cw_im = cw_re, cw_im
-        self.cy_re, self.cy_im = cy_re, cy_im
+    def __init__(self, w_bits: tuple, y_bits: tuple):
+        self.w_bits, self.y_bits = w_bits, y_bits
 
     def mute_count(self) -> int:
         # every register pairs one weight bit with one input bit, so the count
         # is the dot of the per-column counts of set bits
-        w = self.cw_re.sum(axis=0) + self.cw_im.sum(axis=0)
-        y = self.cy_re.sum(axis=1) + self.cy_im.sum(axis=1)
+        w = self.w_bits[0].sum(axis=0) + self.w_bits[1].sum(axis=0)
+        y = self.y_bits[0].sum(axis=1) + self.y_bits[1].sum(axis=1)
         return int(w @ y)
 
 
@@ -73,13 +77,13 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
                            im=np.moveaxis(np.array([x.im for x in vectors]), 0, 1),
                            fmt=fmt, tau_y=tau_y)
         S, per_vector = equalize_tagged(weights, block, save_power, gain=gain)
-        cy_re, cy_im = block.cy_re, block.cy_im
+        y_bits = block.cy_re, block.cy_im
     else:
         S, per_vector = np.empty((U, 0), dtype=np.complex128), np.empty(0, dtype=np.int64)
-        cy_re = cy_im = np.empty((B, 0), dtype=bool)
-    cw_re, cw_im = (weights.cw_re, weights.cw_im) if save_power \
-        else (np.zeros((U, B), dtype=bool),) * 2
-    trace = MuteTrace(cw_re, cw_im, cy_re, cy_im)
+        y_bits = (np.empty((B, 0), dtype=bool),) * 2
+    w_bits = [_comparison_bits(w, weights.tau_w, weights.fmt) for w in (weights.re, weights.im)] \
+        if save_power else (np.zeros((U, B), dtype=bool),) * 2
+    trace = MuteTrace(w_bits, y_bits)
     cycles = U + n + cfg.latency(B)
     return np.ascontiguousarray(S.T), cycles, trace, ActivityReport(per_vector, 4 * B * U)
 

@@ -6,9 +6,10 @@ bit-accurately: weights and inputs are quantized, each complex multiply
 decomposes into four real products, and in power-saving mode a real product is
 skipped (contributing exactly zero) whenever the comparison bits of both of
 its operands are set; each bit is derived from its raw, threshold and format
-on first read. Accumulation is exact, with no intermediate rounding. The
-masked product is written once, in :func:`equalize_pairs`; every other
-entry (:func:`equalize_tagged`, :func:`equalize_block`) reaches it there.
+where it is read (a tagged input caches its bits once read). Accumulation
+is exact, with no intermediate rounding. The masked product is written once,
+in :func:`equalize_pairs`; every other entry (:func:`equalize_tagged`,
+:func:`equalize_block`) reaches it there.
 
 Weights and inputs hold their integer raws as float64 (see
 :func:`numerics.quantize_raw`), the type of the matrix products; every
@@ -42,8 +43,8 @@ class EqualizerWeights:
 
     ``re``/``im`` hold float64 raws in ``fmt`` (or plain floats when ``fmt`` is
     None, the quantization-disabled mode). ``alpha`` holds the per-row scale
-    factors applied before quantization; estimates are descaled by it. The
-    comparison bits ``cw_re``/``cw_im`` follow from ``tau_w`` on first read.
+    factors applied before quantization; estimates are descaled by it. Its
+    comparison bits are computed where read, by :func:`_comparison_bits`.
     """
 
     re: np.ndarray
@@ -63,14 +64,6 @@ class EqualizerWeights:
     @property
     def B(self) -> int:
         return self.re.shape[-1]
-
-    @cached_property
-    def cw_re(self) -> np.ndarray:
-        return _comparison_bits(self.re, self.tau_w, self.fmt)
-
-    @cached_property
-    def cw_im(self) -> np.ndarray:
-        return _comparison_bits(self.im, self.tau_w, self.fmt)
 
     def __getitem__(self, i) -> "EqualizerWeights":
         """Matrix ``i`` of a stack built by :func:`build_weights`."""
@@ -268,11 +261,8 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
         _threshold_raw(tau_y, x.fmt)
         groups.setdefault(tau_y, []).append(i)
         if save_power and tau_w not in w_skip:
-            # a threshold the operand already carries keeps its cached bits
-            bits = (weights.cw_re, weights.cw_im) if tau_w == weights.tau_w else (
-                _comparison_bits(wre, tau_w, weights.fmt),
-                _comparison_bits(wim, tau_w, weights.fmt))
-            wm, counts = _skippable((wre, wim), bits)
+            wm, counts = _skippable((wre, wim), [_comparison_bits(w, tau_w, weights.fmt)
+                                                 for w in (wre, wim)])
             w_skip[tau_w] = np.stack(wm)[None], counts.sum(axis=0)[None]
     out = []
     for tau_y, indices in groups.items():
@@ -281,12 +271,14 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
             acc_re, acc_im = (np.broadcast_to(a, (k, *a.shape)) for a in (full_re, full_im))
             executed = np.full((k, full_re.shape[1]), products, dtype=np.int64)
         else:
+            # An input at its own threshold keeps its cached bits: the stream's mute
+            # trace reads them again (computing them twice costs ~5% of a 64x10000 stream).
+            xt = x if tau_y == x.tau_y else replace(x, tau_y=tau_y)
             # Skip masks are separable (weight bit AND input bit): the skipped
             # part of each sum is a product of masked factors, and a vector's
             # skipped count the dot of the per-column counts. Each matrix of
             # the (k, 2, U, B) stack is its own (U, B) @ (B, N) call, so
             # unquantized raws give the bytes of a lone matrix too.
-            xt = x if tau_y == x.tau_y else replace(x, tau_y=tau_y)
             parts = [w_skip[taus[i][0]] for i in indices]
             wm, w_counts = parts[0] if k == 1 else tuple(map(np.concatenate, zip(*parts)))
             ym, y_counts = _skippable((yre, yim), (xt.cy_re.reshape(x.B, -1),

@@ -12,6 +12,8 @@ of :func:`run_ber` and each threshold pair's probe in a sweep round. Points
 differ only in their (N0, tau_w, tau_y) and in the rule that retires them.
 One function, :func:`_block`, makes every block that loop and the activity
 measurement use: the draws, the weights and the tagged input at each SNR.
+Every operating-point search bisects one fixed SNR range, ``_SEARCH_LO_DB``
+to ``_SEARCH_HI_DB``, down to ``_SEARCH_TOL_DB``.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ _P_ACTIVITY = 2
 _P_PROBE = 3
 
 _WAVE_BLOCKS = 8
+# the operating-point search bisects this SNR range, in dB, down to this width
+_SEARCH_LO_DB, _SEARCH_HI_DB, _SEARCH_TOL_DB = -10.0, 40.0, 0.1
 MAX_SNR_POINTS = 1 << 16  # run_ber runs point i on stream tag i, a 16-bit field
 
 
@@ -128,6 +132,8 @@ class RunConfig:
             raise ValueError(f"channel must be one of {CHANNEL_KINDS}")
         if self.channel == "file" and not self.channel_file:
             raise ValueError("channel 'file' needs channel_file")
+        if self.channel_file is not None and self.channel != "file":
+            raise ValueError("channel_file needs channel 'file'")
         if self.vectors_per_block < 1 or self.workers < 1:
             raise ValueError("vectors_per_block and workers must be >= 1")
         if not 0 <= self.seed < 1 << 64:
@@ -373,18 +379,18 @@ def _wilson(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return center - half, center + half
 
 
-def _bisection(lo_db: float, hi_db: float, tol_db: float):
+def _bisection():
     """Operating-point search: yields each probe SNR and is sent that probe's side.
 
-    Returns None when even hi_db stays above the target, lo_db when lo_db is
-    already below it, else the upper end of the final bracket.
+    Returns None when even the top of the range stays above the target, its
+    bottom when that is already below it, else the final bracket's upper end.
     """
-    if (yield hi_db) == "above":
+    if (yield _SEARCH_HI_DB) == "above":
         return None
-    if (yield lo_db) == "below":
-        return lo_db
-    lo, hi = lo_db, hi_db
-    while hi - lo > tol_db:
+    if (yield _SEARCH_LO_DB) == "below":
+        return _SEARCH_LO_DB
+    lo, hi = _SEARCH_LO_DB, _SEARCH_HI_DB
+    while hi - lo > _SEARCH_TOL_DB:
         mid = 0.5 * (lo + hi)
         if (yield mid) == "above":
             lo = mid
@@ -393,8 +399,7 @@ def _bisection(lo_db: float, hi_db: float, tol_db: float):
     return hi
 
 
-def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_db: float,
-                      hi_db: float, tol_db: float, probe_cap: int,
+def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, probe_cap: int,
                       H_fixed: ChannelMatrix | None) -> list[tuple[float | None, list]]:
     """Bisect every threshold pair's operating point in lockstep.
 
@@ -406,22 +411,15 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_
         raise ValueError("target_ber must be in (0, 0.5)")
     if probe_cap < 1:
         raise ValueError("probe_cap must be >= 1")
-    # a bracket that is empty, reversed or not finite, or a tolerance that is
-    # not positive, would end the bisection at once or never
-    if not all(map(math.isfinite, (lo_db, hi_db, tol_db))) or tol_db <= 0 or hi_db <= lo_db:
-        raise ValueError("the search needs finite lo_db < hi_db and tol_db > 0")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    # N0 falls as the SNR rises, so the probes between two valid ends are valid
-    for snr_db in (lo_db, hi_db):
-        _n0_for_snr(cfg, snr_db)
     nbits = cfg.U * cfg.bits_per_symbol
 
     def decided(errors: int, vectors: int) -> bool:
         lo, hi = _wilson(errors, nbits * vectors)
         return hi < target or lo > target
 
-    searches = [_bisection(lo_db, hi_db, tol_db) for _ in pairs]
+    searches = [_bisection() for _ in pairs]
     pending = {i: next(search) for i, search in enumerate(searches)}
     curves = [[] for _ in pairs]
     ops = [None] * len(pairs)
@@ -447,13 +445,10 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, lo_
 
 
 def snr_operating_point(config: RunConfig, mode: str, target_ber: float = 0.01,
-                        lo_db: float = -10.0, hi_db: float = 40.0,
-                        tol_db: float = 0.1, probe_cap: int = 200_000,
-                        curve: list | None = None) -> float | None:
+                        probe_cap: int = 200_000, curve: list | None = None) -> float | None:
     """Minimum SNR reaching the target BER, or None when unreached in range."""
     [(op, probes)] = _operating_points(config, mode, [(config.tau_w, config.tau_y)], target_ber,
-                                       lo_db, hi_db, tol_db, probe_cap,
-                                       _load_fixed_channel(config))
+                                       probe_cap, _load_fixed_channel(config))
     if curve is not None:
         curve.extend(probes)
     return op
@@ -535,7 +530,7 @@ def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
 def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
                     mode: str = "lmmse-spade", target_ber: float = 0.01,
                     activity_draws: int = 1000, vectors_per_draw: int = 2,
-                    probe_cap: int = 100_000, hi_db: float = 40.0) -> list[SweepRecord]:
+                    probe_cap: int = 100_000) -> list[SweepRecord]:
     """Operating point and activity for every threshold pair, sorted by activity.
 
     Activity is measured at each pair's own operating point (at the top of the
@@ -550,9 +545,9 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
     _check_draws(activity_draws, vectors_per_draw)
     pairs = [(float(tw), float(ty)) for tw in tau_w_grid for ty in tau_y_grid]
     H_fixed = _load_fixed_channel(config)
-    searched = _operating_points(config, mode, pairs, target_ber, -10.0, hi_db, 0.1, probe_cap,
-                                 H_fixed)
-    cells = [(hi_db if op is None else op, tw, ty) for (tw, ty), (op, _) in zip(pairs, searched)]
+    searched = _operating_points(config, mode, pairs, target_ber, probe_cap, H_fixed)
+    cells = [(_SEARCH_HI_DB if op is None else op, tw, ty)
+             for (tw, ty), (op, _) in zip(pairs, searched)]
     activity = _activity_rates(config, mode, cells, activity_draws, vectors_per_draw,
                                H_fixed).mean(axis=1)
     records = [SweepRecord(tau_w=tw, tau_y=ty, mean_activity_rate=float(act),

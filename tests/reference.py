@@ -145,15 +145,22 @@ def naive_dotp(w_re, w_im, cw_re, cw_im, y_re, y_im, cy_re, cy_im, save_power):
     return acc_re, acc_im, executed
 
 
+def naive_bits(raw, tau: float, fmt) -> np.ndarray:
+    """Comparison bits: magnitude strictly below tau, snapped to the format's grid if any."""
+    return np.abs(raw) < (tau if fmt is None else naive_threshold_raw(tau, fmt.frac_bits))
+
+
 def mute_mask(weights, x) -> np.ndarray:
     """Dense (U, B, 4) mute mask of one tagged vector: register r of CM (u, b) is
     muted iff both operands' comparison bits are set, in the product order
     (w_re*y_re, w_im*y_im, w_re*y_im, w_im*y_re)."""
+    cw_re, cw_im = (naive_bits(r, weights.tau_w, weights.fmt) for r in (weights.re, weights.im))
+    cy_re, cy_im = (naive_bits(r, x.tau_y, x.fmt)[None, :] for r in (x.re, x.im))
     mask = np.empty((weights.U, weights.B, 4), dtype=bool)
-    mask[:, :, 0] = weights.cw_re & x.cy_re[None, :]
-    mask[:, :, 1] = weights.cw_im & x.cy_im[None, :]
-    mask[:, :, 2] = weights.cw_re & x.cy_im[None, :]
-    mask[:, :, 3] = weights.cw_im & x.cy_re[None, :]
+    mask[:, :, 0] = cw_re & cy_re
+    mask[:, :, 1] = cw_im & cy_im
+    mask[:, :, 2] = cw_re & cy_im
+    mask[:, :, 3] = cw_im & cy_re
     return mask
 
 
@@ -342,13 +349,13 @@ def _probe_per_pair(cfg, mode, snr_db, tag, target, probe_cap):
 
 
 def threshold_sweep_per_pair(config, tau_w_grid, tau_y_grid, mode="lmmse-spade", target_ber=0.01,
-                             activity_draws=1000, vectors_per_draw=2, probe_cap=100_000,
-                             hi_db=40.0):
+                             activity_draws=1000, vectors_per_draw=2, probe_cap=100_000):
     """One bisection and one activity measurement per threshold pair, nothing shared.
 
     What the lockstep sweep must reproduce record for record: each probe k uses
     stream tag k and runs its own blocks. Sorted by activity, Pareto frontier
-    flagged. Drawn channels only (no channel file).
+    flagged. Each search bisects [-10, 40] dB down to 0.1 dB. Drawn channels
+    only (no channel file).
     """
     from dataclasses import replace
 
@@ -366,7 +373,7 @@ def threshold_sweep_per_pair(config, tau_w_grid, tau_y_grid, mode="lmmse-spade",
                 curve.append((snr, ber, vectors))
                 return side
 
-            lo, hi = -10.0, hi_db
+            lo, hi = -10.0, 40.0
             if probe(hi) == "above":
                 op = None
             elif probe(lo) == "below":
@@ -379,7 +386,7 @@ def threshold_sweep_per_pair(config, tau_w_grid, tau_y_grid, mode="lmmse-spade",
                     else:
                         hi = mid
                 op = hi
-            act = float(activity_grid(cfg, mode, hi_db if op is None else op, [cfg.tau_w],
+            act = float(activity_grid(cfg, mode, 40.0 if op is None else op, [cfg.tau_w],
                                       [cfg.tau_y], draws=activity_draws,
                                       vectors_per_draw=vectors_per_draw)[0, 0])
             records.append(SweepRecord(tau_w=float(tw), tau_y=float(ty), mean_activity_rate=act,

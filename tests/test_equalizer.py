@@ -16,6 +16,7 @@ from spadesim.equalizer import (
     equalize_tagged,
     scale_rows,
     tag_input,
+    _comparison_bits,
     _threshold_raw,
 )
 from spadesim.numerics import INPUT_FMT, WEIGHT_FMT, QFormat
@@ -106,9 +107,9 @@ def test_scale_rows_always_below_one():
 def test_build_weights_threshold_extremes():
     rng = np.random.default_rng(44)
     w0 = random_weights(rng, 3, 16, tau_w=0.0)
-    assert not w0.cw_re.any() and not w0.cw_im.any()
+    assert not any(_comparison_bits(r, w0.tau_w, w0.fmt).any() for r in (w0.re, w0.im))
     w1 = random_weights(rng, 3, 16, tau_w=1.0)
-    assert w1.cw_re.all() and w1.cw_im.all()
+    assert all(_comparison_bits(r, w1.tau_w, w1.fmt).all() for r in (w1.re, w1.im))
 
 
 def test_build_weights_bits_match_recompute():
@@ -116,8 +117,8 @@ def test_build_weights_bits_match_recompute():
     w = random_weights(rng, 4, 32, tau_w=0.05)
     t = naive_threshold_raw(0.05, WEIGHT_FMT.frac_bits)
     assert t == _threshold_raw(0.05, WEIGHT_FMT)
-    assert np.array_equal(w.cw_re, np.abs(w.re) < t)
-    assert np.array_equal(w.cw_im, np.abs(w.im) < t)
+    assert np.array_equal(_comparison_bits(w.re, w.tau_w, w.fmt), np.abs(w.re) < t)
+    assert np.array_equal(_comparison_bits(w.im, w.tau_w, w.fmt), np.abs(w.im) < t)
 
 
 def test_build_weights_rejects_unscaled():
@@ -179,21 +180,9 @@ def test_threshold_overflowing_its_format_is_a_value_error():
 
 
 def test_bits_follow_a_new_threshold():
-    # bits read (and cached) at one threshold never leak into a replaced or
-    # indexed object at another
+    # input bits read (and cached) at one threshold never leak into a replaced
+    # object at another
     rng = np.random.default_rng(49)
-    W = rng.uniform(-0.999, 0.999, (3, 2, 16)) + 1j * rng.uniform(-0.999, 0.999, (3, 2, 16))
-    stack = build_weights(W, np.ones((3, 2)), 0.0, WEIGHT_FMT, "beamspace")
-    assert not stack.cw_re.any() and not stack.cw_im.any()
-    t = naive_threshold_raw(0.3, WEIGHT_FMT.frac_bits)
-    for s in range(3):
-        assert not stack[s].cw_re.any() and not stack[s].cw_im.any()
-        w = replace(stack[s], tau_w=0.3)
-        assert np.array_equal(w.cw_re, np.abs(stack.re[s]) < t)
-        assert np.array_equal(w.cw_im, np.abs(stack.im[s]) < t)
-        assert np.array_equal(replace(stack, tau_w=0.3)[s].cw_re, w.cw_re)
-        assert not stack[s].cw_re.any()
-    assert replace(stack, tau_w=1.0)[1].cw_re.all()
     x = random_tagged(rng, 32, tau_y=0.0)
     assert not x.cy_re.any()
     ty = naive_threshold_raw(0.5, INPUT_FMT.frac_bits)
@@ -215,9 +204,10 @@ def test_tag_input_saturates():
 # with unit alpha and gain its estimate is the accumulator, undescaled.
 
 def oracle_dotp(weights, u, x, save_power):
+    t = naive_threshold_raw(weights.tau_w, weights.fmt.frac_bits)
     acc_re, acc_im, executed = naive_dotp(
         [int(r) for r in weights.re[u]], [int(r) for r in weights.im[u]],
-        list(weights.cw_re[u]), list(weights.cw_im[u]),
+        [abs(int(r)) < t for r in weights.re[u]], [abs(int(r)) < t for r in weights.im[u]],
         [int(r) for r in x.re], [int(r) for r in x.im],
         list(x.cy_re), list(x.cy_im), save_power,
     )

@@ -145,12 +145,6 @@ def test_snr_without_finite_positive_noise_power_is_rejected(snr_db, capsys, mon
     named = f"SNR {snr_db!r} dB"
     with pytest.raises(ValueError, match=named):
         run_ber(small_cfg(), [0.0, snr_db], "lmmse-a")
-    bracket = dict(hi_db=snr_db) if snr_db > 0 else dict(lo_db=snr_db)
-    with pytest.raises(ValueError, match=named):
-        snr_operating_point(small_cfg(), "lmmse-a", **bracket)
-    if snr_db > 0:
-        with pytest.raises(ValueError, match=named):
-            threshold_sweep(small_cfg(), [0.0], [0.0], activity_draws=1, hi_db=snr_db)
     for mode in MODES:
         with pytest.raises(ValueError, match=named):
             activity_grid(small_cfg(), mode, snr_db, [0.1], [0.1], draws=1)
@@ -200,7 +194,8 @@ def test_activity_grid_rejects_unknown_mode():
 
 
 def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
-    # a zero-vector probe reads BER 0.0, so the search would return lo_db
+    # a zero-vector probe reads BER 0.0, so the search would return the
+    # bottom of its range
     for cap in (0, -3):
         with pytest.raises(ValueError, match="probe_cap"):
             snr_operating_point(small_cfg(), "lmmse-a", probe_cap=cap)
@@ -212,26 +207,6 @@ def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
     code = cli_main(["sweep", "--b", "4", "--u", "1", "--probe-cap", "0",
                      "--out", str(tmp_path / "s.csv")])
     assert code == 1 and capsys.readouterr().err.startswith("error: probe_cap")
-
-
-@pytest.mark.parametrize("search", [dict(tol_db=-0.1), dict(tol_db=0.0), dict(tol_db=math.nan),
-                                    dict(lo_db=math.nan), dict(lo_db=-math.inf),
-                                    dict(hi_db=math.inf), dict(lo_db=40.0, hi_db=-10.0),
-                                    dict(lo_db=5.0, hi_db=5.0)],
-                         ids=["tol_negative", "tol_zero", "tol_nan", "lo_nan", "lo_minus_inf",
-                              "hi_inf", "reversed", "empty"])
-def test_operating_point_search_rejects_bad_bracket(search):
-    # tol_db < 0 kept probing until the stream tags ran out, tol_db = nan
-    # stopped after two probes and a reversed bracket returned None
-    with pytest.raises(ValueError, match="lo_db < hi_db and tol_db > 0"):
-        snr_operating_point(small_cfg(), "lmmse-a", probe_cap=25, **search)
-
-
-@pytest.mark.parametrize("hi_db", [-10.0, -20.0, math.nan, math.inf])
-def test_sweep_rejects_bad_top_of_range(hi_db):
-    # the sweep searches [-10, hi_db]
-    with pytest.raises(ValueError, match="lo_db < hi_db and tol_db > 0"):
-        threshold_sweep(small_cfg(), [0.0], [0.0], activity_draws=1, probe_cap=25, hi_db=hi_db)
 
 
 def test_stop_rule_rejects_negative_counts(capsys):
@@ -259,6 +234,18 @@ def test_channel_file_injection(tmp_path):
     bad = small_cfg(B=64, U=16, M=16, channel="file", channel_file=path)
     with pytest.raises(ValueError, match="channel file"):
         run_ber(bad, [10.0], "lmmse-b", StopRule(max_vectors=100))
+
+
+def test_channel_file_without_file_channel_is_rejected(capsys):
+    # it used to be ignored: the run drew LoS channels
+    for channel in ("los", "nlos"):
+        with pytest.raises(ValueError, match="channel_file needs channel 'file'"):
+            small_cfg(channel=channel, channel_file="chan.csv")
+    code = cli_main(["ber", "--b", "4", "--u", "1", "--mod", "4", "--max-vectors", "10",
+                     "--channel-file", "/nonexistent.csv", "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: channel_file needs channel 'file'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +495,26 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     row = out.read_text().splitlines()[1].split(",")
     assert row[12] == "0.0625"  # flag overrides the file's tau-w
     assert row[6] == "250"      # file's max-vectors applied
+
+
+def test_cli_config_key_given_twice_is_rejected(tmp_path, capsys):
+    # the last value used to win; both spellings name the same key
+    out = tmp_path / "o.csv"
+    for lines, key in (("b=4\nb=16\n", "b"), ("max_vectors=10\nmax-vectors=20\n", "max_vectors")):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("u=1\nmod=4\n" + lines)
+        assert cli_main(["ber", "--config", str(cfg_file), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: config key {key!r} given twice\n"
+
+
+def test_cli_abbreviated_flag_is_rejected(capsys):
+    # --snr-sta and --max-vec used to run as --snr-start and --max-vectors
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["ber", "--b", "4", "--u", "1", "--mod", "4", "--snr-sta", "3", "--max-vec", "10",
+                  "--out", "-"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_cli_stdout_and_errors(tmp_path, capsys):

@@ -163,7 +163,7 @@ def test_stacked_preprocessing_matches_per_matrix(B, U, S, quantized, seed):
         Ws, alphas = scale_rows(compute_lmmse(H, float(n0), 1.0), 2.0**-10)
         one = build_weights(Ws, alphas, 0.1, fmt, "antenna")
         assert W[s].tobytes() == Ws.tobytes() and alpha[s].tobytes() == alphas.tobytes()
-        for name in ("re", "im", "alpha", "cw_re", "cw_im"):
+        for name in ("re", "im", "alpha"):
             assert getattr(stacked[s], name).tobytes() == getattr(one, name).tobytes()
 
 
@@ -368,7 +368,7 @@ def sweep_setups(draw):
     taus = st.lists(THRESHOLD, min_size=1, max_size=3)
     kwargs = dict(mode=draw(st.sampled_from(MODES)), target_ber=draw(st.floats(0.005, 0.2)),
                   activity_draws=draw(st.integers(1, 4)), vectors_per_draw=draw(st.integers(1, 3)),
-                  probe_cap=draw(st.integers(1, 400)), hi_db=draw(st.sampled_from((20.0, 40.0))))
+                  probe_cap=draw(st.integers(1, 400)))
     return cfg, draw(taus), draw(taus), kwargs
 
 
@@ -387,7 +387,7 @@ def _sweep_csv(records) -> bytes:
 
 # pairs of one probe group that leave it after different waves
 SPLITTING = (RunConfig(B=16, U=4, M=16, seed=0, vectors_per_block=10), [0.0, 0.1, 0.3],
-             [0.0, 0.2, 0.5], dict(probe_cap=400, activity_draws=1, hi_db=20.0, target_ber=0.05))
+             [0.0, 0.2, 0.5], dict(probe_cap=400, activity_draws=1, target_ber=0.05))
 
 
 @settings(max_examples=40)
@@ -531,7 +531,16 @@ VALUE_OPTIONS = [key for key, o in _OPTIONS.items() if o.parse is not _parse_boo
 # surrounding whitespace (the reader strips it)
 config_values = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="#\r\n"),
                         max_size=12).filter(lambda t: t == t.strip()) | st.sampled_from(
-    ["4", "-3", "0.5", "1e3", "nan", "10:9", "12", "0.1,0.2", "csv", "xml", "los", "lmmse-a"])
+    ["4", "-3", "-1e1", "0.5", "1e3", "nan", "10:9", "12", "0.1,0.2", "csv", "xml", "los",
+     "lmmse-a"])
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 @PROPS
@@ -540,15 +549,20 @@ config_values = st.text(st.characters(exclude_categories=("Cs",), exclude_charac
 @example(key="mode", text="foo")
 @example(key="coherence", text="x")
 @example(key="out", text="--")
+@example(key="snr_stop", text="-1e1")
 def test_flag_and_config_values_parse_alike(key, text):
     command = next(name for name, (_, _, keys) in _COMMANDS.items() if key in keys)
     flag = "--" + key.replace("_", "-")
+    forms = [[command, f"{flag}={text}"]]
+    # a separate token that starts with "-" and is no number reads as a flag
+    if not text.startswith("-") or _is_number(text):
+        forms.append([command, flag, text])
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"{flag[2:]}={text}\n")
-        for argv in ([command, f"{flag}={text}"], [command, "--config", path]):
+        for argv in forms + [[command, "--config", path]]:
             try:
                 outcomes.append(repr(_effective(build_parser().parse_args(argv))))
             except ValueError:
@@ -556,7 +570,7 @@ def test_flag_and_config_values_parse_alike(key, text):
                 with redirect_stdout(out), redirect_stderr(err):
                     code = cli_main(argv)
                 outcomes.append((code, out.getvalue(), err.getvalue()))
-    assert outcomes[0] == outcomes[1]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
     if isinstance(outcomes[0], tuple):
         code, out, err = outcomes[0]
         assert code == 1 and out == ""
