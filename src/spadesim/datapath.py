@@ -43,7 +43,7 @@ class MuteTrace:
     bits of the accepted vectors, as (re, im) pairs, and counts from them.
     """
 
-    def __init__(self, w_bits: tuple, y_bits: tuple):
+    def __init__(self, w_bits, y_bits):
         self.w_bits, self.y_bits = w_bits, y_bits
 
     def mute_count(self) -> int:
