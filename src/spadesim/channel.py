@@ -272,42 +272,38 @@ def save_channel(path: str, cm: ChannelMatrix, fmt: str = "csv") -> None:
 def load_channel(path: str) -> ChannelMatrix:
     """Read a channel matrix written by :func:`save_channel` (either format).
 
-    A malformed dump (truncated header or body, unknown domain, no entries,
-    non-finite entries) raises ``ValueError``.
+    The file is read once. A binary dump is ``CHNL``, a 9-byte header (domain
+    code, B, U) and the ``<f8`` body of whole (re, im) pairs. A CSV dump is
+    ASCII; its non-blank stripped lines are ``domain,B,U``, the shape line,
+    exactly ``re,im``, then one ``re,im`` row per entry. Either way B and U
+    must be at least 1, there must be B*U entries, all finite, and the domain
+    must be ``antenna`` or ``beamspace``; anything else raises ``ValueError``.
     """
     with open(path, "rb") as f:
-        head = f.read(4)
-    if head == _MAGIC:
-        with open(path, "rb") as f:
-            f.read(4)
-            header = f.read(9)
-            data = np.frombuffer(f.read(), dtype="<f8")
-        if len(header) != 9:
+        data = f.read()
+    if data[:4] == _MAGIC:
+        header, body = data[4:13], data[13:]
+        if len(header) != 9 or len(body) % 16:
             raise ValueError("channel dump truncated")
         code, B, U = struct.unpack("<BII", header)
-        if B < 1 or U < 1:
-            raise ValueError("channel dump has no entries")
-        if code not in _DOMAIN_NAME:
-            raise ValueError(f"unknown channel domain code {code}")
-        if data.size != 2 * B * U:
-            raise ValueError("channel dump truncated")
-        flat = data[0::2] + 1j * data[1::2]
-        entries, domain = flat.reshape(U, B).T, _DOMAIN_NAME[code]
+        domain = _DOMAIN_NAME.get(code, f"code {code}")
+        pairs = np.frombuffer(body, dtype="<f8").reshape(-1, 2)
+        flat = pairs[:, 0] + 1j * pairs[:, 1]
     else:
-        with open(path, "r", encoding="ascii") as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
-        if not lines or lines[0] != "domain,B,U":
+        lines = [ln.strip() for ln in data.decode("ascii").splitlines() if ln.strip()]
+        if lines[:1] != ["domain,B,U"]:
             raise ValueError("not a channel dump")
-        if len(lines) < 2:
+        if len(lines) < 3:
             raise ValueError("channel dump truncated")
+        if lines[2] != "re,im":
+            raise ValueError(f"channel dump's third line must be 're,im', got {lines[2]!r}")
         domain, b_s, u_s = lines[1].split(",")
         B, U = int(b_s), int(u_s)
-        if B < 1 or U < 1:
-            raise ValueError("channel dump has no entries")
-        vals = [complex(float(r), float(i)) for r, i in (ln.split(",") for ln in lines[3:])]
-        if len(vals) != B * U:
-            raise ValueError("channel dump truncated")
-        entries = np.array(vals).reshape(U, B).T
-    if not np.all(np.isfinite(entries)):
+        flat = np.array([complex(float(r), float(i)) for r, i in (ln.split(",") for ln in lines[3:])])
+    if B < 1 or U < 1:
+        raise ValueError("channel dump has no entries")
+    if flat.size != B * U:
+        raise ValueError("channel dump truncated")
+    if not np.all(np.isfinite(flat)):
         raise ValueError("channel entries must be finite")
-    return ChannelMatrix(entries=entries, domain=domain)
+    return ChannelMatrix(entries=flat.reshape(U, B).T, domain=domain)

@@ -58,20 +58,21 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
                     save_power: bool, gain: float = 1.0):
     """Stream tagged vectors through the array, one accepted per cycle.
 
-    The vectors run as one (B, N) block through the equalizer, so they must
-    share one length, input format and threshold. Returns (outputs, cycles,
-    trace, report): outputs is (N, U) estimates bit-identical to the equalizer
-    module, cycles counts the U-cycle weight load plus N acceptance cycles
-    plus the drain latency.
+    The vectors run as one (B, N) block through the equalizer, so each must
+    be one 1-D vector, not a block, and all must share one length, input
+    format and threshold. Returns (outputs, cycles, trace, report): outputs
+    is (N, U) estimates bit-identical to the equalizer module, cycles counts
+    the U-cycle weight load plus N acceptance cycles plus the drain latency.
     """
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
     if vectors:
         first = vectors[0]
         shape, fmt, tau_y = first.re.shape, first.fmt, first.tau_y
-        if any(x.re.shape != shape or x.tau_y != tau_y or (x.fmt is not fmt and x.fmt != fmt)
-               for x in vectors):
-            raise ValueError("stream vectors must share one length and input format and one tau_y")
+        if len(shape) != 1 or any(x.re.shape != shape or x.tau_y != tau_y
+                                  or (x.fmt is not fmt and x.fmt != fmt) for x in vectors):
+            raise ValueError("stream vectors must be 1-D and share one length and input format"
+                             " and one tau_y")
         # one (N, B) copy per component, viewed as the (B, N) block
         block = BeamVector(re=np.moveaxis(np.array([x.re for x in vectors]), 0, 1),
                            im=np.moveaxis(np.array([x.im for x in vectors]), 0, 1),

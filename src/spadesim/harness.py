@@ -154,12 +154,9 @@ class RunConfig:
         return 1.0 / math.sqrt(self.U * self.Es)
 
     def frontend(self) -> FrontEnd:
-        if not self.quantized:
-            return FrontEnd(input_fmt=None, tau_y=self.tau_y,
-                            twiddle=TwiddleConfig(exact=True), gain=self.input_gain)
-        twiddle = TwiddleConfig(exact=True) if self.exact_fft \
-            else TwiddleConfig(exact=False, twiddle_fmt=self.twiddle_fmt)
-        return FrontEnd(input_fmt=self.input_fmt, tau_y=self.tau_y,
+        twiddle = TwiddleConfig(exact=self.exact_fft or not self.quantized,
+                                twiddle_fmt=self.twiddle_fmt)
+        return FrontEnd(input_fmt=self.input_fmt if self.quantized else None, tau_y=self.tau_y,
                         twiddle=twiddle, gain=self.input_gain)
 
 

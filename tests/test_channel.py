@@ -244,6 +244,9 @@ def _bin_header(code, B, U):
     ("header_only.csv", b"domain,B,U\n"),
     ("negative_shape.csv", b"domain,B,U\nantenna,-1,-1\nre,im\n1.0,0.0\n"),
     ("empty_shape.bin", _bin_header(0, 0, 3)),
+    ("half_pair.bin", _bin_header(0, 1, 1) + np.zeros(3, dtype="<f8").tobytes()),
+    ("wrong_third_line.csv", b"domain,B,U\nantenna,1,1\nfoo,bar\n1.0,2.0\n"),
+    ("no_re_im_line.csv", b"domain,B,U\nantenna,1,1\n1.0,2.0\n3.0,4.0\n"),
 ])
 def test_load_channel_rejects_malformed_dump(name, content, tmp_path):
     path = tmp_path / name

@@ -12,8 +12,8 @@ from spadesim.datapath import (
     throughput_bps,
 )
 from spadesim.cli import main as cli_main
-from spadesim.equalizer import ActivityReport, equalize_tagged
-from spadesim.numerics import QFormat
+from spadesim.equalizer import ActivityReport, equalize_tagged, tag_input
+from spadesim.numerics import INPUT_FMT, QFormat
 
 from reference import mute_mask
 from test_equalizer import random_tagged, random_weights
@@ -90,6 +90,15 @@ def test_stream_rejects_mixed_lengths_and_formats():
                   random_tagged(rng, 16, tau_y=0.2)):
         with pytest.raises(ValueError, match="one length and input format"):
             simulate_stream(weights, [x, other], PipelineConfig(), save_power=True)
+
+
+def test_stream_rejects_a_block_entry():
+    # a (B, N) block is N vectors: streamed as one entry it would count one cycle
+    rng = np.random.default_rng(69)
+    weights = random_weights(rng, 4, 16, tau_w=0.1)
+    Y = rng.uniform(-3.9, 3.9, (16, 5)) + 1j * rng.uniform(-3.9, 3.9, (16, 5))
+    with pytest.raises(ValueError, match="1-D"):
+        simulate_stream(weights, [tag_input(Y, 0.1, INPUT_FMT)], PipelineConfig(), True)
 
 
 def test_no_mutes_without_save_power():
