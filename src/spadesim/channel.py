@@ -51,13 +51,14 @@ class ChannelMatrix:
 def _synth(gains: np.ndarray, freqs: np.ndarray, B: int) -> np.ndarray:
     """Superpose each row's paths, sum_p g_p e^{j n f_p}; rows rescaled to squared norm B.
 
-    ``gains`` and ``freqs`` are (U, P); the result is (U, B). The norm is taken
-    one row at a time, as a batched norm would sum in another order.
+    ``gains`` and ``freqs`` are (U, P); the result is (U, B). Each row's
+    squared norm is two BLAS dots, re.re + im.im, the sum ``np.linalg.norm``
+    takes of one complex row.
     """
     n = np.arange(B)
     E = np.exp(1j * (n[:, None] * freqs[:, None, :]))
     h = np.matmul(E, gains[..., None])[..., 0]
-    norms = np.array([np.linalg.norm(row) for row in h])
+    norms = np.sqrt([re.dot(re) + im.dot(im) for re, im in zip(h.real, h.imag)])
     if np.any(norms == 0.0):
         raise ValueError("degenerate channel")
     return h * (np.sqrt(B) / norms)[:, None]
@@ -71,40 +72,43 @@ NLOS_PATHS = 12
 NLOS_DECAY_DB = 3.0
 
 
+# Per user: the Rayleigh gains (LoS: the reflections) and the (low, high)
+# range of each uniform (LoS: the dominant path's phase, then the frequencies).
+_RAYLEIGH_PATHS = {"los": LOS_PATHS - 1, "nlos": NLOS_PATHS}
+_UNIFORM_RANGES = {
+    "los": (np.array([0.0] + [-np.pi] * LOS_PATHS), np.array([2 * np.pi] + [np.pi] * LOS_PATHS)),
+    "nlos": (np.full(NLOS_PATHS, -np.pi), np.full(NLOS_PATHS, np.pi)),
+}
+
+
 def _draw_paths(kind: str, U: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """U independent profile draws as (U, P) gains and frequencies.
 
-    The generator calls run user by user in a fixed order (the stream is part
-    of the reproducibility contract); the gain arithmetic then runs on all
-    users at once.
+    Each user makes two generator calls, user after user (the stream is part
+    of the reproducibility contract): one ``standard_normal`` for the real
+    then the imaginary parts of its Rayleigh gains, and one ``random`` for
+    its uniforms. A generator yields its values one after another, so these
+    are the values of one call per part. The uniforms are mapped with
+    ``uniform``'s own arithmetic, ``low + (high - low) * u``, and the gain
+    arithmetic runs on all users at once.
     """
-    if kind == "los":
-        re = np.empty((U, 2))
-        im = np.empty((U, 2))
-        phase = np.empty(U)
-        freqs = np.empty((U, LOS_PATHS))
-        for u in range(U):
-            re[u] = rng.standard_normal(2)
-            im[u] = rng.standard_normal(2)
-            phase[u] = rng.uniform(0.0, 2 * np.pi)
-            freqs[u] = rng.uniform(-np.pi, np.pi, size=LOS_PATHS)
-        reflect = (re + 1j * im) / np.sqrt(2)
-        dominant_power = 10 ** (LOS_DOMINANCE_DB / 10) * np.sum(np.abs(reflect) ** 2, axis=1)
-        dominant = np.sqrt(dominant_power) * np.exp(1j * phase)
-        gains = np.concatenate((dominant[:, None], reflect), axis=1)
-    elif kind == "nlos":
-        re = np.empty((U, NLOS_PATHS))
-        im = np.empty((U, NLOS_PATHS))
-        freqs = np.empty((U, NLOS_PATHS))
-        for u in range(U):
-            re[u] = rng.standard_normal(NLOS_PATHS)
-            im[u] = rng.standard_normal(NLOS_PATHS)
-            freqs[u] = rng.uniform(-np.pi, np.pi, size=NLOS_PATHS)
-        sigma = np.sqrt(10 ** (-NLOS_DECAY_DB * np.arange(NLOS_PATHS) / 10))
-        gains = sigma * (re + 1j * im) / np.sqrt(2)
-    else:
+    if kind not in _RAYLEIGH_PATHS:
         raise ValueError(f"unknown profile kind {kind!r}")
-    return gains, freqs
+    P, (low, high) = _RAYLEIGH_PATHS[kind], _UNIFORM_RANGES[kind]
+    z = np.empty((U, 2 * P))
+    u = np.empty((U, low.size))
+    for i in range(U):
+        rng.standard_normal(out=z[i])
+        rng.random(out=u[i])
+    u = low + (high - low) * u
+    rayleigh = z[:, :P] + 1j * z[:, P:]
+    if kind == "los":
+        reflect = rayleigh / np.sqrt(2)
+        dominant_power = 10 ** (LOS_DOMINANCE_DB / 10) * np.sum(np.abs(reflect) ** 2, axis=1)
+        dominant = np.sqrt(dominant_power) * np.exp(1j * u[:, 0])
+        return np.concatenate((dominant[:, None], reflect), axis=1), u[:, 1:]
+    sigma = np.sqrt(10 ** (-NLOS_DECAY_DB * np.arange(NLOS_PATHS) / 10))
+    return sigma * rayleigh / np.sqrt(2), u
 
 
 def draw_channel_matrix(kind: str, B: int, U: int, rng: np.random.Generator) -> ChannelMatrix:
@@ -273,11 +277,12 @@ def load_channel(path: str) -> ChannelMatrix:
     """Read a channel matrix written by :func:`save_channel` (either format).
 
     The file is read once. A binary dump is ``CHNL``, a 9-byte header (domain
-    code, B, U) and the ``<f8`` body of whole (re, im) pairs. A CSV dump is
-    ASCII; its non-blank stripped lines are ``domain,B,U``, the shape line,
-    exactly ``re,im``, then one ``re,im`` row per entry. Either way B and U
-    must be at least 1, there must be B*U entries, all finite, and the domain
-    must be ``antenna`` or ``beamspace``; anything else raises ``ValueError``.
+    code, B, U) and the ``<f8`` body of whole (re, im) pairs, read as ``<c16``.
+    A CSV dump is ASCII; its non-blank stripped lines are ``domain,B,U``, the
+    shape line, exactly ``re,im``, then one ``re,im`` row per entry. Either
+    way every entry loads as saved, signed zeros included. B and U must be at
+    least 1, there must be B*U entries, all finite, and the domain must be
+    ``antenna`` or ``beamspace``; anything else raises ``ValueError``.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -287,8 +292,7 @@ def load_channel(path: str) -> ChannelMatrix:
             raise ValueError("channel dump truncated")
         code, B, U = struct.unpack("<BII", header)
         domain = _DOMAIN_NAME.get(code, f"code {code}")
-        pairs = np.frombuffer(body, dtype="<f8").reshape(-1, 2)
-        flat = pairs[:, 0] + 1j * pairs[:, 1]
+        flat = np.frombuffer(body, dtype="<c16").astype(np.complex128)
     else:
         lines = [ln.strip() for ln in data.decode("ascii").splitlines() if ln.strip()]
         if lines[:1] != ["domain,B,U"]:

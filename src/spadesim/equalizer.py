@@ -128,14 +128,27 @@ class FrontEnd:
 def compute_lmmse(H, N0: float, Es: float) -> np.ndarray:
     """LMMSE equalization matrix (H^H H + (N0/Es) I)^-1 H^H in floating point."""
     Hm = H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
+    return lmmse_stack(Hm[None], [N0], Es)[0, 0]
+
+
+def lmmse_stack(H: np.ndarray, n0s, Es: float) -> np.ndarray:
+    """LMMSE matrices of a (D, B, U) stack of channels at S noise powers, (D, S, U, B).
+
+    Each channel's Gram matrix H^H H is formed once; the D x S regularized
+    systems are then one stacked ``np.linalg.solve``, which runs the same
+    LAPACK solve matrix by matrix, so matrix (d, s) has the bytes of
+    solving channel d at ``n0s[s]`` alone.
+    """
     if Es <= 0:
         raise ValueError("Es must be positive")
-    U = Hm.shape[1]
-    G = Hm.conj().T @ Hm + (N0 / Es) * np.eye(U)
-    if N0 == 0.0 and np.linalg.cond(G) > 1e14:
+    n0 = np.asarray(n0s, dtype=np.float64)
+    Hh = H.conj().swapaxes(-1, -2)
+    U = H.shape[-1]
+    G = (Hh @ H)[:, None] + (n0 / Es)[:, None, None] * np.eye(U)
+    if np.any(n0 == 0.0) and np.any(np.linalg.cond(G[:, n0 == 0.0]) > 1e14):
         raise ValueError("regularize or raise N0")
     try:
-        return np.linalg.solve(G, Hm.conj().T)
+        return np.linalg.solve(G, Hh[:, None])
     except np.linalg.LinAlgError as exc:
         raise ValueError("regularize or raise N0") from exc
 

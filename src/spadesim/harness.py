@@ -12,6 +12,9 @@ of :func:`run_ber` and each threshold pair's probe in a sweep round. Points
 differ only in their (N0, tau_w, tau_y) and in the rule that retires them.
 One function, :func:`_block`, makes every block that loop and the activity
 measurement use: the draws, the weights and the tagged input at each SNR.
+The loop asks it for one block at a time; the activity measurement for a
+chunk of draws, which it finishes as one stack (one solve, one quantization,
+one front end), each draw's bytes those of making it alone.
 Every operating-point search bisects one fixed SNR range, ``_SEARCH_LO_DB``
 to ``_SEARCH_HI_DB``, down to ``_SEARCH_TOL_DB``.
 """
@@ -42,9 +45,9 @@ from .channel import (
 from .equalizer import (
     FrontEnd,
     build_weights,
-    compute_lmmse,
     equalize_pairs,
     front_end,
+    lmmse_stack,
     scale_rows,
     _threshold_raw,
 )
@@ -66,6 +69,9 @@ _P_ACTIVITY = 2
 _P_PROBE = 3
 
 _WAVE_BLOCKS = 8
+# an activity chunk finishes this many weight matrices (draws x SNRs) at once,
+# or one draw when a draw alone holds more
+_CHUNK_MATRICES = 32
 # the operating-point search bisects this SNR range, in dB, down to this width
 _SEARCH_LO_DB, _SEARCH_HI_DB, _SEARCH_TOL_DB = -10.0, 40.0, 0.1
 MAX_SNR_POINTS = 1 << 16  # run_ber runs point i on stream tag i, a 16-bit field
@@ -199,38 +205,58 @@ def _load_fixed_channel(cfg: RunConfig) -> ChannelMatrix | None:
     return cm
 
 
-def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, block_idx: int, n_vectors: int,
+def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors: int,
            H_fixed: ChannelMatrix | None, n0s: list, fe: FrontEnd):
-    """One coherence block at each of S SNRs: (sent, weights, x).
+    """Coherence blocks ``indices``, D of them, each at S SNRs: (sent, weights, x).
 
-    Draws the channel (unless ``H_fixed``), the bits, kept as the (U, N)
-    symbol indices they select, and the real and imaginary parts of the
-    unit-variance noise from the block's stream, in that order. Weights s are
-    the LMMSE weights at N0 ``n0s[s]`` in the mode's domain, scaled and
-    quantized as one stack at ``cfg.tau_w`` (``replace(w[s], tau_w=...)``
-    gives another threshold on the same raws). ``x`` is the tagged (B, S*N)
-    input, SNR after SNR, from one front-end call; the noise is scaled part by
-    part, which gives the bytes of scaling it as one complex array.
+    Each block draws its channel (unless ``H_fixed``), its bits, kept as the
+    (U, N) symbol indices they select, and the real and imaginary parts of
+    its unit-variance noise from its own stream, in that order; ``sent``
+    stacks them, (D, U, N). The D blocks are then finished as one stack: in
+    the mode's domain, one Gram matrix per block and one solve of all D x S
+    LMMSE systems, scaled and quantized as one (D, S) stack of weights at
+    ``cfg.tau_w`` (``w[d][s]``; ``replace(w[d][s], tau_w=...)`` gives another
+    threshold on the same raws). ``x`` is the tagged (B, D*S*N) input, block
+    after block and SNR after SNR within a block, from one front-end call;
+    the noise is scaled part by part, which gives the bytes of scaling it as
+    one complex array. Every matrix and column has the bytes of making its
+    block alone at its own N0.
     """
-    rng = derive_stream(cfg.seed, purpose, tag, block_idx)
-    H = H_fixed if H_fixed is not None else draw_channel_matrix(cfg.channel, cfg.B, cfg.U, rng)
-    Hd = H if mode == "lmmse-a" else ChannelMatrix(to_beamspace(H.entries), "beamspace")
-    bits = rng.integers(0, 2, size=(cfg.U, n_vectors, cfg.bits_per_symbol), dtype=np.uint8)
-    sent = qam_index(bits, cfg.M)
-    y_bar = H.entries @ _qam_table(cfg.M, cfg.Es)[sent]
-    noise_re, noise_im = rng.standard_normal(y_bar.shape), rng.standard_normal(y_bar.shape)
-    W, alpha = scale_rows(np.stack([compute_lmmse(Hd, n0, cfg.Es) for n0 in n0s]), cfg.epsilon)
+    D, S, B, U = len(indices), len(n0s), cfg.B, cfg.U
+    table = _qam_table(cfg.M, cfg.Es)
+    H = np.empty((D, B, U), dtype=np.complex128)
+    sent = np.empty((D, U, n_vectors), dtype=np.int64)
+    y_bar = np.empty((D, B, n_vectors), dtype=np.complex128)
+    noise_re = np.empty((D, B, n_vectors))
+    noise_im = np.empty((D, B, n_vectors))
+    for d, index in enumerate(indices):
+        rng = derive_stream(cfg.seed, purpose, tag, index)
+        H[d] = (H_fixed if H_fixed is not None
+                else draw_channel_matrix(cfg.channel, B, U, rng)).entries
+        bits = rng.integers(0, 2, size=(U, n_vectors, cfg.bits_per_symbol), dtype=np.uint8)
+        sent[d] = qam_index(bits, cfg.M)
+        np.matmul(H[d], table[sent[d]], out=y_bar[d])
+        rng.standard_normal(out=noise_re[d])
+        rng.standard_normal(out=noise_im[d])
+    if mode != "lmmse-a":
+        H = np.ascontiguousarray(to_beamspace(H.swapaxes(0, 1)).swapaxes(0, 1))
+    # release each intermediate once read, and the noise-free blocks and the
+    # noise before the front end: with large blocks and several workers, or
+    # long activity chunks, the smaller working set is faster
+    V = lmmse_stack(H, n0s, cfg.Es)
+    del H
+    W, alpha = scale_rows(V, cfg.epsilon)
+    del V
     weights = build_weights(W, alpha, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None,
-                            Hd.domain)
+                            "antenna" if mode == "lmmse-a" else "beamspace")
+    del W
     sigma = np.sqrt(np.array(n0s) / 2.0)[:, None]
-    Y = np.empty((cfg.B, len(n0s), n_vectors), dtype=np.complex128)
-    np.multiply(noise_re[:, None], sigma, out=Y.real)
-    np.multiply(noise_im[:, None], sigma, out=Y.imag)
-    Y += y_bar[:, None]
-    # release the noise-free block and the noise before the front end: with
-    # large blocks and several workers, the smaller working set is faster
+    Y = np.empty((B, D, S, n_vectors), dtype=np.complex128)
+    np.multiply(noise_re.swapaxes(0, 1)[:, :, None], sigma, out=Y.real)
+    np.multiply(noise_im.swapaxes(0, 1)[:, :, None], sigma, out=Y.imag)
+    Y += y_bar.swapaxes(0, 1)[:, :, None]
     del y_bar, noise_re, noise_im
-    return sent, weights, front_end(mode, Y.reshape(cfg.B, -1), fe)
+    return sent, weights, front_end(mode, Y.reshape(B, -1), fe)
 
 
 def _waves(block_size: int, cap: int):
@@ -292,7 +318,9 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
 
         def run(args, groups=groups):
             block_idx, n = args
-            sent, w, x = _block(cfg, mode, purpose, tag, block_idx, n, H_fixed, list(groups), fe)
+            (sent,), w, x = _block(cfg, mode, purpose, tag, [block_idx], n, H_fixed,
+                                   list(groups), fe)
+            w = w[0]
             scored = {}
             for s, group in enumerate(groups.values()):
                 cols = slice(s * n, (s + 1) * n)
@@ -492,11 +520,15 @@ def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
     """Per-draw activity of each (snr_db, tau_w, tau_y) cell, a (cells, draws) array.
 
     Only lmmse-spade skips; every other mode executes every product. Each
-    draw is drawn once and finished for all the cells' distinct SNRs at once.
-    Skipping is separable, so a vector's skipped count is the dot of the
-    per-column counts of set weight and input bits; one ``einsum`` counts
-    every (SNR, tau_w, tau_y) of the distinct values, and each cell gathers
-    its own.
+    draw is drawn once, from its own stream, and finished for all the cells'
+    distinct SNRs. Draws are made in chunks of up to ``_CHUNK_MATRICES``
+    weight matrices (draws x distinct SNRs, at least one draw), each chunk
+    by one :func:`_block` call, so memory is bounded by one chunk whatever
+    the draw count. Skipping is separable, so a vector's skipped count is
+    the dot of the per-column counts of set weight and input bits; one
+    ``einsum`` per chunk counts every (draw, SNR, tau_w, tau_y) of the
+    distinct values, and each cell gathers its own. The counts are integers,
+    so where a chunk ends moves none of them.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -507,19 +539,22 @@ def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
     # the distinct values of each axis, and each cell's index into them
     (snrs, s_at), (tws, w_at), (tys, y_at) = (
         np.unique(axis, return_inverse=True) for axis in np.array(cells, dtype=float).T)
-    w_thr = np.array([_threshold_raw(t, wfmt) for t in tws.tolist()])[:, None, None, None]
-    y_thr = np.array([_threshold_raw(t, fe.input_fmt) for t in tys.tolist()])[:, None, None, None]
+    w_thr, y_thr = (np.array([_threshold_raw(t, fmt) for t in taus.tolist()]).reshape(-1, *[1] * 4)
+                    for taus, fmt in ((tws, wfmt), (tys, fe.input_fmt)))
     n0s = [_n0_for_snr(config, snr_db) for snr_db in snrs.tolist()]
     skipped = np.empty((len(cells), draws))
-    for d in range(draws):
-        _, w, x = _block(config, "lmmse-spade", _P_ACTIVITY, 0, d, vectors_per_draw, H_fixed,
+    per_chunk = max(1, _CHUNK_MATRICES // len(n0s))
+    for start in range(0, draws, per_chunk):
+        chunk = range(start, min(start + per_chunk, draws))
+        _, w, x = _block(config, "lmmse-spade", _P_ACTIVITY, 0, chunk, vectors_per_draw, H_fixed,
                          n0s, fe)
-        yre, yim = (z.reshape(config.B, len(n0s), -1) for z in (x.re, x.im))
-        # per-column counts of set bits, (threshold, SNR, column) for the
-        # weights and (threshold, column, SNR) for the inputs
-        w_counts = (np.abs(w.re) < w_thr).sum(axis=2) + (np.abs(w.im) < w_thr).sum(axis=2)
-        y_counts = (np.abs(yre) < y_thr).sum(axis=3) + (np.abs(yim) < y_thr).sum(axis=3)
-        skipped[:, d] = np.einsum("wsb,ybs->swy", w_counts, y_counts)[s_at, w_at, y_at]
+        yre, yim = (z.reshape(config.B, len(chunk), len(n0s), -1) for z in (x.re, x.im))
+        # per-column counts of set bits, (threshold, draw, SNR, column) for
+        # the weights and (threshold, column, draw, SNR) for the inputs
+        w_counts = (np.abs(w.re) < w_thr).sum(axis=3) + (np.abs(w.im) < w_thr).sum(axis=3)
+        y_counts = (np.abs(yre) < y_thr).sum(axis=4) + (np.abs(yim) < y_thr).sum(axis=4)
+        counts = np.einsum("wdsb,ybds->swyd", w_counts, y_counts)
+        skipped[:, chunk.start:chunk.stop] = counts[s_at, w_at, y_at]
     total = 4 * config.B * config.U * vectors_per_draw
     return (total - skipped) / total
 

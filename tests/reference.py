@@ -3,7 +3,7 @@
 Everything here is deliberately naive: scalar loops, Python integers, direct
 formulas. Nothing imports the production kernels it checks. The scalar
 fixed-point types and ``weights_for_mode`` are helpers, not oracles: they call
-the production quantizer and preprocessing for tests that check something
+the production quantizer and row scaling for tests that check something
 else.
 """
 
@@ -94,15 +94,21 @@ def fixed_mul(a: FixedScalar, b: FixedScalar) -> FixedScalar:
     return FixedScalar(a.raw * b.raw, fmt)
 
 
+def lmmse_per_matrix(Hm: np.ndarray, n0: float, Es: float) -> np.ndarray:
+    """One LMMSE matrix, (H^H H + (N0/Es) I)^-1 H^H, with its own Gram matrix and solve."""
+    G = Hm.conj().T @ Hm + (n0 / Es) * np.eye(Hm.shape[1])
+    return np.linalg.solve(G, Hm.conj().T)
+
+
 def weights_for_mode(cfg, H, mode: str, n0: float):
     """(antenna, beamspace) weights of an antenna-domain channel; the mode's other one is None."""
     from spadesim.beamspace import to_beamspace
-    from spadesim.channel import ChannelMatrix
-    from spadesim.equalizer import build_weights, compute_lmmse, scale_rows
+    from spadesim.equalizer import build_weights, scale_rows
 
-    Hd = H if mode == "lmmse-a" else ChannelMatrix(to_beamspace(H.entries), "beamspace")
-    W, a = scale_rows(compute_lmmse(Hd, n0, cfg.Es), cfg.epsilon)
-    w = build_weights(W, a, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None, Hd.domain)
+    Hm = H.entries if mode == "lmmse-a" else to_beamspace(H.entries)
+    W, a = scale_rows(lmmse_per_matrix(Hm, n0, cfg.Es), cfg.epsilon)
+    domain = "antenna" if mode == "lmmse-a" else "beamspace"
+    w = build_weights(W, a, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None, domain)
     return (w, None) if mode == "lmmse-a" else (None, w)
 
 
@@ -231,8 +237,11 @@ def draw_channel_matrix_per_user(kind: str, B: int, U: int, rng: np.random.Gener
     """One user at a time: draw the profile, truncate to B paths, synthesize, normalize.
 
     Profiles: "los" is a dominant path 10 dB above two Rayleigh reflections,
-    "nlos" twelve Rayleigh paths decaying 3 dB per index. Returns the B x U
-    antenna-domain entries with every column at squared norm B.
+    "nlos" twelve Rayleigh paths decaying 3 dB per index. Each user makes
+    one generator call per part (real gains, imaginary gains, then LoS's
+    phase and the frequencies through ``uniform``) and is normalized by
+    ``np.linalg.norm``. Returns the B x U antenna-domain entries with every
+    column at squared norm B.
     """
     cols = []
     n = np.arange(B)
@@ -291,19 +300,23 @@ def qam_demodulate_formula(symbols: np.ndarray, M: int, Es: float) -> np.ndarray
     return np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=-1)
 
 
-def block_complex(cfg, mode: str, purpose: int, tag: int, index: int, n: int, n0s: list):
+def block_complex(cfg, mode: str, purpose: int, tag: int, index: int, n: int, n0s: list,
+                  H_fixed=None):
     """A harness block the plain way: (sent, weights per N0, tagged (B, S*N) input).
 
-    Draws the channel, the bits and the noise from the block's own stream,
-    solves and quantizes one weight set per N0, builds the noise as one
-    complex array and runs the front end on the receive block.
+    Draws the channel (four generator calls per user, see
+    :func:`draw_channel_matrix_per_user`) unless ``H_fixed`` is given, then
+    the bits and the noise from the block's own stream, solves and quantizes
+    one weight set per N0, builds the noise as one complex array and runs
+    the front end on the receive block.
     """
-    from spadesim.channel import draw_channel_matrix, qam_index, qam_modulate
+    from spadesim.channel import ChannelMatrix, qam_index, qam_modulate
     from spadesim.equalizer import front_end
     from spadesim.harness import derive_stream
 
     rng = derive_stream(cfg.seed, purpose, tag, index)
-    H = draw_channel_matrix(cfg.channel, cfg.B, cfg.U, rng)
+    H = H_fixed if H_fixed is not None else ChannelMatrix(
+        draw_channel_matrix_per_user(cfg.channel, cfg.B, cfg.U, rng), "antenna")
     bits = rng.integers(0, 2, size=(cfg.U, n, cfg.bits_per_symbol), dtype=np.uint8)
     y_bar = H.entries @ qam_modulate(bits, cfg.M, cfg.Es)
     noise = rng.standard_normal(y_bar.shape) + 1j * rng.standard_normal(y_bar.shape)
@@ -311,6 +324,40 @@ def block_complex(cfg, mode: str, purpose: int, tag: int, index: int, n: int, n0
     Y = noise[:, None] * np.sqrt(np.array(n0s) / 2.0)[:, None]
     Y += y_bar[:, None]
     return qam_index(bits, cfg.M), weights, front_end(mode, Y.reshape(cfg.B, -1), cfg.frontend())
+
+
+def activity_rates_per_draw(cfg, cells: list, draws: int, vectors_per_draw: int, H_fixed=None):
+    """lmmse-spade activity of each (snr_db, tau_w, tau_y) cell per draw, one draw at a time.
+
+    Each draw is made alone (:func:`block_complex`) at the cells' distinct
+    SNRs; its skips are counted for every distinct SNR and threshold with one
+    ``einsum`` over the per-column counts of set weight and input bits, and
+    each cell gathers its own. Returns a (cells, draws) array.
+    """
+    from spadesim.harness import _P_ACTIVITY
+
+    fe = cfg.frontend()
+    wfmt = cfg.weight_fmt if cfg.quantized else None
+
+    def thresholds(taus, fmt):
+        raws = [t if fmt is None else naive_threshold_raw(t, fmt.frac_bits) for t in taus]
+        return np.array(raws)[:, None, None, None]
+
+    (snrs, s_at), (tws, w_at), (tys, y_at) = (
+        np.unique(axis, return_inverse=True) for axis in np.array(cells, dtype=float).T)
+    w_thr, y_thr = thresholds(tws.tolist(), wfmt), thresholds(tys.tolist(), fe.input_fmt)
+    n0s = [cfg.U * cfg.Es / 10 ** (snr_db / 10.0) for snr_db in snrs.tolist()]
+    skipped = np.empty((len(cells), draws))
+    for d in range(draws):
+        _, w, x = block_complex(cfg, "lmmse-spade", _P_ACTIVITY, 0, d, vectors_per_draw, n0s,
+                                H_fixed)
+        w_re, w_im = np.stack([ws.re for ws in w]), np.stack([ws.im for ws in w])
+        yre, yim = (z.reshape(cfg.B, len(n0s), -1) for z in (x.re, x.im))
+        w_counts = (np.abs(w_re) < w_thr).sum(axis=2) + (np.abs(w_im) < w_thr).sum(axis=2)
+        y_counts = (np.abs(yre) < y_thr).sum(axis=3) + (np.abs(yim) < y_thr).sum(axis=3)
+        skipped[:, d] = np.einsum("wsb,ybs->swy", w_counts, y_counts)[s_at, w_at, y_at]
+    total = 4 * cfg.B * cfg.U * vectors_per_draw
+    return (total - skipped) / total
 
 
 def _probe_per_pair(cfg, mode, snr_db, tag, target, probe_cap):

@@ -229,7 +229,18 @@ def test_channel_dump_round_trip(fmt, tmp_path):
     save_channel(path, cm, fmt)
     back = load_channel(path)
     assert back.domain == cm.domain
-    assert np.array_equal(back.entries, cm.entries)
+    assert back.entries.tobytes() == cm.entries.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("re,im", [(-0.0, 1.0), (-0.0, -0.0), (1.0, -0.0)])
+def test_channel_dump_keeps_signed_zeros(fmt, re, im, tmp_path):
+    entries = np.empty((2, 1), dtype=np.complex128)  # re + 1j * im would lose the signs
+    entries.real, entries.imag = [[re], [0.5]], [[im], [-0.5]]
+    cm = ChannelMatrix(entries, "antenna")
+    path = str(tmp_path / f"chan.{fmt}")
+    save_channel(path, cm, fmt)
+    assert load_channel(path).entries.tobytes() == entries.tobytes()
 
 
 def _bin_header(code, B, U):

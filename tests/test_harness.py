@@ -13,12 +13,14 @@ from spadesim.channel import MODES, draw_channel_matrix, save_channel
 from spadesim.cli import _effective, _snr_list
 from spadesim.cli import main as cli_main
 from spadesim.harness import (
+    _CHUNK_MATRICES,
     _WAVE_BLOCKS,
     MAX_SNR_POINTS,
     RunConfig,
     RunReport,
     SnrPoint,
     StopRule,
+    _activity_rates,
     activity_grid,
     default_grid,
     derive_stream,
@@ -29,7 +31,7 @@ from spadesim.harness import (
     threshold_sweep,
 )
 
-from reference import q_func, q_func_inv
+from reference import activity_rates_per_draw, q_func, q_func_inv
 
 
 def small_cfg(**kw):
@@ -309,6 +311,18 @@ def test_activity_cells_match_single_cell_grids():
             assert np.array_equal(rates[i, j], alone[0, 0])
     assert np.all(rates[:, 1] == 1.0) and not np.array_equal(rates[0, 0], rates[1, 0])
     assert np.array_equal(activity_grid(cfg, "lmmse-b", 10.0, tws, tys, **kw), np.ones((3, 2, 6)))
+
+
+@pytest.mark.parametrize("snrs", [[10.0], [4.0, 9.5, 20.0]])
+@pytest.mark.parametrize("draws", ["1", "cap", "cap+1"])
+def test_chunked_activity_matches_one_draw_at_a_time(snrs, draws):
+    # one draw, one full chunk and one draw past it: where a chunk ends moves no count
+    per_chunk = _CHUNK_MATRICES // len(snrs)
+    draws = {"1": 1, "cap": per_chunk, "cap+1": per_chunk + 1}[draws]
+    cfg = small_cfg(U=2)
+    cells = [(snr, tw, ty) for snr in snrs for tw in (0.0, 0.05, 0.3) for ty in (0.1, 0.5)]
+    got = _activity_rates(cfg, "lmmse-spade", cells, draws, 2, None)
+    assert got.tobytes() == activity_rates_per_draw(cfg, cells, draws, 2).tobytes()
 
 
 def test_activity_matches_run_ber_accounting():

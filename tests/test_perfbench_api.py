@@ -1,9 +1,11 @@
-"""The benchmark's workloads run against the current API at their smallest size.
+"""The benchmark's workloads run against the current API, and keep their stored bytes.
 
 Each workload in ``perfbench/workloads.py`` is built in-process at its "tiny"
 size and runs one operation; its output gate and oracle must find nothing. A
 change to a signature the benchmark calls then fails here, not in a benchmark
-run.
+run. At full size, one operation of each harness workload must reproduce the
+digest stored in ``perfbench/reference.json`` (read only, through
+``perfbench/child.py``) for seeds 0-2, on the platform that stored it.
 """
 
 import importlib.util
@@ -11,10 +13,18 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+child = _load("child")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.SPECS))
@@ -24,3 +34,16 @@ def test_workload_runs_at_tiny_size(name, tmp_path):
     _digest, _stats, problems = wl.check(out)
     assert problems == []
     assert wl.oracle(out) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["ber-default", "ber-antenna-long", "sweep-small"])
+def test_workload_reproduces_stored_digest(name, seed, tmp_path):
+    wl = workloads.build(name, seed, "full", str(tmp_path))
+    stored, how = child.stored_reference(name, "full", seed, child.versions()["fingerprint"],
+                                         workloads.params_digest(wl.p))
+    if stored is None:
+        pytest.skip(how)
+    digest, _stats, problems = wl.check(wl.call())
+    assert problems == []
+    assert digest == stored

@@ -1,11 +1,12 @@
 """Property tests: the vectorized kernels are bit-identical to their oracles.
 
-The stage-wise radix-4, the GEMM front end, the batched channel synthesis,
-the QAM lookup tables, the table-driven bit-error count, the stacked weight
-scaling and quantization, the multi-pair MVM with its shared full products
-and per-tau_y weight stacks, the harness block made once for all its SNRs
-(stacked weights, noise scaled part by part, one front end) and the
-lockstep threshold sweep each replace a per-element, per-stage, per-user,
+The stage-wise radix-4, the GEMM front end, the batched channel synthesis
+with two generator calls per user, the QAM lookup tables, the table-driven
+bit-error count, the stacked weight scaling and quantization, the multi-pair
+MVM with its shared full products and per-tau_y weight stacks, the harness
+blocks made as one stack for all their SNRs (one Gram matrix per block, one
+solve, noise scaled part by part, one front end) and the lockstep threshold
+sweep each replace a per-element, per-stage, per-call, per-user, per-block,
 per-SNR or per-pair formulation; every comparison here is byte for byte
 (``tobytes``, ``repr`` of floats, file bytes), not within a tolerance. Then
 come run_ber's contract (the same report for any worker count, and zero
@@ -32,6 +33,7 @@ from spadesim.beamspace import TwiddleConfig, _radix4, to_beamspace
 from spadesim.channel import (
     MODES,
     QAM_ORDERS,
+    ChannelMatrix,
     _qam_table,
     bit_errors,
     draw_channel_matrix,
@@ -51,6 +53,7 @@ from spadesim.equalizer import (
     equalize_pairs,
     equalize_tagged,
     front_end,
+    lmmse_stack,
     scale_rows,
     tag_input,
 )
@@ -69,6 +72,7 @@ from spadesim.numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat
 from reference import (
     block_complex,
     draw_channel_matrix_per_user,
+    lmmse_per_matrix,
     naive_dotp,
     qam_demodulate_formula,
     qam_modulate_formula,
@@ -148,23 +152,26 @@ def test_front_end_raws_equal_the_radix4_path(setup, mode):
 
 
 @PROPS
-@given(B=st.sampled_from((4, 16, 64)), U=st.integers(1, 4), S=st.integers(1, 4),
-       quantized=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_stacked_preprocessing_matches_per_matrix(B, U, S, quantized, seed):
-    # LMMSE matrices at S noise variances, scaled and quantized as one stack,
-    # equal S separate passes, matrix by matrix
+@given(B=st.sampled_from((4, 16, 64)), U=st.integers(1, 4), D=st.integers(1, 3),
+       S=st.integers(1, 4), quantized=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_preprocessing_matches_per_matrix(B, U, D, S, quantized, seed):
+    # LMMSE matrices of D channels at S noise variances, solved, scaled and
+    # quantized as one stack, equal D*S separate passes, matrix by matrix
     rng = np.random.default_rng(seed)
-    H = rng.standard_normal((B, U)) + 1j * rng.standard_normal((B, U))
+    H = rng.standard_normal((D, B, U)) + 1j * rng.standard_normal((D, B, U))
     n0s = rng.uniform(1e-3, 10.0, S)
     fmt = WEIGHT_FMT if quantized else None
-    W, alpha = scale_rows(np.stack([compute_lmmse(H, n0, 1.0) for n0 in n0s]), 2.0**-10)
+    W, alpha = scale_rows(lmmse_stack(H, n0s, 1.0), 2.0**-10)
     stacked = build_weights(W, alpha, 0.1, fmt, "antenna")
-    for s, n0 in enumerate(n0s):
-        Ws, alphas = scale_rows(compute_lmmse(H, float(n0), 1.0), 2.0**-10)
-        one = build_weights(Ws, alphas, 0.1, fmt, "antenna")
-        assert W[s].tobytes() == Ws.tobytes() and alpha[s].tobytes() == alphas.tobytes()
-        for name in ("re", "im", "alpha"):
-            assert getattr(stacked[s], name).tobytes() == getattr(one, name).tobytes()
+    for d in range(D):
+        for s, n0 in enumerate(n0s):
+            V = lmmse_per_matrix(H[d], float(n0), 1.0)
+            assert compute_lmmse(H[d], float(n0), 1.0).tobytes() == V.tobytes()
+            Ws, alphas = scale_rows(V, 2.0**-10)
+            one = build_weights(Ws, alphas, 0.1, fmt, "antenna")
+            assert W[d, s].tobytes() == Ws.tobytes() and alpha[d, s].tobytes() == alphas.tobytes()
+            for name in ("re", "im", "alpha"):
+                assert getattr(stacked[d][s], name).tobytes() == getattr(one, name).tobytes()
 
 
 @PROPS
@@ -333,25 +340,46 @@ def test_bit_errors_equal_demodulate_and_compare(M, Es, data):
     assert np.array_equal(errors, ref)
 
 
+N0 = st.one_of(st.floats(1e-3, 1e3), st.sampled_from((5e-324, 1e-300, 1.0)))
+
+
 @PROPS
 @given(cfg=st.builds(RunConfig, B=st.sampled_from((4, 16, 64)), U=st.integers(1, 4),
                      M=st.sampled_from(QAM_ORDERS), channel=st.sampled_from(("los", "nlos")),
-                     seed=st.integers(0, 2**64 - 1)),
+                     seed=st.integers(0, 2**64 - 1), quantized=st.booleans(),
+                     exact_fft=st.booleans()),
+       from_file=st.booleans(), first=st.integers(0, 2**32 - 6), k=st.integers(1, 5),
        n=st.integers(1, 40), mode=st.sampled_from(MODES),
-       n0s=st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from((5e-324, 1e-300))),
-                    min_size=1, max_size=4))
-def test_receive_matches_complex_noise(cfg, n, mode, n0s):
-    # one block at S SNRs: the weights solved and quantized as one stack, the
-    # noise scaled part by part and one front end over all S give the bytes of
-    # one weight set per N0, the noise scaled as one complex array, and the
-    # front end on that receive block
-    sent, w, x = _block(cfg, mode, 1, 0, 0, n, None, n0s, cfg.frontend())
-    ref_sent, ref_w, ref_x = block_complex(cfg, mode, 1, 0, 0, n, n0s)
-    assert sent.tobytes() == ref_sent.tobytes()
-    for s, ws in enumerate(ref_w):
-        for got, want in ((w.re[s], ws.re), (w.im[s], ws.im), (w.alpha[s], ws.alpha)):
-            assert got.tobytes() == want.tobytes()
-    assert (x.re.tobytes(), x.im.tobytes()) == (ref_x.re.tobytes(), ref_x.im.tobytes())
+       n0s=st.lists(N0, min_size=1, max_size=4))
+@example(cfg=RunConfig(B=16, U=3, seed=5), from_file=False, first=0, k=5, n=2,
+         mode="lmmse-spade", n0s=[1.0, 5e-324, 1.0, 1e-300])
+def test_receive_matches_complex_noise(cfg, from_file, first, k, n, mode, n0s):
+    # k blocks at S SNRs: per block the weights solved and quantized as one
+    # stack, the noise scaled part by part and one front end over all k*S give
+    # the bytes of each block made alone, and of one weight set per N0, the
+    # noise scaled as one complex array and the front end on that block
+    H_fixed = None
+    if from_file:  # any antenna-domain matrix, as a channel file may hold
+        rng = np.random.default_rng(first)
+        H_fixed = ChannelMatrix(rng.standard_normal((cfg.B, cfg.U))
+                                + 1j * rng.standard_normal((cfg.B, cfg.U)), "antenna")
+    fe = cfg.frontend()
+    indices = range(first, first + k)
+    sent, w, x = _block(cfg, mode, 1, 0, indices, n, H_fixed, n0s, fe)
+    S = len(n0s)
+    assert sent.shape == (k, cfg.U, n) and x.re.shape == (cfg.B, k * S * n)
+    for d, index in enumerate(indices):
+        (one_sent,), one_w, one_x = _block(cfg, mode, 1, 0, [index], n, H_fixed, n0s, fe)
+        ref_sent, ref_w, ref_x = block_complex(cfg, mode, 1, 0, index, n, n0s, H_fixed)
+        assert sent[d].tobytes() == one_sent.tobytes() == ref_sent.tobytes()
+        for s, ws in enumerate(ref_w):
+            for name in ("re", "im", "alpha"):
+                got, alone = getattr(w[d][s], name), getattr(one_w[0][s], name)
+                assert got.tobytes() == alone.tobytes() == getattr(ws, name).tobytes()
+        cols = slice(d * S * n, (d + 1) * S * n)
+        for part in ("re", "im"):
+            want = getattr(ref_x, part).tobytes()
+            assert getattr(x, part)[:, cols].tobytes() == getattr(one_x, part).tobytes() == want
 
 
 THRESHOLD = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
