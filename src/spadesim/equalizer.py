@@ -15,6 +15,11 @@ Weights and inputs hold their integer raws as float64 (see
 :func:`numerics.quantize_raw`), the type of the matrix products; every
 intermediate is an integer below 2**52, so the results are bit-exact and
 independent of summation order. A width guard enforces that precondition.
+The same exactness lets :func:`equalize_pairs` score a long quantized block
+in column tiles of ``_TILE_COLUMNS``, each pass over a tile staying in cache,
+with the bytes of one pass over the whole block. Unquantized raws are scored
+as one tile: OpenBLAS rounds a float product's columns differently with the
+width of the call.
 
 The input front end (gain, radix-4 transform, input quantization) computes
 its raws as one GEMM whose rounding is certified against the radix-4's, so
@@ -36,6 +41,12 @@ from .numerics import INPUT_FMT, QFormat, quantize_complex
 
 DOMAINS = ("antenna", "beamspace")
 
+# Columns of a block scored at once by the masked product: a 64-row tile's
+# float64 pass then takes 0.5 MB and stays in a core's L2 cache. On a 64x10000
+# stream, 256 to 2048 columns ran within one width's run-to-run spread of each
+# other and 4096 a little slower (BENCH_kernel_tiles.json).
+_TILE_COLUMNS = 1024
+
 
 @dataclass(frozen=True)
 class EqualizerWeights:
@@ -56,6 +67,10 @@ class EqualizerWeights:
 
     def __post_init__(self) -> None:
         _threshold_raw(self.tau_w, self.fmt)
+        if self.re.shape != self.im.shape:
+            raise ValueError("weights re and im must share one shape")
+        if self.alpha.shape != self.re.shape[:-1]:
+            raise ValueError("alpha must hold one scale factor per weight row")
 
     @property
     def U(self) -> int:
@@ -81,6 +96,8 @@ class BeamVector:
 
     def __post_init__(self) -> None:
         _threshold_raw(self.tau_y, self.fmt)
+        if self.re.shape != self.im.shape:
+            raise ValueError("input re and im must share one shape")
 
     @property
     def B(self) -> int:
@@ -248,12 +265,15 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     computed once. The pairs are scored in groups of one distinct ``tau_y``,
     in order of first appearance: the group's inputs are masked once, each
     distinct ``tau_w``'s weights once per call, and the group's masked
-    weights are stacked into one product. Returns one (indices, S, executed)
-    per group: the indices into ``taus`` of its k pairs, their (k, U, ...)
-    estimates and their (k, ...) executed products. Entry j of a group
-    equals ``equalize_tagged(replace(weights, tau_w=tw), replace(x,
-    tau_y=ty), save_power, gain)`` for ``taus[indices[j]] == (tw, ty)``,
-    byte for byte.
+    weights are stacked into one product. A quantized block wider than
+    ``_TILE_COLUMNS`` is scored one column tile at a time, so each tile's
+    passes stay in cache, and the tiles are joined along the columns, with
+    the bytes of scoring the block whole. Returns one (indices, S,
+    executed) per group: the indices into ``taus`` of its k pairs, their
+    (k, U, ...) estimates and their (k, ...) executed products. Entry j of
+    a group equals ``equalize_tagged(replace(weights, tau_w=tw),
+    replace(x, tau_y=ty), save_power, gain)`` for ``taus[indices[j]] ==
+    (tw, ty)``, byte for byte.
     """
     if x.B != weights.B:
         raise ValueError("length mismatch")
@@ -261,12 +281,7 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
         raise ValueError("weights and input must agree on quantization")
     if weights.fmt is not None:
         _check_accumulator(weights.fmt, x.fmt, weights.B)
-    cols = x.re.shape[1:]
     wre, wim = weights.re, weights.im
-    yre, yim = x.re.reshape(x.B, -1), x.im.reshape(x.B, -1)
-    full_re, full_im = wre @ yre - wim @ yim, wre @ yim + wim @ yre
-    products = 4 * wre.size
-    vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
     groups = {}  # distinct tau_y -> the indices of its pairs
     w_skip = {}  # distinct tau_w -> its skippable weight raws and per-column counts
     for i, (tau_w, tau_y) in enumerate(taus):
@@ -277,6 +292,40 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
             wm, counts = _skippable((wre, wim), [_comparison_bits(w, tau_w, weights.fmt)
                                                  for w in (wre, wim)])
             w_skip[tau_w] = np.stack(wm)[None], counts.sum(axis=0)[None]
+    n = max(math.prod(x.re.shape[1:]), 1)  # an empty block is one empty tile
+    # Quantized raws are integers below 2**52, so every tiling gives the same
+    # bytes. Float raws stay one tile: OpenBLAS rounds a narrower last tile's
+    # columns differently (1024-column tiles changed float64 GEMM bytes in 39
+    # of 300 random (U, B, N > 1024) shapes, always in the last tile).
+    step = _TILE_COLUMNS if weights.fmt is not None else n
+    tiles = [_score_columns(weights, x, slice(a, a + step), taus, groups, w_skip, save_power,
+                            gain) for a in range(0, n, step)]
+    cols = x.re.shape[1:]
+    out = []
+    for g, indices in enumerate(groups.values()):
+        if len(tiles) == 1:
+            S, executed = tiles[0][g]
+        else:
+            S, executed = (np.concatenate(part, axis=-1) for part in zip(*(t[g] for t in tiles)))
+        k = len(indices)
+        out.append((indices, S.reshape((k, weights.U, *cols)), executed.reshape((k, *cols))))
+    return out
+
+
+def _score_columns(weights: EqualizerWeights, x: BeamVector, cols: slice, taus: list,
+                   groups: dict, w_skip: dict, save_power: bool, gain: float) -> list:
+    """Each group's (k, U, n) estimates and (k, n) executed products on columns ``cols``.
+
+    The body of :func:`equalize_pairs` for one tile of the flattened (B, N)
+    block. A group's masked weights are stacked here, one group at a time:
+    stacking every group's up front made 16 pairs in 4 groups of a 64x100
+    block about 12% slower.
+    """
+    wre, wim = weights.re, weights.im
+    yre, yim = x.re.reshape(x.B, -1)[:, cols], x.im.reshape(x.B, -1)[:, cols]
+    full_re, full_im = wre @ yre - wim @ yim, wre @ yim + wim @ yre
+    products = 4 * wre.size
+    vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
     out = []
     for tau_y, indices in groups.items():
         k = len(indices)
@@ -286,7 +335,10 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
         else:
             # An input at its own threshold keeps its cached bits: the stream's mute
             # trace reads them again (computing them twice costs ~5% of a 64x10000 stream).
-            xt = x if tau_y == x.tau_y else replace(x, tau_y=tau_y)
+            if tau_y == x.tau_y:
+                bits = [c.reshape(x.B, -1)[:, cols] for c in (x.cy_re, x.cy_im)]
+            else:
+                bits = [_comparison_bits(y, tau_y, x.fmt) for y in (yre, yim)]
             # Skip masks are separable (weight bit AND input bit): the skipped
             # part of each sum is a product of masked factors, and a vector's
             # skipped count the dot of the per-column counts. Each matrix of
@@ -294,8 +346,7 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
             # unquantized raws give the bytes of a lone matrix too.
             parts = [w_skip[taus[i][0]] for i in indices]
             wm, w_counts = parts[0] if k == 1 else tuple(map(np.concatenate, zip(*parts)))
-            ym, y_counts = _skippable((yre, yim), (xt.cy_re.reshape(x.B, -1),
-                                                   xt.cy_im.reshape(x.B, -1)))
+            ym, y_counts = _skippable((yre, yim), bits)
             by_re = wm @ ym[0]  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re, per matrix
             by_im = wm @ ym[1]
             acc_re = full_re - by_re[:, 0] + by_im[:, 1]
@@ -303,7 +354,7 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
             del by_re, by_im  # before the descale's temporaries
             executed = (products - w_counts @ y_counts).astype(np.int64)
         S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
-        out.append((indices, S.reshape((k, weights.U, *cols)), executed.reshape((k, *cols))))
+        out.append((S, executed))
     return out
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately naive: scalar loops, Python integers, direct
 formulas. Nothing imports the production kernels it checks. The scalar
 fixed-point types and ``weights_for_mode`` are helpers, not oracles: they call
 the production quantizer and row scaling for tests that check something
-else.
+else. ``equalize_pairs_untiled`` is the masked product as it was before
+column tiling, kept whole to check the tiled kernel's bytes against.
 """
 
 from __future__ import annotations
@@ -149,6 +150,66 @@ def naive_dotp(w_re, w_im, cw_re, cw_im, y_re, y_im, cy_re, cy_im, save_power):
         acc_re += vals[0] - vals[1]
         acc_im += vals[2] + vals[3]
     return acc_re, acc_im, executed
+
+
+def equalize_pairs_untiled(weights, x, taus: list, save_power: bool, gain: float = 1.0):
+    """:func:`spadesim.equalizer.equalize_pairs` over the whole block at once, untiled.
+
+    The full products, the per-``tau_y`` masking, the stacked masked
+    products, the skip counts and the descale each run once on all the
+    block's columns. Returns what ``equalize_pairs`` returns.
+    """
+    from dataclasses import replace
+
+    from spadesim.equalizer import (
+        _check_accumulator,
+        _comparison_bits,
+        _skippable,
+        _threshold_raw,
+    )
+
+    if x.B != weights.B:
+        raise ValueError("length mismatch")
+    if (weights.fmt is None) != (x.fmt is None):
+        raise ValueError("weights and input must agree on quantization")
+    if weights.fmt is not None:
+        _check_accumulator(weights.fmt, x.fmt, weights.B)
+    cols = x.re.shape[1:]
+    wre, wim = weights.re, weights.im
+    yre, yim = x.re.reshape(x.B, -1), x.im.reshape(x.B, -1)
+    full_re, full_im = wre @ yre - wim @ yim, wre @ yim + wim @ yre
+    products = 4 * wre.size
+    vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
+    groups = {}
+    w_skip = {}
+    for i, (tau_w, tau_y) in enumerate(taus):
+        _threshold_raw(tau_w, weights.fmt)
+        _threshold_raw(tau_y, x.fmt)
+        groups.setdefault(tau_y, []).append(i)
+        if save_power and tau_w not in w_skip:
+            wm, counts = _skippable((wre, wim), [_comparison_bits(w, tau_w, weights.fmt)
+                                                 for w in (wre, wim)])
+            w_skip[tau_w] = np.stack(wm)[None], counts.sum(axis=0)[None]
+    out = []
+    for tau_y, indices in groups.items():
+        k = len(indices)
+        if not save_power:
+            acc_re, acc_im = (np.broadcast_to(a, (k, *a.shape)) for a in (full_re, full_im))
+            executed = np.full((k, full_re.shape[1]), products, dtype=np.int64)
+        else:
+            xt = x if tau_y == x.tau_y else replace(x, tau_y=tau_y)
+            parts = [w_skip[taus[i][0]] for i in indices]
+            wm, w_counts = parts[0] if k == 1 else tuple(map(np.concatenate, zip(*parts)))
+            ym, y_counts = _skippable((yre, yim), (xt.cy_re.reshape(x.B, -1),
+                                                   xt.cy_im.reshape(x.B, -1)))
+            by_re = wm @ ym[0]
+            by_im = wm @ ym[1]
+            acc_re = full_re - by_re[:, 0] + by_im[:, 1]
+            acc_im = full_im - by_im[:, 0] - by_re[:, 1]
+            executed = (products - w_counts @ y_counts).astype(np.int64)
+        S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
+        out.append((indices, S.reshape((k, weights.U, *cols)), executed.reshape((k, *cols))))
+    return out
 
 
 def naive_bits(raw, tau: float, fmt) -> np.ndarray:

@@ -12,7 +12,15 @@ from spadesim.datapath import (
     throughput_bps,
 )
 from spadesim.cli import main as cli_main
-from spadesim.equalizer import ActivityReport, equalize_tagged, tag_input
+from spadesim.beamspace import to_beamspace
+from spadesim.equalizer import (
+    _TILE_COLUMNS,
+    ActivityReport,
+    FrontEnd,
+    equalize_block,
+    equalize_tagged,
+    tag_input,
+)
 from spadesim.numerics import INPUT_FMT, QFormat
 
 from reference import mute_mask
@@ -59,6 +67,22 @@ def test_outputs_match_equalizer_module():
     for i, x in enumerate(vectors):
         s_hat, _ = equalize_tagged(weights, x, save_power=True)
         assert np.array_equal(outputs[i], s_hat)
+
+
+def test_stream_across_tiles_matches_equalize_block():
+    # the stacked stream is scored in column tiles, the last one partial
+    rng = np.random.default_rng(68)
+    B, n, fe = 16, 2 * _TILE_COLUMNS + 37, FrontEnd(tau_y=0.3, gain=0.5)
+    weights = random_weights(rng, 4, B, tau_w=0.2)
+    Y = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
+    Z = to_beamspace(fe.gain * Y, fe.twiddle)
+    vectors = [tag_input(Z[:, i], fe.tau_y, fe.input_fmt) for i in range(n)]
+    outputs, _, trace, report = simulate_stream(weights, vectors, PipelineConfig(), True,
+                                                gain=fe.gain)
+    S, block_report = equalize_block("lmmse-spade", None, weights, Y, fe)
+    assert outputs.tobytes() == np.ascontiguousarray(S.T).tobytes()
+    assert report.per_vector.tobytes() == block_report.per_vector.tobytes()
+    assert 0 < trace.mute_count() == report.total - report.executed
 
 
 def test_mute_count_equals_skipped():

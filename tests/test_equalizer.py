@@ -9,6 +9,7 @@ from spadesim.beamspace import to_beamspace
 from spadesim.channel import ChannelMatrix, draw_channel_matrix
 from spadesim.channel import bit_errors, qam_index, qam_modulate
 from spadesim.equalizer import (
+    BeamVector,
     FrontEnd,
     build_weights,
     compute_lmmse,
@@ -265,6 +266,24 @@ def test_dotp_length_mismatch():
     x = random_tagged(rng, 4, 0.1)
     with pytest.raises(ValueError, match="length mismatch"):
         equalize_tagged(w[0:1], x, True)
+
+
+def test_input_rejects_mismatched_parts():
+    # a (16, 1) im part would broadcast against a (16, 3) re part into (U, 3) estimates
+    with pytest.raises(ValueError, match="re and im must share one shape"):
+        BeamVector(re=np.zeros((16, 3)), im=np.zeros((16, 1)), fmt=INPUT_FMT, tau_y=0.1)
+
+
+def test_weights_reject_mismatched_parts():
+    w = random_weights(np.random.default_rng(52), 4, 16, 0.1)
+    with pytest.raises(ValueError, match="re and im must share one shape"):
+        replace(w, im=w.im[:1])
+
+
+def test_weights_reject_alpha_of_another_shape():
+    w = random_weights(np.random.default_rng(53), 4, 16, 0.1)
+    with pytest.raises(ValueError, match="one scale factor per weight row"):
+        replace(w, alpha=np.ones(1))
 
 
 def test_skip_error_bound():

@@ -3,9 +3,11 @@
 Each workload in ``perfbench/workloads.py`` is built in-process at its "tiny"
 size and runs one operation; its output gate and oracle must find nothing. A
 change to a signature the benchmark calls then fails here, not in a benchmark
-run. At full size, one operation of each harness workload must reproduce the
-digest stored in ``perfbench/reference.json`` (read only, through
-``perfbench/child.py``) for seeds 0-2, on the platform that stored it.
+run. At full size, one operation of each workload must reproduce the digest
+stored in ``perfbench/reference.json`` (read only, through
+``perfbench/child.py``) for seeds 0-2, on the platform that stored it. The
+full stream is the one stored digest whose block spans several of the
+masked product's column tiles.
 """
 
 import importlib.util
@@ -37,7 +39,8 @@ def test_workload_runs_at_tiny_size(name, tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", ["ber-default", "ber-antenna-long", "sweep-small"])
+@pytest.mark.parametrize("name", ["ber-default", "ber-antenna-long", "sweep-small",
+                                  "stream-trace"])
 def test_workload_reproduces_stored_digest(name, seed, tmp_path):
     wl = workloads.build(name, seed, "full", str(tmp_path))
     stored, how = child.stored_reference(name, "full", seed, child.versions()["fingerprint"],

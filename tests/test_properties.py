@@ -3,16 +3,17 @@
 The stage-wise radix-4, the GEMM front end, the batched channel synthesis
 with two generator calls per user, the QAM lookup tables, the table-driven
 bit-error count, the stacked weight scaling and quantization, the multi-pair
-MVM with its shared full products and per-tau_y weight stacks, the harness
-blocks made as one stack for all their SNRs (one Gram matrix per block, one
-solve, noise scaled part by part, one front end) and the lockstep threshold
-sweep each replace a per-element, per-stage, per-call, per-user, per-block,
-per-SNR or per-pair formulation; every comparison here is byte for byte
-(``tobytes``, ``repr`` of floats, file bytes), not within a tolerance. Then
-come run_ber's contract (the same report for any worker count, and zero
-thresholds make lmmse-spade equal lmmse-b), fuzzed files from outside,
-which may only raise ``ValueError``, and fuzzed option values, which parse
-alike from a flag and from a config line.
+MVM with its shared full products and per-tau_y weight stacks, its column
+tiles, the harness blocks made as one stack for all their SNRs (one Gram
+matrix per block, one solve, noise scaled part by part, one front end) and
+the lockstep threshold sweep each replace a per-element, per-stage,
+per-call, per-user, per-block, per-SNR, per-pair or whole-block formulation;
+every comparison here is byte for byte (``tobytes``, ``repr`` of floats,
+file bytes), not within a tolerance. Then come run_ber's contract (the same
+report for any worker count, and zero thresholds make lmmse-spade equal
+lmmse-b), fuzzed files from outside, which may only raise ``ValueError``,
+and fuzzed option values, which parse alike from a flag and from a config
+line.
 """
 
 import argparse
@@ -45,6 +46,7 @@ from spadesim.channel import (
 from spadesim.cli import _COMMANDS, _OPTIONS, _effective, _parse_bool, build_parser
 from spadesim.cli import main as cli_main
 from spadesim.equalizer import (
+    _TILE_COLUMNS,
     BeamVector,
     EqualizerWeights,
     FrontEnd,
@@ -72,6 +74,7 @@ from spadesim.numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat
 from reference import (
     block_complex,
     draw_channel_matrix_per_user,
+    equalize_pairs_untiled,
     lmmse_per_matrix,
     naive_dotp,
     qam_demodulate_formula,
@@ -274,6 +277,49 @@ def test_shared_full_products_equal_one_call_per_pair(setup):
             assert S[j].shape == S1.shape and S[j].tobytes() == S1.tobytes()
             assert executed[j].shape == executed1.shape
             assert executed[j].tobytes() == executed1.tobytes()
+
+
+@st.composite
+def tile_edge_setups(draw):
+    """Weights and a tagged vector or block of 1, T - 1, T, T + 1 or 2T + r columns.
+
+    T is the kernel's tile width. The block is C- or F-ordered (the stream
+    stacks its vectors as an F-ordered block); 1 to 8 pairs fall on 1 to 3
+    distinct tau_y.
+    """
+    T = _TILE_COLUMNS
+    B = draw(st.sampled_from((1, 4, 16)))
+    U = draw(st.integers(1, 4))
+    n = draw(st.sampled_from((1, T - 1, T, T + 1, 2 * T + draw(st.integers(1, T - 1)))))
+    quantized = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taus = st.sampled_from((0.0, 2.0**-9, 0.05, 0.3, 1.0))
+    W, alpha = scale_rows(rng.standard_normal((U, B)) + 1j * rng.standard_normal((U, B)), 2.0**-10)
+    w = build_weights(W, alpha, draw(taus), WEIGHT_FMT if quantized else None, "beamspace")
+    if n == 1 and draw(st.booleans()):
+        Y = rng.standard_normal(B) + 1j * rng.standard_normal(B)
+    elif draw(st.booleans()):
+        Y = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
+    else:
+        Y = (rng.standard_normal((n, B)) + 1j * rng.standard_normal((n, B))).T
+    tys = draw(st.lists(taus, min_size=1, max_size=3, unique=True))
+    # often one group sits at the input's own tau_y, where its cached bits are read
+    x = tag_input(draw(st.sampled_from((0.1, 1.0, 4.0))) * Y,
+                  draw(st.one_of(st.sampled_from(tys), taus)), INPUT_FMT if quantized else None)
+    pairs = draw(st.lists(st.tuples(taus, st.sampled_from(tys)), min_size=1, max_size=8))
+    return w, x, pairs, draw(st.booleans()), draw(st.sampled_from((1.0, 0.25)))
+
+
+@PROPS
+@given(tile_edge_setups())
+def test_column_tiles_equal_the_untiled_kernel(setup):
+    w, x, pairs, save_power, gain = setup
+    tiled = equalize_pairs(w, x, pairs, save_power, gain)
+    whole = equalize_pairs_untiled(w, x, pairs, save_power, gain)
+    assert [indices for indices, _, _ in tiled] == [indices for indices, _, _ in whole]
+    for (_, S, executed), (_, S1, executed1) in zip(tiled, whole):
+        assert S.shape == S1.shape and S.tobytes() == S1.tobytes()
+        assert executed.shape == executed1.shape and executed.tobytes() == executed1.tobytes()
 
 
 @st.composite
