@@ -207,9 +207,10 @@ def cmd_datapath(opt: dict) -> int:
     mod = opt.get("mod", RunConfig.M)
     clock = opt.get("clock_hz", 720e6)
     coherence = opt.get("coherence", 1000)
-    latency = PipelineConfig().latency(opt.get("b", RunConfig.B))
+    b = opt.get("b", RunConfig.B)
+    latency = PipelineConfig().latency(b)
     peak = throughput_bps(clock, u, mod)
-    eff = effective_throughput(clock, u, mod, coherence, latency_cycles=latency)
+    eff = effective_throughput(clock, u, mod, coherence, b)
     lines = [
         f"clock_hz={clock!r}",
         f"latency_cycles={latency}",

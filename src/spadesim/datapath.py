@@ -2,8 +2,8 @@
 
 The array accepts one input vector per clock cycle after a U-cycle weight
 loading phase; results drain through the pipeline latency. Arithmetic is the
-equalizer module's, bit for bit - this layer only adds timing and a count of
-the multiplier input registers muted over the stream.
+equalizer module's, bit for bit - this layer only adds timing, and reads the
+multiplier input registers muted over the stream off its activity report.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .equalizer import (
     ActivityReport,
     BeamVector,
     EqualizerWeights,
-    _comparison_bits,
     equalize_tagged,
 )
 
@@ -35,23 +34,17 @@ class PipelineConfig:
 
 
 class MuteTrace:
-    """Record of the disabled multiplier input registers of a stream.
+    """Disabled multiplier input registers of a stream, read off its activity report.
 
     A register is disabled in a cycle iff power saving is on and both of its
-    operands' comparison bits are set. The trace keeps the weights' (U, B)
-    comparison bits once (cleared without power saving) and the (B, N) input
-    bits of the accepted vectors, as (re, im) pairs, and counts from them.
+    operands' comparison bits are set: exactly when its real product is skipped.
     """
 
-    def __init__(self, w_bits, y_bits):
-        self.w_bits, self.y_bits = w_bits, y_bits
+    def __init__(self, report: ActivityReport):
+        self.report = report
 
     def mute_count(self) -> int:
-        # every register pairs one weight bit with one input bit, so the count
-        # is the dot of the per-column counts of set bits
-        w = self.w_bits[0].sum(axis=0) + self.w_bits[1].sum(axis=0)
-        y = self.y_bits[0].sum(axis=1) + self.y_bits[1].sum(axis=1)
-        return int(w @ y)
+        return self.report.total - self.report.executed
 
 
 def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
@@ -62,7 +55,8 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     be one 1-D vector, not a block, and all must share one length, input
     format and threshold. Returns (outputs, cycles, trace, report): outputs
     is (N, U) estimates bit-identical to the equalizer module, cycles counts
-    the U-cycle weight load plus N acceptance cycles plus the drain latency.
+    the U-cycle weight load plus N acceptance cycles plus the drain latency,
+    and the trace counts the muted registers from the report.
     """
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
@@ -78,15 +72,10 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
                            im=np.moveaxis(np.array([x.im for x in vectors]), 0, 1),
                            fmt=fmt, tau_y=tau_y)
         S, per_vector = equalize_tagged(weights, block, save_power, gain=gain)
-        y_bits = block.cy_re, block.cy_im
     else:
         S, per_vector = np.empty((U, 0), dtype=np.complex128), np.empty(0, dtype=np.int64)
-        y_bits = (np.empty((B, 0), dtype=bool),) * 2
-    w_bits = [_comparison_bits(w, weights.tau_w, weights.fmt) for w in (weights.re, weights.im)] \
-        if save_power else (np.zeros((U, B), dtype=bool),) * 2
-    trace = MuteTrace(w_bits, y_bits)
-    cycles = U + n + cfg.latency(B)
-    return np.ascontiguousarray(S.T), cycles, trace, ActivityReport(per_vector, 4 * B * U)
+    report = ActivityReport(per_vector, 4 * B * U)
+    return np.ascontiguousarray(S.T), U + n + cfg.latency(B), MuteTrace(report), report
 
 
 def throughput_bps(clock_hz: float, U: int, M: int) -> float:
@@ -101,14 +90,12 @@ def throughput_bps(clock_hz: float, U: int, M: int) -> float:
 
 
 def effective_throughput(clock_hz: float, U: int, M: int, coherence_vectors: int,
-                         latency_cycles: int = 4) -> float:
-    """Throughput once the U-cycle weight reload per coherence block is amortized."""
+                         B: int) -> float:
+    """Throughput once the weight reload and the B-input drain per coherence block are amortized."""
     if coherence_vectors < 1:
         raise ValueError("coherence_vectors must be >= 1")
-    if latency_cycles < 0:
-        raise ValueError("latency_cycles must be >= 0")
     peak = throughput_bps(clock_hz, U, M)
-    return peak * coherence_vectors / (coherence_vectors + U + latency_cycles)
+    return peak * coherence_vectors / (coherence_vectors + U + PipelineConfig().latency(B))
 
 
 @dataclass(frozen=True)

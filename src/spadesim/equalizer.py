@@ -6,10 +6,9 @@ bit-accurately: weights and inputs are quantized, each complex multiply
 decomposes into four real products, and in power-saving mode a real product is
 skipped (contributing exactly zero) whenever the comparison bits of both of
 its operands are set; each bit is derived from its raw, threshold and format
-where it is read (a tagged input caches its bits once read). Accumulation
-is exact, with no intermediate rounding. The masked product is written once,
-in :func:`equalize_pairs`; every other entry (:func:`equalize_tagged`,
-:func:`equalize_block`) reaches it there.
+where it is read. Accumulation is exact, with no intermediate rounding. The
+masked product is written once, in :func:`equalize_pairs`; every other entry
+(:func:`equalize_tagged`, :func:`equalize_block`) reaches it there.
 
 Weights and inputs hold their integer raws as float64 (see
 :func:`numerics.quantize_raw`), the type of the matrix products; every
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -102,14 +100,6 @@ class BeamVector:
     @property
     def B(self) -> int:
         return self.re.shape[0]
-
-    @cached_property
-    def cy_re(self) -> np.ndarray:
-        return _comparison_bits(self.re, self.tau_y, self.fmt)
-
-    @cached_property
-    def cy_im(self) -> np.ndarray:
-        return _comparison_bits(self.im, self.tau_y, self.fmt)
 
 
 @dataclass
@@ -333,12 +323,7 @@ def _score_columns(weights: EqualizerWeights, x: BeamVector, cols: slice, taus: 
             acc_re, acc_im = (np.broadcast_to(a, (k, *a.shape)) for a in (full_re, full_im))
             executed = np.full((k, full_re.shape[1]), products, dtype=np.int64)
         else:
-            # An input at its own threshold keeps its cached bits: the stream's mute
-            # trace reads them again (computing them twice costs ~5% of a 64x10000 stream).
-            if tau_y == x.tau_y:
-                bits = [c.reshape(x.B, -1)[:, cols] for c in (x.cy_re, x.cy_im)]
-            else:
-                bits = [_comparison_bits(y, tau_y, x.fmt) for y in (yre, yim)]
+            bits = [_comparison_bits(y, tau_y, x.fmt) for y in (yre, yim)]
             # Skip masks are separable (weight bit AND input bit): the skipped
             # part of each sum is a product of masked factors, and a vector's
             # skipped count the dot of the per-column counts. Each matrix of

@@ -157,16 +157,10 @@ def equalize_pairs_untiled(weights, x, taus: list, save_power: bool, gain: float
 
     The full products, the per-``tau_y`` masking, the stacked masked
     products, the skip counts and the descale each run once on all the
-    block's columns. Returns what ``equalize_pairs`` returns.
+    block's columns; the comparison bits come from :func:`naive_bits`.
+    Returns what ``equalize_pairs`` returns.
     """
-    from dataclasses import replace
-
-    from spadesim.equalizer import (
-        _check_accumulator,
-        _comparison_bits,
-        _skippable,
-        _threshold_raw,
-    )
+    from spadesim.equalizer import _check_accumulator, _skippable, _threshold_raw
 
     if x.B != weights.B:
         raise ValueError("length mismatch")
@@ -187,7 +181,7 @@ def equalize_pairs_untiled(weights, x, taus: list, save_power: bool, gain: float
         _threshold_raw(tau_y, x.fmt)
         groups.setdefault(tau_y, []).append(i)
         if save_power and tau_w not in w_skip:
-            wm, counts = _skippable((wre, wim), [_comparison_bits(w, tau_w, weights.fmt)
+            wm, counts = _skippable((wre, wim), [naive_bits(w, tau_w, weights.fmt)
                                                  for w in (wre, wim)])
             w_skip[tau_w] = np.stack(wm)[None], counts.sum(axis=0)[None]
     out = []
@@ -197,11 +191,10 @@ def equalize_pairs_untiled(weights, x, taus: list, save_power: bool, gain: float
             acc_re, acc_im = (np.broadcast_to(a, (k, *a.shape)) for a in (full_re, full_im))
             executed = np.full((k, full_re.shape[1]), products, dtype=np.int64)
         else:
-            xt = x if tau_y == x.tau_y else replace(x, tau_y=tau_y)
             parts = [w_skip[taus[i][0]] for i in indices]
             wm, w_counts = parts[0] if k == 1 else tuple(map(np.concatenate, zip(*parts)))
-            ym, y_counts = _skippable((yre, yim), (xt.cy_re.reshape(x.B, -1),
-                                                   xt.cy_im.reshape(x.B, -1)))
+            ym, y_counts = _skippable((yre, yim), [naive_bits(y, tau_y, x.fmt)
+                                                   for y in (yre, yim)])
             by_re = wm @ ym[0]
             by_im = wm @ ym[1]
             acc_re = full_re - by_re[:, 0] + by_im[:, 1]

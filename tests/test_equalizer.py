@@ -22,7 +22,7 @@ from spadesim.equalizer import (
 )
 from spadesim.numerics import INPUT_FMT, WEIGHT_FMT, QFormat
 
-from reference import gray_code_bits, naive_dotp, naive_threshold_raw
+from reference import gray_code_bits, naive_bits, naive_dotp, naive_threshold_raw
 
 EPS = 2.0**-10
 
@@ -140,16 +140,20 @@ def test_quantized_rows_stay_below_one():
     assert max_abs_component((w.re[0] + 1j * w.im[0]) / WEIGHT_FMT.scale) < 1.0
 
 
+def input_bits(x):
+    """An input's (re, im) comparison bits, as the kernel derives them."""
+    return [_comparison_bits(r, x.tau_y, x.fmt) for r in (x.re, x.im)]
+
+
 def test_tag_input_extremes_and_recompute():
     rng = np.random.default_rng(46)
     v = random_tagged(rng, 32, tau_y=0.0)
-    assert not v.cy_re.any() and not v.cy_im.any()
+    assert not any(c.any() for c in input_bits(v))
     z = tag_input(np.zeros(8, dtype=complex), 0.5, INPUT_FMT)
-    assert z.cy_re.all() and z.cy_im.all()
+    assert all(c.all() for c in input_bits(z))
     v2 = random_tagged(rng, 32, tau_y=0.07)
-    t = naive_threshold_raw(0.07, INPUT_FMT.frac_bits)
-    assert np.array_equal(v2.cy_re, np.abs(v2.re) < t)
-    assert np.array_equal(v2.cy_im, np.abs(v2.im) < t)
+    for c, r in zip(input_bits(v2), (v2.re, v2.im)):
+        assert np.array_equal(c, naive_bits(r, 0.07, INPUT_FMT))
 
 
 @pytest.mark.parametrize("fmts", [(WEIGHT_FMT, INPUT_FMT), (None, None)])
@@ -175,21 +179,21 @@ def test_threshold_overflowing_its_format_is_a_value_error():
         build_weights(np.array([[0.5 + 0j]]), np.ones(1), 1e308, WEIGHT_FMT, "antenna")
     # finite, and the largest raw of any format: every bit is set
     x = tag_input(np.array([0.5 + 0j]), 1e300, INPUT_FMT)
-    assert x.cy_re.all() and x.cy_im.all()
+    assert all(c.all() and np.array_equal(c, naive_bits(r, 1e300, INPUT_FMT))
+               for c, r in zip(input_bits(x), (x.re, x.im)))
     # without a format the threshold is tau itself, which is finite
-    assert tag_input(np.array([0.5 + 0j]), 1e308, None).cy_re.all()
+    assert all(c.all() for c in input_bits(tag_input(np.array([0.5 + 0j]), 1e308, None)))
 
 
 def test_bits_follow_a_new_threshold():
-    # input bits read (and cached) at one threshold never leak into a replaced
-    # object at another
+    # input bits read at one threshold never leak into a replaced object at another
     rng = np.random.default_rng(49)
     x = random_tagged(rng, 32, tau_y=0.0)
-    assert not x.cy_re.any()
-    ty = naive_threshold_raw(0.5, INPUT_FMT.frac_bits)
+    assert not any(c.any() for c in input_bits(x))
     x5 = replace(x, tau_y=0.5)
-    assert np.array_equal(x5.cy_re, np.abs(x.re) < ty) and np.array_equal(x5.cy_im, np.abs(x.im) < ty)
-    assert x5.cy_re.any() and not x.cy_re.any()
+    for c, r in zip(input_bits(x5), (x.re, x.im)):
+        assert np.array_equal(c, naive_bits(r, 0.5, INPUT_FMT))
+    assert input_bits(x5)[0].any() and not input_bits(x)[0].any()
 
 
 def test_tag_input_saturates():
@@ -210,7 +214,7 @@ def oracle_dotp(weights, u, x, save_power):
         [int(r) for r in weights.re[u]], [int(r) for r in weights.im[u]],
         [abs(int(r)) < t for r in weights.re[u]], [abs(int(r)) < t for r in weights.im[u]],
         [int(r) for r in x.re], [int(r) for r in x.im],
-        list(x.cy_re), list(x.cy_im), save_power,
+        *(list(naive_bits(r, x.tau_y, x.fmt)) for r in (x.re, x.im)), save_power,
     )
     scale = weights.fmt.scale * x.fmt.scale
     return complex(acc_re / scale, acc_im / scale), executed
