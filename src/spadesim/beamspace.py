@@ -19,8 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import _is_power_of_4
 from .numerics import TWIDDLE_FMT, QFormat, dequantize, quantize_complex
+
+
+def _is_power_of_4(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0 and (n.bit_length() - 1) % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ def _radix4_raws(z: np.ndarray, fmt: QFormat, input_fmt: QFormat):
 
 
 def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):
-    """Quantized beamspace raws (re, im) of a (B,) vector or (B, N) block, bit for bit.
+    """Quantized beamspace raws (re, im) of a (B,) vector or (B, ...) block, bit for bit.
 
     Equal byte for byte to quantizing ``to_beamspace(x, TwiddleConfig(False,
     twiddle_fmt))`` to ``input_fmt`` (nearest-even, saturating, zeros +0.0),
@@ -197,7 +200,7 @@ def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):
 def to_beamspace(y: np.ndarray, cfg: TwiddleConfig = TwiddleConfig()) -> np.ndarray:
     """Transform antenna-domain vector(s) to beamspace along axis 0.
 
-    Accepts shape (B,) or (B, N). Exact mode matches ``F @ y`` with the unitary
+    Accepts shape (B,) or (B, ...). Exact mode matches ``F @ y`` with the unitary
     DFT matrix F[m, n] = e^{-j 2 pi m n / B} / sqrt(B) to machine precision;
     quantized mode runs the radix-4 FFT with rounded twiddles and requires B
     to be a power of 4. Both scale by 1/sqrt(B).

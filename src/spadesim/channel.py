@@ -20,10 +20,6 @@ MODES = ("lmmse-a", "lmmse-b", "lmmse-spade")
 QAM_ORDERS = (4, 16, 64, 256)
 
 
-def _is_power_of_4(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0 and (n.bit_length() - 1) % 2 == 0
-
-
 @dataclass(frozen=True)
 class ChannelMatrix:
     """B x U channel matrix tagged with its domain ("antenna" or "beamspace")."""

@@ -214,7 +214,7 @@ def cmd_datapath(opt: dict) -> int:
     lines = [
         f"clock_hz={clock!r}",
         f"latency_cycles={latency}",
-        f"cycles_per_coherence_block={u + coherence + latency}",
+        f"cycles_per_coherence_block={PipelineConfig().cycles(u, coherence, b)}",
         f"peak_throughput_gbps={peak / 1e9!r}",
         f"effective_throughput_gbps={eff / 1e9!r}",
     ]

@@ -32,6 +32,10 @@ class PipelineConfig:
             raise ValueError("B must be >= 1")
         return 1 + math.ceil(math.log2(B) / 2)
 
+    def cycles(self, U: int, N: int, B: int) -> int:
+        """Cycles of one coherence block: U weight loads, N accepted vectors, then the drain."""
+        return U + N + self.latency(B)
+
 
 class MuteTrace:
     """Disabled multiplier input registers of a stream, read off its activity report.
@@ -54,9 +58,9 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     The vectors run as one (B, N) block through the equalizer, so each must
     be one 1-D vector, not a block, and all must share one length, input
     format and threshold. Returns (outputs, cycles, trace, report): outputs
-    is (N, U) estimates bit-identical to the equalizer module, cycles counts
-    the U-cycle weight load plus N acceptance cycles plus the drain latency,
-    and the trace counts the muted registers from the report.
+    is (N, U) estimates bit-identical to the equalizer module, cycles is
+    ``cfg.cycles(U, N, B)``, and the trace counts the muted registers from
+    the report.
     """
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
@@ -75,7 +79,7 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     else:
         S, per_vector = np.empty((U, 0), dtype=np.complex128), np.empty(0, dtype=np.int64)
     report = ActivityReport(per_vector, 4 * B * U)
-    return np.ascontiguousarray(S.T), U + n + cfg.latency(B), MuteTrace(report), report
+    return np.ascontiguousarray(S.T), cfg.cycles(U, n, B), MuteTrace(report), report
 
 
 def throughput_bps(clock_hz: float, U: int, M: int) -> float:
@@ -95,7 +99,7 @@ def effective_throughput(clock_hz: float, U: int, M: int, coherence_vectors: int
     if coherence_vectors < 1:
         raise ValueError("coherence_vectors must be >= 1")
     peak = throughput_bps(clock_hz, U, M)
-    return peak * coherence_vectors / (coherence_vectors + U + PipelineConfig().latency(B))
+    return peak * coherence_vectors / PipelineConfig().cycles(U, coherence_vectors, B)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ class EqualizerWeights:
 
 @dataclass(frozen=True)
 class BeamVector:
-    """A quantized (B,) input vector or (B, N) block; its bits follow from ``tau_y``."""
+    """A quantized (B,) input vector or (B, ...) block of them; its bits follow from ``tau_y``."""
 
     re: np.ndarray
     im: np.ndarray
@@ -222,7 +222,7 @@ def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
 
 
 def tag_input(y_raw: np.ndarray, tau_y: float, fmt: QFormat | None) -> BeamVector:
-    """Quantize a (B,) input vector or (B, N) block; its comparison bits follow from ``tau_y``."""
+    """Quantize a (B,) input vector or (B, ...) block; its comparison bits follow from ``tau_y``."""
     re, im = quantize_complex(y_raw, fmt)
     return BeamVector(re=re, im=im, fmt=fmt, tau_y=tau_y)
 
@@ -385,7 +385,7 @@ def equalize_block(mode: str, weights_ant: EqualizerWeights | None,
 
 
 def front_end(mode: str, Y: np.ndarray, frontend: FrontEnd) -> BeamVector:
-    """Tagged input of a (B,) vector or (B, N) block of antenna-domain receive vectors.
+    """Tagged input of antenna-domain receive vectors, (B,) or a (B, ...) block of any shape.
 
     Scales by the front-end gain, transforms to beamspace unless the mode
     bypasses the transform, then quantizes to the input format and tags

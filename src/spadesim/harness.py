@@ -30,12 +30,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .beamspace import TwiddleConfig, to_beamspace
+from .beamspace import TwiddleConfig, _is_power_of_4, to_beamspace
 from .channel import (
     MODES,
     QAM_ORDERS,
     ChannelMatrix,
-    _is_power_of_4,
     _qam_table,
     bit_errors,
     draw_channel_matrix,
@@ -49,6 +48,7 @@ from .equalizer import (
     front_end,
     lmmse_stack,
     scale_rows,
+    _comparison_bits,
     _threshold_raw,
 )
 from .numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat
@@ -206,7 +206,7 @@ def _load_fixed_channel(cfg: RunConfig) -> ChannelMatrix | None:
 
 
 def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors: int,
-           H_fixed: ChannelMatrix | None, n0s: list, fe: FrontEnd):
+           H_fixed: ChannelMatrix | None, n0s: list):
     """Coherence blocks ``indices``, D of them, each at S SNRs: (sent, weights, x).
 
     Each block draws its channel (unless ``H_fixed``), its bits, kept as the
@@ -216,11 +216,11 @@ def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors
     the mode's domain, one Gram matrix per block and one solve of all D x S
     LMMSE systems, scaled and quantized as one (D, S) stack of weights at
     ``cfg.tau_w`` (``w[d][s]``; ``replace(w[d][s], tau_w=...)`` gives another
-    threshold on the same raws). ``x`` is the tagged (B, D*S*N) input, block
-    after block and SNR after SNR within a block, from one front-end call;
-    the noise is scaled part by part, which gives the bytes of scaling it as
-    one complex array. Every matrix and column has the bytes of making its
-    block alone at its own N0.
+    threshold on the same raws). ``x`` is the tagged (B, D, S, N) input,
+    ``x.re[:, d, s]`` block d's at N0 ``n0s[s]``, from one call to
+    ``cfg.frontend()``; the noise is scaled part by part, which gives the
+    bytes of scaling it as one complex array. Every matrix and column has
+    the bytes of making its block alone at its own N0.
     """
     D, S, B, U = len(indices), len(n0s), cfg.B, cfg.U
     table = _qam_table(cfg.M, cfg.Es)
@@ -256,7 +256,7 @@ def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors
     np.multiply(noise_im.swapaxes(0, 1)[:, :, None], sigma, out=Y.imag)
     Y += y_bar.swapaxes(0, 1)[:, :, None]
     del y_bar, noise_re, noise_im
-    return sent, weights, front_end(mode, Y.reshape(B, -1), fe)
+    return sent, weights, front_end(mode, Y, cfg.frontend())
 
 
 def _waves(block_size: int, cap: int):
@@ -304,8 +304,7 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
     A round's cost thus follows its distinct N0s, which vary from seed to
     seed in a sweep; see README for the measured spread.
     """
-    fe = cfg.frontend()
-    save_power = mode == "lmmse-spade"
+    save_power, gain = mode == "lmmse-spade", cfg.input_gain
     # errors, vectors, executed products: sum, min and max per vector
     stats = [[0, 0, 0, math.inf, -math.inf] for _ in points]
     for wave in _waves(cfg.vectors_per_block, cap):
@@ -318,15 +317,13 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
 
         def run(args, groups=groups):
             block_idx, n = args
-            (sent,), w, x = _block(cfg, mode, purpose, tag, [block_idx], n, H_fixed,
-                                   list(groups), fe)
+            (sent,), w, x = _block(cfg, mode, purpose, tag, [block_idx], n, H_fixed, list(groups))
             w = w[0]
             scored = {}
             for s, group in enumerate(groups.values()):
-                cols = slice(s * n, (s + 1) * n)
-                xs = replace(x, re=x.re[:, cols], im=x.im[:, cols])
+                xs = replace(x, re=x.re[:, 0, s], im=x.im[:, 0, s])
                 taus = [points[i][1:] for i in group]
-                for pairs, S, executed in equalize_pairs(w[s], xs, taus, save_power, fe.gain):
+                for pairs, S, executed in equalize_pairs(w[s], xs, taus, save_power, gain):
                     # per pair: bit errors, vectors, executed products' sum, min and max
                     errors = bit_errors(S, sent, cfg.M, cfg.Es).reshape(len(pairs), -1).sum(1)
                     per_vec = executed.reshape(len(pairs), n)
@@ -525,35 +522,35 @@ def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
     weight matrices (draws x distinct SNRs, at least one draw), each chunk
     by one :func:`_block` call, so memory is bounded by one chunk whatever
     the draw count. Skipping is separable, so a vector's skipped count is
-    the dot of the per-column counts of set weight and input bits; one
-    ``einsum`` per chunk counts every (draw, SNR, tau_w, tau_y) of the
-    distinct values, and each cell gathers its own. The counts are integers,
-    so where a chunk ends moves none of them.
+    the dot of the per-column counts of set weight and input bits, the
+    equalizer's :func:`_comparison_bits`; one ``einsum`` per chunk counts
+    every (draw, SNR, tau_w, tau_y) of the distinct values, and each cell
+    gathers its own. The counts are integers, so where a chunk ends moves
+    none of them.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode != "lmmse-spade" or not cells:
         return np.ones((len(cells), draws))
-    fe = config.frontend()
-    wfmt = config.weight_fmt if config.quantized else None
     # the distinct values of each axis, and each cell's index into them
     (snrs, s_at), (tws, w_at), (tys, y_at) = (
         np.unique(axis, return_inverse=True) for axis in np.array(cells, dtype=float).T)
-    w_thr, y_thr = (np.array([_threshold_raw(t, fmt) for t in taus.tolist()]).reshape(-1, *[1] * 4)
-                    for taus, fmt in ((tws, wfmt), (tys, fe.input_fmt)))
     n0s = [_n0_for_snr(config, snr_db) for snr_db in snrs.tolist()]
+
+    def set_bits(z, taus, axis):
+        # per-column counts of set comparison bits, one row per threshold
+        return np.stack([_comparison_bits(z.re, t, z.fmt).sum(axis)
+                         + _comparison_bits(z.im, t, z.fmt).sum(axis) for t in taus.tolist()])
+
     skipped = np.empty((len(cells), draws))
     per_chunk = max(1, _CHUNK_MATRICES // len(n0s))
     for start in range(0, draws, per_chunk):
         chunk = range(start, min(start + per_chunk, draws))
         _, w, x = _block(config, "lmmse-spade", _P_ACTIVITY, 0, chunk, vectors_per_draw, H_fixed,
-                         n0s, fe)
-        yre, yim = (z.reshape(config.B, len(chunk), len(n0s), -1) for z in (x.re, x.im))
-        # per-column counts of set bits, (threshold, draw, SNR, column) for
-        # the weights and (threshold, column, draw, SNR) for the inputs
-        w_counts = (np.abs(w.re) < w_thr).sum(axis=3) + (np.abs(w.im) < w_thr).sum(axis=3)
-        y_counts = (np.abs(yre) < y_thr).sum(axis=4) + (np.abs(yim) < y_thr).sum(axis=4)
-        counts = np.einsum("wdsb,ybds->swyd", w_counts, y_counts)
+                         n0s)
+        # (threshold, draw, SNR, column) for the (D, S, U, B) weights and
+        # (threshold, column, draw, SNR) for the (B, D, S, N) inputs
+        counts = np.einsum("wdsb,ybds->swyd", set_bits(w, tws, 2), set_bits(x, tys, 3))
         skipped[:, chunk.start:chunk.stop] = counts[s_at, w_at, y_at]
     total = 4 * config.B * config.U * vectors_per_draw
     return (total - skipped) / total

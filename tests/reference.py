@@ -1,22 +1,19 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive: scalar loops, Python integers, direct
-formulas. Nothing imports the production kernels it checks. The scalar
-fixed-point types and ``weights_for_mode`` are helpers, not oracles: they call
-the production quantizer and row scaling for tests that check something
-else. ``equalize_pairs_untiled`` is the masked product as it was before
+formulas. Nothing imports the production kernels it checks.
+``weights_for_mode`` is a helper, not an oracle: it calls the production
+quantizer and row scaling for tests that check something else.
+``equalize_pairs_untiled`` is the masked product as it was before
 column tiling, kept whole to check the tiled kernel's bytes against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-
-from spadesim.numerics import QFormat
 
 
 def q_func(x: float) -> float:
@@ -39,60 +36,6 @@ def nearest_representable(x: float, total_bits: int, frac_bits: int):
         if best_err is None or err < best_err or (err == best_err and raw % 2 == 0):
             best_raw, best_err = raw, err
     return best_raw
-
-
-@dataclass(frozen=True)
-class FixedScalar:
-    """One fixed-point number: integer ``raw`` interpreted in format ``fmt``."""
-
-    raw: int
-    fmt: QFormat
-
-    def __post_init__(self) -> None:
-        if not self.fmt.min_raw <= self.raw <= self.fmt.max_raw:
-            raise ValueError(f"raw {self.raw} out of range for {self.fmt}")
-
-    @property
-    def value(self) -> float:
-        return self.raw / self.fmt.scale
-
-
-@dataclass(frozen=True)
-class ComplexFixed:
-    """Complex value whose real and imaginary parts share one format."""
-
-    re: FixedScalar
-    im: FixedScalar
-
-    def __post_init__(self) -> None:
-        if self.re.fmt != self.im.fmt:
-            raise ValueError("re and im must share one QFormat")
-
-    @property
-    def fmt(self) -> QFormat:
-        return self.re.fmt
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re.value, self.im.value)
-
-
-def quantize(x: float, fmt: QFormat) -> FixedScalar:
-    """Quantize one real number through the array quantizer under test."""
-    from spadesim.numerics import quantize_raw
-
-    return FixedScalar(int(quantize_raw(x, fmt)), fmt)
-
-
-def fixed_mul(a: FixedScalar, b: FixedScalar) -> FixedScalar:
-    """Exact product of two fixed-point scalars.
-
-    The result format has the combined width and combined fractional bits, so
-    no rounding happens here. Operand widths must stay small enough for the
-    product format to be valid (total <= 32 bits).
-    """
-    fmt = QFormat(a.fmt.total_bits + b.fmt.total_bits, a.fmt.frac_bits + b.fmt.frac_bits)
-    return FixedScalar(a.raw * b.raw, fmt)
 
 
 def lmmse_per_matrix(Hm: np.ndarray, n0: float, Es: float) -> np.ndarray:
@@ -356,7 +299,7 @@ def qam_demodulate_formula(symbols: np.ndarray, M: int, Es: float) -> np.ndarray
 
 def block_complex(cfg, mode: str, purpose: int, tag: int, index: int, n: int, n0s: list,
                   H_fixed=None):
-    """A harness block the plain way: (sent, weights per N0, tagged (B, S*N) input).
+    """A harness block the plain way: (sent, weights per N0, tagged (B, S, N) input).
 
     Draws the channel (four generator calls per user, see
     :func:`draw_channel_matrix_per_user`) unless ``H_fixed`` is given, then
@@ -377,7 +320,7 @@ def block_complex(cfg, mode: str, purpose: int, tag: int, index: int, n: int, n0
     weights = [weights_for_mode(cfg, H, mode, n0)[mode != "lmmse-a"] for n0 in n0s]
     Y = noise[:, None] * np.sqrt(np.array(n0s) / 2.0)[:, None]
     Y += y_bar[:, None]
-    return qam_index(bits, cfg.M), weights, front_end(mode, Y.reshape(cfg.B, -1), cfg.frontend())
+    return qam_index(bits, cfg.M), weights, front_end(mode, Y, cfg.frontend())
 
 
 def activity_rates_per_draw(cfg, cells: list, draws: int, vectors_per_draw: int, H_fixed=None):
@@ -406,9 +349,8 @@ def activity_rates_per_draw(cfg, cells: list, draws: int, vectors_per_draw: int,
         _, w, x = block_complex(cfg, "lmmse-spade", _P_ACTIVITY, 0, d, vectors_per_draw, n0s,
                                 H_fixed)
         w_re, w_im = np.stack([ws.re for ws in w]), np.stack([ws.im for ws in w])
-        yre, yim = (z.reshape(cfg.B, len(n0s), -1) for z in (x.re, x.im))
         w_counts = (np.abs(w_re) < w_thr).sum(axis=2) + (np.abs(w_im) < w_thr).sum(axis=2)
-        y_counts = (np.abs(yre) < y_thr).sum(axis=3) + (np.abs(yim) < y_thr).sum(axis=3)
+        y_counts = (np.abs(x.re) < y_thr).sum(axis=3) + (np.abs(x.im) < y_thr).sum(axis=3)
         skipped[:, d] = np.einsum("wsb,ybs->swy", w_counts, y_counts)[s_at, w_at, y_at]
     total = 4 * cfg.B * cfg.U * vectors_per_draw
     return (total - skipped) / total

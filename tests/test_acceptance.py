@@ -38,7 +38,7 @@ from spadesim.harness import (
 )
 from spadesim.numerics import INPUT_FMT, WEIGHT_FMT
 
-from reference import q_func, weights_for_mode
+from reference import mute_mask, q_func, weights_for_mode
 from test_equalizer import oracle_dotp, random_tagged, random_weights
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "artifacts"
@@ -238,7 +238,7 @@ def test_c10_cycle_contract():
     for i, x in enumerate(vectors):
         s_hat, _ = equalize_tagged(weights, x, save_power=True)
         assert np.array_equal(outputs[i], s_hat)
-    assert trace.mute_count() == rep.total - rep.executed
+    assert 0 < trace.mute_count() == sum(int(mute_mask(weights, x).sum()) for x in vectors)
     report(10, "cycles = U + N + latency and 100 outputs bit-identical to the equalizer",
            time.perf_counter() - t0, 10.0)
 

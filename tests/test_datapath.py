@@ -85,14 +85,6 @@ def test_stream_across_tiles_matches_equalize_block():
     assert 0 < trace.mute_count() == sum(int(mute_mask(weights, x).sum()) for x in vectors)
 
 
-def test_mute_count_equals_skipped():
-    rng = np.random.default_rng(65)
-    weights, vectors = make_stream(rng, n=50, tau=0.3)
-    _, _, trace, report = simulate_stream(weights, vectors, PipelineConfig(), save_power=True)
-    assert trace.mute_count() == report.total - report.executed
-    assert report.executed == sum(int(v) for v in report.per_vector)
-
-
 @pytest.mark.parametrize("save_power", [True, False])
 @pytest.mark.parametrize("U,B,n", [(1, 1, 5), (2, 4, 7), (3, 16, 30), (16, 64, 12), (4, 16, 0)])
 def test_mute_trace_matches_dense_oracle(save_power, U, B, n):
@@ -140,6 +132,8 @@ def test_pipeline_latency_defaults():
     assert cfg.latency(4) == 2
     assert cfg.latency(256) == 5
     assert cfg.latency(1) == 1
+    # 16-cycle weight load + 10 acceptance cycles + 4-cycle drain
+    assert cfg.cycles(16, 10, 64) == 30
 
 
 def test_throughput_table_values():
@@ -183,6 +177,18 @@ def test_arithmetic_rejects_non_physical_inputs(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,lines", [
+    ([], ["clock_hz=720000000.0", "latency_cycles=4", "cycles_per_coherence_block=1020",
+          "peak_throughput_gbps=46.08", "effective_throughput_gbps=45.17647058823529"]),
+    (["--b", "16", "--coherence", "7"],
+     ["clock_hz=720000000.0", "latency_cycles=3", "cycles_per_coherence_block=26",
+      "peak_throughput_gbps=46.08", "effective_throughput_gbps=12.406153846153847"]),
+])
+def test_datapath_command_output_pinned(argv, lines, capsys):
+    assert cli_main(["datapath", *argv]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def fake_report(rate):

@@ -1,14 +1,12 @@
-"""Fixed-point arithmetic: quantization, the raw form, exact products."""
-
-from fractions import Fraction
+"""Fixed-point arithmetic: quantization and the raw form."""
 
 import numpy as np
 import pytest
 
 from spadesim.equalizer import build_weights, tag_input
-from spadesim.numerics import INPUT_FMT, WEIGHT_FMT, QFormat, quantize_raw
+from spadesim.numerics import INPUT_FMT, WEIGHT_FMT, QFormat, dequantize, quantize_raw
 
-from reference import ComplexFixed, FixedScalar, fixed_mul, nearest_representable, quantize
+from reference import nearest_representable
 
 
 def test_qformat_validation():
@@ -31,33 +29,33 @@ def test_qformat_range():
 
 def test_quantize_exact_and_zero():
     fmt = QFormat(10, 9)
-    assert quantize(0.5, fmt).raw == 256
-    assert quantize(0.5, fmt).value == 0.5
+    assert quantize_raw(0.5, fmt) == 256
+    assert dequantize(quantize_raw(0.5, fmt), fmt) == 0.5
     for total, frac in [(10, 9), (12, 9), (6, 4), (16, 0)]:
-        assert quantize(0.0, QFormat(total, frac)).raw == 0
+        assert quantize_raw(0.0, QFormat(total, frac)) == 0
 
 
 def test_quantize_saturates_against_exhaustive_scan():
     fmt = QFormat(10, 9)
-    assert quantize(1.0, fmt).raw == nearest_representable(1.0, 10, 9) == 511
-    assert quantize(-5.0, fmt).raw == nearest_representable(-5.0, 10, 9) == -512
+    assert quantize_raw(1.0, fmt) == nearest_representable(1.0, 10, 9) == 511
+    assert quantize_raw(-5.0, fmt) == nearest_representable(-5.0, 10, 9) == -512
     rng = np.random.default_rng(11)
     for x in rng.uniform(-1.5, 1.5, size=200):
-        assert quantize(float(x), fmt).raw == nearest_representable(float(x), 10, 9)
+        assert quantize_raw(float(x), fmt) == nearest_representable(float(x), 10, 9)
 
 
 def test_quantize_small_format_scan():
     fmt = QFormat(6, 4)
     rng = np.random.default_rng(12)
     for x in rng.uniform(-3.0, 3.0, size=300):
-        assert quantize(float(x), fmt).raw == nearest_representable(float(x), 6, 4)
+        assert quantize_raw(float(x), fmt) == nearest_representable(float(x), 6, 4)
 
 
 def test_quantize_rejects_non_finite():
     fmt = QFormat(10, 9)
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="non-finite"):
-            quantize(bad, fmt)
+            quantize_raw(bad, fmt)
     with pytest.raises(ValueError, match="non-finite"):
         quantize_raw(np.array([0.0, np.nan]), fmt)
 
@@ -70,8 +68,8 @@ def test_quantize_error_bound_and_saturation():
     raws = quantize_raw(xs, fmt)
     err = np.abs(raws / fmt.scale - xs)
     assert err.max() <= 2.0 ** (-fmt.frac_bits - 1) + 1e-15
-    assert quantize(100.0, fmt).raw == fmt.max_raw
-    assert quantize(-100.0, fmt).raw == fmt.min_raw
+    assert quantize_raw(100.0, fmt) == fmt.max_raw
+    assert quantize_raw(-100.0, fmt) == fmt.min_raw
     # the raw form: integer-valued float64, zero always +0.0
     assert raws.dtype == np.float64 and np.array_equal(raws, np.trunc(raws))
     near_zero = np.array([-0.0, -step / 4, -np.nextafter(step / 2, 0.0), -step / 2])
@@ -91,43 +89,6 @@ def test_quantize_error_bound_and_saturation():
 def test_quantize_ties_to_even():
     fmt = QFormat(10, 9)
     # 1.5/512 and 2.5/512 are exact halves of the grid
-    assert quantize(1.5 / 512, fmt).raw == 2
-    assert quantize(2.5 / 512, fmt).raw == 2
-    assert quantize(-1.5 / 512, fmt).raw == -2
-
-
-def test_fixed_mul_trivial():
-    a = quantize(0.5, QFormat(10, 9))
-    out = fixed_mul(a, a)
-    assert out.value == 0.25
-    assert out.fmt == QFormat(20, 18)
-    zero = quantize(0.0, QFormat(12, 9))
-    for x in (-0.7, 0.3, 0.999):
-        assert fixed_mul(quantize(x, QFormat(12, 9)), zero).raw == 0
-
-
-def test_fixed_mul_matches_arbitrary_precision_oracle():
-    rng = np.random.default_rng(14)
-    fa, fb = QFormat(10, 9), QFormat(12, 9)
-    for _ in range(10_000):
-        a = FixedScalar(int(rng.integers(fa.min_raw, fa.max_raw + 1)), fa)
-        b = FixedScalar(int(rng.integers(fb.min_raw, fb.max_raw + 1)), fb)
-        out = fixed_mul(a, b)
-        exact = Fraction(a.raw, fa.scale) * Fraction(b.raw, fb.scale)
-        assert Fraction(out.raw, out.fmt.scale) == exact
-        assert fixed_mul(b, a).raw == out.raw
-
-
-def test_fixed_scalar_range_check():
-    with pytest.raises(ValueError):
-        FixedScalar(512, QFormat(10, 9))
-    with pytest.raises(ValueError):
-        FixedScalar(-513, QFormat(10, 9))
-
-
-def test_complex_fixed_shares_format():
-    fmt = QFormat(10, 9)
-    z = ComplexFixed(quantize(0.5, fmt), quantize(-0.25, fmt))
-    assert z.value == 0.5 - 0.25j
-    with pytest.raises(ValueError):
-        ComplexFixed(quantize(0.5, fmt), quantize(0.5, QFormat(12, 9)))
+    assert quantize_raw(1.5 / 512, fmt) == 2
+    assert quantize_raw(2.5 / 512, fmt) == 2
+    assert quantize_raw(-1.5 / 512, fmt) == -2
