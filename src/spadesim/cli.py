@@ -203,18 +203,17 @@ def cmd_opoint(opt: dict) -> int:
 
 
 def cmd_datapath(opt: dict) -> int:
-    u = opt.get("u", RunConfig.U)
-    mod = opt.get("mod", RunConfig.M)
+    cfg = RunConfig(B=opt.get("b", RunConfig.B), U=opt.get("u", RunConfig.U),
+                    M=opt.get("mod", RunConfig.M))
     clock = opt.get("clock_hz", 720e6)
     coherence = opt.get("coherence", 1000)
-    b = opt.get("b", RunConfig.B)
-    latency = PipelineConfig().latency(b)
-    peak = throughput_bps(clock, u, mod)
-    eff = effective_throughput(clock, u, mod, coherence, b)
+    latency = PipelineConfig().latency(cfg.B)
+    peak = throughput_bps(clock, cfg.U, cfg.M)
+    eff = effective_throughput(clock, cfg.U, cfg.M, coherence, cfg.B)
     lines = [
         f"clock_hz={clock!r}",
         f"latency_cycles={latency}",
-        f"cycles_per_coherence_block={PipelineConfig().cycles(u, coherence, b)}",
+        f"cycles_per_coherence_block={PipelineConfig().cycles(cfg.U, coherence, cfg.B)}",
         f"peak_throughput_gbps={peak / 1e9!r}",
         f"effective_throughput_gbps={eff / 1e9!r}",
     ]

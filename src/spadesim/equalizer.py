@@ -15,8 +15,9 @@ Weights and inputs hold their integer raws as float64 (see
 intermediate is an integer below 2**52, so the results are bit-exact and
 independent of summation order. A width guard enforces that precondition.
 The same exactness lets :func:`equalize_pairs` score a long quantized block
-in column tiles of ``_TILE_COLUMNS``, each pass over a tile staying in cache,
-with the bytes of one pass over the whole block. Unquantized raws are scored
+in column tiles of ``_TILE_COLUMNS``, each pass over a tile staying in cache
+and writing its columns of the outputs in place, with the bytes of one pass
+over the whole block. Unquantized raws are scored
 as one tile: OpenBLAS rounds a float product's columns differently with the
 width of the call.
 
@@ -257,13 +258,13 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     distinct ``tau_w``'s weights once per call, and the group's masked
     weights are stacked into one product. A quantized block wider than
     ``_TILE_COLUMNS`` is scored one column tile at a time, so each tile's
-    passes stay in cache, and the tiles are joined along the columns, with
-    the bytes of scoring the block whole. Returns one (indices, S,
-    executed) per group: the indices into ``taus`` of its k pairs, their
-    (k, U, ...) estimates and their (k, ...) executed products. Entry j of
-    a group equals ``equalize_tagged(replace(weights, tau_w=tw),
-    replace(x, tau_y=ty), save_power, gain)`` for ``taus[indices[j]] ==
-    (tw, ty)``, byte for byte.
+    passes stay in cache; each tile writes its columns of every group's
+    output, with the bytes of scoring the block whole. Returns one
+    (indices, S, executed) per group: the indices into ``taus`` of its k
+    pairs, their (k, U, ...) estimates and their (k, ...) executed
+    products. Entry j of a group equals ``equalize_tagged(replace(weights,
+    tau_w=tw), replace(x, tau_y=ty), save_power, gain)`` for
+    ``taus[indices[j]] == (tw, ty)``, byte for byte.
     """
     if x.B != weights.B:
         raise ValueError("length mismatch")
@@ -282,65 +283,49 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
             wm, counts = _skippable((wre, wim), [_comparison_bits(w, tau_w, weights.fmt)
                                                  for w in (wre, wim)])
             w_skip[tau_w] = np.stack(wm)[None], counts.sum(axis=0)[None]
-    n = max(math.prod(x.re.shape[1:]), 1)  # an empty block is one empty tile
-    # Quantized raws are integers below 2**52, so every tiling gives the same
-    # bytes. Float raws stay one tile: OpenBLAS rounds a narrower last tile's
-    # columns differently (1024-column tiles changed float64 GEMM bytes in 39
-    # of 300 random (U, B, N > 1024) shapes, always in the last tile).
-    step = _TILE_COLUMNS if weights.fmt is not None else n
-    tiles = [_score_columns(weights, x, slice(a, a + step), taus, groups, w_skip, save_power,
-                            gain) for a in range(0, n, step)]
-    cols = x.re.shape[1:]
-    out = []
-    for g, indices in enumerate(groups.values()):
-        if len(tiles) == 1:
-            S, executed = tiles[0][g]
-        else:
-            S, executed = (np.concatenate(part, axis=-1) for part in zip(*(t[g] for t in tiles)))
-        k = len(indices)
-        out.append((indices, S.reshape((k, weights.U, *cols)), executed.reshape((k, *cols))))
-    return out
-
-
-def _score_columns(weights: EqualizerWeights, x: BeamVector, cols: slice, taus: list,
-                   groups: dict, w_skip: dict, save_power: bool, gain: float) -> list:
-    """Each group's (k, U, n) estimates and (k, n) executed products on columns ``cols``.
-
-    The body of :func:`equalize_pairs` for one tile of the flattened (B, N)
-    block. A group's masked weights are stacked here, one group at a time:
-    stacking every group's up front made 16 pairs in 4 groups of a 64x100
-    block about 12% slower.
-    """
-    wre, wim = weights.re, weights.im
-    yre, yim = x.re.reshape(x.B, -1)[:, cols], x.im.reshape(x.B, -1)[:, cols]
-    full_re, full_im = wre @ yre - wim @ yim, wre @ yim + wim @ yre
+    yre, yim = x.re.reshape(x.B, -1), x.im.reshape(x.B, -1)
+    n = yre.shape[1]
     products = 4 * wre.size
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
-    out = []
-    for tau_y, indices in groups.items():
-        k = len(indices)
-        if not save_power:
-            acc_re, acc_im = (np.broadcast_to(a, (k, *a.shape)) for a in (full_re, full_im))
-            executed = np.full((k, full_re.shape[1]), products, dtype=np.int64)
-        else:
-            bits = [_comparison_bits(y, tau_y, x.fmt) for y in (yre, yim)]
-            # Skip masks are separable (weight bit AND input bit): the skipped
-            # part of each sum is a product of masked factors, and a vector's
-            # skipped count the dot of the per-column counts. Each matrix of
-            # the (k, 2, U, B) stack is its own (U, B) @ (B, N) call, so
-            # unquantized raws give the bytes of a lone matrix too.
-            parts = [w_skip[taus[i][0]] for i in indices]
-            wm, w_counts = parts[0] if k == 1 else tuple(map(np.concatenate, zip(*parts)))
-            ym, y_counts = _skippable((yre, yim), bits)
-            by_re = wm @ ym[0]  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re, per matrix
-            by_im = wm @ ym[1]
-            acc_re = full_re - by_re[:, 0] + by_im[:, 1]
-            acc_im = full_im - by_im[:, 0] - by_re[:, 1]
-            del by_re, by_im  # before the descale's temporaries
-            executed = (products - w_counts @ y_counts).astype(np.int64)
-        S = (acc_re + 1j * acc_im) * vs / (weights.alpha[:, None] * gain)
-        out.append((S, executed))
-    return out
+    scale = weights.alpha[:, None] * gain
+    out = [(np.empty((len(indices), weights.U, n), dtype=np.complex128),
+            np.full((len(indices), n), products, dtype=np.int64)) for indices in groups.values()]
+    # Quantized raws are integers below 2**52, so every tiling gives the same
+    # bytes. Float raws stay one tile (none if the block is empty): OpenBLAS
+    # rounds a narrower last tile's columns differently (1024-column tiles
+    # changed float64 GEMM bytes in 39 of 300 random (U, B, N > 1024) shapes,
+    # always in the last tile).
+    step = _TILE_COLUMNS if weights.fmt is not None else n + 1
+    for a in range(0, n, step):
+        cols = slice(a, a + step)
+        y = yre[:, cols], yim[:, cols]
+        full_re, full_im = wre @ y[0] - wim @ y[1], wre @ y[1] + wim @ y[0]
+        for (tau_y, indices), (S, executed) in zip(groups.items(), out):
+            acc_re, acc_im = full_re, full_im
+            if save_power:
+                # Skip masks are separable (weight bit AND input bit): the
+                # skipped part of each sum is a product of masked factors, and
+                # a vector's skipped count the dot of the per-column counts.
+                # Each matrix of the (k, 2, U, B) stack is its own (U, B) @
+                # (B, N) call, so unquantized raws give the bytes of a lone
+                # matrix too. The stack is built one group at a time: stacking
+                # every group's up front made 16 pairs in 4 groups of a
+                # 64x100 block about 12% slower.
+                parts = [w_skip[taus[i][0]] for i in indices]
+                wm, w_counts = parts[0] if len(indices) == 1 else tuple(
+                    map(np.concatenate, zip(*parts)))
+                ym, y_counts = _skippable(y, [_comparison_bits(v, tau_y, x.fmt) for v in y])
+                by_re = wm @ ym[0]  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re, per matrix
+                by_im = wm @ ym[1]
+                acc_re = full_re - by_re[:, 0] + by_im[:, 1]
+                acc_im = full_im - by_im[:, 0] - by_re[:, 1]
+                del by_re, by_im  # before the descale's temporaries
+                executed[:, cols] = products - w_counts @ y_counts
+            np.divide((acc_re + 1j * acc_im) * vs, scale, out=S[:, :, cols])
+    shape = x.re.shape[1:]
+    return [(indices, S.reshape((len(indices), weights.U, *shape)),
+             executed.reshape((len(indices), *shape)))
+            for indices, (S, executed) in zip(groups.values(), out)]
 
 
 def equalize_tagged(weights: EqualizerWeights, x: BeamVector, save_power: bool,

@@ -326,10 +326,9 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
                 for pairs, S, executed in equalize_pairs(w[s], xs, taus, save_power, gain):
                     # per pair: bit errors, vectors, executed products' sum, min and max
                     errors = bit_errors(S, sent, cfg.M, cfg.Es).reshape(len(pairs), -1).sum(1)
-                    per_vec = executed.reshape(len(pairs), n)
                     for j, err, ex_sum, ex_min, ex_max in zip(
-                            pairs, errors.tolist(), per_vec.sum(1).tolist(),
-                            per_vec.min(1).tolist(), per_vec.max(1).tolist()):
+                            pairs, errors.tolist(), executed.sum(1).tolist(),
+                            executed.min(1).tolist(), executed.max(1).tolist()):
                         scored[group[j]] = (err, n, ex_sum, ex_min, ex_max)
             return scored
 

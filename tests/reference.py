@@ -100,10 +100,16 @@ def equalize_pairs_untiled(weights, x, taus: list, save_power: bool, gain: float
 
     The full products, the per-``tau_y`` masking, the stacked masked
     products, the skip counts and the descale each run once on all the
-    block's columns; the comparison bits come from :func:`naive_bits`.
+    block's columns; the comparison bits come from :func:`naive_bits`, and
+    the raws are masked and the set bits counted here, not by the kernel.
     Returns what ``equalize_pairs`` returns.
     """
-    from spadesim.equalizer import _check_accumulator, _skippable, _threshold_raw
+    from spadesim.equalizer import _check_accumulator, _threshold_raw
+
+    def skippable(raws, tau, fmt):
+        # (re, im) raws with unset bits zeroed, and the set bits (0-2) per entry
+        bits = [naive_bits(r, tau, fmt) for r in raws]
+        return [r * b for r, b in zip(raws, bits)], bits[0].astype(np.int64) + bits[1]
 
     if x.B != weights.B:
         raise ValueError("length mismatch")
@@ -124,8 +130,7 @@ def equalize_pairs_untiled(weights, x, taus: list, save_power: bool, gain: float
         _threshold_raw(tau_y, x.fmt)
         groups.setdefault(tau_y, []).append(i)
         if save_power and tau_w not in w_skip:
-            wm, counts = _skippable((wre, wim), [naive_bits(w, tau_w, weights.fmt)
-                                                 for w in (wre, wim)])
+            wm, counts = skippable((wre, wim), tau_w, weights.fmt)
             w_skip[tau_w] = np.stack(wm)[None], counts.sum(axis=0)[None]
     out = []
     for tau_y, indices in groups.items():
@@ -136,8 +141,7 @@ def equalize_pairs_untiled(weights, x, taus: list, save_power: bool, gain: float
         else:
             parts = [w_skip[taus[i][0]] for i in indices]
             wm, w_counts = parts[0] if k == 1 else tuple(map(np.concatenate, zip(*parts)))
-            ym, y_counts = _skippable((yre, yim), [naive_bits(y, tau_y, x.fmt)
-                                                   for y in (yre, yim)])
+            ym, y_counts = skippable((yre, yim), tau_y, x.fmt)
             by_re = wm @ ym[0]
             by_im = wm @ ym[1]
             acc_re = full_re - by_re[:, 0] + by_im[:, 1]

@@ -172,7 +172,8 @@ def test_arithmetic_rejects_non_physical_inputs(capsys):
             PipelineConfig().latency(B)
         with pytest.raises(ValueError, match="B must be"):
             effective_throughput(720e6, 16, 16, 1000, B)
-    for argv in (["--u", "-3"], ["--clock-hz", "-5"], ["--clock-hz", "-5", "--b", "0"]):
+    for argv in (["--u", "-3"], ["--clock-hz", "-5"], ["--clock-hz", "-5", "--b", "0"],
+                 ["--b", "5"], ["--b", "16", "--u", "17"]):
         assert cli_main(["datapath", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

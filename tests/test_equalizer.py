@@ -14,6 +14,7 @@ from spadesim.equalizer import (
     build_weights,
     compute_lmmse,
     equalize_block,
+    equalize_pairs,
     equalize_tagged,
     scale_rows,
     tag_input,
@@ -400,6 +401,25 @@ def test_quantization_flag_mismatch():
     fe = FrontEnd(input_fmt=INPUT_FMT)
     with pytest.raises(ValueError, match="agree on quantization"):
         equalize_block("lmmse-b", None, w, rng.standard_normal(4) + 0j, fe)
+
+
+@pytest.mark.parametrize("save_power", [True, False])
+@pytest.mark.parametrize("fmts", [(WEIGHT_FMT, INPUT_FMT), (None, None)])
+def test_empty_block_scores_no_columns(fmts, save_power):
+    B, U = 16, 4
+    rng = np.random.default_rng(56)
+    w = random_weights(rng, U, B, 0.1, fmt=fmts[0])
+    x = tag_input(np.zeros((B, 0), dtype=complex), 0.1, fmts[1])
+    scored = equalize_pairs(w, x, [(0.1, 0.05), (0.3, 0.2), (0.0, 0.05)], save_power)
+    assert [indices for indices, _, _ in scored] == [[0, 2], [1]]
+    for indices, S, executed in scored:
+        assert S.shape == (len(indices), U, 0) and S.dtype == np.complex128
+        assert executed.shape == (len(indices), 0) and executed.dtype == np.int64
+    mode = "lmmse-spade" if save_power else "lmmse-b"
+    s, report = equalize_block(mode, None, w, np.zeros((B, 0), dtype=complex),
+                               FrontEnd(input_fmt=fmts[1], tau_y=0.1))
+    assert s.shape == (U, 0)
+    assert report.total == 0 and report.activity_rate == 1.0
 
 
 # ---------------------------------------------------------------------------
