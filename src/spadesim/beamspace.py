@@ -23,7 +23,7 @@ from .numerics import TWIDDLE_FMT, QFormat, dequantize, quantize_complex
 
 
 def _is_power_of_4(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0 and (n.bit_length() - 1) % 2 == 0
+    return n >= 1 and (n & (n - 1)) == 0 and (int(n).bit_length() - 1) % 2 == 0
 
 
 @dataclass(frozen=True)

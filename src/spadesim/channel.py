@@ -16,8 +16,14 @@ from math import isqrt, log2
 
 import numpy as np
 
-MODES = ("lmmse-a", "lmmse-b", "lmmse-spade")
 QAM_ORDERS = (4, 16, 64, 256)
+
+
+def _bits_per_symbol(M: int) -> int:
+    """Bits per symbol of a supported QAM order; any other M raises ``ValueError``."""
+    if M not in QAM_ORDERS:
+        raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
+    return int(log2(M))
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,7 @@ def qam_scale(M: int, Es: float) -> float:
 def _qam_table(M: int, Es: float) -> np.ndarray:
     """Read-only constellation indexed by the symbol's bits read as an integer (MSB first)."""
     m = isqrt(M)
-    half = int(log2(M)) // 2
+    half = _bits_per_symbol(M) // 2
     idx = np.arange(M)
     li = 2 * _gray_decode(idx >> half) - (m - 1)
     lq = 2 * _gray_decode(idx & (m - 1)) - (m - 1)
@@ -153,9 +159,7 @@ def _qam_table(M: int, Es: float) -> np.ndarray:
 
 def qam_index(bitgroups: np.ndarray, M: int) -> np.ndarray:
     """Each bit group (last axis, MSB first, I bits then Q bits) read as an integer: its symbol index."""
-    if M not in QAM_ORDERS:
-        raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
-    k = int(log2(M))
+    k = _bits_per_symbol(M)
     bitgroups = np.asarray(bitgroups)
     if bitgroups.shape[-1] != k:
         raise ValueError(f"expected {k} bits per symbol, got {bitgroups.shape[-1]}")
@@ -176,7 +180,7 @@ def _error_table(M: int) -> np.ndarray:
     the point's Gray bits differ from ``i``'s.
     """
     m = isqrt(M)
-    k = int(log2(M))
+    k = _bits_per_symbol(M)
     g = _gray_encode(np.arange(m))
     point = ((g[:, None] << (k // 2)) | g).reshape(-1, 1)
     table = (((point ^ np.arange(M)) >> np.arange(k)[:, None, None]) & 1).sum(axis=0)
@@ -216,8 +220,7 @@ def bit_errors(symbols: np.ndarray, index: np.ndarray, M: int, Es: float) -> np.
     bits), giving a uint8 array of the broadcast shape of ``symbols`` and
     ``index``.
     """
-    if M not in QAM_ORDERS:
-        raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
+    _bits_per_symbol(M)  # checks M
     levels = _level_indices(symbols, M, Es)
     point = levels[..., 0] * isqrt(M) + levels[..., 1]
     return _error_table(M).reshape(-1)[point * M + index]

@@ -11,8 +11,8 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-from .channel import MODES
 from .datapath import PipelineConfig, effective_throughput, throughput_bps
+from .equalizer import MODES
 from .harness import (
     CHANNEL_KINDS,
     MAX_SNR_POINTS,
@@ -203,17 +203,16 @@ def cmd_opoint(opt: dict) -> int:
 
 
 def cmd_datapath(opt: dict) -> int:
-    cfg = RunConfig(B=opt.get("b", RunConfig.B), U=opt.get("u", RunConfig.U),
-                    M=opt.get("mod", RunConfig.M))
+    B, U, M = opt.get("b", RunConfig.B), opt.get("u", RunConfig.U), opt.get("mod", RunConfig.M)
     clock = opt.get("clock_hz", 720e6)
     coherence = opt.get("coherence", 1000)
-    latency = PipelineConfig().latency(cfg.B)
-    peak = throughput_bps(clock, cfg.U, cfg.M)
-    eff = effective_throughput(clock, cfg.U, cfg.M, coherence, cfg.B)
+    cycles = PipelineConfig().cycles(U, coherence, B)  # checks B and U first, as RunConfig does
+    peak = throughput_bps(clock, U, M)
+    eff = effective_throughput(clock, U, M, coherence, B)
     lines = [
         f"clock_hz={clock!r}",
-        f"latency_cycles={latency}",
-        f"cycles_per_coherence_block={PipelineConfig().cycles(cfg.U, coherence, cfg.B)}",
+        f"latency_cycles={PipelineConfig().latency(B)}",
+        f"cycles_per_coherence_block={cycles}",
         f"peak_throughput_gbps={peak / 1e9!r}",
         f"effective_throughput_gbps={eff / 1e9!r}",
     ]

@@ -13,27 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import QAM_ORDERS
+from .channel import _bits_per_symbol
 from .equalizer import (
     ActivityReport,
     BeamVector,
     EqualizerWeights,
+    _check_array,
     equalize_tagged,
 )
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Pipeline depth of the multiplier array and its adder tree."""
+    """Pipeline depth of the multiplier array and its adder tree; refuses what RunConfig refuses."""
 
     def latency(self, B: int) -> int:
         """Drain cycles: one input register stage, then one register per two adder layers."""
-        if B < 1:
-            raise ValueError("B must be >= 1")
+        _check_array(B, 1)
         return 1 + math.ceil(math.log2(B) / 2)
 
     def cycles(self, U: int, N: int, B: int) -> int:
         """Cycles of one coherence block: U weight loads, N accepted vectors, then the drain."""
+        _check_array(B, U)
         return U + N + self.latency(B)
 
 
@@ -84,13 +85,12 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
 
 def throughput_bps(clock_hz: float, U: int, M: int) -> float:
     """Steady-state equalization throughput: U log2(M) bits per clock."""
-    if M not in QAM_ORDERS:
-        raise ValueError(f"M must be one of {QAM_ORDERS}, got {M}")
+    bits = _bits_per_symbol(M)
     if U < 1:
         raise ValueError("U must be >= 1")
     if not (math.isfinite(clock_hz) and clock_hz > 0):
         raise ValueError("clock_hz must be finite and positive")
-    return U * math.log2(M) * clock_hz
+    return U * bits * clock_hz
 
 
 def effective_throughput(clock_hz: float, U: int, M: int, coherence_vectors: int,

@@ -1,5 +1,9 @@
 """LMMSE preprocessing, row scaling, and the skip-capable matrix-vector multiply.
 
+A mode means one row of ``_MODE_RULES``: its domain and whether it skips,
+read by :func:`_mode_rule`. :func:`_check_array` refuses an array shape the
+model does not cover. Every other module asks these two.
+
 Preprocessing (the LMMSE matrix) runs in floating point, standing in for an
 external preprocessing engine. The equalization datapath itself is modeled
 bit-accurately: weights and inputs are quantized, each complex multiply
@@ -34,11 +38,31 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamspace import TwiddleConfig, beamspace_raws, to_beamspace
-from .channel import MODES, ChannelMatrix
+from .beamspace import TwiddleConfig, _is_power_of_4, beamspace_raws, to_beamspace
+from .channel import ChannelMatrix
 from .numerics import INPUT_FMT, QFormat, quantize_complex
 
 DOMAINS = ("antenna", "beamspace")
+
+_MODE_RULES = {"lmmse-a": ("antenna", False), "lmmse-b": ("beamspace", False),
+               "lmmse-spade": ("beamspace", True)}
+MODES = tuple(_MODE_RULES)
+
+
+def _mode_rule(mode: str) -> tuple[str, bool]:
+    """The mode's (domain, skips) in ``_MODE_RULES``; an unknown mode raises ``ValueError``."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return _MODE_RULES[mode]
+
+
+def _check_array(B: int, U: int) -> None:
+    """Refuse an array the model does not cover: B not a power of 4, or U outside [1, B]."""
+    if not _is_power_of_4(B):
+        raise ValueError(f"B must be a power of 4, got {B}")
+    if not 1 <= U <= B:
+        raise ValueError(f"U must be in [1, B], got {U}")
+
 
 # Columns of a block scored at once by the masked product: a 64-row tile's
 # float64 pass then takes 0.5 MB and stays in a core's L2 cache. On a 64x10000
@@ -350,22 +374,16 @@ def equalize_block(mode: str, weights_ant: EqualizerWeights | None,
     bypassed); lmmse-b transforms to beamspace; lmmse-spade additionally
     activates multiplication skipping. ``y_bar`` is (B,) or (B, N).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "lmmse-a":
-        w = weights_ant
-        wanted = "antenna"
-    else:
-        w = weights_beam
-        wanted = "beamspace"
-    if w is None or w.domain != wanted:
-        raise ValueError(f"mode/domain mismatch: {mode} needs {wanted} weights")
+    domain, skips = _mode_rule(mode)
+    w = weights_ant if domain == "antenna" else weights_beam
+    if w is None or w.domain != domain:
+        raise ValueError(f"mode/domain mismatch: {mode} needs {domain} weights")
 
     Y = np.asarray(y_bar, dtype=np.complex128)
     if Y.shape[0] != w.B:
         raise ValueError("length mismatch")
-    S, executed = equalize_tagged(w, front_end(mode, Y, frontend),
-                                  save_power=(mode == "lmmse-spade"), gain=frontend.gain)
+    S, executed = equalize_tagged(w, front_end(mode, Y, frontend), save_power=skips,
+                                  gain=frontend.gain)
     return S, ActivityReport(executed.reshape(-1), 4 * w.B * w.U)
 
 
@@ -378,12 +396,11 @@ def front_end(mode: str, Y: np.ndarray, frontend: FrontEnd) -> BeamVector:
     defaults), transform and quantization are one GEMM whose raws are
     certified bit-identical to the radix-4's (:func:`beamspace_raws`).
     """
+    antenna = _mode_rule(mode)[0] == "antenna"
     Z = frontend.gain * Y
     fmt = frontend.input_fmt
-    if mode != "lmmse-a" and fmt is not None and not frontend.twiddle.exact:
-        re, im = beamspace_raws(Z, frontend.twiddle.twiddle_fmt, fmt)
-        return BeamVector(re=re, im=im, fmt=fmt, tau_y=frontend.tau_y)
-    if mode != "lmmse-a":
-        Z = to_beamspace(Z, frontend.twiddle)
-    return tag_input(Z, frontend.tau_y, fmt)
+    if antenna or fmt is None or frontend.twiddle.exact:
+        return tag_input(Z if antenna else to_beamspace(Z, frontend.twiddle), frontend.tau_y, fmt)
+    re, im = beamspace_raws(Z, frontend.twiddle.twiddle_fmt, fmt)
+    return BeamVector(re=re, im=im, fmt=fmt, tau_y=frontend.tau_y)
 

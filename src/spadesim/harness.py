@@ -25,16 +25,15 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .beamspace import TwiddleConfig, _is_power_of_4, to_beamspace
+from .beamspace import TwiddleConfig, to_beamspace
 from .channel import (
-    MODES,
-    QAM_ORDERS,
     ChannelMatrix,
+    _bits_per_symbol,
     _qam_table,
     bit_errors,
     draw_channel_matrix,
@@ -48,7 +47,9 @@ from .equalizer import (
     front_end,
     lmmse_stack,
     scale_rows,
+    _check_array,
     _comparison_bits,
+    _mode_rule,
     _threshold_raw,
 )
 from .numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat
@@ -128,12 +129,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not _is_power_of_4(self.B):
-            raise ValueError(f"B must be a power of 4, got {self.B}")
-        if not 1 <= self.U <= self.B:
-            raise ValueError(f"U must be in [1, B], got {self.U}")
-        if self.M not in QAM_ORDERS:
-            raise ValueError(f"M must be one of {QAM_ORDERS}, got {self.M}")
+        _check_array(self.B, self.U)
+        _bits_per_symbol(self.M)
         if self.channel not in CHANNEL_KINDS:
             raise ValueError(f"channel must be one of {CHANNEL_KINDS}")
         if self.channel == "file" and not self.channel_file:
@@ -152,7 +149,7 @@ class RunConfig:
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(math.log2(self.M))
+        return _bits_per_symbol(self.M)
 
     @property
     def input_gain(self) -> float:
@@ -223,6 +220,7 @@ def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors
     the bytes of making its block alone at its own N0.
     """
     D, S, B, U = len(indices), len(n0s), cfg.B, cfg.U
+    domain, _ = _mode_rule(mode)
     table = _qam_table(cfg.M, cfg.Es)
     H = np.empty((D, B, U), dtype=np.complex128)
     sent = np.empty((D, U, n_vectors), dtype=np.int64)
@@ -238,7 +236,7 @@ def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors
         np.matmul(H[d], table[sent[d]], out=y_bar[d])
         rng.standard_normal(out=noise_re[d])
         rng.standard_normal(out=noise_im[d])
-    if mode != "lmmse-a":
+    if domain == "beamspace":
         H = np.ascontiguousarray(to_beamspace(H.swapaxes(0, 1)).swapaxes(0, 1))
     # release each intermediate once read, and the noise-free blocks and the
     # noise before the front end: with large blocks and several workers, or
@@ -247,8 +245,7 @@ def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors
     del H
     W, alpha = scale_rows(V, cfg.epsilon)
     del V
-    weights = build_weights(W, alpha, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None,
-                            "antenna" if mode == "lmmse-a" else "beamspace")
+    weights = build_weights(W, alpha, cfg.tau_w, cfg.weight_fmt if cfg.quantized else None, domain)
     del W
     sigma = np.sqrt(np.array(n0s) / 2.0)[:, None]
     Y = np.empty((B, D, S, n_vectors), dtype=np.complex128)
@@ -304,7 +301,7 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
     A round's cost thus follows its distinct N0s, which vary from seed to
     seed in a sweep; see README for the measured spread.
     """
-    save_power, gain = mode == "lmmse-spade", cfg.input_gain
+    save_power, gain = _mode_rule(mode)[1], cfg.input_gain
     # errors, vectors, executed products: sum, min and max per vector
     stats = [[0, 0, 0, math.inf, -math.inf] for _ in points]
     for wave in _waves(cfg.vectors_per_block, cap):
@@ -364,8 +361,7 @@ def _n0_for_snr(cfg: RunConfig, snr_db: float) -> float:
 
 def run_ber(config: RunConfig, snr_list_db, mode: str, stop: StopRule | None = None) -> RunReport:
     """Uncoded BER at each SNR: fresh channel per coherence block, hard slicing."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    _mode_rule(mode)
     snr_list = [float(s) for s in snr_list_db]
     if any(not math.isfinite(s) for s in snr_list):
         raise ValueError("invalid SNR list")
@@ -432,8 +428,7 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, pro
         raise ValueError("target_ber must be in (0, 0.5)")
     if probe_cap < 1:
         raise ValueError("probe_cap must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    _mode_rule(mode)
     nbits = cfg.U * cfg.bits_per_symbol
 
     def decided(errors: int, vectors: int) -> bool:
@@ -515,21 +510,18 @@ def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
                     vectors_per_draw: int, H_fixed: ChannelMatrix | None) -> np.ndarray:
     """Per-draw activity of each (snr_db, tau_w, tau_y) cell, a (cells, draws) array.
 
-    Only lmmse-spade skips; every other mode executes every product. Each
-    draw is drawn once, from its own stream, and finished for all the cells'
-    distinct SNRs. Draws are made in chunks of up to ``_CHUNK_MATRICES``
-    weight matrices (draws x distinct SNRs, at least one draw), each chunk
-    by one :func:`_block` call, so memory is bounded by one chunk whatever
-    the draw count. Skipping is separable, so a vector's skipped count is
-    the dot of the per-column counts of set weight and input bits, the
-    equalizer's :func:`_comparison_bits`; one ``einsum`` per chunk counts
-    every (draw, SNR, tau_w, tau_y) of the distinct values, and each cell
-    gathers its own. The counts are integers, so where a chunk ends moves
-    none of them.
+    A mode that does not skip executes every product. Each draw is drawn
+    once, from its own stream, and finished for all the cells' distinct
+    SNRs. Draws are made in chunks of up to ``_CHUNK_MATRICES`` weight
+    matrices (draws x distinct SNRs, at least one draw), each chunk by one
+    :func:`_block` call, so memory is bounded by one chunk whatever the draw
+    count. Skipping is separable, so a vector's skipped count is the dot of
+    the per-column counts of set weight and input bits, the equalizer's
+    :func:`_comparison_bits`; one ``einsum`` per chunk counts every (draw,
+    SNR, tau_w, tau_y) of the distinct values, and each cell gathers its
+    own. The counts are integers, so where a chunk ends moves none of them.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode != "lmmse-spade" or not cells:
+    if not _mode_rule(mode)[1] or not cells:
         return np.ones((len(cells), draws))
     # the distinct values of each axis, and each cell's index into them
     (snrs, s_at), (tws, w_at), (tys, y_at) = (
@@ -545,8 +537,7 @@ def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
     per_chunk = max(1, _CHUNK_MATRICES // len(n0s))
     for start in range(0, draws, per_chunk):
         chunk = range(start, min(start + per_chunk, draws))
-        _, w, x = _block(config, "lmmse-spade", _P_ACTIVITY, 0, chunk, vectors_per_draw, H_fixed,
-                         n0s)
+        _, w, x = _block(config, mode, _P_ACTIVITY, 0, chunk, vectors_per_draw, H_fixed, n0s)
         # (threshold, draw, SNR, column) for the (D, S, U, B) weights and
         # (threshold, column, draw, SNR) for the (B, D, S, N) inputs
         counts = np.einsum("wdsb,ybds->swyd", set_bits(w, tws, 2), set_bits(x, tys, 3))
@@ -601,27 +592,11 @@ _CSV_HEADER = ("mode,B,U,M,channel_kind,snr_db,trials,bit_errors,ber,"
 
 
 def report_rows(report: RunReport) -> list[dict]:
+    """One row per point: the run's settings, then the point's fields, named as CSV columns."""
     cfg = report.config
-    rows = []
-    for p in report.points:
-        rows.append({
-            "mode": report.mode,
-            "B": cfg.B,
-            "U": cfg.U,
-            "M": cfg.M,
-            "channel_kind": cfg.channel,
-            "snr_db": p.snr_db,
-            "trials": p.trials,
-            "bit_errors": p.bit_errors,
-            "ber": p.ber,
-            "activity_mean": p.activity_mean,
-            "activity_min": p.activity_min,
-            "activity_max": p.activity_max,
-            "tau_w": cfg.tau_w,
-            "tau_y": cfg.tau_y,
-            "seed": cfg.seed,
-        })
-    return rows
+    run = {"mode": report.mode, "B": cfg.B, "U": cfg.U, "M": cfg.M, "channel_kind": cfg.channel,
+           "tau_w": cfg.tau_w, "tau_y": cfg.tau_y, "seed": cfg.seed}
+    return [{**run, **asdict(p)} for p in report.points]
 
 
 def _csv_cell(v) -> str:

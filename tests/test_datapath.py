@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spadesim.datapath import (
     PipelineConfig,
@@ -21,6 +23,7 @@ from spadesim.equalizer import (
     equalize_tagged,
     tag_input,
 )
+from spadesim.harness import RunConfig
 from spadesim.numerics import INPUT_FMT, QFormat
 
 from reference import mute_mask
@@ -178,6 +181,45 @@ def test_arithmetic_rejects_non_physical_inputs(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# (B, U) with B in 0-300 and U in -1 to B + 1
+_array_shapes = st.integers(0, 300).flatmap(lambda B: st.tuples(st.just(B), st.integers(-1, B + 1)))
+
+
+@given(shape=_array_shapes)
+@example(shape=(64, 16))
+@example(shape=(5, 1))
+@example(shape=(16, 17))
+@example(shape=(0, 0))
+def test_pipeline_refuses_exactly_the_arrays_run_config_refuses(shape):
+    B, U = shape
+    try:
+        RunConfig(B=B, U=U)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as exc:
+            PipelineConfig().cycles(U, 1, B)
+        assert str(exc.value) == str(refused)
+    else:
+        assert PipelineConfig().cycles(U, 1, B) == U + 1 + PipelineConfig().latency(B)
+
+
+def test_pipeline_takes_numpy_integers():
+    # a B or U read off a NumPy array sizes the pipeline as a Python int does
+    assert PipelineConfig().cycles(np.int64(16), 10, np.int32(64)) == 16 + 10 + 4
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: PipelineConfig().latency(8), "B must be a power of 4, got 8"),
+    (lambda: effective_throughput(720e6, 9, 16, 1000, 5), "B must be a power of 4, got 5"),
+    (lambda: simulate_stream(random_weights(np.random.default_rng(0), 17, 16, tau_w=0.1), [],
+                             PipelineConfig(), save_power=True), "U must be in [1, B], got 17"),
+], ids=["latency", "effective_throughput", "simulate_stream"])
+def test_datapath_refuses_arrays_run_config_refuses(call, message):
+    # these returned cycle counts and a throughput for arrays RunConfig refuses
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("argv,lines", [

@@ -9,9 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spadesim.channel import MODES, draw_channel_matrix, save_channel
+from spadesim.channel import bit_errors, draw_channel_matrix, qam_index, save_channel
 from spadesim.cli import _effective, _snr_list
 from spadesim.cli import main as cli_main
+from spadesim.datapath import throughput_bps
+from spadesim.equalizer import MODES, FrontEnd, equalize_block, front_end
 from spadesim.harness import (
     _CHUNK_MATRICES,
     _WAVE_BLOCKS,
@@ -193,6 +195,30 @@ def test_activity_grid_rejects_unknown_mode():
     # any mode but lmmse-spade used to read as full activity
     with pytest.raises(ValueError, match="mode"):
         activity_grid(small_cfg(), "nonsense", 10.0, [0.1], [0.1], draws=1)
+
+
+_MODE_ERROR = "mode must be one of ('lmmse-a', 'lmmse-b', 'lmmse-spade'), got 'zf'"
+_QAM_ERROR = "M must be one of (4, 16, 64, 256), got 8"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: run_ber(small_cfg(), [10.0], "zf"), _MODE_ERROR),
+    (lambda: snr_operating_point(small_cfg(), "zf"), _MODE_ERROR),
+    (lambda: threshold_sweep(small_cfg(), [0.1], [0.1], mode="zf"), _MODE_ERROR),
+    (lambda: activity_grid(small_cfg(), "zf", 10.0, [0.1], [0.1], draws=1), _MODE_ERROR),
+    (lambda: equalize_block("zf", None, None, np.ones(16)), _MODE_ERROR),
+    (lambda: front_end("zf", np.ones(16), FrontEnd()), _MODE_ERROR),
+    (lambda: qam_index(np.zeros((2, 3), dtype=np.uint8), 8), _QAM_ERROR),
+    (lambda: bit_errors(np.zeros(2, dtype=complex), np.zeros(2, dtype=int), 8, 1.0), _QAM_ERROR),
+    (lambda: throughput_bps(720e6, 16, 8), _QAM_ERROR),
+    (lambda: RunConfig(M=8), _QAM_ERROR),
+], ids=["run_ber", "snr_operating_point", "threshold_sweep", "activity_grid", "equalize_block",
+        "front_end", "qam_index", "bit_errors", "throughput_bps", "RunConfig"])
+def test_every_caller_gives_its_setting_owners_message(call, message):
+    # the mode and the QAM order are each checked by one owner that every caller asks
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_probe_cap_below_one_is_rejected(tmp_path, capsys):

@@ -32,7 +32,6 @@ from hypothesis.extra import numpy as hnp
 
 from spadesim.beamspace import TwiddleConfig, _radix4, to_beamspace
 from spadesim.channel import (
-    MODES,
     QAM_ORDERS,
     ChannelMatrix,
     _qam_table,
@@ -47,6 +46,7 @@ from spadesim.cli import _COMMANDS, _OPTIONS, _effective, _parse_bool, build_par
 from spadesim.cli import main as cli_main
 from spadesim.equalizer import (
     _TILE_COLUMNS,
+    MODES,
     BeamVector,
     EqualizerWeights,
     FrontEnd,
