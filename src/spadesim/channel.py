@@ -17,6 +17,8 @@ from math import isqrt, log2
 import numpy as np
 
 QAM_ORDERS = (4, 16, 64, 256)
+# a binary channel dump codes each domain as its index here: antenna 0, beamspace 1
+DOMAINS = ("antenna", "beamspace")
 
 
 def _bits_per_symbol(M: int) -> int:
@@ -28,7 +30,7 @@ def _bits_per_symbol(M: int) -> int:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """B x U channel matrix tagged with its domain ("antenna" or "beamspace")."""
+    """B x U channel matrix tagged with its domain, one of ``DOMAINS``."""
 
     entries: np.ndarray
     domain: str
@@ -37,7 +39,7 @@ class ChannelMatrix:
         entries = np.asarray(self.entries, dtype=np.complex128)
         if entries.ndim != 2:
             raise ValueError("entries must be a 2-D matrix")
-        if self.domain not in ("antenna", "beamspace"):
+        if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
         object.__setattr__(self, "entries", entries)
 
@@ -246,8 +248,6 @@ def synth_receive(H, s, N0: float, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CHNL"
-_DOMAIN_CODE = {"antenna": 0, "beamspace": 1}
-_DOMAIN_NAME = {v: k for k, v in _DOMAIN_CODE.items()}
 
 
 def save_channel(path: str, cm: ChannelMatrix, fmt: str = "csv") -> None:
@@ -263,7 +263,7 @@ def save_channel(path: str, cm: ChannelMatrix, fmt: str = "csv") -> None:
     elif fmt == "bin":
         with open(path, "wb") as f:
             f.write(_MAGIC)
-            f.write(struct.pack("<BII", _DOMAIN_CODE[cm.domain], cm.B, cm.U))
+            f.write(struct.pack("<BII", DOMAINS.index(cm.domain), cm.B, cm.U))
             interleaved = np.empty(2 * flat.size, dtype="<f8")
             interleaved[0::2] = flat.real
             interleaved[1::2] = flat.imag
@@ -290,7 +290,7 @@ def load_channel(path: str) -> ChannelMatrix:
         if len(header) != 9 or len(body) % 16:
             raise ValueError("channel dump truncated")
         code, B, U = struct.unpack("<BII", header)
-        domain = _DOMAIN_NAME.get(code, f"code {code}")
+        domain = DOMAINS[code] if code < len(DOMAINS) else f"code {code}"
         flat = np.frombuffer(body, dtype="<c16").astype(np.complex128)
     else:
         lines = [ln.strip() for ln in data.decode("ascii").splitlines() if ln.strip()]

@@ -39,10 +39,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .beamspace import TwiddleConfig, _is_power_of_4, beamspace_raws, to_beamspace
-from .channel import ChannelMatrix
+from .channel import DOMAINS, ChannelMatrix
 from .numerics import INPUT_FMT, QFormat, quantize_complex
-
-DOMAINS = ("antenna", "beamspace")
 
 _MODE_RULES = {"lmmse-a": ("antenna", False), "lmmse-b": ("beamspace", False),
                "lmmse-spade": ("beamspace", True)}

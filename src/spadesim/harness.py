@@ -32,7 +32,6 @@ import numpy as np
 
 from .beamspace import TwiddleConfig, to_beamspace
 from .channel import (
-    ChannelMatrix,
     _bits_per_symbol,
     _qam_table,
     bit_errors,
@@ -82,13 +81,13 @@ def derive_stream(seed: int, purpose: int, tag: int, index: int) -> np.random.Ge
     """Independent Philox stream keyed by (seed, purpose, tag, index).
 
     The seed fills one 64-bit key word; purpose, tag and index are packed into
-    16, 16 and 32 bits of the other. A value that does not fit would alias
-    another stream, so it raises.
+    16, 16 and 32 bits of the other. A value that does not fit, or a float the
+    key would truncate, would alias another stream, so it raises.
     """
     for name, value, bits in (("seed", seed, 64), ("purpose", purpose, 16), ("tag", tag, 16),
                               ("index", index, 32)):
-        if not 0 <= value < 1 << bits:
-            raise ValueError(f"stream {name} {value} outside [0, 2**{bits})")
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < 1 << bits):
+            raise ValueError(f"stream {name} {value!r} is not an integer in [0, 2**{bits})")
     hi = (purpose << 48) | (tag << 32) | index
     key = np.array([seed, hi], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -106,9 +105,13 @@ class StopRule:
             raise ValueError("target_errors and max_vectors must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a simulation run needs besides the mode and the SNR list."""
+    """Everything a simulation run needs besides the mode and the SNR list.
+
+    Frozen: every setting, the channel file's matrix included, is read and
+    checked once, when the config is made.
+    """
 
     B: int = 64
     U: int = 16
@@ -139,13 +142,21 @@ class RunConfig:
             raise ValueError("channel_file needs channel 'file'")
         if self.vectors_per_block < 1 or self.workers < 1:
             raise ValueError("vectors_per_block and workers must be >= 1")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 64):
+            raise ValueError(f"seed {self.seed!r} is not an integer in [0, 2**64)")
         for name, fmt in (("tau_w", self.weight_fmt), ("tau_y", self.input_fmt)):
             try:
                 _threshold_raw(getattr(self, name), fmt if self.quantized else None)
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
+        fixed = None
+        if self.channel == "file":
+            fixed = load_channel(self.channel_file)
+            if fixed.domain != "antenna":
+                raise ValueError("channel file must contain an antenna-domain matrix")
+            if fixed.B != self.B or fixed.U != self.U:
+                raise ValueError(f"channel file is {fixed.B}x{fixed.U}, config wants {self.B}x{self.U}")
+        object.__setattr__(self, "_fixed_channel", fixed)
 
     @property
     def bits_per_symbol(self) -> int:
@@ -191,22 +202,10 @@ class SweepRecord:
     pareto: bool = False
 
 
-def _load_fixed_channel(cfg: RunConfig) -> ChannelMatrix | None:
-    if cfg.channel != "file":
-        return None
-    cm = load_channel(cfg.channel_file)
-    if cm.domain != "antenna":
-        raise ValueError("channel file must contain an antenna-domain matrix")
-    if cm.B != cfg.B or cm.U != cfg.U:
-        raise ValueError(f"channel file is {cm.B}x{cm.U}, config wants {cfg.B}x{cfg.U}")
-    return cm
-
-
-def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors: int,
-           H_fixed: ChannelMatrix | None, n0s: list):
+def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors: int, n0s: list):
     """Coherence blocks ``indices``, D of them, each at S SNRs: (sent, weights, x).
 
-    Each block draws its channel (unless ``H_fixed``), its bits, kept as the
+    Each block draws its channel (unless from a file), its bits, kept as the
     (U, N) symbol indices they select, and the real and imaginary parts of
     its unit-variance noise from its own stream, in that order; ``sent``
     stacks them, (D, U, N). The D blocks are then finished as one stack: in
@@ -227,9 +226,10 @@ def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors
     y_bar = np.empty((D, B, n_vectors), dtype=np.complex128)
     noise_re = np.empty((D, B, n_vectors))
     noise_im = np.empty((D, B, n_vectors))
+    fixed = cfg._fixed_channel
     for d, index in enumerate(indices):
         rng = derive_stream(cfg.seed, purpose, tag, index)
-        H[d] = (H_fixed if H_fixed is not None
+        H[d] = (fixed if fixed is not None
                 else draw_channel_matrix(cfg.channel, B, U, rng)).entries
         bits = rng.integers(0, 2, size=(U, n_vectors, cfg.bits_per_symbol), dtype=np.uint8)
         sent[d] = qam_index(bits, cfg.M)
@@ -284,7 +284,7 @@ def _block_map(workers: int):
 
 
 def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, cap: int,
-              done, H_fixed: ChannelMatrix | None, block_map) -> list[SnrPoint]:
+              done, block_map) -> list[SnrPoint]:
     """Simulate points on shared blocks until each is done or cap vectors are spent.
 
     ``points`` holds one (n0, tau_w, tau_y) per point. Every point runs the
@@ -314,7 +314,7 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
 
         def run(args, groups=groups):
             block_idx, n = args
-            (sent,), w, x = _block(cfg, mode, purpose, tag, [block_idx], n, H_fixed, list(groups))
+            (sent,), w, x = _block(cfg, mode, purpose, tag, [block_idx], n, list(groups))
             w = w[0]
             scored = {}
             for s, group in enumerate(groups.values()):
@@ -369,13 +369,12 @@ def run_ber(config: RunConfig, snr_list_db, mode: str, stop: StopRule | None = N
         raise ValueError(f"SNR list has {len(snr_list)} points, more than {MAX_SNR_POINTS}")
     n0s = [_n0_for_snr(config, snr_db) for snr_db in snr_list]
     stop = stop or StopRule()
-    H_fixed = _load_fixed_channel(config)
     points = []
     with _block_map(config.workers) as block_map:
         for i, (snr_db, n0) in enumerate(zip(snr_list, n0s)):
             [pt] = _simulate(config, mode, _P_BER, i, [(n0, config.tau_w, config.tau_y)],
                              stop.max_vectors, lambda errors, _: errors >= stop.target_errors,
-                             H_fixed, block_map)
+                             block_map)
             pt.snr_db = snr_db
             points.append(pt)
     return RunReport(config=config, mode=mode, points=points)
@@ -416,8 +415,8 @@ def _bisection():
     return hi
 
 
-def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, probe_cap: int,
-                      H_fixed: ChannelMatrix | None) -> list[tuple[float | None, list]]:
+def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float,
+                      probe_cap: int) -> list[tuple[float | None, list]]:
     """Bisect every threshold pair's operating point in lockstep.
 
     Probe k of every pair uses stream tag k, so round k probes all pairs still
@@ -445,7 +444,7 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float, pro
             order = list(pending)
             probed = _simulate(cfg, mode, _P_PROBE, tag,
                                [(_n0_for_snr(cfg, pending[i]), *pairs[i]) for i in order],
-                               probe_cap, decided, H_fixed, block_map)
+                               probe_cap, decided, block_map)
             for i, pt in zip(order, probed):
                 # the Wilson interval holds the estimate, so a decided probe's
                 # side is the estimate's side too
@@ -464,7 +463,7 @@ def snr_operating_point(config: RunConfig, mode: str, target_ber: float = 0.01,
                         probe_cap: int = 200_000, curve: list | None = None) -> float | None:
     """Minimum SNR reaching the target BER, or None when unreached in range."""
     [(op, probes)] = _operating_points(config, mode, [(config.tau_w, config.tau_y)], target_ber,
-                                       probe_cap, _load_fixed_channel(config))
+                                       probe_cap)
     if curve is not None:
         curve.extend(probes)
     return op
@@ -500,14 +499,13 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     tau_w_grid = [float(t) for t in tau_w_grid]
     tau_y_grid = [float(t) for t in tau_y_grid]
     cells = [(snr_db, tw, ty) for tw in tau_w_grid for ty in tau_y_grid]
-    rates = _activity_rates(config, mode, cells, draws, vectors_per_draw,
-                            _load_fixed_channel(config))
+    rates = _activity_rates(config, mode, cells, draws, vectors_per_draw)
     rates = rates.reshape(len(tau_w_grid), len(tau_y_grid), draws)
     return rates if per_draw else rates.mean(axis=2)
 
 
 def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
-                    vectors_per_draw: int, H_fixed: ChannelMatrix | None) -> np.ndarray:
+                    vectors_per_draw: int) -> np.ndarray:
     """Per-draw activity of each (snr_db, tau_w, tau_y) cell, a (cells, draws) array.
 
     A mode that does not skip executes every product. Each draw is drawn
@@ -537,7 +535,7 @@ def _activity_rates(config: RunConfig, mode: str, cells: list, draws: int,
     per_chunk = max(1, _CHUNK_MATRICES // len(n0s))
     for start in range(0, draws, per_chunk):
         chunk = range(start, min(start + per_chunk, draws))
-        _, w, x = _block(config, mode, _P_ACTIVITY, 0, chunk, vectors_per_draw, H_fixed, n0s)
+        _, w, x = _block(config, mode, _P_ACTIVITY, 0, chunk, vectors_per_draw, n0s)
         # (threshold, draw, SNR, column) for the (D, S, U, B) weights and
         # (threshold, column, draw, SNR) for the (B, D, S, N) inputs
         counts = np.einsum("wdsb,ybds->swyd", set_bits(w, tws, 2), set_bits(x, tys, 3))
@@ -563,12 +561,10 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
     """
     _check_draws(activity_draws, vectors_per_draw)
     pairs = [(float(tw), float(ty)) for tw in tau_w_grid for ty in tau_y_grid]
-    H_fixed = _load_fixed_channel(config)
-    searched = _operating_points(config, mode, pairs, target_ber, probe_cap, H_fixed)
+    searched = _operating_points(config, mode, pairs, target_ber, probe_cap)
     cells = [(_SEARCH_HI_DB if op is None else op, tw, ty)
              for (tw, ty), (op, _) in zip(pairs, searched)]
-    activity = _activity_rates(config, mode, cells, activity_draws, vectors_per_draw,
-                               H_fixed).mean(axis=1)
+    activity = _activity_rates(config, mode, cells, activity_draws, vectors_per_draw).mean(axis=1)
     records = [SweepRecord(tau_w=tw, tau_y=ty, mean_activity_rate=float(act),
                            snr_operating_point_db=op, ber_curve=curve)
                for (tw, ty), (op, curve), act in zip(pairs, searched, activity)]

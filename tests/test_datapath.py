@@ -253,6 +253,17 @@ def test_power_proxy_fft_term_and_validation():
         PowerCoeffs(fixed=-0.1, per_activity=1.0, fft_on=0.0)
 
 
+def test_default_power_coeffs_give_the_readme_savings():
+    # README "Default thresholds": 1 - (0.3 + 0.7 a) against lmmse-a at activity 1,
+    # at the default pair's measured activities on LoS and NLoS
+    coeffs = PowerCoeffs()
+    full = power_proxy(fake_report(1.0), coeffs, fft_active=False)
+    assert full == pytest.approx(1.0)
+    for activity, saving in ((0.40, 0.42), (0.55, 0.315)):
+        spade = power_proxy(fake_report(activity), coeffs, fft_active=False)
+        assert 1.0 - spade / full == pytest.approx(saving)
+
+
 def test_power_proxy_saving_bracket_on_los():
     # default coefficients calibrate lmmse-b to the same proxy as lmmse-a
     # (fft term zero, activity 1.0 in both); the saving of the power-saving

@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, closed-form checks, reports, CLI."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spadesim.channel import bit_errors, draw_channel_matrix, qam_index, save_channel
+from spadesim import harness
+from spadesim.channel import (
+    ChannelMatrix,
+    bit_errors,
+    draw_channel_matrix,
+    load_channel,
+    qam_index,
+    save_channel,
+)
 from spadesim.cli import _effective, _snr_list
 from spadesim.cli import main as cli_main
 from spadesim.datapath import throughput_bps
@@ -57,13 +66,20 @@ def test_derive_stream_rejects_fields_that_would_alias():
     for purpose, tag, index in [(1, 65536, 0), (1, 0, 2**32), (65536, 0, 0), (1, -1, 0), (1, 0, -1)]:
         with pytest.raises(ValueError):
             derive_stream(9, purpose, tag, index)
+    # the key would truncate a float seed to another seed's stream
+    for seed in (1.5, np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"stream seed .* is not an integer in \[0, 2\*\*64\)"):
+            derive_stream(seed, 1, 0, 0)
+    assert np.array_equal(derive_stream(np.uint64(9), 1, 0, 0).standard_normal(2),
+                          derive_stream(9, 1, 0, 0).standard_normal(2))
 
 
 def test_seed_outside_64_bits_is_rejected(capsys):
     # masking would run -1 as 2**64-1 and 2**64 as 0
     assert np.array_equal(derive_stream(2**64 - 1, 1, 0, 0).standard_normal(2),
                           derive_stream(2**64 - 1, 1, 0, 0).standard_normal(2))
-    for seed in (-1, 2**64):
+    # a float seed would run as the integer below it
+    for seed in (-1, 2**64, 1.5, np.float64(1.0)):
         with pytest.raises(ValueError, match="seed"):
             derive_stream(seed, 1, 0, 0)
         with pytest.raises(ValueError, match="seed"):
@@ -72,7 +88,10 @@ def test_seed_outside_64_bits_is_rejected(capsys):
                          "--snr-stop", "0", "--max-vectors", "10", "--seed", str(seed)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: seed") and err.count("\n") == 1
+        # --seed parses with int, so a float never reaches RunConfig
+        prefix = "error: seed" if isinstance(seed, int) else "error: --seed"
+        assert err.startswith(prefix) and err.count("\n") == 1
+    assert small_cfg(seed=np.int64(3)) == small_cfg(seed=3)
 
 
 def test_run_ber_deterministic_across_worker_counts():
@@ -259,9 +278,47 @@ def test_channel_file_injection(tmp_path):
     cfg = small_cfg(channel="file", channel_file=path)
     rep = run_ber(cfg, [10.0], "lmmse-b", StopRule(target_errors=50, max_vectors=500))
     assert rep.points[0].trials == 500
-    bad = small_cfg(B=64, U=16, M=16, channel="file", channel_file=path)
-    with pytest.raises(ValueError, match="channel file"):
-        run_ber(bad, [10.0], "lmmse-b", StopRule(max_vectors=100))
+    with pytest.raises(ValueError, match="channel file is 16x4, config wants 64x16"):
+        small_cfg(B=64, U=16, M=16, channel="file", channel_file=path)
+
+
+def test_bad_channel_file_is_refused_when_the_config_is_made(tmp_path, capsys):
+    cm = draw_channel_matrix("los", 16, 4, np.random.default_rng(71))
+    wrong_shape, beamspace = str(tmp_path / "wrong.bin"), str(tmp_path / "beam.bin")
+    save_channel(wrong_shape, ChannelMatrix(cm.entries[:, :3], "antenna"), "bin")
+    save_channel(beamspace, ChannelMatrix(cm.entries, "beamspace"), "bin")
+    for path, message in ((wrong_shape, "channel file is 16x3, config wants 16x4"),
+                          (beamspace, "channel file must contain an antenna-domain matrix")):
+        with pytest.raises(ValueError, match=message):
+            small_cfg(channel="file", channel_file=path)
+        code = cli_main(["ber", "--b", "16", "--u", "4", "--mod", "4", "--max-vectors", "10",
+                         "--channel", "file", "--channel-file", path, "--out", "-"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_run_config_is_frozen():
+    cfg = small_cfg()
+    # an assignment would skip the checks made when the config is made
+    for name, value in (("B", 5), ("seed", 2), ("channel_file", "chan.bin")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg == small_cfg()
+
+
+def test_channel_file_is_read_once_per_config(tmp_path, monkeypatch):
+    path = str(tmp_path / "chan.bin")
+    save_channel(path, draw_channel_matrix("los", 16, 2, np.random.default_rng(3)), "bin")
+    reads = []
+    monkeypatch.setattr(harness, "load_channel", lambda p: reads.append(p) or load_channel(p))
+    cfg = small_cfg(U=2, channel="file", channel_file=path, vectors_per_block=20)
+    run_ber(cfg, [10.0], "lmmse-spade", StopRule(max_vectors=20))
+    snr_operating_point(cfg, "lmmse-spade", probe_cap=20)
+    for _ in range(2):
+        activity_grid(cfg, "lmmse-spade", 10.0, [0.1], [0.1], draws=2)
+    threshold_sweep(cfg, [0.1], [0.1], activity_draws=2, probe_cap=20)
+    assert reads == [path]
 
 
 def test_channel_file_without_file_channel_is_rejected(capsys):
@@ -347,7 +404,7 @@ def test_chunked_activity_matches_one_draw_at_a_time(snrs, draws):
     draws = {"1": 1, "cap": per_chunk, "cap+1": per_chunk + 1}[draws]
     cfg = small_cfg(U=2)
     cells = [(snr, tw, ty) for snr in snrs for tw in (0.0, 0.05, 0.3) for ty in (0.1, 0.5)]
-    got = _activity_rates(cfg, "lmmse-spade", cells, draws, 2, None)
+    got = _activity_rates(cfg, "lmmse-spade", cells, draws, 2)
     assert got.tobytes() == activity_rates_per_draw(cfg, cells, draws, 2).tobytes()
 
 

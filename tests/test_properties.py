@@ -41,6 +41,7 @@ from spadesim.channel import (
     qam_index,
     qam_modulate,
     qam_scale,
+    save_channel,
 )
 from spadesim.cli import _COMMANDS, _OPTIONS, _effective, _parse_bool, build_parser
 from spadesim.cli import main as cli_main
@@ -410,11 +411,15 @@ def test_receive_matches_complex_noise(cfg, from_file, first, k, n, mode, n0s):
         rng = np.random.default_rng(first)
         H_fixed = ChannelMatrix(rng.standard_normal((cfg.B, cfg.U))
                                 + 1j * rng.standard_normal((cfg.B, cfg.U)), "antenna")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "chan.bin")
+            save_channel(path, H_fixed, "bin")  # the binary dump round-trips exactly
+            cfg = replace(cfg, channel="file", channel_file=path)
     indices = range(first, first + k)
-    sent, w, x = _block(cfg, mode, 1, 0, indices, n, H_fixed, n0s)
+    sent, w, x = _block(cfg, mode, 1, 0, indices, n, n0s)
     assert sent.shape == (k, cfg.U, n) and x.re.shape == (cfg.B, k, len(n0s), n)
     for d, index in enumerate(indices):
-        (one_sent,), one_w, one_x = _block(cfg, mode, 1, 0, [index], n, H_fixed, n0s)
+        (one_sent,), one_w, one_x = _block(cfg, mode, 1, 0, [index], n, n0s)
         ref_sent, ref_w, ref_x = block_complex(cfg, mode, 1, 0, index, n, n0s, H_fixed)
         assert sent[d].tobytes() == one_sent.tobytes() == ref_sent.tobytes()
         for s, ws in enumerate(ref_w):
