@@ -66,15 +66,19 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
     if vectors:
-        first = vectors[0]
-        shape, fmt, tau_y = first.re.shape, first.fmt, first.tau_y
-        if len(shape) != 1 or any(x.re.shape != shape or x.tau_y != tau_y
-                                  or (x.fmt is not fmt and x.fmt != fmt) for x in vectors):
-            raise ValueError("stream vectors must be 1-D and share one length and input format"
-                             " and one tau_y")
-        # one (N, B) copy per component, viewed as the (B, N) block
-        block = BeamVector(re=np.moveaxis(np.array([x.re for x in vectors]), 0, 1),
-                           im=np.moveaxis(np.array([x.im for x in vectors]), 0, 1),
+        fmt, tau_y = vectors[0].fmt, vectors[0].tau_y
+        mixed = "stream vectors must be 1-D and share one length and input format and one tau_y"
+        if any(x.tau_y != tau_y or (x.fmt is not fmt and x.fmt != fmt) for x in vectors):
+            raise ValueError(mixed)
+        # one (N, B) copy per component, viewed as the (B, N) block; stacking
+        # ragged shapes raises, and only 1-D vectors of one length stack to 2-D
+        try:
+            re, im = np.array([x.re for x in vectors]), np.array([x.im for x in vectors])
+        except ValueError as exc:
+            raise ValueError(mixed) from exc
+        if re.ndim != 2:
+            raise ValueError(mixed)
+        block = BeamVector(re=np.moveaxis(re, 0, 1), im=np.moveaxis(im, 0, 1),
                            fmt=fmt, tau_y=tau_y)
         S, per_vector = equalize_tagged(weights, block, save_power, gain=gain)
     else:

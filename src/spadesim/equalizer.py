@@ -21,9 +21,14 @@ independent of summation order. A width guard enforces that precondition.
 The same exactness lets :func:`equalize_pairs` score a long quantized block
 in column tiles of ``_TILE_COLUMNS``, each pass over a tile staying in cache
 and writing its columns of the outputs in place, with the bytes of one pass
-over the whole block. Unquantized raws are scored
-as one tile: OpenBLAS rounds a float product's columns differently with the
-width of the call.
+over the whole block, and multiply a (k, 2, U, B) stack of quantized weights
+as one 2-D (k*2U, B) GEMM. Unquantized raws are scored as one tile, each
+(U, B) matrix its own call: OpenBLAS rounds a float product's columns
+differently with the width of the call, and its rows with the row count.
+Estimates are descaled by multiplying each part by ``vs / (alpha * gain)``
+(``vs`` the power of two that turns raw products into values), which has the
+bytes of dividing the complex accumulator by the real ``alpha * gain``: NumPy
+computes that division as a multiply by the reciprocal.
 
 The input front end (gain, radix-4 transform, input quantization) computes
 its raws as one GEMM whose rounding is certified against the radix-4's, so
@@ -251,7 +256,9 @@ def tag_input(y_raw: np.ndarray, tau_y: float, fmt: QFormat | None) -> BeamVecto
 
 
 def _check_accumulator(wfmt: QFormat, yfmt: QFormat, B: int) -> None:
-    # products are < 2**(wt+yt-2); B-term sums must stay float64-exact
+    # products are <= 2**(wt+yt-2) in magnitude (min_raw * min_raw reaches it);
+    # B-term sums must stay float64-exact. Every GEMM of equalize_pairs sums
+    # over K = B terms, however many rows it stacks.
     bits = wfmt.total_bits + yfmt.total_bits - 2 + max(B - 1, 1).bit_length()
     if bits > 52:
         raise ValueError("formats too wide for exact accumulation")
@@ -309,41 +316,58 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     n = yre.shape[1]
     products = 4 * wre.size
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
-    scale = weights.alpha[:, None] * gain
+    # An estimate is acc * vs / (alpha * gain). NumPy divides a complex number
+    # by a real s as (x + y*0) * (1/s), and vs is a power of two, so
+    # multiplying each part of acc by coef gives the bytes of that division.
+    coef = vs * (1.0 / (weights.alpha * gain))[:, None]
     out = [(np.empty((len(indices), weights.U, n), dtype=np.complex128),
             np.full((len(indices), n), products, dtype=np.int64)) for indices in groups.values()]
-    # Quantized raws are integers below 2**52, so every tiling gives the same
-    # bytes. Float raws stay one tile (none if the block is empty): OpenBLAS
-    # rounds a narrower last tile's columns differently (1024-column tiles
-    # changed float64 GEMM bytes in 39 of 300 random (U, B, N > 1024) shapes,
-    # always in the last tile).
-    step = _TILE_COLUMNS if weights.fmt is not None else n + 1
+    # Quantized raws are integers below 2**52, so every tiling and every
+    # grouping of rows gives the same bytes: a block is scored in column tiles
+    # and each (..., U, B) stack of matrices is one 2-D GEMM. Float raws are
+    # scored as one tile (none if the block is empty), each matrix its own
+    # (U, B) @ (B, N) call, as a stacked matmul makes it: OpenBLAS rounds a
+    # narrower last tile's columns differently (1024-column tiles changed
+    # float64 GEMM bytes in 39 of 300 random (U, B, N > 1024) shapes), and a
+    # matrix's rows differently with the row count ([a; b] @ c changed a's or
+    # b's bytes in 102 of 300 random shapes, the stacked matmul in none).
+    quantized = weights.fmt is not None
+    step = _TILE_COLUMNS if quantized else n + 1
+
+    def product(w, v):  # (..., U, B) @ (B, N)
+        if quantized:
+            return (w.reshape(-1, w.shape[-1]) @ v).reshape(*w.shape[:-1], v.shape[1])
+        return w @ v
+
+    w_full = np.stack((wre, wim))
     for a in range(0, n, step):
         cols = slice(a, a + step)
         y = yre[:, cols], yim[:, cols]
-        full_re, full_im = wre @ y[0] - wim @ y[1], wre @ y[1] + wim @ y[0]
+        p_re, p_im = product(w_full, y[0]), product(w_full, y[1])  # [wre; wim] @ yre, @ yim
+        full_re, full_im = p_re[0] - p_im[1], p_im[0] + p_re[1]
         for (tau_y, indices), (S, executed) in zip(groups.items(), out):
             acc_re, acc_im = full_re, full_im
             if save_power:
                 # Skip masks are separable (weight bit AND input bit): the
                 # skipped part of each sum is a product of masked factors, and
                 # a vector's skipped count the dot of the per-column counts.
-                # Each matrix of the (k, 2, U, B) stack is its own (U, B) @
-                # (B, N) call, so unquantized raws give the bytes of a lone
-                # matrix too. The stack is built one group at a time: stacking
-                # every group's up front made 16 pairs in 4 groups of a
-                # 64x100 block about 12% slower.
+                # The stack is built one group at a time: stacking every
+                # group's up front made 16 pairs in 4 groups of a 64x100
+                # block about 12% slower.
                 parts = [w_skip[taus[i][0]] for i in indices]
                 wm, w_counts = parts[0] if len(indices) == 1 else tuple(
                     map(np.concatenate, zip(*parts)))
                 ym, y_counts = _skippable(y, [_comparison_bits(v, tau_y, x.fmt) for v in y])
-                by_re = wm @ ym[0]  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re, per matrix
-                by_im = wm @ ym[1]
-                acc_re = full_re - by_re[:, 0] + by_im[:, 1]
-                acc_im = full_im - by_im[:, 0] - by_re[:, 1]
-                del by_re, by_im  # before the descale's temporaries
+                by_re = product(wm, ym[0])  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re
+                by_im = product(wm, ym[1])
+                acc_re = full_re - by_re[:, 0]
+                acc_re += by_im[:, 1]
+                acc_im = full_im - by_im[:, 0]
+                acc_im -= by_re[:, 1]
                 executed[:, cols] = products - w_counts @ y_counts
-            np.divide((acc_re + 1j * acc_im) * vs, scale, out=S[:, :, cols])
+            tile = S[:, :, cols]
+            np.multiply(acc_re, coef, out=tile.real)
+            np.multiply(acc_im, coef, out=tile.imag)
     shape = x.re.shape[1:]
     return [(indices, S.reshape((len(indices), weights.U, *shape)),
              executed.reshape((len(indices), *shape)))

@@ -179,30 +179,37 @@ def test_stacked_preprocessing_matches_per_matrix(B, U, D, S, quantized, seed):
                 assert getattr(stacked[d][s], name).tobytes() == getattr(one, name).tobytes()
 
 
+def _edge_formats(B, data):
+    """Weight and input formats exactly at the width _check_accumulator allows."""
+    budget = 54 - max(B - 1, 1).bit_length()  # wt + yt with the bound's bit count at 52
+    wt = data.draw(st.integers(budget - 32, 32))
+    yt = budget - wt
+    return QFormat(wt, wt - 1), QFormat(yt, data.draw(st.integers(0, yt - 1)))
+
+
+def _edge_raws(rng, kind, fmt, shape):
+    """Integer raws of ``fmt``: uniform, or only its two extremes."""
+    if kind == "random":
+        return rng.integers(fmt.min_raw, fmt.max_raw, size=shape, endpoint=True)
+    return rng.choice(np.array([fmt.min_raw, fmt.max_raw]), size=shape)
+
+
 @PROPS
 @given(B=st.sampled_from((1, 4, 16, 64, 256)), data=st.data())
 def test_accumulator_bound_is_tight(B, data):
     # formats exactly at the width _check_accumulator allows: every sum must
     # still be float64-exact, and one bit more must be refused
-    budget = 54 - max(B - 1, 1).bit_length()  # wt + yt with the bound's bit count at 52
-    wt = data.draw(st.integers(budget - 32, 32))
-    yt = budget - wt
-    wfmt, yfmt = QFormat(wt, wt - 1), QFormat(yt, data.draw(st.integers(0, yt - 1)))
+    wfmt, yfmt = _edge_formats(B, data)
     U = data.draw(st.integers(1, 3))
     kind = data.draw(st.sampled_from(("peak", "extremes", "random")))
     save_power = data.draw(st.booleans())
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-
-    def raws(fmt, shape):
-        if kind == "random":
-            return rng.integers(fmt.min_raw, fmt.max_raw, size=shape, endpoint=True)
-        return rng.choice(np.array([fmt.min_raw, fmt.max_raw]), size=shape)
-
     if kind == "peak":  # the largest real part: every term min*min - min*max
         wre = wim = np.full((U, B), wfmt.min_raw)
         yre, yim = np.full(B, yfmt.min_raw), np.full(B, yfmt.max_raw)
     else:
-        wre, wim, yre, yim = raws(wfmt, (U, B)), raws(wfmt, (U, B)), raws(yfmt, B), raws(yfmt, B)
+        wre, wim = (_edge_raws(rng, kind, wfmt, (U, B)) for _ in range(2))
+        yre, yim = (_edge_raws(rng, kind, yfmt, B) for _ in range(2))
     # the comparison bits follow from the thresholds: a raw threshold of 0 sets
     # none, |min_raw| all but the min_raw entries, |min_raw| + 1 all of them
     kw, ky = (data.draw(st.sampled_from((0, -fmt.min_raw, 1 - fmt.min_raw))) for fmt in (wfmt, yfmt))
@@ -223,12 +230,54 @@ def test_accumulator_bound_is_tight(B, data):
         total += ref_exec
     assert executed == total
     # one bit wider, on whichever operand still fits a QFormat
-    if yt < 32:
-        x = replace(x, fmt=QFormat(yt + 1, yfmt.frac_bits))
+    if yfmt.total_bits < 32:
+        x = replace(x, fmt=QFormat(yfmt.total_bits + 1, yfmt.frac_bits))
     else:
-        w = replace(w, fmt=QFormat(wt + 1, wt - 1))
+        w = replace(w, fmt=QFormat(wfmt.total_bits + 1, wfmt.frac_bits))
     with pytest.raises(ValueError, match="too wide"):
         equalize_tagged(w, x, save_power)
+
+
+@PROPS
+@given(B=st.sampled_from((1, 4, 16, 64, 256)), data=st.data())
+def test_accumulator_bound_holds_in_stacked_products(B, data):
+    # the edge formats on a (B, n) block of float64 raws, the kernel's type,
+    # with 2-4 pairs in one tau_y group: the group's weight stack is one
+    # (k*2U, B) GEMM, and every sum of it must still be float64-exact
+    wfmt, yfmt = _edge_formats(B, data)
+    U, n, k = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (2, 4), (2, 4)))
+    kind = data.draw(st.sampled_from(("peak", "extremes", "random")))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "peak":  # the largest real parts, summed whole when every bit is set
+        wre = wim = np.full((U, B), wfmt.min_raw)
+        yre, yim = np.full((B, n), yfmt.min_raw), np.full((B, n), yfmt.max_raw)
+    else:
+        wre, wim = (_edge_raws(rng, kind, wfmt, (U, B)) for _ in range(2))
+        yre, yim = (_edge_raws(rng, kind, yfmt, (B, n)) for _ in range(2))
+    kws = data.draw(st.lists(st.sampled_from((0, -wfmt.min_raw, 1 - wfmt.min_raw)),
+                             min_size=k, max_size=k))
+    ky = data.draw(st.sampled_from((0, -yfmt.min_raw, 1 - yfmt.min_raw)))
+    w = EqualizerWeights(re=wre.astype(np.float64), im=wim.astype(np.float64), fmt=wfmt,
+                         alpha=np.ones(U), tau_w=kws[0] / wfmt.scale, domain="beamspace")
+    x = BeamVector(re=yre.astype(np.float64), im=yim.astype(np.float64), fmt=yfmt,
+                   tau_y=ky / yfmt.scale)
+    pairs = [(kw / wfmt.scale, x.tau_y) for kw in kws]
+    [(indices, S, executed)] = equalize_pairs(w, x, pairs, True)
+    assert indices == list(range(k))
+    scale = wfmt.scale * yfmt.scale
+    cy_re, cy_im = np.abs(yre) < ky, np.abs(yim) < ky
+    for j, kw in enumerate(kws):
+        cw_re, cw_im = np.abs(wre) < kw, np.abs(wim) < kw
+        for c in range(n):
+            total = 0
+            for u in range(U):
+                acc_re, acc_im, ref_exec = naive_dotp(
+                    wre[u].tolist(), wim[u].tolist(), cw_re[u].tolist(), cw_im[u].tolist(),
+                    yre[:, c].tolist(), yim[:, c].tolist(), cy_re[:, c].tolist(),
+                    cy_im[:, c].tolist(), True)
+                assert S[j, u, c] == complex(acc_re / scale, acc_im / scale)
+                total += ref_exec
+            assert executed[j, c] == total
 
 
 @st.composite
@@ -286,8 +335,8 @@ def tile_edge_setups(draw):
     """Weights and a tagged vector or block of 1, T - 1, T, T + 1 or 2T + r columns.
 
     T is the kernel's tile width. The block is C- or F-ordered (the stream
-    stacks its vectors as an F-ordered block); 1 to 8 pairs fall on 1 to 3
-    distinct tau_y.
+    stacks its vectors as an F-ordered block); 1 to 16 pairs (as many as a
+    4x4 sweep scores in one call) fall on 1 to 3 distinct tau_y.
     """
     T = _TILE_COLUMNS
     B = draw(st.sampled_from((1, 4, 16)))
@@ -308,7 +357,7 @@ def tile_edge_setups(draw):
     # often one group sits at the input's own tau_y, where its cached bits are read
     x = tag_input(draw(st.sampled_from((0.1, 1.0, 4.0))) * Y,
                   draw(st.one_of(st.sampled_from(tys), taus)), INPUT_FMT if quantized else None)
-    pairs = draw(st.lists(st.tuples(taus, st.sampled_from(tys)), min_size=1, max_size=8))
+    pairs = draw(st.lists(st.tuples(taus, st.sampled_from(tys)), min_size=1, max_size=16))
     return w, x, pairs, draw(st.booleans()), draw(st.sampled_from((1.0, 0.25)))
 
 
