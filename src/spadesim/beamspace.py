@@ -6,6 +6,12 @@ fully-unrolled radix-4 decimation-in-time FFT whose twiddle factors are
 rounded to a low-resolution fixed-point format; the radix-4 butterfly factors
 (+-1, +-j) stay exact, as they cost no multiplier in hardware.
 
+Columns are independent, so :func:`to_beamspace` runs the radix-4 on a wide
+block ``_TILE_COLUMNS`` columns at a time, each tile's butterfly passes
+staying in cache, and writes each scaled tile into one preallocated C-ordered
+output: the bytes of one pass over the whole block, with temporaries of a few
+tiles instead of a few blocks.
+
 :func:`beamspace_raws` gives the quantized path's input raws directly: the
 radix-4 cached as a matrix, one GEMM, and a rounding certificate that sends
 any column it cannot vouch for back through the radix-4, so the raws are
@@ -20,6 +26,16 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import TWIDDLE_FMT, QFormat, dequantize, quantize_complex
+
+
+# Columns of a block that a wide-block pass works on at once, here and in
+# equalizer.equalize_pairs: a 64-row complex tile takes 1 MB and a float64
+# pass over it 0.5 MB, within a core's L2 cache. On a 64x10000 stream the
+# masked product ran within one width's run-to-run spread at 256 to 2048
+# columns and a little slower at 4096 (BENCH_kernel_tiles.json); the radix-4
+# took 22 ms at 512 to 1024 columns, 25 ms at 2048, 29 ms at 256 and 34 ms at
+# 4096, against 32-40 ms untiled (BENCH_wide_tiles.json).
+_TILE_COLUMNS = 1024
 
 
 def _is_power_of_4(n: int) -> bool:
@@ -126,7 +142,7 @@ def _raw_transform(n: int, fmt: QFormat, frac_bits: int):
 
 def _radix4_raws(z: np.ndarray, fmt: QFormat, input_fmt: QFormat):
     """Input raws the stage-by-stage way: radix-4, 1/sqrt(B), then quantize."""
-    return quantize_complex(_radix4(z, fmt) / np.sqrt(z.shape[0]), input_fmt)
+    return quantize_complex(to_beamspace(z, TwiddleConfig(False, fmt)), input_fmt)
 
 
 def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):
@@ -203,7 +219,9 @@ def to_beamspace(y: np.ndarray, cfg: TwiddleConfig = TwiddleConfig()) -> np.ndar
     Accepts shape (B,) or (B, ...). Exact mode matches ``F @ y`` with the unitary
     DFT matrix F[m, n] = e^{-j 2 pi m n / B} / sqrt(B) to machine precision;
     quantized mode runs the radix-4 FFT with rounded twiddles and requires B
-    to be a power of 4. Both scale by 1/sqrt(B).
+    to be a power of 4. Both scale by 1/sqrt(B). The radix-4 returns a
+    C-ordered complex array, computed ``_TILE_COLUMNS`` columns of the
+    flattened (B, -1) block at a time.
     """
     y = np.asarray(y)
     B = y.shape[0]
@@ -211,4 +229,9 @@ def to_beamspace(y: np.ndarray, cfg: TwiddleConfig = TwiddleConfig()) -> np.ndar
         return np.fft.fft(y, axis=0) / np.sqrt(B)
     if not _is_power_of_4(B):
         raise ValueError(f"radix-4 transform needs a power-of-4 length, got {B}")
-    return _radix4(y, cfg.twiddle_fmt) / np.sqrt(B)
+    z = y.reshape(B, -1)
+    out = np.empty(z.shape, dtype=np.complex128)
+    for a in range(0, z.shape[1], _TILE_COLUMNS):
+        cols = slice(a, a + _TILE_COLUMNS)
+        np.divide(_radix4(z[:, cols], cfg.twiddle_fmt), np.sqrt(B), out=out[:, cols])
+    return out.reshape(y.shape)

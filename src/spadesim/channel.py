@@ -232,15 +232,32 @@ def synth_receive(H, s, N0: float, rng: np.random.Generator) -> np.ndarray:
     """Noisy antenna-domain receive vector(s): H s plus complex Gaussian noise.
 
     Noise components are circularly symmetric with total variance N0 (so N0/2
-    per real dimension). ``s`` may be (U,) or (U, N) for a block.
+    per real dimension). ``s`` may be (U,) or (U, N) for a block. N0 must be
+    finite and at least 0, else ``ValueError``; N0 = 0 (or -0.0) returns the
+    noise-free H s and draws nothing.
+
+    The generator draws the real parts of the noise, then the imaginary
+    parts, into one real buffer; each part is scaled by sqrt(N0/2) and added
+    into its part of H s in place. That gives the bytes of ``H s + (re + 1j *
+    im) * sqrt(N0/2)`` (see ``harness._block``), with one real temporary of
+    half the output's size where the complex noise took three of its size.
     """
+    if not (np.isfinite(N0) and N0 >= 0.0):
+        raise ValueError(f"N0 must be finite and >= 0, got {N0}")
     Hm = H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
     s = np.asarray(s)
     clean = Hm @ s
     if N0 == 0.0:
         return clean
-    noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
-    return clean + noise * np.sqrt(N0 / 2.0)
+    y = clean.astype(np.complex128, copy=False)
+    sigma = np.sqrt(N0 / 2.0)
+    part = rng.standard_normal(y.shape)
+    part *= sigma
+    y.real += part
+    rng.standard_normal(out=part)
+    part *= sigma
+    y.imag += part
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ Weights and inputs hold their integer raws as float64 (see
 intermediate is an integer below 2**52, so the results are bit-exact and
 independent of summation order. A width guard enforces that precondition.
 The same exactness lets :func:`equalize_pairs` score a long quantized block
-in column tiles of ``_TILE_COLUMNS``, each pass over a tile staying in cache
-and writing its columns of the outputs in place, with the bytes of one pass
-over the whole block, and multiply a (k, 2, U, B) stack of quantized weights
-as one 2-D (k*2U, B) GEMM. Unquantized raws are scored as one tile, each
-(U, B) matrix its own call: OpenBLAS rounds a float product's columns
-differently with the width of the call, and its rows with the row count.
+in column tiles of ``beamspace._TILE_COLUMNS`` (the radix-4's tile width
+too), each pass over a tile staying in cache and writing its columns of the
+outputs in place, with the bytes of one pass over the whole block, and
+multiply a (k, 2, U, B) stack of quantized weights as one 2-D (k*2U, B)
+GEMM. Unquantized raws are scored as one tile, each (U, B) matrix its own
+call: OpenBLAS rounds a float product's columns differently with the width
+of the call, and its rows with the row count.
 Estimates are descaled by multiplying each part by ``vs / (alpha * gain)``
 (``vs`` the power of two that turns raw products into values), which has the
 bytes of dividing the complex accumulator by the real ``alpha * gain``: NumPy
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamspace import TwiddleConfig, _is_power_of_4, beamspace_raws, to_beamspace
+from .beamspace import _TILE_COLUMNS, TwiddleConfig, _is_power_of_4, beamspace_raws, to_beamspace
 from .channel import DOMAINS, ChannelMatrix
 from .numerics import INPUT_FMT, QFormat, quantize_complex
 
@@ -65,13 +66,6 @@ def _check_array(B: int, U: int) -> None:
         raise ValueError(f"B must be a power of 4, got {B}")
     if not 1 <= U <= B:
         raise ValueError(f"U must be in [1, B], got {U}")
-
-
-# Columns of a block scored at once by the masked product: a 64-row tile's
-# float64 pass then takes 0.5 MB and stays in a core's L2 cache. On a 64x10000
-# stream, 256 to 2048 columns ran within one width's run-to-run spread of each
-# other and 4096 a little slower (BENCH_kernel_tiles.json).
-_TILE_COLUMNS = 1024
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Everything here is deliberately naive: scalar loops, Python integers, direct
 formulas. Nothing imports the production kernels it checks.
 ``weights_for_mode`` is a helper, not an oracle: it calls the production
 quantizer and row scaling for tests that check something else.
-``equalize_pairs_untiled`` is the masked product as it was before
-column tiling, kept whole to check the tiled kernel's bytes against.
+``equalize_pairs_untiled`` and ``to_beamspace_untiled`` are the masked
+product and the radix-4 transform as they were before column tiling, kept
+whole to check the tiled kernels' bytes against.
 """
 
 from __future__ import annotations
@@ -232,6 +233,27 @@ def radix4_recursive(x: np.ndarray, twiddle_fmt) -> np.ndarray:
         ],
         axis=0,
     )
+
+
+def to_beamspace_untiled(y: np.ndarray, twiddle_fmt) -> np.ndarray:
+    """The scaled radix-4 of :func:`spadesim.beamspace.to_beamspace`, run on the whole block.
+
+    Every butterfly stage runs once over all of the (B, ...) block's columns,
+    then the result is divided by sqrt(B).
+    """
+    from spadesim.beamspace import _radix4
+
+    y = np.asarray(y)
+    return _radix4(y, twiddle_fmt) / np.sqrt(y.shape[0])
+
+
+def synth_receive_complex(Hm: np.ndarray, s: np.ndarray, N0: float, rng: np.random.Generator):
+    """H s plus complex noise built whole: ``(re + 1j * im) * sqrt(N0 / 2)``, re drawn first."""
+    clean = Hm @ s
+    if N0 == 0.0:
+        return clean
+    noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+    return clean + noise * np.sqrt(N0 / 2.0)
 
 
 def draw_channel_matrix_per_user(kind: str, B: int, U: int, rng: np.random.Generator) -> np.ndarray:

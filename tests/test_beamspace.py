@@ -1,10 +1,12 @@
 """Spatial DFT: unitarity, conventions, the quantized-twiddle radix-4 path and its GEMM form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spadesim import beamspace
-from spadesim.beamspace import TwiddleConfig, to_beamspace
+from spadesim.beamspace import _TILE_COLUMNS, TwiddleConfig, to_beamspace
 from spadesim.equalizer import FrontEnd, front_end, tag_input
 from spadesim.harness import RunConfig, StopRule, run_ber
 from spadesim.numerics import QFormat
@@ -73,6 +75,22 @@ def test_radix4_batch_matches_single():
     batch = to_beamspace(X, cfg)
     for j in range(7):
         assert np.array_equal(batch[:, j], to_beamspace(X[:, j], cfg))
+
+
+def test_radix4_peak_memory_is_the_output_and_a_few_tiles():
+    # each butterfly stage's temporaries are a tile's, not the block's
+    B, T = 64, _TILE_COLUMNS
+    cfg = TwiddleConfig(exact=False)
+    rng = np.random.default_rng(38)
+    Y = rng.standard_normal((B, 4 * T)) + 1j * rng.standard_normal((B, 4 * T))
+    to_beamspace(Y[:, :1], cfg)  # fills the twiddle and digit-reversal caches
+    tracemalloc.start()
+    try:
+        out = to_beamspace(Y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 6 * B * T * 16
 
 
 def test_radix4_rejects_non_power_of_4():

@@ -1,5 +1,7 @@
 """Channel synthesis, QAM mapping, receive-vector statistics, and dumps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,35 @@ def test_synth_receive_noise_free():
     assert np.array_equal(synth_receive(H, s, 0.0, rng), H.entries @ s)
     one = ChannelMatrix(entries=np.ones((1, 1), dtype=complex), domain="antenna")
     assert np.array_equal(synth_receive(one, np.array([1.0 + 0j]), 0.0, rng), np.array([1.0 + 0j]))
+
+
+@pytest.mark.parametrize("n0", (-1.0, -0.0, np.inf, np.nan))
+def test_synth_receive_checks_the_noise_power(n0):
+    rng = np.random.default_rng(27)
+    H = draw_channel_matrix("los", 16, 4, rng)
+    s = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    state = rng.bit_generator.state
+    if n0 == 0.0:  # -0.0 is the noise-free case, and draws nothing
+        assert synth_receive(H, s, n0, rng).tobytes() == (H.entries @ s).tobytes()
+    else:
+        with pytest.raises(ValueError, match="N0"):
+            synth_receive(H, s, n0, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_synth_receive_peak_memory():
+    # the noise is drawn into one real buffer, half the output's bytes
+    rng = np.random.default_rng(28)
+    H = draw_channel_matrix("los", 64, 16, rng)
+    s = rng.standard_normal((16, 4096)) + 1j * rng.standard_normal((16, 4096))
+    synth_receive(H, s[:, :1], 0.5, rng)
+    tracemalloc.start()
+    try:
+        y = synth_receive(H, s, 0.5, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * y.nbytes
 
 
 def test_synth_receive_noise_variance():

@@ -14,9 +14,8 @@ from spadesim.datapath import (
     throughput_bps,
 )
 from spadesim.cli import main as cli_main
-from spadesim.beamspace import to_beamspace
+from spadesim.beamspace import _TILE_COLUMNS, to_beamspace
 from spadesim.equalizer import (
-    _TILE_COLUMNS,
     ActivityReport,
     FrontEnd,
     equalize_block,

@@ -1,7 +1,8 @@
 """Property tests: the vectorized kernels are bit-identical to their oracles.
 
-The stage-wise radix-4, the GEMM front end, the batched channel synthesis
-with two generator calls per user, the QAM lookup tables, the table-driven
+The stage-wise radix-4 and its column tiles, the GEMM front end, the
+batched channel synthesis with two generator calls per user, the receive
+noise added part by part in place, the QAM lookup tables, the table-driven
 bit-error count, the stacked weight scaling and quantization, the multi-pair
 MVM with its shared full products and per-tau_y weight stacks, its column
 tiles, the harness blocks made as one stack for all their SNRs (one Gram
@@ -30,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spadesim.beamspace import TwiddleConfig, _radix4, to_beamspace
+from spadesim.beamspace import _TILE_COLUMNS, TwiddleConfig, _radix4, to_beamspace
 from spadesim.channel import (
     QAM_ORDERS,
     ChannelMatrix,
@@ -42,11 +43,11 @@ from spadesim.channel import (
     qam_modulate,
     qam_scale,
     save_channel,
+    synth_receive,
 )
 from spadesim.cli import _COMMANDS, _OPTIONS, _effective, _parse_bool, build_parser
 from spadesim.cli import main as cli_main
 from spadesim.equalizer import (
-    _TILE_COLUMNS,
     MODES,
     BeamVector,
     EqualizerWeights,
@@ -81,7 +82,9 @@ from reference import (
     qam_demodulate_formula,
     qam_modulate_formula,
     radix4_recursive,
+    synth_receive_complex,
     threshold_sweep_per_pair,
+    to_beamspace_untiled,
 )
 
 PROPS = settings(max_examples=60, deadline=None)
@@ -114,6 +117,54 @@ def test_stagewise_radix4_matches_recursion(x, fmt):
     B = x.shape[0]
     scaled = to_beamspace(x, TwiddleConfig(exact=False, twiddle_fmt=fmt))
     assert scaled.tobytes() == (ref / np.sqrt(B)).tobytes()
+
+
+@st.composite
+def wide_transform_inputs(draw):
+    """A (B,), (B, N) or (B, D, S, N) block whose columns fall on the tile edges.
+
+    N is 0, 1, T - 1, T, T + 1 or 2T + r for the tile width T; the block is
+    complex or real, C- or F-ordered, and some of its parts are signed zeros.
+    """
+    T = _TILE_COLUMNS
+    B = draw(st.sampled_from((1, 4, 16, 64)))
+    n = draw(st.sampled_from((0, 1, T - 1, T, T + 1, 2 * T + draw(st.integers(1, T - 1)))))
+    shape = draw(st.sampled_from(((B,), (B, n), (B, draw(st.integers(1, 3)),
+                                               draw(st.integers(1, 3)), n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape + (2,))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    x = x.view(np.complex128)[..., 0] if draw(st.booleans()) else x[..., 0].copy()
+    return np.asfortranarray(x) if draw(st.booleans()) else x
+
+
+@PROPS
+@given(x=wide_transform_inputs(), fmt=st.sampled_from((TWIDDLE_FMT, QFormat(30, 27))))
+def test_tiled_radix4_equals_the_untiled_transform(x, fmt):
+    out = to_beamspace(x, TwiddleConfig(exact=False, twiddle_fmt=fmt))
+    ref = to_beamspace_untiled(x, fmt)
+    assert out.shape == ref.shape and out.dtype == ref.dtype == np.complex128
+    assert out.flags.c_contiguous
+    assert out.tobytes() == ref.tobytes()
+
+
+@PROPS
+@given(U=st.integers(1, 8), B=st.integers(1, 16), n=st.sampled_from((None, 0, 1, 7, 300)),
+       N0=st.one_of(st.floats(1e-300, 1e300), st.sampled_from((0.0, -0.0, 1.0, 0.37))),
+       seed=st.integers(0, 2**32 - 1))
+def test_synth_receive_equals_the_complex_formula(U, B, n, N0, seed):
+    """Noise drawn and added part by part: the bytes of one complex noise array, same stream."""
+    rng = np.random.default_rng(seed)
+    H = ChannelMatrix(rng.standard_normal((B, U)) + 1j * rng.standard_normal((B, U)), "antenna")
+    shape = (U,) if n is None else (U, n)
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    y = synth_receive(H, s, N0, a)
+    ref = synth_receive_complex(H.entries, s, N0, b)
+    assert y.shape == ref.shape and y.dtype == ref.dtype
+    assert y.tobytes() == ref.tobytes()
+    assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
 
 
 @st.composite
