@@ -4,6 +4,10 @@ The array accepts one input vector per clock cycle after a U-cycle weight
 loading phase; results drain through the pipeline latency. Arithmetic is the
 equalizer module's, bit for bit - this layer only adds timing, and reads the
 multiplier input registers muted over the stream off its activity report.
+A quantized stream is scored one column tile of the equalizer's width at a
+time, so besides its (N, U) outputs it holds only one tile's stacked inputs
+and temporaries, however long it is; a float stream is one block, as the
+equalizer scores float raws.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .equalizer import (
     BeamVector,
     EqualizerWeights,
     _check_array,
+    _column_tiles,
     equalize_tagged,
 )
 
@@ -56,35 +61,41 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
                     save_power: bool, gain: float = 1.0):
     """Stream tagged vectors through the array, one accepted per cycle.
 
-    The vectors run as one (B, N) block through the equalizer, so each must
-    be one 1-D vector, not a block, and all must share one length, input
-    format and threshold. Returns (outputs, cycles, trace, report): outputs
-    is (N, U) estimates bit-identical to the equalizer module, cycles is
-    ``cfg.cycles(U, N, B)``, and the trace counts the muted registers from
-    the report.
+    Each vector must be one 1-D vector, not a block, and all must share one
+    length, input format and threshold; the whole stream is checked before
+    any is scored. The vectors are then scored as (B, T) blocks of the
+    equalizer's column-tile width T (float raws as one block, as the
+    equalizer scores them), each written into its rows of the outputs, so
+    only one tile of the stream is ever stacked. Returns (outputs, cycles,
+    trace, report): outputs is (N, U) estimates bit-identical to the
+    equalizer module, cycles is ``cfg.cycles(U, N, B)``, and the trace
+    counts the muted registers from the report.
     """
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
+    outputs = np.empty((n, U), dtype=np.complex128)
+    per_vector = np.empty(n, dtype=np.int64)
     if vectors:
-        fmt, tau_y = vectors[0].fmt, vectors[0].tau_y
+        fmt, tau_y, shape = vectors[0].fmt, vectors[0].tau_y, vectors[0].re.shape
         mixed = "stream vectors must be 1-D and share one length and input format and one tau_y"
-        if any(x.tau_y != tau_y or (x.fmt is not fmt and x.fmt != fmt) for x in vectors):
+        if len(shape) != 1:
             raise ValueError(mixed)
-        # one (N, B) copy per component, viewed as the (B, N) block; stacking
-        # ragged shapes raises, and only 1-D vectors of one length stack to 2-D
-        try:
-            re, im = np.array([x.re for x in vectors]), np.array([x.im for x in vectors])
-        except ValueError as exc:
-            raise ValueError(mixed) from exc
-        if re.ndim != 2:
-            raise ValueError(mixed)
-        block = BeamVector(re=np.moveaxis(re, 0, 1), im=np.moveaxis(im, 0, 1),
-                           fmt=fmt, tau_y=tau_y)
-        S, per_vector = equalize_tagged(weights, block, save_power, gain=gain)
-    else:
-        S, per_vector = np.empty((U, 0), dtype=np.complex128), np.empty(0, dtype=np.int64)
+        for x in vectors:
+            if x.re.shape != shape or x.tau_y != tau_y or (x.fmt is not fmt and x.fmt != fmt):
+                raise ValueError(mixed)
+        for rows in _column_tiles(n, fmt is not None):
+            # the tile's (T, B) stack of each component, viewed as its (B, T)
+            # block; OpenBLAS rounds a float product by its operand's layout
+            # too, so float raws are scored C-ordered, as a block's raws are
+            tile = vectors[rows]
+            re, im = np.array([x.re for x in tile]).T, np.array([x.im for x in tile]).T
+            if fmt is None:
+                re, im = np.ascontiguousarray(re), np.ascontiguousarray(im)
+            block = BeamVector(re=re, im=im, fmt=fmt, tau_y=tau_y)
+            S, per_vector[rows] = equalize_tagged(weights, block, save_power, gain=gain)
+            outputs[rows] = S.T
     report = ActivityReport(per_vector, 4 * B * U)
-    return np.ascontiguousarray(S.T), cfg.cycles(U, n, B), MuteTrace(report), report
+    return outputs, cfg.cycles(U, n, B), MuteTrace(report), report
 
 
 def throughput_bps(clock_hz: float, U: int, M: int) -> float:

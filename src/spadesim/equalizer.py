@@ -271,6 +271,16 @@ def _skippable(raws, bits):
     return masked, m_re
 
 
+def _column_tiles(n: int, quantized: bool) -> list[slice]:
+    """Column slices in which a masked product scores an n-column block.
+
+    Quantized raws are scored ``_TILE_COLUMNS`` columns at a time, float raws
+    as one slice (none when n is 0); see :func:`equalize_pairs` for why.
+    """
+    step = _TILE_COLUMNS if quantized else n + 1
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
 def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_power: bool,
                    gain: float = 1.0) -> list[tuple[list, np.ndarray, np.ndarray]]:
     """:func:`equalize_tagged` of one tagged (B,) vector or (B, N) block at each (tau_w, tau_y).
@@ -326,7 +336,6 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     # matrix's rows differently with the row count ([a; b] @ c changed a's or
     # b's bytes in 102 of 300 random shapes, the stacked matmul in none).
     quantized = weights.fmt is not None
-    step = _TILE_COLUMNS if quantized else n + 1
 
     def product(w, v):  # (..., U, B) @ (B, N)
         if quantized:
@@ -334,8 +343,7 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
         return w @ v
 
     w_full = np.stack((wre, wim))
-    for a in range(0, n, step):
-        cols = slice(a, a + step)
+    for cols in _column_tiles(n, quantized):
         y = yre[:, cols], yim[:, cols]
         p_re, p_im = product(w_full, y[0]), product(w_full, y[1])  # [wre; wim] @ yre, @ yim
         full_re, full_im = p_re[0] - p_im[1], p_im[0] + p_re[1]

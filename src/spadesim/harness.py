@@ -77,17 +77,28 @@ _SEARCH_LO_DB, _SEARCH_HI_DB, _SEARCH_TOL_DB = -10.0, 40.0, 0.1
 MAX_SNR_POINTS = 1 << 16  # run_ber runs point i on stream tag i, a 16-bit field
 
 
+def _check_integer(name: str, value, bits: int | None = None) -> None:
+    """Refuse a bool or any other non-integer, and with ``bits`` a value outside [0, 2**bits).
+
+    NumPy integers pass. A float count would fail deep inside a run and a
+    float seed truncate to another seed's stream; ``True`` would run as 1.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or bits is not None and not 0 <= value < 1 << bits):
+        raise ValueError(f"{name} {value!r} is not an integer"
+                         + ("" if bits is None else f" in [0, 2**{bits})"))
+
+
 def derive_stream(seed: int, purpose: int, tag: int, index: int) -> np.random.Generator:
     """Independent Philox stream keyed by (seed, purpose, tag, index).
 
     The seed fills one 64-bit key word; purpose, tag and index are packed into
-    16, 16 and 32 bits of the other. A value that does not fit, or a float the
-    key would truncate, would alias another stream, so it raises.
+    16, 16 and 32 bits of the other. A value that does not fit, or a float or
+    bool the key would convert, would alias another stream, so it raises.
     """
     for name, value, bits in (("seed", seed, 64), ("purpose", purpose, 16), ("tag", tag, 16),
                               ("index", index, 32)):
-        if not (isinstance(value, (int, np.integer)) and 0 <= value < 1 << bits):
-            raise ValueError(f"stream {name} {value!r} is not an integer in [0, 2**{bits})")
+        _check_integer(f"stream {name}", value, bits)
     hi = (purpose << 48) | (tag << 32) | index
     key = np.array([seed, hi], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -101,6 +112,8 @@ class StopRule:
     max_vectors: int = 1_000_000
 
     def __post_init__(self) -> None:
+        for name in ("target_errors", "max_vectors"):
+            _check_integer(name, getattr(self, name))
         if self.target_errors < 0 or self.max_vectors < 0:
             raise ValueError("target_errors and max_vectors must be >= 0")
 
@@ -132,6 +145,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name, bits in (("seed", 64), ("B", None), ("U", None), ("M", None),
+                           ("vectors_per_block", None), ("workers", None)):
+            _check_integer(name, getattr(self, name), bits)
         _check_array(self.B, self.U)
         _bits_per_symbol(self.M)
         if self.channel not in CHANNEL_KINDS:
@@ -142,8 +158,6 @@ class RunConfig:
             raise ValueError("channel_file needs channel 'file'")
         if self.vectors_per_block < 1 or self.workers < 1:
             raise ValueError("vectors_per_block and workers must be >= 1")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 1 << 64):
-            raise ValueError(f"seed {self.seed!r} is not an integer in [0, 2**64)")
         for name, fmt in (("tau_w", self.weight_fmt), ("tau_y", self.input_fmt)):
             try:
                 _threshold_raw(getattr(self, name), fmt if self.quantized else None)

@@ -1,5 +1,7 @@
 """Cycle contract, mute accounting, throughput arithmetic, power proxy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -72,7 +74,7 @@ def test_outputs_match_equalizer_module():
 
 
 def test_stream_across_tiles_matches_equalize_block():
-    # the stacked stream is scored in column tiles, the last one partial
+    # the stream is stacked and scored in column tiles, the last one partial
     rng = np.random.default_rng(68)
     B, n, fe = 16, 2 * _TILE_COLUMNS + 37, FrontEnd(tau_y=0.3, gain=0.5)
     weights = random_weights(rng, 4, B, tau_w=0.2)
@@ -117,6 +119,33 @@ def test_stream_rejects_a_block_entry():
     Y = rng.uniform(-3.9, 3.9, (16, 5)) + 1j * rng.uniform(-3.9, 3.9, (16, 5))
     with pytest.raises(ValueError, match="1-D"):
         simulate_stream(weights, [tag_input(Y, 0.1, INPUT_FMT)], PipelineConfig(), True)
+
+
+def test_stream_checks_every_vector_before_the_first_tile():
+    # the vectors after the first tile, all of one other length, stack alone
+    # into a block the equalizer would refuse with its own message
+    rng = np.random.default_rng(70)
+    weights = random_weights(rng, 2, 16, tau_w=0.1)
+    first = [random_tagged(rng, 16, tau_y=0.1) for _ in range(_TILE_COLUMNS)]
+    rest = [random_tagged(rng, 4, tau_y=0.1) for _ in range(3)]
+    with pytest.raises(ValueError, match="one length and input format"):
+        simulate_stream(weights, first + rest, PipelineConfig(), save_power=True)
+
+
+def test_stream_peak_memory_is_the_output_and_a_few_tiles():
+    # only one tile of the stream is stacked and scored at a time
+    rng = np.random.default_rng(71)
+    B, U, T = 64, 16, _TILE_COLUMNS
+    weights = random_weights(rng, U, B, tau_w=0.1)
+    vectors = [random_tagged(rng, B, tau_y=0.5) for _ in range(4 * T)]
+    simulate_stream(weights, vectors[:2], PipelineConfig(), True)
+    tracemalloc.start()
+    try:
+        outputs = simulate_stream(weights, vectors, PipelineConfig(), True)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= outputs.nbytes + 12 * B * T * 8
 
 
 def test_no_mutes_without_save_power():

@@ -256,6 +256,35 @@ def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
     assert code == 1 and capsys.readouterr().err.startswith("error: probe_cap")
 
 
+@pytest.mark.parametrize("make,kw,name", [
+    pytest.param(small_cfg, dict(seed=True), "seed", id="RunConfig-seed=True"),
+    pytest.param(derive_stream, dict(seed=True, purpose=1, tag=0, index=0), "stream seed",
+                 id="derive_stream-seed=True"),
+    pytest.param(small_cfg, dict(workers=1.5), "workers", id="RunConfig-workers=1.5"),
+    pytest.param(small_cfg, dict(vectors_per_block=2.5), "vectors_per_block",
+                 id="RunConfig-vectors_per_block=2.5"),
+    pytest.param(small_cfg, dict(vectors_per_block=True), "vectors_per_block",
+                 id="RunConfig-vectors_per_block=True"),
+    pytest.param(small_cfg, dict(M=16.0), "M", id="RunConfig-M=16.0"),
+    pytest.param(small_cfg, dict(U=4.0), "U", id="RunConfig-U=4.0"),
+    pytest.param(small_cfg, dict(B=16.0), "B", id="RunConfig-B=16.0"),
+    pytest.param(StopRule, dict(max_vectors=10.5), "max_vectors", id="StopRule-max_vectors=10.5"),
+    pytest.param(StopRule, dict(target_errors=True), "target_errors",
+                 id="StopRule-target_errors=True"),
+])
+def test_counts_must_be_integers(make, kw, name):
+    # a bool ran as 1 or 0; a float ran or failed deep inside run_ber with a TypeError
+    with pytest.raises(ValueError, match=rf"^{name} .* is not an integer"):
+        make(**kw)
+
+
+def test_counts_take_numpy_integers():
+    cfg = small_cfg(B=np.int64(16), U=np.int32(4), M=np.int16(4), seed=np.uint64(5),
+                    vectors_per_block=np.int64(25), workers=np.uint8(1))
+    assert cfg == small_cfg()
+    assert StopRule(np.int64(5), np.uint32(7)) == StopRule(5, 7)
+
+
 def test_stop_rule_rejects_negative_counts(capsys):
     for kw in (dict(target_errors=-1), dict(max_vectors=-5)):
         with pytest.raises(ValueError, match="max_vectors"):

@@ -5,7 +5,8 @@ batched channel synthesis with two generator calls per user, the receive
 noise added part by part in place, the QAM lookup tables, the table-driven
 bit-error count, the stacked weight scaling and quantization, the multi-pair
 MVM with its shared full products and per-tau_y weight stacks, its column
-tiles, the harness blocks made as one stack for all their SNRs (one Gram
+tiles, the stream stacked and scored one tile at a time, the harness blocks
+made as one stack for all their SNRs (one Gram
 matrix per block, one solve, noise scaled part by part, one front end) and
 the lockstep threshold sweep each replace a per-element, per-stage,
 per-call, per-user, per-block, per-SNR, per-pair or whole-block formulation;
@@ -47,6 +48,7 @@ from spadesim.channel import (
 )
 from spadesim.cli import _COMMANDS, _OPTIONS, _effective, _parse_bool, build_parser
 from spadesim.cli import main as cli_main
+from spadesim.datapath import PipelineConfig, simulate_stream
 from spadesim.equalizer import (
     MODES,
     BeamVector,
@@ -54,6 +56,7 @@ from spadesim.equalizer import (
     FrontEnd,
     build_weights,
     compute_lmmse,
+    equalize_block,
     equalize_pairs,
     equalize_tagged,
     front_end,
@@ -422,6 +425,47 @@ def test_column_tiles_equal_the_untiled_kernel(setup):
     for (_, S, executed), (_, S1, executed1) in zip(tiled, whole):
         assert S.shape == S1.shape and S.tobytes() == S1.tobytes()
         assert executed.shape == executed1.shape and executed.tobytes() == executed1.tobytes()
+
+
+_STREAM_TAUS = st.sampled_from((0.0, 2.0**-9, 0.05, 0.3, 1.0))
+
+
+@PROPS
+@given(B=st.sampled_from((1, 4, 16, 64)), U=st.integers(1, 16),
+       n=st.sampled_from((0, 1, _TILE_COLUMNS - 1, _TILE_COLUMNS, _TILE_COLUMNS + 1))
+       | st.integers(2 * _TILE_COLUMNS + 1, 3 * _TILE_COLUMNS - 1),
+       quantized=st.booleans(), save_power=st.booleans(), taus=st.tuples(_STREAM_TAUS, _STREAM_TAUS),
+       gain=st.sampled_from((1.0, 0.25)), seed=st.integers(0, 2**32 - 1))
+# a float stream whose one-column last tile, scored alone, would change its bytes
+@example(B=64, U=16, n=_TILE_COLUMNS + 1, quantized=False, save_power=True, taus=(0.05, 0.3),
+         gain=1.0, seed=0)
+def test_tiled_stream_equals_the_block(B, U, n, quantized, save_power, taus, gain, seed):
+    """The stream scored tile by tile has the bytes and counts of its block scored whole.
+
+    N falls on the tile edges (0, 1, T - 1, T, T + 1 or 2T + r for the tile
+    width T), raws are quantized or float, and power saving is on or off.
+    """
+    U = min(U, B)
+    rng = np.random.default_rng(seed)
+    W, alpha = scale_rows(rng.standard_normal((U, B)) + 1j * rng.standard_normal((U, B)), 2.0**-10)
+    w = build_weights(W, alpha, taus[0], WEIGHT_FMT if quantized else None, "beamspace")
+    fe = FrontEnd(input_fmt=INPUT_FMT if quantized else None, tau_y=taus[1],
+                  twiddle=TwiddleConfig(exact=not quantized), gain=gain)
+    Y = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
+    mode = "lmmse-spade" if save_power else "lmmse-b"
+    S, report = equalize_block(mode, None, w, Y, fe)
+    x = front_end(mode, Y, fe)
+    vectors = [BeamVector(re=x.re[:, i], im=x.im[:, i], fmt=x.fmt, tau_y=x.tau_y)
+               for i in range(n)]
+    pipeline = PipelineConfig()
+    outputs, cycles, trace, stream_report = simulate_stream(w, vectors, pipeline, save_power,
+                                                            gain=gain)
+    assert outputs.shape == (n, U) and outputs.flags.c_contiguous
+    assert outputs.tobytes() == np.ascontiguousarray(S.T).tobytes()
+    assert stream_report.per_vector.dtype == report.per_vector.dtype
+    assert stream_report.per_vector.tobytes() == report.per_vector.tobytes()
+    assert cycles == pipeline.cycles(U, n, B)
+    assert trace.mute_count() == report.total - report.executed
 
 
 @st.composite
