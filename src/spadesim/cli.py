@@ -206,9 +206,9 @@ def cmd_datapath(opt: dict) -> int:
     B, U, M = opt.get("b", RunConfig.B), opt.get("u", RunConfig.U), opt.get("mod", RunConfig.M)
     clock = opt.get("clock_hz", 720e6)
     coherence = opt.get("coherence", 1000)
-    cycles = PipelineConfig().cycles(U, coherence, B)  # checks B and U first, as RunConfig does
+    eff = effective_throughput(clock, U, M, coherence, B)  # checks B and U first, as RunConfig does
     peak = throughput_bps(clock, U, M)
-    eff = effective_throughput(clock, U, M, coherence, B)
+    cycles = PipelineConfig().cycles(U, coherence, B)
     lines = [
         f"clock_hz={clock!r}",
         f"latency_cycles={PipelineConfig().latency(B)}",

@@ -5,9 +5,12 @@ loading phase; results drain through the pipeline latency. Arithmetic is the
 equalizer module's, bit for bit - this layer only adds timing, and reads the
 multiplier input registers muted over the stream off its activity report.
 A quantized stream is scored one column tile of the equalizer's width at a
-time, so besides its (N, U) outputs it holds only one tile's stacked inputs
+time, so besides its (N, U) outputs it holds only one tile's gathered inputs
 and temporaries, however long it is; a float stream is one block, as the
-equalizer scores float raws.
+equalizer scores float raws. A tile's rows are gathered by joining its
+vectors' raw buffers, which holds because every :class:`BeamVector` stores
+native float64 raws; a tile holding a strided raw, which has no contiguous
+buffer, is stacked instead.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .equalizer import (
     _column_tiles,
     equalize_tagged,
 )
+from .numerics import _check_integer
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,9 @@ class PipelineConfig:
     def cycles(self, U: int, N: int, B: int) -> int:
         """Cycles of one coherence block: U weight loads, N accepted vectors, then the drain."""
         _check_array(B, U)
+        _check_integer("N", N)
+        if N < 0:
+            raise ValueError(f"N must be >= 0, got {N}")
         return U + N + self.latency(B)
 
 
@@ -57,6 +64,20 @@ class MuteTrace:
         return self.report.total - self.report.executed
 
 
+def _tile_rows(raws: list) -> np.ndarray:
+    """The (len(raws), B) rows of equal-length float64 raws, one per row.
+
+    Contiguous raws are joined through their buffers, at about 60% of the
+    cost of stacking them; a strided raw has no contiguous buffer, so a list
+    that holds one is stacked.
+    """
+    try:
+        joined = b"".join(raws)
+    except TypeError:
+        return np.array(raws)
+    return np.frombuffer(joined, np.float64).reshape(len(raws), raws[0].size)
+
+
 def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
                     save_power: bool, gain: float = 1.0):
     """Stream tagged vectors through the array, one accepted per cycle.
@@ -66,10 +87,12 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     any is scored. The vectors are then scored as (B, T) blocks of the
     equalizer's column-tile width T (float raws as one block, as the
     equalizer scores them), each written into its rows of the outputs, so
-    only one tile of the stream is ever stacked. Returns (outputs, cycles,
-    trace, report): outputs is (N, U) estimates bit-identical to the
-    equalizer module, cycles is ``cfg.cycles(U, N, B)``, and the trace
-    counts the muted registers from the report.
+    only one tile of the stream is ever gathered. A tile's (T, B) rows of
+    each part are one join of its vectors' raw buffers, or a stack if one of
+    them is strided; either way the block has the same bytes. Returns
+    (outputs, cycles, trace, report): outputs is (N, U) estimates
+    bit-identical to the equalizer module, cycles is ``cfg.cycles(U, N, B)``,
+    and the trace counts the muted registers from the report.
     """
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
@@ -84,11 +107,11 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
             if x.re.shape != shape or x.tau_y != tau_y or (x.fmt is not fmt and x.fmt != fmt):
                 raise ValueError(mixed)
         for rows in _column_tiles(n, fmt is not None):
-            # the tile's (T, B) stack of each component, viewed as its (B, T)
+            # the tile's (T, B) rows of each component, viewed as its (B, T)
             # block; OpenBLAS rounds a float product by its operand's layout
             # too, so float raws are scored C-ordered, as a block's raws are
             tile = vectors[rows]
-            re, im = np.array([x.re for x in tile]).T, np.array([x.im for x in tile]).T
+            re, im = _tile_rows([x.re for x in tile]).T, _tile_rows([x.im for x in tile]).T
             if fmt is None:
                 re, im = np.ascontiguousarray(re), np.ascontiguousarray(im)
             block = BeamVector(re=re, im=im, fmt=fmt, tau_y=tau_y)
@@ -111,6 +134,7 @@ def throughput_bps(clock_hz: float, U: int, M: int) -> float:
 def effective_throughput(clock_hz: float, U: int, M: int, coherence_vectors: int,
                          B: int) -> float:
     """Throughput once the weight reload and the B-input drain per coherence block are amortized."""
+    _check_array(B, U)
     if coherence_vectors < 1:
         raise ValueError("coherence_vectors must be >= 1")
     peak = throughput_bps(clock_hz, U, M)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .beamspace import _TILE_COLUMNS, TwiddleConfig, _is_power_of_4, beamspace_raws, to_beamspace
 from .channel import DOMAINS, ChannelMatrix
-from .numerics import INPUT_FMT, QFormat, quantize_complex
+from .numerics import INPUT_FMT, QFormat, _check_integer, quantize_complex
 
 _MODE_RULES = {"lmmse-a": ("antenna", False), "lmmse-b": ("beamspace", False),
                "lmmse-spade": ("beamspace", True)}
@@ -61,21 +61,53 @@ def _mode_rule(mode: str) -> tuple[str, bool]:
 
 
 def _check_array(B: int, U: int) -> None:
-    """Refuse an array the model does not cover: B not a power of 4, or U outside [1, B]."""
+    """Refuse an array the model does not cover.
+
+    That is B or U not an integer, B not a power of 4, or U outside [1, B].
+    RunConfig and PipelineConfig both refuse through here, with one message.
+    """
+    _check_integer("B", B)
+    _check_integer("U", U)
     if not _is_power_of_4(B):
         raise ValueError(f"B must be a power of 4, got {B}")
     if not 1 <= U <= B:
         raise ValueError(f"U must be in [1, B], got {U}")
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _store_float_raws(operand, name: str) -> None:
+    """Store an operand's ``re`` and ``im`` as native float64 arrays of one shape.
+
+    Float64 arrays are kept as they are, the same objects; other real raws
+    (integers, byte-swapped floats, lists) are stored as
+    ``np.asarray(raw, dtype=np.float64)``. Complex raws are refused:
+    converting them would drop their imaginary parts.
+    """
+    re, im = operand.re, operand.im
+    # the common case, tested first: a stream makes one operand per vector
+    if not (type(re) is np.ndarray and type(im) is np.ndarray
+            and re.dtype == _FLOAT64 and im.dtype == _FLOAT64):
+        re, im = np.asarray(re), np.asarray(im)
+        if re.dtype.kind == "c" or im.dtype.kind == "c":
+            raise ValueError(f"{name} re and im must be real raws, not complex")
+        re, im = np.asarray(re, dtype=np.float64), np.asarray(im, dtype=np.float64)
+        object.__setattr__(operand, "re", re)
+        object.__setattr__(operand, "im", im)
+    if re.shape != im.shape:
+        raise ValueError(f"{name} re and im must share one shape")
+
+
 @dataclass(frozen=True)
 class EqualizerWeights:
     """Quantized, row-scaled equalization matrix and its comparison threshold.
 
-    ``re``/``im`` hold float64 raws in ``fmt`` (or plain floats when ``fmt`` is
-    None, the quantization-disabled mode). ``alpha`` holds the per-row scale
-    factors applied before quantization; estimates are descaled by it. Its
-    comparison bits are computed where read, by :func:`_comparison_bits`.
+    ``re``/``im`` hold native float64 raws in ``fmt`` (or plain floats when
+    ``fmt`` is None, the quantization-disabled mode); real raws of another
+    type are converted and complex ones refused. ``alpha`` holds the per-row
+    scale factors applied before quantization; estimates are descaled by it.
+    Its comparison bits are computed where read, by :func:`_comparison_bits`.
     """
 
     re: np.ndarray
@@ -87,8 +119,7 @@ class EqualizerWeights:
 
     def __post_init__(self) -> None:
         _threshold_raw(self.tau_w, self.fmt)
-        if self.re.shape != self.im.shape:
-            raise ValueError("weights re and im must share one shape")
+        _store_float_raws(self, "weights")
         if self.alpha.shape != self.re.shape[:-1]:
             raise ValueError("alpha must hold one scale factor per weight row")
 
@@ -107,7 +138,10 @@ class EqualizerWeights:
 
 @dataclass(frozen=True)
 class BeamVector:
-    """A quantized (B,) input vector or (B, ...) block of them; its bits follow from ``tau_y``."""
+    """A quantized (B,) input vector or (B, ...) block of them; its bits follow from ``tau_y``.
+
+    ``re``/``im`` hold native float64 raws, as :class:`EqualizerWeights` does.
+    """
 
     re: np.ndarray
     im: np.ndarray
@@ -116,8 +150,7 @@ class BeamVector:
 
     def __post_init__(self) -> None:
         _threshold_raw(self.tau_y, self.fmt)
-        if self.re.shape != self.im.shape:
-            raise ValueError("input re and im must share one shape")
+        _store_float_raws(self, "input")
 
     @property
     def B(self) -> int:

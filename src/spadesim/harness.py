@@ -51,7 +51,7 @@ from .equalizer import (
     _mode_rule,
     _threshold_raw,
 )
-from .numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat
+from .numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat, _check_integer
 
 # Threshold pair used by default in lmmse-spade runs; picked from the
 # artifact's own 8x8 sweep on LoS channels (lowest mean activity among pairs
@@ -75,18 +75,6 @@ _CHUNK_MATRICES = 32
 # the operating-point search bisects this SNR range, in dB, down to this width
 _SEARCH_LO_DB, _SEARCH_HI_DB, _SEARCH_TOL_DB = -10.0, 40.0, 0.1
 MAX_SNR_POINTS = 1 << 16  # run_ber runs point i on stream tag i, a 16-bit field
-
-
-def _check_integer(name: str, value, bits: int | None = None) -> None:
-    """Refuse a bool or any other non-integer, and with ``bits`` a value outside [0, 2**bits).
-
-    NumPy integers pass. A float count would fail deep inside a run and a
-    float seed truncate to another seed's stream; ``True`` would run as 1.
-    """
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or bits is not None and not 0 <= value < 1 << bits):
-        raise ValueError(f"{name} {value!r} is not an integer"
-                         + ("" if bits is None else f" in [0, 2**{bits})"))
 
 
 def derive_stream(seed: int, purpose: int, tag: int, index: int) -> np.random.Generator:
@@ -145,10 +133,10 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name, bits in (("seed", 64), ("B", None), ("U", None), ("M", None),
-                           ("vectors_per_block", None), ("workers", None)):
+        for name, bits in (("seed", 64), ("M", None), ("vectors_per_block", None),
+                           ("workers", None)):
             _check_integer(name, getattr(self, name), bits)
-        _check_array(self.B, self.U)
+        _check_array(self.B, self.U)  # checks that B and U are integers too
         _bits_per_symbol(self.M)
         if self.channel not in CHANNEL_KINDS:
             raise ValueError(f"channel must be one of {CHANNEL_KINDS}")

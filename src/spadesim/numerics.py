@@ -7,6 +7,9 @@ product carries the full combined width, so accumulation never rounds.
 
 A quantized value is held as its raw integer in float64, the type the
 datapath computes in: every raw of a format up to 32 bits is float-exact.
+
+The module also owns the integer check of every size, count and seed
+(:func:`_check_integer`), as the bottom of the import order.
 """
 
 from __future__ import annotations
@@ -44,6 +47,18 @@ class QFormat:
     @property
     def max_raw(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
+
+
+def _check_integer(name: str, value, bits: int | None = None) -> None:
+    """Refuse a bool or any other non-integer, and with ``bits`` a value outside [0, 2**bits).
+
+    NumPy integers pass. A float count would fail deep inside a run and a
+    float seed truncate to another seed's stream; ``True`` would run as 1.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or bits is not None and not 0 <= value < 1 << bits):
+        raise ValueError(f"{name} {value!r} is not an integer"
+                         + ("" if bits is None else f" in [0, 2**{bits})"))
 
 
 # Defaults used throughout the artifact; every one of these is configurable.

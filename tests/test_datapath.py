@@ -14,18 +14,21 @@ from spadesim.datapath import (
     power_proxy,
     simulate_stream,
     throughput_bps,
+    _tile_rows,
 )
 from spadesim.cli import main as cli_main
-from spadesim.beamspace import _TILE_COLUMNS, to_beamspace
+from spadesim.beamspace import _TILE_COLUMNS, TwiddleConfig, to_beamspace
 from spadesim.equalizer import (
     ActivityReport,
+    BeamVector,
     FrontEnd,
     equalize_block,
     equalize_tagged,
     tag_input,
+    _check_array,
 )
 from spadesim.harness import RunConfig
-from spadesim.numerics import INPUT_FMT, QFormat
+from spadesim.numerics import INPUT_FMT, WEIGHT_FMT, QFormat
 
 from reference import mute_mask
 from test_equalizer import random_tagged, random_weights
@@ -132,6 +135,74 @@ def test_stream_checks_every_vector_before_the_first_tile():
         simulate_stream(weights, first + rest, PipelineConfig(), save_power=True)
 
 
+@pytest.mark.parametrize("quantized", [True, False])
+@pytest.mark.parametrize("n", [1, _TILE_COLUMNS - 1, _TILE_COLUMNS, _TILE_COLUMNS + 1,
+                               2 * _TILE_COLUMNS + 37])
+def test_contiguous_stream_equals_the_block(n, quantized):
+    # vectors tagged one by one hold contiguous raws, which each tile joins
+    # through their buffers: the bytes and counts are the block's
+    rng = np.random.default_rng(n)
+    B, U = 16, 4
+    fmt = INPUT_FMT if quantized else None
+    fe = FrontEnd(input_fmt=fmt, tau_y=0.3, twiddle=TwiddleConfig(exact=not quantized), gain=0.5)
+    weights = random_weights(rng, U, B, tau_w=0.2, fmt=WEIGHT_FMT if quantized else None)
+    Y = rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))
+    Z = to_beamspace(fe.gain * Y, fe.twiddle)
+    vectors = [tag_input(Z[:, i], fe.tau_y, fmt) for i in range(n)]
+    assert all(x.re.flags.c_contiguous and x.im.flags.c_contiguous for x in vectors)
+    outputs, _, _, report = simulate_stream(weights, vectors, PipelineConfig(), True, gain=fe.gain)
+    S, block_report = equalize_block("lmmse-spade", None, weights, Y, fe)
+    assert outputs.flags.c_contiguous
+    assert outputs.tobytes() == np.ascontiguousarray(S.T).tobytes()
+    assert report.per_vector.tobytes() == block_report.per_vector.tobytes()
+
+
+def test_tile_rows_join_contiguous_raws_and_stack_strided_ones():
+    rng = np.random.default_rng(72)
+    block = rng.standard_normal((16, 5))
+    columns = [np.ascontiguousarray(block[:, i]) for i in range(5)]
+    joined = _tile_rows(columns)
+    assert isinstance(joined.base.base, bytes)  # a view of one joined buffer
+    mixed = _tile_rows(columns[:2] + [block[:, i] for i in range(2, 5)])
+    assert mixed.flags.owndata  # the fallback's stack
+    for rows in (joined, mixed):
+        assert rows.dtype == np.float64 and rows.tobytes() == block.T.tobytes()
+
+
+_LAYOUTS = {"contiguous": np.copy, "strided": lambda a: a, "big-endian": lambda a: a.astype(">f8")}
+
+
+@pytest.mark.parametrize("layouts", [("contiguous", "big-endian"),
+                                     ("contiguous", "strided", "big-endian")])
+def test_stream_of_mixed_and_byte_swapped_raws_equals_the_block(layouts):
+    # one tile's raws in turn: a strided raw sends the tile to the stack, and
+    # '>f8' raws are converted when tagged, so the join reads native float64
+    rng = np.random.default_rng(73)
+    B, U, n = 16, 4, 40
+    weights = random_weights(rng, U, B, tau_w=0.2)
+    x = tag_input(rng.uniform(-3.9, 3.9, (B, n)) + 1j * rng.uniform(-3.9, 3.9, (B, n)), 0.3,
+                  INPUT_FMT)
+    layout = [_LAYOUTS[layouts[i % len(layouts)]] for i in range(n)]
+    vectors = [BeamVector(re=layout[i](x.re[:, i]), im=layout[i](x.im[:, i]),
+                          fmt=x.fmt, tau_y=x.tau_y) for i in range(n)]
+    assert all(v.re.dtype == np.dtype(np.float64) for v in vectors)
+    outputs, _, _, report = simulate_stream(weights, vectors, PipelineConfig(), True)
+    S, executed = equalize_tagged(weights, x, True)
+    assert outputs.tobytes() == np.ascontiguousarray(S.T).tobytes()
+    assert report.per_vector.tobytes() == executed.tobytes()
+
+
+def test_stream_refuses_lengths_that_fill_whole_rows_together():
+    # 63 + 65 raws fill two 64-raw rows of one joined buffer; the check pass
+    # refuses them before any tile is built
+    rng = np.random.default_rng(74)
+    weights = random_weights(rng, 4, 64, tau_w=0.1)
+    for lengths in ((63, 65), (65, 63)):
+        vectors = [random_tagged(rng, B, tau_y=0.1) for B in lengths]
+        with pytest.raises(ValueError, match="one length and input format"):
+            simulate_stream(weights, vectors, PipelineConfig(), save_power=True)
+
+
 def test_stream_peak_memory_is_the_output_and_a_few_tiles():
     # only one tile of the stream is stacked and scored at a time
     rng = np.random.default_rng(71)
@@ -230,6 +301,37 @@ def test_pipeline_refuses_exactly_the_arrays_run_config_refuses(shape):
         assert str(exc.value) == str(refused)
     else:
         assert PipelineConfig().cycles(U, 1, B) == U + 1 + PipelineConfig().latency(B)
+
+
+@pytest.mark.parametrize("B,U", [(64, 16.5), (64, True), (64.0, 16), (True, 1), ("64", 16),
+                                 (16, None)])
+def test_pipeline_refuses_non_integer_arrays_as_run_config_does(B, U):
+    # a float or bool B or U passed, or raised a TypeError from the power-of-4 test
+    with pytest.raises(ValueError) as refused:
+        RunConfig(B=B, U=U)
+    for call in (lambda: PipelineConfig().cycles(U, 1, B), lambda: _check_array(B, U)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == str(refused.value)
+
+
+@pytest.mark.parametrize("N,message", [(16.5, "N 16.5 is not an integer"),
+                                       (True, "N True is not an integer"),
+                                       (-5, "N must be >= 0, got -5")])
+def test_pipeline_refuses_a_non_count_of_vectors(N, message):
+    # cycles(16, 16.5, 64) returned 36.5 and cycles(16, -5, 64) 15
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig().cycles(16, N, 64)
+    assert str(exc.value) == message
+    assert PipelineConfig().cycles(16, np.int64(0), 64) == 20
+
+
+def test_cli_refuses_a_negative_coherence_as_it_refuses_zero(capsys):
+    # the cycle count, which refuses a negative N in its own words, is taken
+    # after the throughput, which refuses a count below one
+    for value in ("0", "-5"):
+        assert cli_main(["datapath", "--coherence", value]) == 1
+        assert capsys.readouterr().err == "error: coherence_vectors must be >= 1\n"
 
 
 def test_pipeline_takes_numpy_integers():

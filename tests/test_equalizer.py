@@ -10,6 +10,7 @@ from spadesim.channel import ChannelMatrix, draw_channel_matrix
 from spadesim.channel import bit_errors, qam_index, qam_modulate
 from spadesim.equalizer import (
     BeamVector,
+    EqualizerWeights,
     FrontEnd,
     build_weights,
     compute_lmmse,
@@ -283,6 +284,25 @@ def test_weights_reject_mismatched_parts():
     w = random_weights(np.random.default_rng(52), 4, 16, 0.1)
     with pytest.raises(ValueError, match="re and im must share one shape"):
         replace(w, im=w.im[:1])
+
+
+def test_operands_hold_native_float64_raws():
+    # integer or byte-swapped raws become float64 with the same values; float64
+    # raws are kept as they are; complex raws used to pass and are refused
+    w = random_weights(np.random.default_rng(54), 4, 16, 0.1)
+    x = random_tagged(np.random.default_rng(55), 16, 0.1)
+    for other in (lambda a: a.astype(np.int64), lambda a: a.astype(">f8"), np.ndarray.tolist):
+        w2 = replace(w, re=other(w.re), im=other(w.im))
+        x2 = replace(x, re=other(x.re), im=other(x.im))
+        for a, b in ((w2, w), (x2, x)):
+            assert a.re.dtype == a.im.dtype == np.dtype(np.float64)
+            assert a.re.tobytes() == b.re.tobytes() and a.im.tobytes() == b.im.tobytes()
+    assert replace(w).re is w.re and replace(x).im is x.im
+    with pytest.raises(ValueError, match="weights re and im must be real raws"):
+        EqualizerWeights(re=w.re + 0j, im=w.im, fmt=w.fmt, alpha=w.alpha, tau_w=w.tau_w,
+                         domain=w.domain)
+    with pytest.raises(ValueError, match="input re and im must be real raws"):
+        BeamVector(re=x.re, im=x.im.astype(np.complex64), fmt=x.fmt, tau_y=x.tau_y)
 
 
 def test_weights_reject_alpha_of_another_shape():
