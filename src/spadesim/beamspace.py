@@ -12,10 +12,10 @@ staying in cache, and writes each scaled tile into one preallocated C-ordered
 output: the bytes of one pass over the whole block, with temporaries of a few
 tiles instead of a few blocks.
 
-:func:`beamspace_raws` gives the quantized path's input raws directly: the
-radix-4 cached as a matrix, one GEMM, and a rounding certificate that sends
-any column it cannot vouch for back through the radix-4, so the raws are
-bit-identical to quantizing :func:`to_beamspace`'s output.
+:func:`beamspace_raws` alone transforms and then quantizes input: one GEMM
+with the radix-4 cached as a matrix where a rounding certificate vouches for
+the block, else (and off the quantized radix-4 path) it quantizes
+:func:`to_beamspace`'s output, so the raws are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -89,21 +89,10 @@ def _radix4(x: np.ndarray, fmt: QFormat) -> np.ndarray:
         t0, t1, t2, t3 = f[:, 0], w1 * f[:, 1], w2 * f[:, 2], w3 * f[:, 3]
         j1, j3 = 1j * t1, 1j * t3
         out = np.empty_like(f)
-        o0, o1, o2, o3 = out[:, 0], out[:, 1], out[:, 2], out[:, 3]
-        # each sum accumulates left to right in place, e.g. o1 = t0 - 1j*t1 - t2 + 1j*t3,
-        # so large blocks allocate no temporaries
-        np.add(t0, t1, out=o0)
-        o0 += t2
-        o0 += t3
-        np.subtract(t0, j1, out=o1)
-        o1 -= t2
-        o1 += j3
-        np.subtract(t0, t1, out=o2)
-        o2 += t2
-        o2 -= t3
-        np.add(t0, j1, out=o3)
-        o3 -= t2
-        o3 -= j3
+        out[:, 0] = t0 + t1 + t2 + t3
+        out[:, 1] = t0 - j1 - t2 + j3
+        out[:, 2] = t0 - t1 + t2 - t3
+        out[:, 3] = t0 + j1 - t2 - j3
         a = out.reshape((n,) + tail)
         size *= 4
     return a
@@ -120,9 +109,9 @@ def _raw_transform(n: int, fmt: QFormat, frac_bits: int):
     """The radix-4 as one matrix, scaled to input raws, and its rounding certificate.
 
     Returns (T, coef, limit): T = _radix4(eye(n)) times k = 2**frac_bits /
-    sqrt(n), an exact power of two; ``coef * S_c`` bounds the raw-unit gap
-    between the GEMM and the radix-4 in a column with input sum S_c; ``limit``
-    caps the input magnitude the bound holds for. See :func:`beamspace_raws`.
+    sqrt(n), an exact power of two; ``coef * 2 * n * m`` bounds the raw-unit
+    gap between the GEMM and the radix-4 on a block whose largest |component|
+    is m; ``limit`` caps the m the bound holds for. See :func:`beamspace_raws`.
     """
     k = 2.0**frac_bits / np.sqrt(n)
     T = _radix4(np.eye(n, dtype=np.complex128), fmt)
@@ -140,19 +129,14 @@ def _raw_transform(n: int, fmt: QFormat, frac_bits: int):
     return T, coef, limit
 
 
-def _radix4_raws(z: np.ndarray, fmt: QFormat, input_fmt: QFormat):
-    """Input raws the stage-by-stage way: radix-4, 1/sqrt(B), then quantize."""
-    return quantize_complex(to_beamspace(z, TwiddleConfig(False, fmt)), input_fmt)
+def beamspace_raws(x: np.ndarray, twiddle: TwiddleConfig, input_fmt: QFormat | None):
+    """Beamspace raws (re, im) of a (B,) vector or (B, ...) block: transform, then quantize.
 
-
-def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):
-    """Quantized beamspace raws (re, im) of a (B,) vector or (B, ...) block, bit for bit.
-
-    Equal byte for byte to quantizing ``to_beamspace(x, TwiddleConfig(False,
-    twiddle_fmt))`` to ``input_fmt`` (nearest-even, saturating, zeros +0.0),
-    but computed as one complex GEMM, v = k T x with T = _radix4(eye(B)) and
-    k = scale / sqrt(B), then rounded half-even and clipped in the float
-    domain.
+    Byte for byte ``quantize_complex(to_beamspace(x, twiddle), input_fmt)``,
+    the one fallback. With quantized input, radix-4 twiddles and a power-of-4
+    B, a block the certificate below vouches for is one complex GEMM, v = k T x
+    with T = _radix4(eye(B)) and k = scale / sqrt(B), rounded half-even and
+    clipped in the float domain (nearest-even, saturating, zeros +0.0).
 
     Certificate. Write |z|_1 = |Re z| + |Im z| and S_c = sum_j |x_jc|_1. Let P
     be the product over the L = log4(B) stages of the largest |w|_1 of the
@@ -174,43 +158,31 @@ def beamspace_raws(x: np.ndarray, twiddle_fmt: QFormat, input_fmt: QFormat):
     further than E_c (plus 2**-40 for the rounding of 0.5 - E_c and for
     underflow) from every rounding boundary j + 1/2 rounds the same on both
     paths; the block's largest |component| m, with S_c <= 2 B m, checks the
-    whole block at once. Only when that fails is S_c computed per column, and
-    a column with a sample inside its bound is recomputed with the radix-4.
-    Scaling by k and by 1/sqrt(B) is exact (powers of two). Input that is not
-    finite, or large enough to overflow, goes down the radix-4 path whole,
-    which raises on it as :func:`quantize_raw` does.
+    whole block at once. Scaling by k and by 1/sqrt(B) is exact (powers of
+    two). A block with a sample inside that bound, or with input that is not
+    finite or large enough to overflow, takes the fallback whole, which
+    raises on a non-finite sample as :func:`quantize_raw` does.
     """
     x = np.asarray(x)
     B = x.shape[0]
-    if not _is_power_of_4(B):
-        raise ValueError(f"radix-4 transform needs a power-of-4 length, got {B}")
-    z = np.ascontiguousarray(x.reshape(B, -1), dtype=np.complex128)
-    N = z.shape[1]
-    T, coef, limit = _raw_transform(B, twiddle_fmt, input_fmt.frac_bits)
-    zv = z.view(np.float64)
-    m = max(zv.max(initial=0.0), -zv.min(initial=0.0))
-    if not m < limit:
-        return tuple(r.reshape(x.shape) for r in _radix4_raws(z, twiddle_fmt, input_fmt))
-    v = (T @ z).view(np.float64)  # (B, 2N): real and imaginary parts interleaved
-    raws = np.rint(v)
-    np.subtract(v, raws, out=v)
-    np.abs(v, out=v)
-    np.minimum(raws, input_fmt.max_raw, out=raws)
-    np.maximum(raws, input_fmt.min_raw, out=raws)
-    raws += 0.0  # -0.0 -> +0.0, as quantize_raw gives
-    slack = 2.0**-40
-    if not v.max(initial=0.0) < 0.5 - coef * 2 * B * m - slack:
-        S = np.abs(zv).reshape(B, N, 2).sum(axis=(0, 2))
-        near = v.reshape(B, N, 2).max(axis=(0, 2))
-        cols = np.flatnonzero(~(near < 0.5 - coef * S - slack))
-        if cols.size:
-            per_col = raws.reshape(B, N, 2)
-            per_col[:, cols, 0], per_col[:, cols, 1] = _radix4_raws(z[:, cols], twiddle_fmt,
-                                                                    input_fmt)
-    out = v.reshape(2, B, N)  # the distances are read: split the raws into their buffer
-    np.copyto(out[0], raws[:, 0::2])
-    np.copyto(out[1], raws[:, 1::2])
-    return out[0].reshape(x.shape), out[1].reshape(x.shape)
+    if input_fmt is not None and not twiddle.exact and _is_power_of_4(B):
+        z = np.ascontiguousarray(x.reshape(B, -1), dtype=np.complex128)
+        T, coef, limit = _raw_transform(B, twiddle.twiddle_fmt, input_fmt.frac_bits)
+        zv = z.view(np.float64)
+        m = max(zv.max(initial=0.0), -zv.min(initial=0.0))
+        if m < limit:
+            v = (T @ z).view(np.float64)  # (B, 2N): real and imaginary parts interleaved
+            raws = np.rint(v)
+            np.subtract(v, raws, out=v)
+            np.abs(v, out=v)
+            if v.max(initial=0.0) < 0.5 - coef * 2 * B * m - 2.0**-40:
+                np.minimum(raws, input_fmt.max_raw, out=raws)
+                np.maximum(raws, input_fmt.min_raw, out=raws)
+                raws += 0.0  # -0.0 -> +0.0, as quantize_raw gives
+                out = v.reshape(2, *z.shape)  # the distances are read: reuse their buffer
+                np.copyto(out, raws.reshape(*z.shape, 2).transpose(2, 0, 1))
+                return out[0].reshape(x.shape), out[1].reshape(x.shape)
+    return quantize_complex(to_beamspace(x, twiddle), input_fmt)
 
 
 def to_beamspace(y: np.ndarray, cfg: TwiddleConfig = TwiddleConfig()) -> np.ndarray:

@@ -124,6 +124,7 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
 def throughput_bps(clock_hz: float, U: int, M: int) -> float:
     """Steady-state equalization throughput: U log2(M) bits per clock."""
     bits = _bits_per_symbol(M)
+    _check_integer("U", U)
     if U < 1:
         raise ValueError("U must be >= 1")
     if not (math.isfinite(clock_hz) and clock_hz > 0):
@@ -135,6 +136,7 @@ def effective_throughput(clock_hz: float, U: int, M: int, coherence_vectors: int
                          B: int) -> float:
     """Throughput once the weight reload and the B-input drain per coherence block are amortized."""
     _check_array(B, U)
+    _check_integer("coherence_vectors", coherence_vectors)
     if coherence_vectors < 1:
         raise ValueError("coherence_vectors must be >= 1")
     peak = throughput_bps(clock_hz, U, M)

@@ -31,10 +31,9 @@ Estimates are descaled by multiplying each part by ``vs / (alpha * gain)``
 bytes of dividing the complex accumulator by the real ``alpha * gain``: NumPy
 computes that division as a multiply by the reciprocal.
 
-The input front end (gain, radix-4 transform, input quantization) computes
-its raws as one GEMM whose rounding is certified against the radix-4's, so
-they are bit-identical to transforming and then quantizing (see
-:func:`beamspace.beamspace_raws`).
+The input front end (gain, transform, input quantization) takes its
+beamspace raws from :func:`beamspace.beamspace_raws`, which owns transforming
+and then quantizing.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamspace import _TILE_COLUMNS, TwiddleConfig, _is_power_of_4, beamspace_raws, to_beamspace
+from .beamspace import _TILE_COLUMNS, TwiddleConfig, _is_power_of_4, beamspace_raws
 from .channel import DOMAINS, ChannelMatrix
 from .numerics import INPUT_FMT, QFormat, _check_integer, quantize_complex
 
@@ -447,17 +446,15 @@ def equalize_block(mode: str, weights_ant: EqualizerWeights | None,
 def front_end(mode: str, Y: np.ndarray, frontend: FrontEnd) -> BeamVector:
     """Tagged input of antenna-domain receive vectors, (B,) or a (B, ...) block of any shape.
 
-    Scales by the front-end gain, transforms to beamspace unless the mode
-    bypasses the transform, then quantizes to the input format and tags
-    against ``frontend.tau_y``. With quantized input and twiddles (the
-    defaults), transform and quantization are one GEMM whose raws are
-    certified bit-identical to the radix-4's (:func:`beamspace_raws`).
+    Scales by the front-end gain, then quantizes to the input format and
+    tags against ``frontend.tau_y``: directly where the mode bypasses the
+    transform, through :func:`beamspace_raws` otherwise, which transforms
+    to beamspace first and decides when its certified GEMM applies.
     """
-    antenna = _mode_rule(mode)[0] == "antenna"
     Z = frontend.gain * Y
     fmt = frontend.input_fmt
-    if antenna or fmt is None or frontend.twiddle.exact:
-        return tag_input(Z if antenna else to_beamspace(Z, frontend.twiddle), frontend.tau_y, fmt)
-    re, im = beamspace_raws(Z, frontend.twiddle.twiddle_fmt, fmt)
+    if _mode_rule(mode)[0] == "antenna":
+        return tag_input(Z, frontend.tau_y, fmt)
+    re, im = beamspace_raws(Z, frontend.twiddle, fmt)
     return BeamVector(re=re, im=im, fmt=fmt, tau_y=frontend.tau_y)
 

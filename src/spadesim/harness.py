@@ -427,6 +427,7 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float,
     """
     if not 0.0 < target < 0.5:
         raise ValueError("target_ber must be in (0, 0.5)")
+    _check_integer("probe_cap", probe_cap)
     if probe_cap < 1:
         raise ValueError("probe_cap must be >= 1")
     _mode_rule(mode)
@@ -480,8 +481,10 @@ def default_grid() -> np.ndarray:
     return np.geomspace(2.0**-9, 2.0**-1, 8)
 
 
-def _check_draws(draws: int, vectors_per_draw: int) -> None:
+def _check_draws(name: str, draws: int, vectors_per_draw: int) -> None:
     # an activity mean over no draws or no vectors is 0/0
+    _check_integer(name, draws)
+    _check_integer("vectors_per_draw", vectors_per_draw)
     if draws < 1 or vectors_per_draw < 1:
         raise ValueError("activity draws and vectors_per_draw must be >= 1")
 
@@ -496,7 +499,7 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     (nw, ny) array, or (nw, ny, draws) with ``per_draw``; see
     :func:`_activity_rates`.
     """
-    _check_draws(draws, vectors_per_draw)
+    _check_draws("draws", draws, vectors_per_draw)
     _n0_for_snr(config, snr_db)  # in every mode, not only where the draws need N0
     tau_w_grid = [float(t) for t in tau_w_grid]
     tau_y_grid = [float(t) for t in tau_y_grid]
@@ -561,7 +564,7 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
     are computed once per probe SNR; activity is measured as one cell per
     pair, at its activity SNR, all cells sharing each draw.
     """
-    _check_draws(activity_draws, vectors_per_draw)
+    _check_draws("activity_draws", activity_draws, vectors_per_draw)
     pairs = [(float(tw), float(ty)) for tw in tau_w_grid for ty in tau_y_grid]
     searched = _operating_points(config, mode, pairs, target_ber, probe_cap)
     cells = [(_SEARCH_HI_DB if op is None else op, tw, ty)

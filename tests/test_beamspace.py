@@ -98,6 +98,11 @@ def test_radix4_rejects_non_power_of_4():
     for B in (2, 8, 32, 48):
         with pytest.raises(ValueError, match="power-of-4"):
             to_beamspace(np.zeros(B, dtype=complex), cfg)
+        # through the front end too, quantized or not: the GEMM does not apply
+        for fmt in (QFormat(12, 9), None):
+            with pytest.raises(ValueError) as exc:
+                front_end("lmmse-b", np.zeros(B, dtype=complex), FrontEnd(input_fmt=fmt, twiddle=cfg))
+            assert str(exc.value) == f"radix-4 transform needs a power-of-4 length, got {B}"
 
 
 def test_quantized_twiddle_error_bound():

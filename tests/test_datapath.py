@@ -344,9 +344,19 @@ def test_pipeline_takes_numpy_integers():
     (lambda: effective_throughput(720e6, 9, 16, 1000, 5), "B must be a power of 4, got 5"),
     (lambda: simulate_stream(random_weights(np.random.default_rng(0), 17, 16, tau_w=0.1), [],
                              PipelineConfig(), save_power=True), "U must be in [1, B], got 17"),
-], ids=["latency", "effective_throughput", "simulate_stream"])
+    (lambda: throughput_bps(720e6, True, 16), "U True is not an integer"),
+    (lambda: throughput_bps(720e6, 2.5, 16), "U 2.5 is not an integer"),
+    (lambda: effective_throughput(720e6, 16, 16, 2.5, 64),
+     "coherence_vectors 2.5 is not an integer"),
+    (lambda: effective_throughput(720e6, 16, 16, True, 64),
+     "coherence_vectors True is not an integer"),
+], ids=["latency", "effective_throughput", "simulate_stream", "throughput-U=True",
+        "throughput-U=2.5", "effective_throughput-coherence=2.5",
+        "effective_throughput-coherence=True"])
 def test_datapath_refuses_arrays_run_config_refuses(call, message):
-    # these returned cycle counts and a throughput for arrays RunConfig refuses
+    # these returned cycle counts and a throughput for arrays RunConfig refuses;
+    # throughput_bps returned 2.88e9 for U=True and 7.2e9 for U=2.5, and a float
+    # coherence count was refused under the cycle count's name N
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -256,6 +257,9 @@ def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
     assert code == 1 and capsys.readouterr().err.startswith("error: probe_cap")
 
 
+_PROBE_CFG = RunConfig(B=16, U=2, M=4, vectors_per_block=10)
+
+
 @pytest.mark.parametrize("make,kw,name", [
     pytest.param(small_cfg, dict(seed=True), "seed", id="RunConfig-seed=True"),
     pytest.param(derive_stream, dict(seed=True, purpose=1, tag=0, index=0), "stream seed",
@@ -271,9 +275,26 @@ def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
     pytest.param(StopRule, dict(max_vectors=10.5), "max_vectors", id="StopRule-max_vectors=10.5"),
     pytest.param(StopRule, dict(target_errors=True), "target_errors",
                  id="StopRule-target_errors=True"),
+    pytest.param(partial(snr_operating_point, _PROBE_CFG, "lmmse-a"), dict(probe_cap=True),
+                 "probe_cap", id="snr_operating_point-probe_cap=True"),
+    pytest.param(partial(snr_operating_point, _PROBE_CFG, "lmmse-a"), dict(probe_cap=2.5),
+                 "probe_cap", id="snr_operating_point-probe_cap=2.5"),
+    pytest.param(partial(threshold_sweep, _PROBE_CFG, [0.0], [0.0]), dict(probe_cap=2.5),
+                 "probe_cap", id="threshold_sweep-probe_cap=2.5"),
+    pytest.param(partial(activity_grid, _PROBE_CFG, "lmmse-spade", 10.0, [0.0], [0.0]),
+                 dict(draws=True), "draws", id="activity_grid-draws=True"),
+    pytest.param(partial(activity_grid, _PROBE_CFG, "lmmse-spade", 10.0, [0.0], [0.0]),
+                 dict(vectors_per_draw=1.5), "vectors_per_draw",
+                 id="activity_grid-vectors_per_draw=1.5"),
+    pytest.param(partial(threshold_sweep, _PROBE_CFG, [0.0], [0.0]), dict(activity_draws=2.5),
+                 "activity_draws", id="threshold_sweep-activity_draws=2.5"),
+    pytest.param(partial(threshold_sweep, _PROBE_CFG, [0.0], [0.0]),
+                 dict(vectors_per_draw=1.5), "vectors_per_draw",
+                 id="threshold_sweep-vectors_per_draw=1.5"),
 ])
 def test_counts_must_be_integers(make, kw, name):
-    # a bool ran as 1 or 0; a float ran or failed deep inside run_ber with a TypeError
+    # a bool ran as 1 or 0; a float ran or failed deep inside run_ber with a TypeError;
+    # probe_cap=True ran 1-vector probes, which read BER 0 and gave -10 dB
     with pytest.raises(ValueError, match=rf"^{name} .* is not an integer"):
         make(**kw)
 

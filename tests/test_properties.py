@@ -172,7 +172,11 @@ def test_synth_receive_equals_the_complex_formula(U, B, n, N0, seed):
 
 @st.composite
 def front_end_inputs(draw):
-    """A receive block with a quantized front end: sizes, scales and formats at their edges."""
+    """A receive block and a front end: sizes, scales and formats at their edges.
+
+    Most draws quantize with radix-4 twiddles, where ``beamspace_raws`` may
+    take its GEMM; the exact FFT and unquantized input take its fallback.
+    """
     B = draw(st.sampled_from((4, 16, 64, 256)))
     shape = (B,) if draw(st.booleans()) else (B, draw(st.integers(0, 6)))
     kind = draw(st.sampled_from(("gaussian", "dyadic", "zero", "drawn")))
@@ -189,15 +193,16 @@ def front_end_inputs(draw):
         Y = draw(hnp.arrays(np.complex128, shape[:1] + tuple(min(n, 2) for n in shape[1:]),
                             elements=st.complex_numbers(max_magnitude=1e6, **FINITE)))
     twiddle = draw(st.sampled_from((TWIDDLE_FMT, QFormat(3, 1), QFormat(16, 14), QFormat(32, 31))))
+    exact = draw(st.sampled_from((False, False, False, True)))
     fe = FrontEnd(input_fmt=draw(st.sampled_from((INPUT_FMT, QFormat(8, 7), QFormat(16, 0),
-                                                  QFormat(32, 20)))),
-                  tau_y=draw(THRESHOLD), twiddle=TwiddleConfig(exact=False, twiddle_fmt=twiddle),
+                                                  QFormat(32, 20), None))),
+                  tau_y=draw(THRESHOLD), twiddle=TwiddleConfig(exact=exact, twiddle_fmt=twiddle),
                   # the larger gains saturate most raws
                   gain=draw(st.sampled_from((1e-3, 0.25, 1.0, 40.0, 1e5))))
     return Y, fe
 
 
-@PROPS
+@settings(PROPS, max_examples=100)
 @given(front_end_inputs(), st.sampled_from(("lmmse-b", "lmmse-spade")))
 def test_front_end_raws_equal_the_radix4_path(setup, mode):
     Y, fe = setup
