@@ -220,9 +220,13 @@ def bit_errors(symbols: np.ndarray, index: np.ndarray, M: int, Es: float) -> np.
     saturate there, and a NaN raises ``ValueError``. The sliced point's Gray
     bits are compared with ``index`` (as :func:`qam_index` reads the sent
     bits), giving a uint8 array of the broadcast shape of ``symbols`` and
-    ``index``.
+    ``index``. An index outside [0, M) raises ``ValueError``: it would read
+    another row of the error table.
     """
     _bits_per_symbol(M)  # checks M
+    index = np.asarray(index)
+    if index.size and not 0 <= index.min() <= index.max() < M:
+        raise ValueError(f"symbol indices must be in [0, {M})")
     levels = _level_indices(symbols, M, Es)
     point = levels[..., 0] * isqrt(M) + levels[..., 1]
     return _error_table(M).reshape(-1)[point * M + index]

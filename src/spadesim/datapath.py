@@ -7,10 +7,9 @@ multiplier input registers muted over the stream off its activity report.
 A quantized stream is scored one column tile of the equalizer's width at a
 time, so besides its (N, U) outputs it holds only one tile's gathered inputs
 and temporaries, however long it is; a float stream is one block, as the
-equalizer scores float raws. A tile's rows are gathered by joining its
-vectors' raw buffers, which holds because every :class:`BeamVector` stores
-native float64 raws; a tile holding a strided raw, which has no contiguous
-buffer, is stacked instead.
+equalizer scores float raws. A tile's rows are one join of its vectors' raw
+buffers: every (B,) :class:`BeamVector` stores contiguous native float64
+raws, and the equalizer owns the layout it scores in.
 """
 
 from __future__ import annotations
@@ -65,17 +64,11 @@ class MuteTrace:
 
 
 def _tile_rows(raws: list) -> np.ndarray:
-    """The (len(raws), B) rows of equal-length float64 raws, one per row.
+    """The (len(raws), B) rows of equal-length contiguous float64 raws, one per row.
 
-    Contiguous raws are joined through their buffers, at about 60% of the
-    cost of stacking them; a strided raw has no contiguous buffer, so a list
-    that holds one is stacked.
+    One join of their buffers, at about 60% of the cost of stacking them.
     """
-    try:
-        joined = b"".join(raws)
-    except TypeError:
-        return np.array(raws)
-    return np.frombuffer(joined, np.float64).reshape(len(raws), raws[0].size)
+    return np.frombuffer(b"".join(raws), np.float64).reshape(len(raws), raws[0].size)
 
 
 def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
@@ -88,8 +81,7 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     equalizer's column-tile width T (float raws as one block, as the
     equalizer scores them), each written into its rows of the outputs, so
     only one tile of the stream is ever gathered. A tile's (T, B) rows of
-    each part are one join of its vectors' raw buffers, or a stack if one of
-    them is strided; either way the block has the same bytes. Returns
+    each part are one join of its vectors' raw buffers. Returns
     (outputs, cycles, trace, report): outputs is (N, U) estimates
     bit-identical to the equalizer module, cycles is ``cfg.cycles(U, N, B)``,
     and the trace counts the muted registers from the report.
@@ -107,14 +99,10 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
             if x.re.shape != shape or x.tau_y != tau_y or (x.fmt is not fmt and x.fmt != fmt):
                 raise ValueError(mixed)
         for rows in _column_tiles(n, fmt is not None):
-            # the tile's (T, B) rows of each component, viewed as its (B, T)
-            # block; OpenBLAS rounds a float product by its operand's layout
-            # too, so float raws are scored C-ordered, as a block's raws are
+            # the tile's (T, B) rows of each component, viewed as its (B, T) block
             tile = vectors[rows]
-            re, im = _tile_rows([x.re for x in tile]).T, _tile_rows([x.im for x in tile]).T
-            if fmt is None:
-                re, im = np.ascontiguousarray(re), np.ascontiguousarray(im)
-            block = BeamVector(re=re, im=im, fmt=fmt, tau_y=tau_y)
+            block = BeamVector(re=_tile_rows([x.re for x in tile]).T,
+                               im=_tile_rows([x.im for x in tile]).T, fmt=fmt, tau_y=tau_y)
             S, per_vector[rows] = equalize_tagged(weights, block, save_power, gain=gain)
             outputs[rows] = S.T
     report = ActivityReport(per_vector, 4 * B * U)

@@ -23,9 +23,11 @@ in column tiles of ``beamspace._TILE_COLUMNS`` (the radix-4's tile width
 too), each pass over a tile staying in cache and writing its columns of the
 outputs in place, with the bytes of one pass over the whole block, and
 multiply a (k, 2, U, B) stack of quantized weights as one 2-D (k*2U, B)
-GEMM. Unquantized raws are scored as one tile, each (U, B) matrix its own
-call: OpenBLAS rounds a float product's columns differently with the width
-of the call, and its rows with the row count.
+GEMM. Unquantized raws are scored C-ordered as one tile, each (U, B) matrix
+its own call: OpenBLAS rounds a float product's columns differently with the
+width of the call, its rows with the row count and both with the operand's
+memory order. So the masked product alone owns operand layout: its bytes
+never depend on the memory order a caller passes.
 Estimates are descaled by multiplying each part by ``vs / (alpha * gain)``
 (``vs`` the power of two that turns raw products into values), which has the
 bytes of dividing the complex accumulator by the real ``alpha * gain``: NumPy
@@ -79,19 +81,23 @@ _FLOAT64 = np.dtype(np.float64)
 def _store_float_raws(operand, name: str) -> None:
     """Store an operand's ``re`` and ``im`` as native float64 arrays of one shape.
 
-    Float64 arrays are kept as they are, the same objects; other real raws
-    (integers, byte-swapped floats, lists) are stored as
-    ``np.asarray(raw, dtype=np.float64)``. Complex raws are refused:
-    converting them would drop their imaginary parts.
+    Float64 arrays are kept as they are, the same objects, but a 1-D raw is
+    kept only if contiguous: a stream joins its vectors' buffers. Other real
+    raws (integers, byte-swapped floats, lists, strided vectors) are stored
+    as ``np.asarray(raw, dtype=np.float64)``, C-ordered if 1-D; a wider raw
+    keeps its layout, since the masked product owns that. Complex raws are
+    refused: converting them would drop their imaginary parts.
     """
     re, im = operand.re, operand.im
     # the common case, tested first: a stream makes one operand per vector
     if not (type(re) is np.ndarray and type(im) is np.ndarray
-            and re.dtype == _FLOAT64 and im.dtype == _FLOAT64):
+            and re.dtype == _FLOAT64 and im.dtype == _FLOAT64
+            and (re.ndim != 1 or re.flags.c_contiguous and im.flags.c_contiguous)):
         re, im = np.asarray(re), np.asarray(im)
         if re.dtype.kind == "c" or im.dtype.kind == "c":
             raise ValueError(f"{name} re and im must be real raws, not complex")
-        re, im = np.asarray(re, dtype=np.float64), np.asarray(im, dtype=np.float64)
+        re, im = (np.asarray(r, dtype=np.float64, order="C" if r.ndim == 1 else "K")
+                  for r in (re, im))
         object.__setattr__(operand, "re", re)
         object.__setattr__(operand, "im", im)
     if re.shape != im.shape:
@@ -234,8 +240,11 @@ def _threshold_raw(tau: float, fmt: QFormat | None) -> int | float:
 
     Deliberately not clamped to the storage range: the comparator's threshold
     register is one bit wider, so tau = 1.0 can sit above every stored value.
-    Without a format (quantization disabled) the threshold is tau itself.
+    Without a format (quantization disabled) the threshold is tau itself. A
+    bool is refused, as :func:`numerics._check_integer` refuses a bool count.
     """
+    if isinstance(tau, (bool, np.bool_)):
+        raise ValueError(f"threshold must be a number, not {tau!r}")
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError("threshold must be finite and nonnegative")
     if fmt is None:
@@ -348,7 +357,10 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
             wm, counts = _skippable((wre, wim), [_comparison_bits(w, tau_w, weights.fmt)
                                                  for w in (wre, wim)])
             w_skip[tau_w] = np.stack(wm)[None], counts.sum(axis=0)[None]
+    quantized = weights.fmt is not None
     yre, yim = x.re.reshape(x.B, -1), x.im.reshape(x.B, -1)
+    if not quantized:  # see below: OpenBLAS rounds a float product by its layout too
+        yre, yim = np.ascontiguousarray(yre), np.ascontiguousarray(yim)
     n = yre.shape[1]
     products = 4 * wre.size
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)
@@ -358,16 +370,18 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     coef = vs * (1.0 / (weights.alpha * gain))[:, None]
     out = [(np.empty((len(indices), weights.U, n), dtype=np.complex128),
             np.full((len(indices), n), products, dtype=np.int64)) for indices in groups.values()]
-    # Quantized raws are integers below 2**52, so every tiling and every
-    # grouping of rows gives the same bytes: a block is scored in column tiles
-    # and each (..., U, B) stack of matrices is one 2-D GEMM. Float raws are
-    # scored as one tile (none if the block is empty), each matrix its own
-    # (U, B) @ (B, N) call, as a stacked matmul makes it: OpenBLAS rounds a
-    # narrower last tile's columns differently (1024-column tiles changed
-    # float64 GEMM bytes in 39 of 300 random (U, B, N > 1024) shapes), and a
-    # matrix's rows differently with the row count ([a; b] @ c changed a's or
-    # b's bytes in 102 of 300 random shapes, the stacked matmul in none).
-    quantized = weights.fmt is not None
+    # Quantized raws are integers below 2**52, so every tiling, grouping of
+    # rows and memory order gives the same bytes: a block is scored in column
+    # tiles, in the caller's layout, and each (..., U, B) stack of matrices is
+    # one 2-D GEMM. Float raws are scored C-ordered as one tile (none if the
+    # block is empty), each matrix its own (U, B) @ (B, N) call, as a stacked
+    # matmul makes it: OpenBLAS rounds a float product differently with its
+    # operand's memory order (C- and F-ordered copies of one block gave other
+    # bytes in 45 of 60 random blocks at B=64, U=16), a narrower last tile's
+    # columns (1024-column tiles changed float64 GEMM bytes in 39 of 300
+    # random (U, B, N > 1024) shapes) and a matrix's rows with the row count
+    # ([a; b] @ c changed a's or b's bytes in 102 of 300 random shapes, the
+    # stacked matmul in none).
 
     def product(w, v):  # (..., U, B) @ (B, N)
         if quantized:

@@ -94,7 +94,7 @@ def derive_stream(seed: int, purpose: int, tag: int, index: int) -> np.random.Ge
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stop a BER point at this many bit errors or this many vectors."""
+    """Stop a BER point at this many bit errors or this many vectors, each stored as an ``int``."""
 
     target_errors: int = 500
     max_vectors: int = 1_000_000
@@ -102,6 +102,7 @@ class StopRule:
     def __post_init__(self) -> None:
         for name in ("target_errors", "max_vectors"):
             _check_integer(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.target_errors < 0 or self.max_vectors < 0:
             raise ValueError("target_errors and max_vectors must be >= 0")
 
@@ -111,7 +112,9 @@ class RunConfig:
     """Everything a simulation run needs besides the mode and the SNR list.
 
     Frozen: every setting, the channel file's matrix included, is read and
-    checked once, when the config is made.
+    checked once, when the config is made, and stored as what it means:
+    counts and the seed as ``int`` (NumPy integers pass), thresholds as
+    ``float`` (a bool is refused).
     """
 
     B: int = 64
@@ -137,6 +140,8 @@ class RunConfig:
                            ("workers", None)):
             _check_integer(name, getattr(self, name), bits)
         _check_array(self.B, self.U)  # checks that B and U are integers too
+        for name in ("B", "U", "M", "seed", "vectors_per_block", "workers"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         _bits_per_symbol(self.M)
         if self.channel not in CHANNEL_KINDS:
             raise ValueError(f"channel must be one of {CHANNEL_KINDS}")
@@ -151,6 +156,7 @@ class RunConfig:
                 _threshold_raw(getattr(self, name), fmt if self.quantized else None)
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
+            object.__setattr__(self, name, float(getattr(self, name)))
         fixed = None
         if self.channel == "file":
             fixed = load_channel(self.channel_file)
@@ -239,7 +245,7 @@ def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors
         rng.standard_normal(out=noise_re[d])
         rng.standard_normal(out=noise_im[d])
     if domain == "beamspace":
-        H = np.ascontiguousarray(to_beamspace(H.swapaxes(0, 1)).swapaxes(0, 1))
+        H = to_beamspace(H.swapaxes(0, 1)).swapaxes(0, 1)
     # release each intermediate once read, and the noise-free blocks and the
     # noise before the front end: with large blocks and several workers, or
     # long activity chunks, the smaller working set is faster

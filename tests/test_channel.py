@@ -182,6 +182,17 @@ def test_qam_demodulate_rejects_nan():
             bit_errors(np.array([0.5 + 0.5j, s]), sent, 16, 1.0)
 
 
+@pytest.mark.parametrize("M", [4, 16, 64, 256])
+def test_bit_errors_refuse_indices_outside_the_constellation(M):
+    # an index outside [0, M) would read another row of the error table
+    symbols = np.full(3, 0.5 + 0.5j)
+    for bad in ([M, 0, 1], [0, M + 5, 1], [0, 1, -1]):
+        with pytest.raises(ValueError, match=rf"\[0, {M}\)"):
+            bit_errors(symbols, np.array(bad), M, 1.0)
+    assert bit_errors(symbols, np.array([0, M - 1, 1]), M, 1.0).shape == (3,)
+    assert bit_errors(np.empty(0, complex), np.empty(0, np.int64), M, 1.0).size == 0
+
+
 def test_map_qam_validation():
     with pytest.raises(ValueError):
         qam_modulate(np.zeros((1, 4), dtype=np.uint8), 8, 1.0)

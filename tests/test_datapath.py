@@ -157,16 +157,17 @@ def test_contiguous_stream_equals_the_block(n, quantized):
     assert report.per_vector.tobytes() == block_report.per_vector.tobytes()
 
 
-def test_tile_rows_join_contiguous_raws_and_stack_strided_ones():
+def test_vectors_store_strided_raws_contiguous_and_tile_rows_join_them():
+    # a strided column of a block is copied when tagged, so every stream
+    # vector's raws have a buffer and a tile is one join of them
     rng = np.random.default_rng(72)
     block = rng.standard_normal((16, 5))
-    columns = [np.ascontiguousarray(block[:, i]) for i in range(5)]
-    joined = _tile_rows(columns)
-    assert isinstance(joined.base.base, bytes)  # a view of one joined buffer
-    mixed = _tile_rows(columns[:2] + [block[:, i] for i in range(2, 5)])
-    assert mixed.flags.owndata  # the fallback's stack
-    for rows in (joined, mixed):
-        assert rows.dtype == np.float64 and rows.tobytes() == block.T.tobytes()
+    vectors = [BeamVector(re=block[:, i], im=-block[:, i], fmt=None, tau_y=0.0) for i in range(5)]
+    assert all(v.re.flags.c_contiguous and v.im.flags.c_contiguous for v in vectors)
+    assert all(v.re.dtype == np.float64 for v in vectors)
+    rows = _tile_rows([v.re for v in vectors])
+    assert isinstance(rows.base.base, bytes)  # a view of one joined buffer
+    assert rows.dtype == np.float64 and rows.tobytes() == block.T.tobytes()
 
 
 _LAYOUTS = {"contiguous": np.copy, "strided": lambda a: a, "big-endian": lambda a: a.astype(">f8")}
@@ -175,8 +176,8 @@ _LAYOUTS = {"contiguous": np.copy, "strided": lambda a: a, "big-endian": lambda 
 @pytest.mark.parametrize("layouts", [("contiguous", "big-endian"),
                                      ("contiguous", "strided", "big-endian")])
 def test_stream_of_mixed_and_byte_swapped_raws_equals_the_block(layouts):
-    # one tile's raws in turn: a strided raw sends the tile to the stack, and
-    # '>f8' raws are converted when tagged, so the join reads native float64
+    # one tile's raws in turn: strided raws are copied and '>f8' raws
+    # converted when tagged, so the join reads contiguous native float64
     rng = np.random.default_rng(73)
     B, U, n = 16, 4, 40
     weights = random_weights(rng, U, B, tau_w=0.2)

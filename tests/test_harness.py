@@ -5,8 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import shlex
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from spadesim.channel import (
     qam_index,
     save_channel,
 )
-from spadesim.cli import _effective, _snr_list
+from spadesim.cli import _COMMANDS, _effective, _snr_list, build_parser
 from spadesim.cli import main as cli_main
 from spadesim.datapath import throughput_bps
 from spadesim.equalizer import MODES, FrontEnd, equalize_block, front_end
@@ -28,6 +30,7 @@ from spadesim.harness import (
     _CHUNK_MATRICES,
     _WAVE_BLOCKS,
     MAX_SNR_POINTS,
+    REPORT_FORMATS,
     RunConfig,
     RunReport,
     SnrPoint,
@@ -301,9 +304,34 @@ def test_counts_must_be_integers(make, kw, name):
 
 def test_counts_take_numpy_integers():
     cfg = small_cfg(B=np.int64(16), U=np.int32(4), M=np.int16(4), seed=np.uint64(5),
-                    vectors_per_block=np.int64(25), workers=np.uint8(1))
-    assert cfg == small_cfg()
-    assert StopRule(np.int64(5), np.uint32(7)) == StopRule(5, 7)
+                    vectors_per_block=np.int64(10), workers=np.uint8(1))
+    plain = small_cfg(vectors_per_block=10)
+    assert cfg == plain
+    stop = StopRule(np.int64(5), np.uint32(7))
+    assert stop == StopRule(5, 7)
+    # each setting is stored as a plain int, so the report (trials included) holds no
+    # NumPy integer: JSON refused one, and both formats have the plain config's bytes
+    assert all(type(getattr(cfg, f)) is int
+               for f in ("B", "U", "M", "seed", "vectors_per_block", "workers"))
+    assert all(type(getattr(stop, f)) is int for f in ("target_errors", "max_vectors"))
+    reports = [run_ber(c, [4.0], "lmmse-spade", StopRule(max_vectors=m))
+               for c, m in ((cfg, np.int64(25)), (plain, 25))]
+    assert type(reports[0].points[0].trials) is int
+    for fmt in REPORT_FORMATS:
+        assert render_report(reports[0], fmt) == render_report(reports[1], fmt)
+
+
+@pytest.mark.parametrize("name", ["tau_w", "tau_y"])
+def test_thresholds_are_stored_as_floats_and_refuse_bools(name):
+    # tau_w=True ran as 1.0 but wrote True into the report; tau_w=1 wrote 1
+    for flag in (True, np.True_, False):
+        with pytest.raises(ValueError, match=f"^{name}: threshold must be a number"):
+            small_cfg(**{name: flag})
+    cfg = small_cfg(**{name: 1})
+    assert type(getattr(cfg, name)) is float and cfg == small_cfg(**{name: 1.0})
+    header, row = render_report(run_ber(cfg, [4.0], "lmmse-spade",
+                                        StopRule(max_vectors=25))).splitlines()
+    assert row.split(",")[header.split(",").index(name)] == "1.0"
 
 
 def test_stop_rule_rejects_negative_counts(capsys):
@@ -604,6 +632,23 @@ def test_report_unknown_format():
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the ``spadesim ...`` lines in README's "Command line", continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("spadesim ")]
+
+
+def test_readme_command_examples_parse():
+    # parsed as main() parses them, and nothing run: a renamed or dropped flag fails here
+    commands = readme_commands()
+    assert sorted(argv[0] for argv in commands) == sorted(_COMMANDS)
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0] and _effective(args)
+
 
 def test_cli_out_to_missing_directory_is_one_error_line(tmp_path, capsys):
     code = cli_main(["ber", "--b", "4", "--u", "1", "--mod", "4", "--snr-start", "0",

@@ -11,9 +11,10 @@ matrix per block, one solve, noise scaled part by part, one front end) and
 the lockstep threshold sweep each replace a per-element, per-stage,
 per-call, per-user, per-block, per-SNR, per-pair or whole-block formulation;
 every comparison here is byte for byte (``tobytes``, ``repr`` of floats,
-file bytes), not within a tolerance. Then come run_ber's contract (the same
-report for any worker count, and zero thresholds make lmmse-spade equal
-lmmse-b), fuzzed files from outside, which may only raise ``ValueError``,
+file bytes), not within a tolerance; so is the masked product of float raws
+in every memory order a caller passes them in. Then come run_ber's contract
+(the same report for any worker count, and zero thresholds make lmmse-spade
+equal lmmse-b), fuzzed files from outside, which may only raise ``ValueError``,
 and fuzzed option values, which parse alike from a flag and from a config
 line.
 """
@@ -433,6 +434,39 @@ def test_column_tiles_equal_the_untiled_kernel(setup):
 
 
 _STREAM_TAUS = st.sampled_from((0.0, 2.0**-9, 0.05, 0.3, 1.0))
+
+# the layouts a caller can hand the kernel one float block in: its own copies,
+# a column-strided view and a row-strided (B, N) slice, as the harness passes
+_FLOAT_LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "every other column": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+    "slice of a stack": lambda a: np.stack((np.zeros_like(a), a), axis=1)[:, 1],
+}
+
+
+@PROPS
+@given(B=st.sampled_from((1, 4, 16, 64)), U=st.integers(1, 16), n=st.none() | st.integers(1, 40),
+       save_power=st.booleans(), pairs=st.lists(st.tuples(_STREAM_TAUS, _STREAM_TAUS),
+                                                min_size=1, max_size=4),
+       gain=st.sampled_from((1.0, 0.25)), seed=st.integers(0, 2**32 - 1))
+# OpenBLAS rounds this block's F-ordered float product differently
+@example(B=16, U=1, n=7, save_power=False, pairs=[(0.0, 0.0)], gain=1.0, seed=0)
+def test_float_products_do_not_depend_on_memory_order(B, U, n, save_power, pairs, gain, seed):
+    """A float block's estimates have one set of bytes in every layout its raws come in."""
+    U = min(U, B)
+    rng = np.random.default_rng(seed)
+    W, alpha = scale_rows(rng.standard_normal((U, B)) + 1j * rng.standard_normal((U, B)), 2.0**-10)
+    w = build_weights(W, alpha, 0.0, None, "beamspace")
+    shape = (B,) if n is None else (B, n)
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    scored = {}
+    for name, layout in _FLOAT_LAYOUTS.items():
+        x = BeamVector(re=layout(re), im=layout(im), fmt=None, tau_y=0.0)
+        assert x.re.tobytes() == re.tobytes()
+        scored[name] = [(indices, S.tobytes(), executed.tobytes())
+                        for indices, S, executed in equalize_pairs(w, x, pairs, save_power, gain)]
+    assert all(s == scored["C"] for s in scored.values())
 
 
 @PROPS
