@@ -43,9 +43,7 @@ class PipelineConfig:
     def cycles(self, U: int, N: int, B: int) -> int:
         """Cycles of one coherence block: U weight loads, N accepted vectors, then the drain."""
         _check_array(B, U)
-        _check_integer("N", N)
-        if N < 0:
-            raise ValueError(f"N must be >= 0, got {N}")
+        _check_integer("N", N, 0)
         return U + N + self.latency(B)
 
 
@@ -112,9 +110,7 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
 def throughput_bps(clock_hz: float, U: int, M: int) -> float:
     """Steady-state equalization throughput: U log2(M) bits per clock."""
     bits = _bits_per_symbol(M)
-    _check_integer("U", U)
-    if U < 1:
-        raise ValueError("U must be >= 1")
+    _check_integer("U", U, 1)
     if not (math.isfinite(clock_hz) and clock_hz > 0):
         raise ValueError("clock_hz must be finite and positive")
     return U * bits * clock_hz
@@ -124,9 +120,7 @@ def effective_throughput(clock_hz: float, U: int, M: int, coherence_vectors: int
                          B: int) -> float:
     """Throughput once the weight reload and the B-input drain per coherence block are amortized."""
     _check_array(B, U)
-    _check_integer("coherence_vectors", coherence_vectors)
-    if coherence_vectors < 1:
-        raise ValueError("coherence_vectors must be >= 1")
+    _check_integer("coherence_vectors", coherence_vectors, 1)
     peak = throughput_bps(clock_hz, U, M)
     return peak * coherence_vectors / PipelineConfig().cycles(U, coherence_vectors, B)
 
@@ -140,8 +134,10 @@ class PowerCoeffs:
     fft_on: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.fixed < 0 or self.per_activity < 0 or self.fft_on < 0:
-            raise ValueError("power coefficients must be nonnegative")
+        coeffs = (self.fixed, self.per_activity, self.fft_on)
+        # a NaN or infinite coefficient would make every power proxy NaN or infinite
+        if not all(math.isfinite(c) and c >= 0 for c in coeffs):
+            raise ValueError("power coefficients must be finite and nonnegative")
 
 
 def power_proxy(report: ActivityReport, coeffs: PowerCoeffs, fft_active: bool) -> float:

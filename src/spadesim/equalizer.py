@@ -64,15 +64,13 @@ def _mode_rule(mode: str) -> tuple[str, bool]:
 def _check_array(B: int, U: int) -> None:
     """Refuse an array the model does not cover.
 
-    That is B or U not an integer, B not a power of 4, or U outside [1, B].
+    That is B not an integer power of 4, or U not an integer in [1, B].
     RunConfig and PipelineConfig both refuse through here, with one message.
     """
     _check_integer("B", B)
-    _check_integer("U", U)
     if not _is_power_of_4(B):
         raise ValueError(f"B must be a power of 4, got {B}")
-    if not 1 <= U <= B:
-        raise ValueError(f"U must be in [1, B], got {U}")
+    _check_integer("U", U, 1, B)
 
 
 _FLOAT64 = np.dtype(np.float64)

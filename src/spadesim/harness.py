@@ -86,7 +86,7 @@ def derive_stream(seed: int, purpose: int, tag: int, index: int) -> np.random.Ge
     """
     for name, value, bits in (("seed", seed, 64), ("purpose", purpose, 16), ("tag", tag, 16),
                               ("index", index, 32)):
-        _check_integer(f"stream {name}", value, bits)
+        _check_integer(f"stream {name}", value, 0, (1 << bits) - 1)
     hi = (purpose << 48) | (tag << 32) | index
     key = np.array([seed, hi], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -101,10 +101,7 @@ class StopRule:
 
     def __post_init__(self) -> None:
         for name in ("target_errors", "max_vectors"):
-            _check_integer(name, getattr(self, name))
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.target_errors < 0 or self.max_vectors < 0:
-            raise ValueError("target_errors and max_vectors must be >= 0")
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), 0))
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,8 @@ class RunConfig:
     Frozen: every setting, the channel file's matrix included, is read and
     checked once, when the config is made, and stored as what it means:
     counts and the seed as ``int`` (NumPy integers pass), thresholds as
-    ``float`` (a bool is refused).
+    ``float`` (a bool is refused), the two flags as ``bool`` (``np.bool_``
+    passes; a string or a number is refused).
     """
 
     B: int = 64
@@ -136,11 +134,11 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name, bits in (("seed", 64), ("M", None), ("vectors_per_block", None),
-                           ("workers", None)):
-            _check_integer(name, getattr(self, name), bits)
+        for name, lo, hi in (("seed", 0, (1 << 64) - 1), ("M", None, None),
+                             ("vectors_per_block", 1, None), ("workers", 1, None)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), lo, hi))
         _check_array(self.B, self.U)  # checks that B and U are integers too
-        for name in ("B", "U", "M", "seed", "vectors_per_block", "workers"):
+        for name in ("B", "U"):
             object.__setattr__(self, name, int(getattr(self, name)))
         _bits_per_symbol(self.M)
         if self.channel not in CHANNEL_KINDS:
@@ -149,8 +147,10 @@ class RunConfig:
             raise ValueError("channel 'file' needs channel_file")
         if self.channel_file is not None and self.channel != "file":
             raise ValueError("channel_file needs channel 'file'")
-        if self.vectors_per_block < 1 or self.workers < 1:
-            raise ValueError("vectors_per_block and workers must be >= 1")
+        for name in ("exact_fft", "quantized"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} {getattr(self, name)!r} is not a bool")
+            object.__setattr__(self, name, bool(getattr(self, name)))
         for name, fmt in (("tau_w", self.weight_fmt), ("tau_y", self.input_fmt)):
             try:
                 _threshold_raw(getattr(self, name), fmt if self.quantized else None)
@@ -371,8 +371,6 @@ def run_ber(config: RunConfig, snr_list_db, mode: str, stop: StopRule | None = N
     """Uncoded BER at each SNR: fresh channel per coherence block, hard slicing."""
     _mode_rule(mode)
     snr_list = [float(s) for s in snr_list_db]
-    if any(not math.isfinite(s) for s in snr_list):
-        raise ValueError("invalid SNR list")
     if len(snr_list) > MAX_SNR_POINTS:
         raise ValueError(f"SNR list has {len(snr_list)} points, more than {MAX_SNR_POINTS}")
     n0s = [_n0_for_snr(config, snr_db) for snr_db in snr_list]
@@ -433,9 +431,7 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float,
     """
     if not 0.0 < target < 0.5:
         raise ValueError("target_ber must be in (0, 0.5)")
-    _check_integer("probe_cap", probe_cap)
-    if probe_cap < 1:
-        raise ValueError("probe_cap must be >= 1")
+    _check_integer("probe_cap", probe_cap, 1)
     _mode_rule(mode)
     nbits = cfg.U * cfg.bits_per_symbol
 
@@ -487,14 +483,6 @@ def default_grid() -> np.ndarray:
     return np.geomspace(2.0**-9, 2.0**-1, 8)
 
 
-def _check_draws(name: str, draws: int, vectors_per_draw: int) -> None:
-    # an activity mean over no draws or no vectors is 0/0
-    _check_integer(name, draws)
-    _check_integer("vectors_per_draw", vectors_per_draw)
-    if draws < 1 or vectors_per_draw < 1:
-        raise ValueError("activity draws and vectors_per_draw must be >= 1")
-
-
 def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
                   tau_y_grid, draws: int = 1000, vectors_per_draw: int = 2,
                   per_draw: bool = False):
@@ -505,7 +493,8 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     (nw, ny) array, or (nw, ny, draws) with ``per_draw``; see
     :func:`_activity_rates`.
     """
-    _check_draws("draws", draws, vectors_per_draw)
+    _check_integer("draws", draws, 1)  # an activity mean over no draws or no vectors is 0/0
+    _check_integer("vectors_per_draw", vectors_per_draw, 1)
     _n0_for_snr(config, snr_db)  # in every mode, not only where the draws need N0
     tau_w_grid = [float(t) for t in tau_w_grid]
     tau_y_grid = [float(t) for t in tau_y_grid]
@@ -570,7 +559,8 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
     are computed once per probe SNR; activity is measured as one cell per
     pair, at its activity SNR, all cells sharing each draw.
     """
-    _check_draws("activity_draws", activity_draws, vectors_per_draw)
+    _check_integer("activity_draws", activity_draws, 1)
+    _check_integer("vectors_per_draw", vectors_per_draw, 1)
     pairs = [(float(tw), float(ty)) for tw in tau_w_grid for ty in tau_y_grid]
     searched = _operating_points(config, mode, pairs, target_ber, probe_cap)
     cells = [(_SEARCH_HI_DB if op is None else op, tw, ty)

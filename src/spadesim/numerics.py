@@ -8,8 +8,9 @@ product carries the full combined width, so accumulation never rounds.
 A quantized value is held as its raw integer in float64, the type the
 datapath computes in: every raw of a format up to 32 bits is float-exact.
 
-The module also owns the integer check of every size, count and seed
-(:func:`_check_integer`), as the bottom of the import order.
+The module also owns the check of every integer size, count, seed and
+width and of its range (:func:`_check_integer`), as the bottom of the
+import order.
 """
 
 from __future__ import annotations
@@ -24,17 +25,17 @@ class QFormat:
     """Signed fixed-point format: ``total_bits`` wide with ``frac_bits`` fractional.
 
     Representable values are ``raw * 2**-frac_bits`` for raw in the
-    two's-complement range of ``total_bits``.
+    two's-complement range of ``total_bits``. Both widths are stored as
+    ``int``, ``total_bits`` in [2, 32] and ``frac_bits`` below it.
     """
 
     total_bits: int
     frac_bits: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.total_bits <= 32:
-            raise ValueError(f"total_bits must be in [2, 32], got {self.total_bits}")
-        if not 0 <= self.frac_bits < self.total_bits:
-            raise ValueError(f"frac_bits must be in [0, total_bits), got {self.frac_bits}")
+        object.__setattr__(self, "total_bits", _check_integer("total_bits", self.total_bits, 2, 32))
+        object.__setattr__(self, "frac_bits",
+                           _check_integer("frac_bits", self.frac_bits, 0, self.total_bits - 1))
 
     @property
     def scale(self) -> int:
@@ -49,16 +50,18 @@ class QFormat:
         return (1 << (self.total_bits - 1)) - 1
 
 
-def _check_integer(name: str, value, bits: int | None = None) -> None:
-    """Refuse a bool or any other non-integer, and with ``bits`` a value outside [0, 2**bits).
+def _check_integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an ``int``; a bool, any other non-integer or one outside [lo, hi] raises.
 
     NumPy integers pass. A float count would fail deep inside a run and a
     float seed truncate to another seed's stream; ``True`` would run as 1.
+    The message names the setting, its value and the accepted range.
     """
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or bits is not None and not 0 <= value < 1 << bits):
-        raise ValueError(f"{name} {value!r} is not an integer"
-                         + ("" if bits is None else f" in [0, 2**{bits})"))
+            or lo is not None and value < lo or hi is not None and value > hi):
+        accepted = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        raise ValueError(f"{name} {value!r} is not an integer{accepted}")
+    return int(value)
 
 
 # Defaults used throughout the artifact; every one of these is configurable.

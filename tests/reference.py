@@ -103,7 +103,9 @@ def equalize_pairs_untiled(weights, x, taus: list, save_power: bool, gain: float
     products, the skip counts and the descale each run once on all the
     block's columns; the comparison bits come from :func:`naive_bits`, and
     the raws are masked and the set bits counted here, not by the kernel.
-    Returns what ``equalize_pairs`` returns.
+    Float raws are multiplied C-ordered, as the kernel scores them (a float
+    GEMM's bytes depend on its operand's memory order). Returns what
+    ``equalize_pairs`` returns.
     """
     from spadesim.equalizer import _check_accumulator, _threshold_raw
 
@@ -121,6 +123,8 @@ def equalize_pairs_untiled(weights, x, taus: list, save_power: bool, gain: float
     cols = x.re.shape[1:]
     wre, wim = weights.re, weights.im
     yre, yim = x.re.reshape(x.B, -1), x.im.reshape(x.B, -1)
+    if weights.fmt is None:
+        yre, yim = np.ascontiguousarray(yre), np.ascontiguousarray(yim)
     full_re, full_im = wre @ yre - wim @ yim, wre @ yim + wim @ yre
     products = 4 * wre.size
     vs = 1.0 if weights.fmt is None else 1.0 / (weights.fmt.scale * x.fmt.scale)

@@ -261,10 +261,12 @@ def test_effective_throughput():
 def test_arithmetic_rejects_non_physical_inputs(capsys):
     # a negative user count or clock used to give a negative throughput
     for U in (0, -3):
-        with pytest.raises(ValueError, match="U must be"):
+        with pytest.raises(ValueError) as exc:
             throughput_bps(720e6, U, 16)
-        with pytest.raises(ValueError, match="U must be"):
+        assert str(exc.value) == f"U {U} is not an integer >= 1"
+        with pytest.raises(ValueError) as exc:
             effective_throughput(720e6, U, 16, 1000, 64)
+        assert str(exc.value) == f"U {U} is not an integer in [1, 64]"
     for clock in (0.0, -5.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="clock_hz"):
             throughput_bps(clock, 16, 16)
@@ -316,9 +318,10 @@ def test_pipeline_refuses_non_integer_arrays_as_run_config_does(B, U):
         assert str(exc.value) == str(refused.value)
 
 
-@pytest.mark.parametrize("N,message", [(16.5, "N 16.5 is not an integer"),
-                                       (True, "N True is not an integer"),
-                                       (-5, "N must be >= 0, got -5")])
+@pytest.mark.parametrize("N,message", [(16.5, "N 16.5 is not an integer >= 0"),
+                                       (True, "N True is not an integer >= 0"),
+                                       (-5, "N -5 is not an integer >= 0")],
+                         ids=["float", "bool", "negative"])
 def test_pipeline_refuses_a_non_count_of_vectors(N, message):
     # cycles(16, 16.5, 64) returned 36.5 and cycles(16, -5, 64) 15
     with pytest.raises(ValueError) as exc:
@@ -328,11 +331,12 @@ def test_pipeline_refuses_a_non_count_of_vectors(N, message):
 
 
 def test_cli_refuses_a_negative_coherence_as_it_refuses_zero(capsys):
-    # the cycle count, which refuses a negative N in its own words, is taken
+    # the cycle count, which refuses a negative N under its own name, is taken
     # after the throughput, which refuses a count below one
     for value in ("0", "-5"):
         assert cli_main(["datapath", "--coherence", value]) == 1
-        assert capsys.readouterr().err == "error: coherence_vectors must be >= 1\n"
+        err = capsys.readouterr().err
+        assert err == f"error: coherence_vectors {value} is not an integer >= 1\n"
 
 
 def test_pipeline_takes_numpy_integers():
@@ -344,13 +348,14 @@ def test_pipeline_takes_numpy_integers():
     (lambda: PipelineConfig().latency(8), "B must be a power of 4, got 8"),
     (lambda: effective_throughput(720e6, 9, 16, 1000, 5), "B must be a power of 4, got 5"),
     (lambda: simulate_stream(random_weights(np.random.default_rng(0), 17, 16, tau_w=0.1), [],
-                             PipelineConfig(), save_power=True), "U must be in [1, B], got 17"),
-    (lambda: throughput_bps(720e6, True, 16), "U True is not an integer"),
-    (lambda: throughput_bps(720e6, 2.5, 16), "U 2.5 is not an integer"),
+                             PipelineConfig(), save_power=True),
+     "U 17 is not an integer in [1, 16]"),
+    (lambda: throughput_bps(720e6, True, 16), "U True is not an integer >= 1"),
+    (lambda: throughput_bps(720e6, 2.5, 16), "U 2.5 is not an integer >= 1"),
     (lambda: effective_throughput(720e6, 16, 16, 2.5, 64),
-     "coherence_vectors 2.5 is not an integer"),
+     "coherence_vectors 2.5 is not an integer >= 1"),
     (lambda: effective_throughput(720e6, 16, 16, True, 64),
-     "coherence_vectors True is not an integer"),
+     "coherence_vectors True is not an integer >= 1"),
 ], ids=["latency", "effective_throughput", "simulate_stream", "throughput-U=True",
         "throughput-U=2.5", "effective_throughput-coherence=2.5",
         "effective_throughput-coherence=True"])
@@ -392,6 +397,15 @@ def test_power_proxy_fft_term_and_validation():
     assert power_proxy(fake_report(0.8), coeffs, fft_active=True) == pytest.approx(base + 0.1)
     with pytest.raises(ValueError):
         PowerCoeffs(fixed=-0.1, per_activity=1.0, fft_on=0.0)
+
+
+@pytest.mark.parametrize("field", ["fixed", "per_activity", "fft_on"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_power_coeffs_refuse_non_finite_values(field, value):
+    # a NaN coefficient was kept, and power_proxy returned NaN
+    with pytest.raises(ValueError) as exc:
+        PowerCoeffs(**{field: value})
+    assert str(exc.value) == "power coefficients must be finite and nonnegative"
 
 
 def test_default_power_coeffs_give_the_readme_savings():

@@ -24,7 +24,7 @@ from spadesim.channel import (
 )
 from spadesim.cli import _COMMANDS, _effective, _snr_list, build_parser
 from spadesim.cli import main as cli_main
-from spadesim.datapath import throughput_bps
+from spadesim.datapath import PipelineConfig, effective_throughput, throughput_bps
 from spadesim.equalizer import MODES, FrontEnd, equalize_block, front_end
 from spadesim.harness import (
     _CHUNK_MATRICES,
@@ -45,6 +45,7 @@ from spadesim.harness import (
     snr_operating_point,
     threshold_sweep,
 )
+from spadesim.numerics import QFormat
 
 from reference import activity_rates_per_draw, q_func, q_func_inv
 
@@ -72,7 +73,8 @@ def test_derive_stream_rejects_fields_that_would_alias():
             derive_stream(9, purpose, tag, index)
     # the key would truncate a float seed to another seed's stream
     for seed in (1.5, np.float64(1.0)):
-        with pytest.raises(ValueError, match=r"stream seed .* is not an integer in \[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match=r"^stream seed .* is not an integer in "
+                                             r"\[0, 18446744073709551615\]$"):
             derive_stream(seed, 1, 0, 0)
     assert np.array_equal(derive_stream(np.uint64(9), 1, 0, 0).standard_normal(2),
                           derive_stream(9, 1, 0, 0).standard_normal(2))
@@ -184,6 +186,18 @@ def test_snr_without_finite_positive_noise_power_is_rejected(snr_db, capsys, mon
     assert captured.err.startswith(f"error: {named}") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_non_finite_snr_is_refused_by_name(snr_db, monkeypatch):
+    # the noise power's owner names the SNR; run_ber's own pass said "invalid SNR list"
+    def ran(*args, **kwargs):
+        pytest.fail("a block ran before every SNR was checked")
+
+    monkeypatch.setattr("spadesim.harness._simulate", ran)
+    with pytest.raises(ValueError) as exc:
+        run_ber(small_cfg(), [0.0, snr_db], "lmmse-a")
+    assert str(exc.value) == f"SNR {snr_db!r} dB gives no finite positive noise power N0"
+
+
 def test_snr_list_beyond_the_stream_tags_is_rejected(tmp_path, capsys, monkeypatch):
     # point i runs on stream tag i, a 16-bit field: point 2**16 failed only
     # after every earlier point had run, and the CLI built its whole list first
@@ -242,6 +256,97 @@ def test_every_caller_gives_its_setting_owners_message(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+_U64 = "[0, 18446744073709551615]"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: PipelineConfig().cycles(16, -1, 64), "N -1 is not an integer >= 0"),
+    (lambda: throughput_bps(720e6, 0, 16), "U 0 is not an integer >= 1"),
+    (lambda: effective_throughput(720e6, 16, 16, 0, 64),
+     "coherence_vectors 0 is not an integer >= 1"),
+    (lambda: StopRule(target_errors=-1), "target_errors -1 is not an integer >= 0"),
+    (lambda: StopRule(max_vectors=-1), "max_vectors -1 is not an integer >= 0"),
+    (lambda: small_cfg(vectors_per_block=0), "vectors_per_block 0 is not an integer >= 1"),
+    (lambda: small_cfg(workers=0), "workers 0 is not an integer >= 1"),
+    (lambda: small_cfg(seed=-1), f"seed -1 is not an integer in {_U64}"),
+    (lambda: small_cfg(seed=2**64), f"seed {2**64} is not an integer in {_U64}"),
+    (lambda: snr_operating_point(small_cfg(), "lmmse-a", probe_cap=0),
+     "probe_cap 0 is not an integer >= 1"),
+    (lambda: RunConfig(B=16, U=0), "U 0 is not an integer in [1, 16]"),
+    (lambda: RunConfig(B=16, U=17), "U 17 is not an integer in [1, 16]"),
+    (lambda: activity_grid(small_cfg(), "lmmse-spade", 10.0, [0.1], [0.1], draws=0),
+     "draws 0 is not an integer >= 1"),
+    (lambda: activity_grid(small_cfg(), "lmmse-spade", 10.0, [0.1], [0.1], draws=1,
+                           vectors_per_draw=0), "vectors_per_draw 0 is not an integer >= 1"),
+    (lambda: threshold_sweep(small_cfg(), [0.1], [0.1], activity_draws=0),
+     "activity_draws 0 is not an integer >= 1"),
+    (lambda: threshold_sweep(small_cfg(), [0.1], [0.1], activity_draws=1, vectors_per_draw=0),
+     "vectors_per_draw 0 is not an integer >= 1"),
+    (lambda: derive_stream(-1, 1, 0, 0), f"stream seed -1 is not an integer in {_U64}"),
+    (lambda: derive_stream(9, 1 << 16, 0, 0),
+     "stream purpose 65536 is not an integer in [0, 65535]"),
+    (lambda: derive_stream(9, 1, -1, 0), "stream tag -1 is not an integer in [0, 65535]"),
+    (lambda: derive_stream(9, 1, 0, 1 << 32),
+     "stream index 4294967296 is not an integer in [0, 4294967295]"),
+    (lambda: QFormat(10.0, 9), "total_bits 10.0 is not an integer in [2, 32]"),
+    (lambda: QFormat(12.5, 9), "total_bits 12.5 is not an integer in [2, 32]"),
+    (lambda: QFormat(1, 0), "total_bits 1 is not an integer in [2, 32]"),
+    (lambda: QFormat(33, 10), "total_bits 33 is not an integer in [2, 32]"),
+    (lambda: QFormat(10, 9.0), "frac_bits 9.0 is not an integer in [0, 9]"),
+    (lambda: QFormat(10, True), "frac_bits True is not an integer in [0, 9]"),
+    (lambda: QFormat(10, 10), "frac_bits 10 is not an integer in [0, 9]"),
+    (lambda: QFormat(10, -1), "frac_bits -1 is not an integer in [0, 9]"),
+], ids=["cycles-N", "throughput_bps-U", "effective_throughput-coherence",
+        "StopRule-target_errors", "StopRule-max_vectors", "RunConfig-vectors_per_block",
+        "RunConfig-workers", "RunConfig-seed-negative", "RunConfig-seed-wide",
+        "snr_operating_point-probe_cap", "RunConfig-U-zero", "RunConfig-U-above-B",
+        "activity_grid-draws", "activity_grid-vectors_per_draw", "threshold_sweep-activity_draws",
+        "threshold_sweep-vectors_per_draw", "derive_stream-seed", "derive_stream-purpose",
+        "derive_stream-tag", "derive_stream-index", "QFormat-total_bits-float",
+        "QFormat-total_bits-fraction", "QFormat-total_bits-narrow", "QFormat-total_bits-wide",
+        "QFormat-frac_bits-float", "QFormat-frac_bits-bool", "QFormat-frac_bits-wide",
+        "QFormat-frac_bits-negative"])
+def test_every_integer_setting_gives_its_owners_range_message(call, message):
+    # each of these wrote its own range check, in seven wordings; QFormat ran
+    # QFormat(10, True) as frac_bits 1 and took a float width until quantizing
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["datapath", "--coherence", "0"], "coherence_vectors 0 is not an integer >= 1"),
+    (["datapath", "--u", "-3"], "U -3 is not an integer in [1, 64]"),
+    (["ber", "--max-vectors", "-5"], "max_vectors -5 is not an integer >= 0"),
+    (["ber", "--vectors-per-block", "0"], "vectors_per_block 0 is not an integer >= 1"),
+    (["ber", "--workers", "0"], "workers 0 is not an integer >= 1"),
+    (["ber", "--b", "16", "--u", "17"], "U 17 is not an integer in [1, 16]"),
+    (["opoint", "--probe-cap", "0"], "probe_cap 0 is not an integer >= 1"),
+    (["sweep", "--activity-draws", "0"], "activity_draws 0 is not an integer >= 1"),
+    (["ber", "--input-fmt", "40:9"], "--input-fmt: total_bits 40 is not an integer in [2, 32]"),
+], ids=["datapath-coherence", "datapath-u", "ber-max-vectors", "ber-vectors-per-block",
+        "ber-workers", "ber-u-above-b", "opoint-probe-cap", "sweep-activity-draws",
+        "ber-input-fmt"])
+def test_cli_gives_the_owners_range_message(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n" and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["exact_fft", "quantized"])
+def test_run_config_flags_must_be_bools(name):
+    # exact_fft="false" was stored and ran the exact DFT; quantized=0 ran float mode
+    for value in ("false", 0, 1, 1.0, None):
+        with pytest.raises(ValueError) as exc:
+            small_cfg(**{name: value})
+        assert str(exc.value) == f"{name} {value!r} is not a bool"
+    for value in (True, False, np.bool_(True), np.bool_(False)):
+        stored = getattr(small_cfg(**{name: value}), name)
+        assert type(stored) is bool and stored == value
+    assert small_cfg(**{name: np.bool_(False)}) == small_cfg(**{name: False})
 
 
 def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
@@ -335,17 +440,18 @@ def test_thresholds_are_stored_as_floats_and_refuse_bools(name):
 
 
 def test_stop_rule_rejects_negative_counts(capsys):
-    for kw in (dict(target_errors=-1), dict(max_vectors=-5)):
-        with pytest.raises(ValueError, match="max_vectors"):
-            StopRule(**kw)
+    for name, value in (("target_errors", -1), ("max_vectors", -5)):
+        with pytest.raises(ValueError) as exc:
+            StopRule(**{name: value})
+        assert str(exc.value) == f"{name} {value} is not an integer >= 0"
     StopRule(target_errors=0, max_vectors=0)  # zero stays allowed
-    for flag in ("--max-vectors", "--target-errors"):
-        code = cli_main(["ber", flag, "-5", "--b", "4", "--u", "1", "--snr-start", "10",
-                         "--snr-stop", "10"])
+    for name in ("max_vectors", "target_errors"):
+        code = cli_main(["ber", "--" + name.replace("_", "-"), "-5", "--b", "4", "--u", "1",
+                         "--snr-start", "10", "--snr-stop", "10"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err == f"error: {name} -5 is not an integer >= 0\n"
 
 
 def test_channel_file_injection(tmp_path):
@@ -507,13 +613,17 @@ def test_activity_needs_draws_and_vectors(tmp_path, capsys):
     # an empty draw axis gave a NaN mean activity (and two RuntimeWarnings)
     cfg = small_cfg(B=4, U=1)
     for draws, vectors in ((0, 2), (2, 0), (-1, 2)):
-        with pytest.raises(ValueError, match="must be >= 1"):
+        refused = (f"draws {draws}" if draws < 1 else f"vectors_per_draw {vectors}") \
+            + " is not an integer >= 1"
+        with pytest.raises(ValueError) as exc:
             activity_grid(cfg, "lmmse-spade", 10.0, [0.1], [0.1], draws=draws,
                           vectors_per_draw=vectors)
-        with pytest.raises(ValueError, match="must be >= 1"):
+        assert str(exc.value) == refused
+        with pytest.raises(ValueError) as exc:
             threshold_sweep(cfg, [0.1], [0.1], activity_draws=draws, vectors_per_draw=vectors,
                             probe_cap=200)
-    with pytest.raises(ValueError, match="must be >= 1"):
+        assert str(exc.value) == ("activity_" if draws < 1 else "") + refused
+    with pytest.raises(ValueError, match=r"^draws 0 is not an integer >= 1$"):
         activity_grid(cfg, "lmmse-b", 10.0, [0.1], [0.1], draws=0)
     out = tmp_path / "s.csv"
     rc = cli_main(["sweep", "--b", "4", "--u", "1", "--mod", "4", "--tau-w-grid", "0.1",
@@ -521,7 +631,7 @@ def test_activity_needs_draws_and_vectors(tmp_path, capsys):
                    "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1 and not out.exists()
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: activity_draws 0 is not an integer >= 1\n"
 
 
 def test_threshold_sweep_tiny(tmp_path):

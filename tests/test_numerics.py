@@ -22,6 +22,13 @@ def test_qformat_validation():
         QFormat(10, -1)
 
 
+def test_qformat_stores_integer_widths_as_int():
+    # NumPy widths pass and are stored as int, as every other integer setting is
+    fmt = QFormat(np.int64(10), np.uint8(9))
+    assert fmt == WEIGHT_FMT and type(fmt.total_bits) is int and type(fmt.frac_bits) is int
+    assert quantize_raw(0.5, fmt) == 256
+
+
 def test_qformat_range():
     fmt = QFormat(10, 9)
     assert (fmt.min_raw, fmt.max_raw, fmt.scale) == (-512, 511, 512)

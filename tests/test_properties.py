@@ -394,9 +394,10 @@ def test_shared_full_products_equal_one_call_per_pair(setup):
 def tile_edge_setups(draw):
     """Weights and a tagged vector or block of 1, T - 1, T, T + 1 or 2T + r columns.
 
-    T is the kernel's tile width. The block is C- or F-ordered (the stream
-    stacks its vectors as an F-ordered block); 1 to 16 pairs (as many as a
-    4x4 sweep scores in one call) fall on 1 to 3 distinct tau_y.
+    T is the kernel's tile width. The block's raws are C- or F-ordered (the
+    stream joins its vectors into an F-ordered block), float raws too; 1 to
+    16 pairs (as many as a 4x4 sweep scores in one call) fall on 1 to 3
+    distinct tau_y.
     """
     T = _TILE_COLUMNS
     B = draw(st.sampled_from((1, 4, 16)))
@@ -417,6 +418,8 @@ def tile_edge_setups(draw):
     # often one group sits at the input's own tau_y, where its cached bits are read
     x = tag_input(draw(st.sampled_from((0.1, 1.0, 4.0))) * Y,
                   draw(st.one_of(st.sampled_from(tys), taus)), INPUT_FMT if quantized else None)
+    if not Y.flags.c_contiguous:  # tag_input copies float raws C-ordered
+        x = replace(x, re=np.asfortranarray(x.re), im=np.asfortranarray(x.im))
     pairs = draw(st.lists(st.tuples(taus, st.sampled_from(tys)), min_size=1, max_size=16))
     return w, x, pairs, draw(st.booleans()), draw(st.sampled_from((1.0, 0.25)))
 
