@@ -30,8 +30,10 @@ from .numerics import QFormat
 
 
 def _parse_fmt(text: str) -> QFormat:
-    total, frac = text.split(":")
-    return QFormat(int(total), int(frac))
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected T:F, got {text!r}")
+    return QFormat(int(parts[0]), int(parts[1]))
 
 
 def _parse_bool(text: str) -> bool:

@@ -61,14 +61,6 @@ class MuteTrace:
         return self.report.total - self.report.executed
 
 
-def _tile_rows(raws: list) -> np.ndarray:
-    """The (len(raws), B) rows of equal-length contiguous float64 raws, one per row.
-
-    One join of their buffers, at about 60% of the cost of stacking them.
-    """
-    return np.frombuffer(b"".join(raws), np.float64).reshape(len(raws), raws[0].size)
-
-
 def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
                     save_power: bool, gain: float = 1.0):
     """Stream tagged vectors through the array, one accepted per cycle.
@@ -79,7 +71,8 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     equalizer's column-tile width T (float raws as one block, as the
     equalizer scores them), each written into its rows of the outputs, so
     only one tile of the stream is ever gathered. A tile's (T, B) rows of
-    each part are one join of its vectors' raw buffers. Returns
+    each part are one join of its vectors' raw buffers (B their own length,
+    so the equalizer reports a mismatch with the weights). Returns
     (outputs, cycles, trace, report): outputs is (N, U) estimates
     bit-identical to the equalizer module, cycles is ``cfg.cycles(U, N, B)``,
     and the trace counts the muted registers from the report.
@@ -97,10 +90,10 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
             if x.re.shape != shape or x.tau_y != tau_y or (x.fmt is not fmt and x.fmt != fmt):
                 raise ValueError(mixed)
         for rows in _column_tiles(n, fmt is not None):
-            # the tile's (T, B) rows of each component, viewed as its (B, T) block
-            tile = vectors[rows]
-            block = BeamVector(re=_tile_rows([x.re for x in tile]).T,
-                               im=_tile_rows([x.im for x in tile]).T, fmt=fmt, tau_y=tau_y)
+            tile = vectors[rows]  # each part's (T, B) rows, viewed as its (B, T) block
+            re, im = (np.frombuffer(b"".join(raws), np.float64).reshape(len(tile), -1).T
+                      for raws in ([x.re for x in tile], [x.im for x in tile]))
+            block = BeamVector(re=re, im=im, fmt=fmt, tau_y=tau_y)
             S, per_vector[rows] = equalize_tagged(weights, block, save_power, gain=gain)
             outputs[rows] = S.T
     report = ActivityReport(per_vector, 4 * B * U)
@@ -134,10 +127,14 @@ class PowerCoeffs:
     fft_on: float = 0.0
 
     def __post_init__(self) -> None:
-        coeffs = (self.fixed, self.per_activity, self.fft_on)
-        # a NaN or infinite coefficient would make every power proxy NaN or infinite
-        if not all(math.isfinite(c) and c >= 0 for c in coeffs):
-            raise ValueError("power coefficients must be finite and nonnegative")
+        for name in ("fixed", "per_activity", "fft_on"):
+            c = getattr(self, name)
+            if isinstance(c, (bool, np.bool_)):
+                raise ValueError(f"power coefficient {name} must be a number, not {c!r}")
+            # a NaN or infinite coefficient would make every power proxy NaN or infinite
+            if not (math.isfinite(c) and c >= 0):
+                raise ValueError("power coefficients must be finite and nonnegative")
+            object.__setattr__(self, name, float(c))
 
 
 def power_proxy(report: ActivityReport, coeffs: PowerCoeffs, fft_active: bool) -> float:

@@ -73,43 +73,36 @@ def _check_array(B: int, U: int) -> None:
     _check_integer("U", U, 1, B)
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _store_float_raws(operand, name: str) -> None:
+def _store_float_raws(operand, name: str, ndim: int) -> None:
     """Store an operand's ``re`` and ``im`` as native float64 arrays of one shape.
 
-    Float64 arrays are kept as they are, the same objects, but a 1-D raw is
-    kept only if contiguous: a stream joins its vectors' buffers. Other real
-    raws (integers, byte-swapped floats, lists, strided vectors) are stored
-    as ``np.asarray(raw, dtype=np.float64)``, C-ordered if 1-D; a wider raw
-    keeps its layout, since the masked product owns that. Complex raws are
-    refused: converting them would drop their imaginary parts.
+    Each raw is stored as ``np.asarray(raw, dtype=np.float64)``, C-ordered if
+    1-D: a native float64 array is kept as the same object, except that a
+    strided 1-D raw is copied, since a stream joins its vectors' buffers. A
+    wider raw keeps its layout: the masked product owns that. Complex raws
+    are refused, since converting them would drop their imaginary parts, and
+    so are raws with fewer than ``ndim`` axes.
     """
-    re, im = operand.re, operand.im
-    # the common case, tested first: a stream makes one operand per vector
-    if not (type(re) is np.ndarray and type(im) is np.ndarray
-            and re.dtype == _FLOAT64 and im.dtype == _FLOAT64
-            and (re.ndim != 1 or re.flags.c_contiguous and im.flags.c_contiguous)):
-        re, im = np.asarray(re), np.asarray(im)
-        if re.dtype.kind == "c" or im.dtype.kind == "c":
-            raise ValueError(f"{name} re and im must be real raws, not complex")
-        re, im = (np.asarray(r, dtype=np.float64, order="C" if r.ndim == 1 else "K")
-                  for r in (re, im))
-        object.__setattr__(operand, "re", re)
-        object.__setattr__(operand, "im", im)
+    re, im = np.asarray(operand.re), np.asarray(operand.im)
+    if re.dtype.kind == "c" or im.dtype.kind == "c":
+        raise ValueError(f"{name} re and im must be real raws, not complex")
     if re.shape != im.shape:
         raise ValueError(f"{name} re and im must share one shape")
+    if re.ndim < ndim:
+        raise ValueError(f"{name} raws must have {ndim} or more axes, got shape {re.shape}")
+    order = "C" if re.ndim == 1 else "K"
+    object.__setattr__(operand, "re", np.asarray(re, dtype=np.float64, order=order))
+    object.__setattr__(operand, "im", np.asarray(im, dtype=np.float64, order=order))
 
 
 @dataclass(frozen=True)
 class EqualizerWeights:
     """Quantized, row-scaled equalization matrix and its comparison threshold.
 
-    ``re``/``im`` hold native float64 raws in ``fmt`` (or plain floats when
-    ``fmt`` is None, the quantization-disabled mode); real raws of another
-    type are converted and complex ones refused. ``alpha`` holds the per-row
-    scale factors applied before quantization; estimates are descaled by it.
+    ``re``/``im`` hold (U, B) or stacked native float64 raws in ``fmt`` (plain
+    floats when ``fmt`` is None, the quantization-disabled mode); real raws
+    of another type are converted, complex ones refused. ``alpha`` holds the
+    per-row scale factors applied before quantization; estimates are descaled by it.
     Its comparison bits are computed where read, by :func:`_comparison_bits`.
     """
 
@@ -122,7 +115,7 @@ class EqualizerWeights:
 
     def __post_init__(self) -> None:
         _threshold_raw(self.tau_w, self.fmt)
-        _store_float_raws(self, "weights")
+        _store_float_raws(self, "weights", 2)
         if self.alpha.shape != self.re.shape[:-1]:
             raise ValueError("alpha must hold one scale factor per weight row")
 
@@ -153,7 +146,7 @@ class BeamVector:
 
     def __post_init__(self) -> None:
         _threshold_raw(self.tau_y, self.fmt)
-        _store_float_raws(self, "input")
+        _store_float_raws(self, "input", 1)
 
     @property
     def B(self) -> int:
@@ -400,9 +393,7 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
                 # The stack is built one group at a time: stacking every
                 # group's up front made 16 pairs in 4 groups of a 64x100
                 # block about 12% slower.
-                parts = [w_skip[taus[i][0]] for i in indices]
-                wm, w_counts = parts[0] if len(indices) == 1 else tuple(
-                    map(np.concatenate, zip(*parts)))
+                wm, w_counts = map(np.concatenate, zip(*(w_skip[taus[i][0]] for i in indices)))
                 ym, y_counts = _skippable(y, [_comparison_bits(v, tau_y, x.fmt) for v in y])
                 by_re = product(wm, ym[0])  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re
                 by_im = product(wm, ym[1])
@@ -448,7 +439,7 @@ def equalize_block(mode: str, weights_ant: EqualizerWeights | None,
         raise ValueError(f"mode/domain mismatch: {mode} needs {domain} weights")
 
     Y = np.asarray(y_bar, dtype=np.complex128)
-    if Y.shape[0] != w.B:
+    if Y.ndim == 0 or Y.shape[0] != w.B:
         raise ValueError("length mismatch")
     S, executed = equalize_tagged(w, front_end(mode, Y, frontend), save_power=skips,
                                   gain=frontend.gain)

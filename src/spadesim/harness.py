@@ -357,6 +357,9 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
 
 def _n0_for_snr(cfg: RunConfig, snr_db: float) -> float:
     # SNR convention: per-antenna receive SNR = U * Es / N0
+    if isinstance(snr_db, (bool, np.bool_)):
+        raise ValueError(f"SNR must be a number, not {snr_db!r}")
+    snr_db = float(snr_db)
     try:
         n0 = cfg.U * cfg.Es / 10 ** (snr_db / 10.0)
     except (OverflowError, ZeroDivisionError):
@@ -370,10 +373,11 @@ def _n0_for_snr(cfg: RunConfig, snr_db: float) -> float:
 def run_ber(config: RunConfig, snr_list_db, mode: str, stop: StopRule | None = None) -> RunReport:
     """Uncoded BER at each SNR: fresh channel per coherence block, hard slicing."""
     _mode_rule(mode)
-    snr_list = [float(s) for s in snr_list_db]
+    snr_list = list(snr_list_db)
     if len(snr_list) > MAX_SNR_POINTS:
         raise ValueError(f"SNR list has {len(snr_list)} points, more than {MAX_SNR_POINTS}")
-    n0s = [_n0_for_snr(config, snr_db) for snr_db in snr_list]
+    n0s = [_n0_for_snr(config, snr_db) for snr_db in snr_list]  # refuses a bool before float()
+    snr_list = [float(s) for s in snr_list]
     stop = stop or StopRule()
     points = []
     with _block_map(config.workers) as block_map:
@@ -496,8 +500,9 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     _check_integer("draws", draws, 1)  # an activity mean over no draws or no vectors is 0/0
     _check_integer("vectors_per_draw", vectors_per_draw, 1)
     _n0_for_snr(config, snr_db)  # in every mode, not only where the draws need N0
-    tau_w_grid = [float(t) for t in tau_w_grid]
-    tau_y_grid = [float(t) for t in tau_y_grid]
+    # _threshold_raw refuses a bool threshold before float() turns it into 1.0
+    tau_w_grid = [float(_threshold_raw(t, None)) for t in tau_w_grid]
+    tau_y_grid = [float(_threshold_raw(t, None)) for t in tau_y_grid]
     cells = [(snr_db, tw, ty) for tw in tau_w_grid for ty in tau_y_grid]
     rates = _activity_rates(config, mode, cells, draws, vectors_per_draw)
     rates = rates.reshape(len(tau_w_grid), len(tau_y_grid), draws)
@@ -561,7 +566,8 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
     """
     _check_integer("activity_draws", activity_draws, 1)
     _check_integer("vectors_per_draw", vectors_per_draw, 1)
-    pairs = [(float(tw), float(ty)) for tw in tau_w_grid for ty in tau_y_grid]
+    pairs = [(float(_threshold_raw(tw, None)), float(_threshold_raw(ty, None)))
+             for tw in tau_w_grid for ty in tau_y_grid]
     searched = _operating_points(config, mode, pairs, target_ber, probe_cap)
     cells = [(_SEARCH_HI_DB if op is None else op, tw, ty)
              for (tw, ty), (op, _) in zip(pairs, searched)]

@@ -14,7 +14,6 @@ from spadesim.datapath import (
     power_proxy,
     simulate_stream,
     throughput_bps,
-    _tile_rows,
 )
 from spadesim.cli import main as cli_main
 from spadesim.beamspace import _TILE_COLUMNS, TwiddleConfig, to_beamspace
@@ -157,7 +156,7 @@ def test_contiguous_stream_equals_the_block(n, quantized):
     assert report.per_vector.tobytes() == block_report.per_vector.tobytes()
 
 
-def test_vectors_store_strided_raws_contiguous_and_tile_rows_join_them():
+def test_vectors_store_strided_raws_contiguous_and_the_stream_equals_the_block():
     # a strided column of a block is copied when tagged, so every stream
     # vector's raws have a buffer and a tile is one join of them
     rng = np.random.default_rng(72)
@@ -165,9 +164,23 @@ def test_vectors_store_strided_raws_contiguous_and_tile_rows_join_them():
     vectors = [BeamVector(re=block[:, i], im=-block[:, i], fmt=None, tau_y=0.0) for i in range(5)]
     assert all(v.re.flags.c_contiguous and v.im.flags.c_contiguous for v in vectors)
     assert all(v.re.dtype == np.float64 for v in vectors)
-    rows = _tile_rows([v.re for v in vectors])
-    assert isinstance(rows.base.base, bytes)  # a view of one joined buffer
-    assert rows.dtype == np.float64 and rows.tobytes() == block.T.tobytes()
+    weights = random_weights(rng, 4, 16, tau_w=0.0, fmt=None)
+    outputs, _, _, report = simulate_stream(weights, vectors, PipelineConfig(), False)
+    S, executed = equalize_tagged(weights, BeamVector(re=block, im=-block, fmt=None, tau_y=0.0),
+                                  False)
+    assert outputs.tobytes() == np.ascontiguousarray(S.T).tobytes()
+    assert report.per_vector.tobytes() == executed.tobytes()
+
+
+def test_stream_of_another_length_reaches_the_equalizers_length_check():
+    # a tile's rows take their length from the vectors: four 4-raw vectors
+    # would fill one 16-raw row of each part, scored as a 16x1 block
+    rng = np.random.default_rng(75)
+    weights = random_weights(rng, 2, 16, tau_w=0.1)
+    for n in (4, 5):
+        vectors = [random_tagged(rng, 4, tau_y=0.1) for _ in range(n)]
+        with pytest.raises(ValueError, match="length mismatch"):
+            simulate_stream(weights, vectors, PipelineConfig(), save_power=True)
 
 
 _LAYOUTS = {"contiguous": np.copy, "strided": lambda a: a, "big-endian": lambda a: a.astype(">f8")}
@@ -406,6 +419,19 @@ def test_power_coeffs_refuse_non_finite_values(field, value):
     with pytest.raises(ValueError) as exc:
         PowerCoeffs(**{field: value})
     assert str(exc.value) == "power coefficients must be finite and nonnegative"
+
+
+@pytest.mark.parametrize("field", ["fixed", "per_activity", "fft_on"])
+def test_power_coeffs_refuse_bools_and_store_floats(field):
+    # PowerCoeffs(fixed=True) was stored as True
+    for value in (True, np.bool_(False)):
+        with pytest.raises(ValueError) as exc:
+            PowerCoeffs(**{field: value})
+        assert str(exc.value) == f"power coefficient {field} must be a number, not {value!r}"
+    for value in (1, np.float32(0.5), np.int64(2)):
+        stored = getattr(PowerCoeffs(**{field: value}), field)
+        assert type(stored) is float and stored == value
+    assert PowerCoeffs(**{field: 1}) == PowerCoeffs(**{field: 1.0})
 
 
 def test_default_power_coeffs_give_the_readme_savings():

@@ -305,6 +305,56 @@ def test_operands_hold_native_float64_raws():
         BeamVector(re=x.re, im=x.im.astype(np.complex64), fmt=x.fmt, tau_y=x.tau_y)
 
 
+def _strided_view(rng):
+    # a (B, N) column slice of a wider stack, like the harness's x.re[:, 0, s]
+    return rng.standard_normal((16, 3, 5))[:, 0, :]
+
+
+_STORAGE = {
+    "contiguous-1d": (lambda rng: rng.standard_normal(16), "same"),
+    "strided-2d-view": (_strided_view, "same"),
+    "strided-1d": (lambda rng: rng.standard_normal((16, 5))[:, 1], "copy"),
+    "int64": (lambda rng: rng.integers(-512, 512, 16), "float64"),
+    "big-endian": (lambda rng: rng.standard_normal((16, 4)).astype(">f8"), "float64"),
+    "list": (lambda rng: rng.standard_normal(16).tolist(), "float64"),
+    "complex": (lambda rng: rng.standard_normal(16) + 0j, "refused"),
+}
+
+
+@pytest.mark.parametrize("case", list(_STORAGE))
+def test_storage_keeps_what_the_stream_and_the_harness_rely_on(case):
+    # a stream joins contiguous (B,) buffers; the harness scores strided
+    # views of its stacks uncopied; every raw is native float64
+    make, kept = _STORAGE[case]
+    rng = np.random.default_rng(56)
+    re, im = make(rng), make(rng)
+    if kept == "refused":
+        with pytest.raises(ValueError, match="input re and im must be real raws"):
+            BeamVector(re=re, im=im, fmt=None, tau_y=0.0)
+        return
+    x = BeamVector(re=re, im=im, fmt=None, tau_y=0.0)
+    for stored, raw in ((x.re, re), (x.im, im)):
+        assert type(stored) is np.ndarray and stored.dtype == np.dtype(np.float64)
+        assert stored.dtype.isnative and (stored is raw) == (kept == "same")
+        assert stored.ndim != 1 or stored.flags.c_contiguous
+        assert stored.tobytes() == np.asarray(raw, dtype=np.float64).tobytes()
+    if x.re.ndim == 2:
+        w = EqualizerWeights(re=re, im=im, fmt=None, alpha=np.ones(16), tau_w=0.0,
+                             domain="beamspace")
+        assert (w.re is re) == (kept == "same") and w.re.dtype == np.dtype(np.float64)
+
+
+def test_operands_with_too_few_axes_are_refused():
+    # a 0-d input and 1-D weights used to build, then fail with IndexError
+    with pytest.raises(ValueError, match=r"input raws must have 1 or more axes, got shape \(\)"):
+        tag_input(np.complex128(0.5 + 0.25j), 0.5, INPUT_FMT)
+    w = random_weights(np.random.default_rng(57), 4, 16, 0.1)
+    with pytest.raises(ValueError, match=r"weights raws must have 2 or more axes, got shape \(16,\)"):
+        replace(w, re=w.re[0], im=w.im[0], alpha=w.alpha[0])
+    with pytest.raises(ValueError, match="length mismatch"):
+        equalize_block("lmmse-b", None, w, np.complex128(0.5 + 0.25j))
+
+
 def test_weights_reject_alpha_of_another_shape():
     w = random_weights(np.random.default_rng(53), 4, 16, 0.1)
     with pytest.raises(ValueError, match="one scale factor per weight row"):

@@ -198,6 +198,37 @@ def test_non_finite_snr_is_refused_by_name(snr_db, monkeypatch):
     assert str(exc.value) == f"SNR {snr_db!r} dB gives no finite positive noise power N0"
 
 
+@pytest.mark.parametrize("call,refused", [
+    (lambda v: run_ber(small_cfg(), [0.0, v], "lmmse-a"), "SNR"),
+    (lambda v: activity_grid(small_cfg(), "lmmse-spade", v, [0.1], [0.1]), "SNR"),
+    (lambda v: activity_grid(small_cfg(), "lmmse-spade", 10.0, [0.1, v], [0.1]), "threshold"),
+    (lambda v: activity_grid(small_cfg(), "lmmse-a", 10.0, [0.1], [v]), "threshold"),
+    (lambda v: threshold_sweep(small_cfg(), [v], [0.1], activity_draws=1), "threshold"),
+    (lambda v: threshold_sweep(small_cfg(), [0.1], [0.2, v], activity_draws=1), "threshold"),
+], ids=["run_ber", "activity_grid-snr", "activity_grid-tau_w", "activity_grid-tau_y",
+        "threshold_sweep-tau_w", "threshold_sweep-tau_y"])
+def test_bool_snrs_and_grid_thresholds_are_refused(call, refused, monkeypatch):
+    # float() turned a bool into 1.0 or 0.0: run_ber ran a point at 1.0 dB,
+    # activity_grid measured at it and threshold_sweep swept tau_w = 1.0
+    def ran(*args, **kwargs):
+        pytest.fail("a block ran before every input was checked")
+
+    monkeypatch.setattr("spadesim.harness._simulate", ran)
+    monkeypatch.setattr("spadesim.harness._block", ran)
+    for flag in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError) as exc:
+            call(flag)
+        assert str(exc.value) == f"{refused} must be a number, not {flag!r}"
+
+
+@pytest.mark.parametrize("mode", ["lmmse-a", "lmmse-b"])
+def test_activity_grid_checks_thresholds_in_modes_that_do_not_skip(mode):
+    # a mode that does not skip returned activity 1.0 for any threshold
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            activity_grid(small_cfg(), mode, 10.0, [0.1], [tau], draws=1)
+
+
 def test_snr_list_beyond_the_stream_tags_is_rejected(tmp_path, capsys, monkeypatch):
     # point i runs on stream tag i, a 16-bit field: point 2**16 failed only
     # after every earlier point had run, and the CLI built its whole list first
@@ -797,6 +828,21 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     row = out.read_text().splitlines()[1].split(",")
     assert row[12] == "0.0625"  # flag overrides the file's tau-w
     assert row[6] == "250"      # file's max-vectors applied
+
+
+@pytest.mark.parametrize("text", ["10:9:1", "10", ""])
+def test_cli_format_names_its_form(text, tmp_path, capsys):
+    # "10:9:1" said "too many values to unpack (expected 2)"
+    out = tmp_path / "o.csv"
+    for flag in ("weight-fmt", "input-fmt", "twiddle-fmt"):
+        assert cli_main(["ber", f"--{flag}", text, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: --{flag}: expected T:F, got {text!r}\n"
+    cfg_file = tmp_path / "fmt.cfg"
+    cfg_file.write_text(f"weight_fmt={text}\n")
+    assert cli_main(["ber", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --weight-fmt: expected T:F, got {text!r}\n"
 
 
 def test_cli_config_key_given_twice_is_rejected(tmp_path, capsys):
