@@ -100,10 +100,15 @@ class EqualizerWeights:
     """Quantized, row-scaled equalization matrix and its comparison threshold.
 
     ``re``/``im`` hold (U, B) or stacked native float64 raws in ``fmt`` (plain
-    floats when ``fmt`` is None, the quantization-disabled mode); real raws
-    of another type are converted, complex ones refused. ``alpha`` holds the
-    per-row scale factors applied before quantization; estimates are descaled by it.
-    Its comparison bits are computed where read, by :func:`_comparison_bits`.
+    floats when ``fmt`` is None, the quantization-disabled mode). ``alpha``
+    holds the per-row scale factors applied before quantization; estimates are
+    descaled by it. Its comparison bits are computed where read, by
+    :func:`_comparison_bits`. The constructor owns every invariant, so
+    :func:`build_weights`, ``replace`` and indexing refuse what it refuses:
+
+    - ``domain`` is one of ``DOMAINS``, and ``tau_w`` passes :func:`_threshold_raw`;
+    - real raws and ``alpha`` of another type are converted, complex ones refused;
+    - ``alpha`` has shape ``re.shape[:-1]`` and positive, finite entries.
     """
 
     re: np.ndarray
@@ -114,10 +119,20 @@ class EqualizerWeights:
     domain: str
 
     def __post_init__(self) -> None:
+        if self.domain not in DOMAINS:
+            raise ValueError(f"domain must be one of {DOMAINS}")
         _threshold_raw(self.tau_w, self.fmt)
         _store_float_raws(self, "weights", 2)
+        if np.asarray(self.alpha).dtype.kind == "c":
+            raise ValueError("alpha must be real, not complex")
+        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=np.float64))
         if self.alpha.shape != self.re.shape[:-1]:
             raise ValueError("alpha must hold one scale factor per weight row")
+        # fmin skips NaN, as np.any(alpha <= 0) does; max keeps it
+        if self.alpha.size and np.fmin.reduce(self.alpha, axis=None) <= 0:
+            raise ValueError("alpha entries must be positive")
+        if self.alpha.size and not self.alpha.max() < math.inf:
+            raise ValueError("alpha entries must be finite")
 
     @property
     def U(self) -> int:
@@ -200,6 +215,9 @@ def lmmse_stack(H: np.ndarray, n0s, Es: float) -> np.ndarray:
     if Es <= 0:
         raise ValueError("Es must be positive")
     n0 = np.asarray(n0s, dtype=np.float64)
+    bad = n0[~(np.isfinite(n0) & (n0 >= 0))]
+    if bad.size:
+        raise ValueError(f"N0 must be finite and >= 0, got {bad[0]}")
     Hh = H.conj().swapaxes(-1, -2)
     U = H.shape[-1]
     G = (Hh @ H)[:, None] + (n0 / Es)[:, None, None] * np.eye(U)
@@ -220,6 +238,8 @@ def scale_rows(V: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     V = np.asarray(V, dtype=np.complex128)
     mags = np.maximum(np.abs(V.real).max(axis=-1), np.abs(V.imag).max(axis=-1))
     alpha = 1.0 / (mags + epsilon)
@@ -259,11 +279,6 @@ def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
     stacked set of weights; index it to get each matrix's.
     """
     W_real = np.asarray(W_real, dtype=np.complex128)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if domain not in DOMAINS:
-        raise ValueError(f"domain must be one of {DOMAINS}")
-    if np.any(alpha <= 0):
-        raise ValueError("alpha entries must be positive")
     mags = np.maximum(np.abs(W_real.real).max(axis=-1), np.abs(W_real.imag).max(axis=-1))
     if np.any(mags >= 1.0):
         raise ValueError("scale before loading")
@@ -290,14 +305,14 @@ def _check_accumulator(wfmt: QFormat, yfmt: QFormat, B: int) -> None:
         raise ValueError("formats too wide for exact accumulation")
 
 
-def _skippable(raws, bits):
+def _skippable(raws, tau: float, fmt: QFormat | None):
     """Raws whose comparison bit is set, the others zeroed, and the set bits per entry.
 
-    ``raws`` and ``bits`` are (re, im) pairs of equal shape. Returns the
-    masked (re, im) raws and the count of set bits (0, 1 or 2) of each entry,
-    float64 and in the raws' memory layout.
+    ``raws`` is an (re, im) pair of equal shape, its bits read at ``tau`` in
+    ``fmt``. Returns the masked (re, im) raws and the count of set bits (0, 1
+    or 2) of each entry, float64 and in the raws' memory layout.
     """
-    m_re, m_im = (b.astype(np.float64) for b in bits)
+    m_re, m_im = (_comparison_bits(r, tau, fmt).astype(np.float64) for r in raws)
     masked = (raws[0] * m_re, raws[1] * m_im)
     m_re += m_im
     return masked, m_re
@@ -329,8 +344,11 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     pairs, their (k, U, ...) estimates and their (k, ...) executed
     products. Entry j of a group equals ``equalize_tagged(replace(weights,
     tau_w=tw), replace(x, tau_y=ty), save_power, gain)`` for
-    ``taus[indices[j]] == (tw, ty)``, byte for byte.
+    ``taus[indices[j]] == (tw, ty)``, byte for byte. Every entry's gain is
+    checked here: a bool, or a gain that is not finite and positive, is refused.
     """
+    if isinstance(gain, (bool, np.bool_)) or not (math.isfinite(gain) and gain > 0):
+        raise ValueError(f"gain must be finite and positive, got {gain!r}")
     if x.B != weights.B:
         raise ValueError("length mismatch")
     if (weights.fmt is None) != (x.fmt is None):
@@ -345,8 +363,7 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
         _threshold_raw(tau_y, x.fmt)
         groups.setdefault(tau_y, []).append(i)
         if save_power and tau_w not in w_skip:
-            wm, counts = _skippable((wre, wim), [_comparison_bits(w, tau_w, weights.fmt)
-                                                 for w in (wre, wim)])
+            wm, counts = _skippable((wre, wim), tau_w, weights.fmt)
             w_skip[tau_w] = np.stack(wm)[None], counts.sum(axis=0)[None]
     quantized = weights.fmt is not None
     yre, yim = x.re.reshape(x.B, -1), x.im.reshape(x.B, -1)
@@ -394,7 +411,7 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
                 # group's up front made 16 pairs in 4 groups of a 64x100
                 # block about 12% slower.
                 wm, w_counts = map(np.concatenate, zip(*(w_skip[taus[i][0]] for i in indices)))
-                ym, y_counts = _skippable(y, [_comparison_bits(v, tau_y, x.fmt) for v in y])
+                ym, y_counts = _skippable(y, tau_y, x.fmt)
                 by_re = product(wm, ym[0])  # wre*mw_re @ yre*my_re and wim*mw_im @ yre*my_re
                 by_im = product(wm, ym[1])
                 acc_re = full_re - by_re[:, 0]

@@ -219,7 +219,7 @@ def _block(cfg: RunConfig, mode: str, purpose: int, tag: int, indices, n_vectors
     stacks them, (D, U, N). The D blocks are then finished as one stack: in
     the mode's domain, one Gram matrix per block and one solve of all D x S
     LMMSE systems, scaled and quantized as one (D, S) stack of weights at
-    ``cfg.tau_w`` (``w[d][s]``; ``replace(w[d][s], tau_w=...)`` gives another
+    ``cfg.tau_w`` (``w[d, s]``; ``replace(w[d, s], tau_w=...)`` gives another
     threshold on the same raws). ``x`` is the tagged (B, D, S, N) input,
     ``x.re[:, d, s]`` block d's at N0 ``n0s[s]``, from one call to
     ``cfg.frontend()``; the noise is scaled part by part, which gives the
@@ -323,12 +323,11 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
         def run(args, groups=groups):
             block_idx, n = args
             (sent,), w, x = _block(cfg, mode, purpose, tag, [block_idx], n, list(groups))
-            w = w[0]
             scored = {}
             for s, group in enumerate(groups.values()):
                 xs = replace(x, re=x.re[:, 0, s], im=x.im[:, 0, s])
                 taus = [points[i][1:] for i in group]
-                for pairs, S, executed in equalize_pairs(w[s], xs, taus, save_power, gain):
+                for pairs, S, executed in equalize_pairs(w[0, s], xs, taus, save_power, gain):
                     # per pair: bit errors, vectors, executed products' sum, min and max
                     errors = bit_errors(S, sent, cfg.M, cfg.Es).reshape(len(pairs), -1).sum(1)
                     for j, err, ex_sum, ex_min, ex_max in zip(
@@ -483,8 +482,16 @@ def snr_operating_point(config: RunConfig, mode: str, target_ber: float = 0.01,
 # ---------------------------------------------------------------------------
 
 def default_grid() -> np.ndarray:
-    """Default 8-point logarithmic threshold grid over [2^-9, 2^-1]."""
-    return np.geomspace(2.0**-9, 2.0**-1, 8)
+    """Default 8-point logarithmic threshold grid over [2^-9, 2^-1].
+
+    These are ``np.geomspace(2.0**-9, 2.0**-1, 8)`` on NumPy's AVX-512
+    kernels, written out: its real ``exp`` and ``log2`` round the fifth and
+    sixth values one ulp higher on the AVX2 kernels, and the sweep artifact
+    prints each threshold.
+    """
+    return np.array([0.001953125, 0.0043128496627883265, 0.009523544173472464,
+                     0.021029690509880555, 0.04643732153552962, 0.1025419195009547,
+                     0.2264309160659765, 0.5])
 
 
 def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,

@@ -8,6 +8,7 @@ import pytest
 from spadesim.beamspace import to_beamspace
 from spadesim.channel import ChannelMatrix, draw_channel_matrix
 from spadesim.channel import bit_errors, qam_index, qam_modulate
+from spadesim.datapath import PipelineConfig, simulate_stream
 from spadesim.equalizer import (
     BeamVector,
     EqualizerWeights,
@@ -17,6 +18,7 @@ from spadesim.equalizer import (
     equalize_block,
     equalize_pairs,
     equalize_tagged,
+    lmmse_stack,
     scale_rows,
     tag_input,
     _comparison_bits,
@@ -52,6 +54,19 @@ def test_lmmse_scalar():
     H = ChannelMatrix(entries=np.array([[1.0 + 0j]]), domain="antenna")
     V = compute_lmmse(H, N0=1.0, Es=1.0)
     assert abs(V[0, 0] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda H, n0: compute_lmmse(H, n0, 1.0),
+    lambda H, n0: lmmse_stack(np.stack([H, H]), [0.5, n0], 1.0),
+], ids=["compute_lmmse", "lmmse_stack"])
+def test_lmmse_refuses_a_noise_power_that_is_negative_or_not_finite(call):
+    # a negative N0 gave a finite wrong matrix, a NaN or infinite one a NaN matrix
+    rng = np.random.default_rng(46)
+    H = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    for n0 in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"N0 must be finite and >= 0, got {n0}"):
+            call(H, n0)
 
 
 def test_lmmse_near_inverse():
@@ -105,6 +120,17 @@ def test_scale_rows_always_below_one():
         assert max_abs_component(row) < 1.0
     with pytest.raises(ValueError):
         scale_rows(V, 0.0)
+
+
+def test_scale_rows_refuses_an_epsilon_that_is_not_finite():
+    # a NaN epsilon gave NaN alpha, an infinite one zero alpha
+    V = np.full((2, 4), 0.5 + 0.25j)
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            scale_rows(V, eps)
+    for eps in (0.0, -1.0, -np.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            scale_rows(V, eps)
 
 
 def test_build_weights_threshold_extremes():
@@ -361,6 +387,56 @@ def test_weights_reject_alpha_of_another_shape():
         replace(w, alpha=np.ones(1))
 
 
+def _three_row_weights(seed):
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(-0.9, 0.9, (3, 16)) + 1j * rng.uniform(-0.9, 0.9, (3, 16))
+    return build_weights(W, np.ones(3), 0.1, WEIGHT_FMT, "beamspace"), W
+
+
+def _weights_made(how, w, W, **changes):
+    # the three ways of making weights, each given the same changes to w
+    if how == "direct":
+        kw = dict(re=w.re, im=w.im, fmt=w.fmt, alpha=w.alpha, tau_w=w.tau_w, domain=w.domain)
+        return EqualizerWeights(**{**kw, **changes})
+    if how == "replace":
+        return replace(w, **changes)
+    return build_weights(W, changes.get("alpha", w.alpha), w.tau_w, w.fmt,
+                         changes.get("domain", w.domain))
+
+
+_BAD_WEIGHTS = {
+    "domain": (dict(domain="nowhere"), r"domain must be one of \('antenna', 'beamspace'\)"),
+    "alpha-negative": (dict(alpha=[1.0, -0.5, 1.0]), "alpha entries must be positive"),
+    "alpha-zero": (dict(alpha=[1.0, 0.0, 1.0]), "alpha entries must be positive"),
+    "alpha-nan-and-negative": (dict(alpha=[np.nan, -1.0, 1.0]), "alpha entries must be positive"),
+    "alpha-nan": (dict(alpha=[1.0, np.nan, 1.0]), "alpha entries must be finite"),
+    "alpha-inf": (dict(alpha=[1.0, 1.0, np.inf]), "alpha entries must be finite"),
+    "alpha-complex": (dict(alpha=[1.0, 1.0 + 0.5j, 1.0]), "alpha must be real, not complex"),
+}
+
+
+@pytest.mark.parametrize("how", ["direct", "replace", "build_weights"])
+@pytest.mark.parametrize("case", list(_BAD_WEIGHTS))
+def test_every_way_of_making_weights_refuses_the_same_domain_and_alpha(case, how):
+    # only build_weights refused an unknown domain or alpha <= 0; a NaN,
+    # infinite or complex alpha passed everywhere (a zero alpha gave inf
+    # estimates), and a list alpha made directly raised AttributeError
+    w, W = _three_row_weights(58)
+    changes, message = _BAD_WEIGHTS[case]
+    with pytest.raises(ValueError, match=message):
+        _weights_made(how, w, W, **changes)
+
+
+@pytest.mark.parametrize("how", ["direct", "replace", "build_weights"])
+def test_list_and_integer_alpha_are_stored_as_float64(how):
+    w, W = _three_row_weights(59)
+    for alpha in ([1, 2, 4], np.array([1, 2, 4]), np.array([1.0, 2.0, 4.0], dtype=">f8")):
+        got = _weights_made(how, w, W, alpha=alpha).alpha
+        assert type(got) is np.ndarray and got.dtype == np.dtype(np.float64)
+        assert got.tobytes() == np.array([1.0, 2.0, 4.0]).tobytes()
+    assert replace(w).alpha is w.alpha  # a native float64 alpha is kept as it is
+
+
 def test_skip_error_bound():
     rng = np.random.default_rng(51)
     B, tau_w, tau_y = 64, 0.1, 0.08
@@ -405,6 +481,41 @@ def scalar_setup(fmt_w=WEIGHT_FMT, fmt_in=INPUT_FMT):
     wb = build_weights(W, alpha, 0.0, fmt_w, "beamspace")  # B=1: DFT is identity
     fe = FrontEnd(input_fmt=fmt_in, tau_y=0.0)
     return wa, wb, fe
+
+
+def _float_setup():
+    rng = np.random.default_rng(47)
+    W = rng.uniform(-0.9, 0.9, (2, 16)) + 1j * rng.uniform(-0.9, 0.9, (2, 16))
+    w = build_weights(W, np.ones(2), 0.1, None, "antenna")
+    y = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    return w, y, tag_input(y, 0.1, None)
+
+
+_GAIN_ENTRIES = {
+    "equalize_pairs": lambda w, y, x, g: equalize_pairs(w, x, [(0.1, 0.1)], True, g),
+    "equalize_tagged": lambda w, y, x, g: equalize_tagged(w, x, True, g),
+    "equalize_block": lambda w, y, x, g: equalize_block("lmmse-a", w, None, y,
+                                                        FrontEnd(input_fmt=None, gain=g)),
+    "simulate_stream": lambda w, y, x, g: simulate_stream(
+        w, [tag_input(y[:, 0], 0.1, None)], PipelineConfig(), True, gain=g),
+}
+
+
+@pytest.mark.parametrize("entry", list(_GAIN_ENTRIES))
+def test_every_entry_refuses_a_gain_that_is_a_bool_or_not_finite_and_positive(entry):
+    # gain 0 gave inf estimates, NaN NaN ones, inf zeros, and True ran as 1.0
+    w, y, x = _float_setup()
+    for gain in (0.0, -1.0, np.nan, np.inf, True, np.bool_(True)):
+        with pytest.raises(ValueError, match=r"gain must be finite and positive, got "):
+            _GAIN_ENTRIES[entry](w, y, x, gain)
+    _GAIN_ENTRIES[entry](w, y, x, 0.5)
+
+
+def test_quantized_front_end_still_refuses_a_nan_gain_as_a_sample():
+    # the front end scales and quantizes before the product reads the gain
+    wa, _, _ = scalar_setup()
+    with pytest.raises(ValueError, match="non-finite sample"):
+        equalize_block("lmmse-a", wa, None, np.array([1.0 + 0j]), FrontEnd(gain=np.nan))
 
 
 def test_equalize_scalar_lmmse_a():

@@ -5,7 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -682,6 +685,30 @@ def test_threshold_sweep_tiny(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "tau_w,tau_y,mean_activity_rate,snr_operating_point_db,pareto"
     assert len(lines) == 5
+
+
+# a small default-grid sweep, written to the CSV at ``path``
+_GRID_SWEEP = """
+from spadesim.harness import RunConfig, default_grid, emit_sweep, threshold_sweep
+cfg = RunConfig(B=16, U=2, M=4, vectors_per_block=20)
+emit_sweep(threshold_sweep(cfg, default_grid(), default_grid(), activity_draws=2,
+                           probe_cap=20), path)
+"""
+
+
+def test_default_grid_sweep_does_not_depend_on_numpy_simd_level(tmp_path):
+    # np.geomspace rounded two of the grid's values one ulp higher on NumPy's
+    # AVX2 kernels, and the sweep CSV prints every threshold. The child runs
+    # the sweep on the AVX2 kernels; on a host without AVX-512 both do.
+    np.testing.assert_array_max_ulp(default_grid(), np.geomspace(2.0**-9, 2.0**-1, 8), maxulp=1)
+    here, there = str(tmp_path / "in_process.csv"), str(tmp_path / "avx2.csv")
+    exec(_GRID_SWEEP, {"path": here})
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", f"path = {there!r}" + _GRID_SWEEP], env=env,
+                   check=True, capture_output=True)
+    assert Path(there).read_bytes() == Path(here).read_bytes()
 
 
 def rates_sorted(records):
