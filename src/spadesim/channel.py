@@ -16,6 +16,8 @@ from math import isqrt, log2
 
 import numpy as np
 
+from .numerics import _check_real
+
 QAM_ORDERS = (4, 16, 64, 256)
 # a binary channel dump codes each domain as its index here: antenna 0, beamspace 1
 DOMAINS = ("antenna", "beamspace")
@@ -246,8 +248,7 @@ def synth_receive(H, s, N0: float, rng: np.random.Generator) -> np.ndarray:
     im) * sqrt(N0/2)`` (see ``harness._block``), with one real temporary of
     half the output's size where the complex noise took three of its size.
     """
-    if not (np.isfinite(N0) and N0 >= 0.0):
-        raise ValueError(f"N0 must be finite and >= 0, got {N0}")
+    N0 = _check_real("N0", N0, 0)
     Hm = H.entries if isinstance(H, ChannelMatrix) else np.asarray(H)
     s = np.asarray(s)
     clean = Hm @ s

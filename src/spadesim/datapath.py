@@ -28,7 +28,7 @@ from .equalizer import (
     _column_tiles,
     equalize_tagged,
 )
-from .numerics import _check_integer
+from .numerics import _check_integer, _check_real
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,19 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
     """Stream tagged vectors through the array, one accepted per cycle.
 
     Each vector must be one 1-D vector, not a block, and all must share one
-    length, input format and threshold; the whole stream is checked before
-    any is scored. The vectors are then scored as (B, T) blocks of the
-    equalizer's column-tile width T (float raws as one block, as the
-    equalizer scores them), each written into its rows of the outputs, so
-    only one tile of the stream is ever gathered. A tile's (T, B) rows of
-    each part are one join of its vectors' raw buffers (B their own length,
-    so the equalizer reports a mismatch with the weights). Returns
-    (outputs, cycles, trace, report): outputs is (N, U) estimates
-    bit-identical to the equalizer module, cycles is ``cfg.cycles(U, N, B)``,
-    and the trace counts the muted registers from the report.
+    length, input format and threshold; the gain, an empty stream's too,
+    and the whole stream are checked before any is scored. The vectors are
+    then scored as (B, T) blocks of the equalizer's column-tile width T
+    (float raws as one block, as the equalizer scores them), each written
+    into its rows of the outputs, so only one tile of the stream is ever
+    gathered. A tile's (T, B) rows of each part are one join of its
+    vectors' raw buffers (B their own length, so the equalizer reports a
+    mismatch with the weights). Returns (outputs, cycles, trace, report):
+    outputs is (N, U) estimates bit-identical to the equalizer module,
+    cycles is ``cfg.cycles(U, N, B)``, and the trace counts the muted
+    registers from the report.
     """
+    gain = _check_real("gain", gain, 0, strict=True)
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
     outputs = np.empty((n, U), dtype=np.complex128)
@@ -104,9 +106,7 @@ def throughput_bps(clock_hz: float, U: int, M: int) -> float:
     """Steady-state equalization throughput: U log2(M) bits per clock."""
     bits = _bits_per_symbol(M)
     _check_integer("U", U, 1)
-    if not (math.isfinite(clock_hz) and clock_hz > 0):
-        raise ValueError("clock_hz must be finite and positive")
-    return U * bits * clock_hz
+    return U * bits * _check_real("clock_hz", clock_hz, 0, strict=True)
 
 
 def effective_throughput(clock_hz: float, U: int, M: int, coherence_vectors: int,
@@ -127,14 +127,10 @@ class PowerCoeffs:
     fft_on: float = 0.0
 
     def __post_init__(self) -> None:
+        # a NaN or infinite coefficient would make every power proxy NaN or infinite
         for name in ("fixed", "per_activity", "fft_on"):
-            c = getattr(self, name)
-            if isinstance(c, (bool, np.bool_)):
-                raise ValueError(f"power coefficient {name} must be a number, not {c!r}")
-            # a NaN or infinite coefficient would make every power proxy NaN or infinite
-            if not (math.isfinite(c) and c >= 0):
-                raise ValueError("power coefficients must be finite and nonnegative")
-            object.__setattr__(self, name, float(c))
+            object.__setattr__(self, name,
+                               _check_real(f"power coefficient {name}", getattr(self, name), 0))
 
 
 def power_proxy(report: ActivityReport, coeffs: PowerCoeffs, fft_active: bool) -> float:

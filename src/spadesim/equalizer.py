@@ -47,7 +47,7 @@ import numpy as np
 
 from .beamspace import _TILE_COLUMNS, TwiddleConfig, _is_power_of_4, beamspace_raws
 from .channel import DOMAINS, ChannelMatrix
-from .numerics import INPUT_FMT, QFormat, _check_integer, quantize_complex
+from .numerics import INPUT_FMT, QFormat, _check_integer, _check_real, quantize_complex
 
 _MODE_RULES = {"lmmse-a": ("antenna", False), "lmmse-b": ("beamspace", False),
                "lmmse-spade": ("beamspace", True)}
@@ -190,12 +190,15 @@ class ActivityReport:
 
 @dataclass(frozen=True)
 class FrontEnd:
-    """Input-side configuration shared by all equalization calls of a run."""
+    """Input-side configuration shared by all equalization calls of a run; checks its gain."""
 
     input_fmt: QFormat | None = field(default=INPUT_FMT)
     tau_y: float = 0.0
     twiddle: TwiddleConfig = field(default_factory=TwiddleConfig)
     gain: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gain", _check_real("gain", self.gain, 0, strict=True))
 
 
 def compute_lmmse(H, N0: float, Es: float) -> np.ndarray:
@@ -212,12 +215,8 @@ def lmmse_stack(H: np.ndarray, n0s, Es: float) -> np.ndarray:
     LAPACK solve matrix by matrix, so matrix (d, s) has the bytes of
     solving channel d at ``n0s[s]`` alone.
     """
-    if Es <= 0:
-        raise ValueError("Es must be positive")
-    n0 = np.asarray(n0s, dtype=np.float64)
-    bad = n0[~(np.isfinite(n0) & (n0 >= 0))]
-    if bad.size:
-        raise ValueError(f"N0 must be finite and >= 0, got {bad[0]}")
+    Es = _check_real("Es", Es, 0, strict=True)
+    n0 = np.array([_check_real("N0", v, 0) for v in n0s], dtype=np.float64)
     Hh = H.conj().swapaxes(-1, -2)
     U = H.shape[-1]
     G = (Hh @ H)[:, None] + (n0 / Es)[:, None, None] * np.eye(U)
@@ -236,10 +235,7 @@ def scale_rows(V: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     alpha_u = 1 / (max-abs-component of row u + epsilon); a stack of matrices
     is scaled matrix by matrix.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not math.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
+    epsilon = _check_real("epsilon", epsilon, 0, strict=True)
     V = np.asarray(V, dtype=np.complex128)
     mags = np.maximum(np.abs(V.real).max(axis=-1), np.abs(V.imag).max(axis=-1))
     alpha = 1.0 / (mags + epsilon)
@@ -251,13 +247,10 @@ def _threshold_raw(tau: float, fmt: QFormat | None) -> int | float:
 
     Deliberately not clamped to the storage range: the comparator's threshold
     register is one bit wider, so tau = 1.0 can sit above every stored value.
-    Without a format (quantization disabled) the threshold is tau itself. A
-    bool is refused, as :func:`numerics._check_integer` refuses a bool count.
+    Without a format (quantization disabled) the threshold is tau itself, as
+    a ``float``; :func:`numerics._check_real` checks it.
     """
-    if isinstance(tau, (bool, np.bool_)):
-        raise ValueError(f"threshold must be a number, not {tau!r}")
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError("threshold must be finite and nonnegative")
+    tau = _check_real("threshold", tau, 0)
     if fmt is None:
         return tau
     raw = tau * fmt.scale
@@ -271,6 +264,13 @@ def _comparison_bits(raw: np.ndarray, tau: float, fmt: QFormat | None) -> np.nda
     return np.abs(raw) < _threshold_raw(tau, fmt)
 
 
+def _check_weight_span(fmt: QFormat | None) -> None:
+    # the row-scaling guarantee only survives quantization when the format
+    # spans exactly [-1, 1): saturation then pins rows strictly below one
+    if fmt is not None and fmt.frac_bits != fmt.total_bits - 1:
+        raise ValueError("weight format must span [-1, 1): use frac_bits = total_bits - 1")
+
+
 def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
                   fmt: QFormat | None, domain: str) -> EqualizerWeights:
     """Quantize a row-scaled matrix; its comparison bits follow from ``tau_w``.
@@ -282,10 +282,7 @@ def build_weights(W_real: np.ndarray, alpha: np.ndarray, tau_w: float,
     mags = np.maximum(np.abs(W_real.real).max(axis=-1), np.abs(W_real.imag).max(axis=-1))
     if np.any(mags >= 1.0):
         raise ValueError("scale before loading")
-    # the row-scaling guarantee only survives quantization when the format
-    # spans exactly [-1, 1): saturation then pins rows strictly below one
-    if fmt is not None and fmt.frac_bits != fmt.total_bits - 1:
-        raise ValueError("weight format must span [-1, 1): use frac_bits = total_bits - 1")
+    _check_weight_span(fmt)
     re, im = quantize_complex(W_real, fmt)
     return EqualizerWeights(re=re, im=im, fmt=fmt, alpha=alpha, tau_w=tau_w, domain=domain)
 
@@ -345,10 +342,9 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     products. Entry j of a group equals ``equalize_tagged(replace(weights,
     tau_w=tw), replace(x, tau_y=ty), save_power, gain)`` for
     ``taus[indices[j]] == (tw, ty)``, byte for byte. Every entry's gain is
-    checked here: a bool, or a gain that is not finite and positive, is refused.
+    checked here, by :func:`numerics._check_real`.
     """
-    if isinstance(gain, (bool, np.bool_)) or not (math.isfinite(gain) and gain > 0):
-        raise ValueError(f"gain must be finite and positive, got {gain!r}")
+    gain = _check_real("gain", gain, 0, strict=True)
     if x.B != weights.B:
         raise ValueError("length mismatch")
     if (weights.fmt is None) != (x.fmt is None):

@@ -46,12 +46,14 @@ from .equalizer import (
     front_end,
     lmmse_stack,
     scale_rows,
+    _check_accumulator,
     _check_array,
+    _check_weight_span,
     _comparison_bits,
     _mode_rule,
     _threshold_raw,
 )
-from .numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat, _check_integer
+from .numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat, _check_integer, _check_real
 
 # Threshold pair used by default in lmmse-spade runs; picked from the
 # artifact's own 8x8 sweep on LoS channels (lowest mean activity among pairs
@@ -112,7 +114,9 @@ class RunConfig:
     checked once, when the config is made, and stored as what it means:
     counts and the seed as ``int`` (NumPy integers pass), thresholds as
     ``float`` (a bool is refused), the two flags as ``bool`` (``np.bool_``
-    passes; a string or a number is refused).
+    passes; a string or a number is refused). The formats must be
+    ``QFormat``s; with ``quantized`` on, they must pass the checks the first
+    block would make: the weight format's span and exact accumulation at B.
     """
 
     B: int = 64
@@ -151,6 +155,12 @@ class RunConfig:
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} {getattr(self, name)!r} is not a bool")
             object.__setattr__(self, name, bool(getattr(self, name)))
+        for name in ("weight_fmt", "input_fmt", "twiddle_fmt"):
+            if not isinstance(getattr(self, name), QFormat):
+                raise ValueError(f"{name} {getattr(self, name)!r} is not a QFormat")
+        if self.quantized:
+            _check_weight_span(self.weight_fmt)
+            _check_accumulator(self.weight_fmt, self.input_fmt, self.B)
         for name, fmt in (("tau_w", self.weight_fmt), ("tau_y", self.input_fmt)):
             try:
                 _threshold_raw(getattr(self, name), fmt if self.quantized else None)
@@ -356,9 +366,7 @@ def _simulate(cfg: RunConfig, mode: str, purpose: int, tag: int, points: list, c
 
 def _n0_for_snr(cfg: RunConfig, snr_db: float) -> float:
     # SNR convention: per-antenna receive SNR = U * Es / N0
-    if isinstance(snr_db, (bool, np.bool_)):
-        raise ValueError(f"SNR must be a number, not {snr_db!r}")
-    snr_db = float(snr_db)
+    snr_db = _check_real("SNR", snr_db)
     try:
         n0 = cfg.U * cfg.Es / 10 ** (snr_db / 10.0)
     except (OverflowError, ZeroDivisionError):
@@ -507,9 +515,8 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     _check_integer("draws", draws, 1)  # an activity mean over no draws or no vectors is 0/0
     _check_integer("vectors_per_draw", vectors_per_draw, 1)
     _n0_for_snr(config, snr_db)  # in every mode, not only where the draws need N0
-    # _threshold_raw refuses a bool threshold before float() turns it into 1.0
-    tau_w_grid = [float(_threshold_raw(t, None)) for t in tau_w_grid]
-    tau_y_grid = [float(_threshold_raw(t, None)) for t in tau_y_grid]
+    tau_w_grid = [_threshold_raw(t, None) for t in tau_w_grid]
+    tau_y_grid = [_threshold_raw(t, None) for t in tau_y_grid]
     cells = [(snr_db, tw, ty) for tw in tau_w_grid for ty in tau_y_grid]
     rates = _activity_rates(config, mode, cells, draws, vectors_per_draw)
     rates = rates.reshape(len(tau_w_grid), len(tau_y_grid), draws)
@@ -573,7 +580,7 @@ def threshold_sweep(config: RunConfig, tau_w_grid, tau_y_grid,
     """
     _check_integer("activity_draws", activity_draws, 1)
     _check_integer("vectors_per_draw", vectors_per_draw, 1)
-    pairs = [(float(_threshold_raw(tw, None)), float(_threshold_raw(ty, None)))
+    pairs = [(_threshold_raw(tw, None), _threshold_raw(ty, None))
              for tw in tau_w_grid for ty in tau_y_grid]
     searched = _operating_points(config, mode, pairs, target_ber, probe_cap)
     cells = [(_SEARCH_HI_DB if op is None else op, tw, ty)

@@ -9,15 +9,18 @@ A quantized value is held as its raw integer in float64, the type the
 datapath computes in: every raw of a format up to 32 bits is float-exact.
 
 The module also owns the check of every integer size, count, seed and
-width and of its range (:func:`_check_integer`), as the bottom of the
-import order.
+width and of its range (:func:`_check_integer`), and of every real-valued
+setting (:func:`_check_real`), as the bottom of the import order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_REALS = (int, float, np.integer, np.floating)  # the types _check_real takes
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,22 @@ def _check_integer(name: str, value, lo: int | None = None, hi: int | None = Non
         accepted = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
         raise ValueError(f"{name} {value!r} is not an integer{accepted}")
     return int(value)
+
+
+def _check_real(name: str, value, lo: float | None = None, strict: bool = False) -> float:
+    """``value`` as a finite ``float`` at least ``lo`` (above it if ``strict``), else ``ValueError``.
+
+    Python and NumPy ints and floats pass; a bool, any other type and an int
+    beyond the float range are refused. The message is :func:`_check_integer`'s.
+    """
+    try:
+        x = float(value) if isinstance(value, _REALS) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    if not (math.isfinite(x) and (lo is None or (x > lo if strict else x >= lo))):
+        accepted = "" if lo is None else f" {'>' if strict else '>='} {lo}"
+        raise ValueError(f"{name} {value!r} is not a finite number{accepted}")
+    return x
 
 
 # Defaults used throughout the artifact; every one of these is configurable.

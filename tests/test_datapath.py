@@ -280,11 +280,14 @@ def test_arithmetic_rejects_non_physical_inputs(capsys):
         with pytest.raises(ValueError) as exc:
             effective_throughput(720e6, U, 16, 1000, 64)
         assert str(exc.value) == f"U {U} is not an integer in [1, 64]"
-    for clock in (0.0, -5.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="clock_hz"):
+    # a bool clock ran as 1 Hz: throughput_bps(True, 16, 16) returned 64
+    for clock in (0.0, -5.0, float("inf"), float("nan"), True, np.bool_(True)):
+        with pytest.raises(ValueError) as exc:
             throughput_bps(clock, 16, 16)
-        with pytest.raises(ValueError, match="clock_hz"):
+        assert str(exc.value) == f"clock_hz {clock!r} is not a finite number > 0"
+        with pytest.raises(ValueError) as exc:
             effective_throughput(clock, 16, 16, 1000, 64)
+        assert str(exc.value) == f"clock_hz {clock!r} is not a finite number > 0"
     for B in (0, -4):
         with pytest.raises(ValueError, match="B must be"):
             PipelineConfig().latency(B)
@@ -418,16 +421,16 @@ def test_power_coeffs_refuse_non_finite_values(field, value):
     # a NaN coefficient was kept, and power_proxy returned NaN
     with pytest.raises(ValueError) as exc:
         PowerCoeffs(**{field: value})
-    assert str(exc.value) == "power coefficients must be finite and nonnegative"
+    assert str(exc.value) == f"power coefficient {field} {value!r} is not a finite number >= 0"
 
 
 @pytest.mark.parametrize("field", ["fixed", "per_activity", "fft_on"])
 def test_power_coeffs_refuse_bools_and_store_floats(field):
-    # PowerCoeffs(fixed=True) was stored as True
-    for value in (True, np.bool_(False)):
+    # PowerCoeffs(fixed=True) was stored as True; a string raised TypeError
+    for value in (True, np.bool_(False), "0.5"):
         with pytest.raises(ValueError) as exc:
             PowerCoeffs(**{field: value})
-        assert str(exc.value) == f"power coefficient {field} must be a number, not {value!r}"
+        assert str(exc.value) == f"power coefficient {field} {value!r} is not a finite number >= 0"
     for value in (1, np.float32(0.5), np.int64(2)):
         stored = getattr(PowerCoeffs(**{field: value}), field)
         assert type(stored) is float and stored == value

@@ -57,16 +57,23 @@ def test_lmmse_scalar():
 
 
 @pytest.mark.parametrize("call", [
-    lambda H, n0: compute_lmmse(H, n0, 1.0),
-    lambda H, n0: lmmse_stack(np.stack([H, H]), [0.5, n0], 1.0),
+    lambda H, n0, es=1.0: compute_lmmse(H, n0, es),
+    lambda H, n0, es=1.0: lmmse_stack(np.stack([H, H]), [0.5, n0], es),
 ], ids=["compute_lmmse", "lmmse_stack"])
 def test_lmmse_refuses_a_noise_power_that_is_negative_or_not_finite(call):
-    # a negative N0 gave a finite wrong matrix, a NaN or infinite one a NaN matrix
+    # a negative N0 gave a finite wrong matrix, a NaN or infinite one a NaN
+    # matrix and a bool N0 ran as 1.0; Es = NaN gave a NaN matrix, Es = inf
+    # dropped the regularization and Es = True ran as 1.0
     rng = np.random.default_rng(46)
     H = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
-    for n0 in (-1.0, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=f"N0 must be finite and >= 0, got {n0}"):
+    for n0 in (-1.0, np.nan, np.inf, -np.inf, True, np.bool_(True)):
+        with pytest.raises(ValueError) as exc:
             call(H, n0)
+        assert str(exc.value) == f"N0 {n0!r} is not a finite number >= 0"
+    for es in (0.0, -1.0, np.nan, np.inf, True):
+        with pytest.raises(ValueError) as exc:
+            call(H, 0.5, es)
+        assert str(exc.value) == f"Es {es!r} is not a finite number > 0"
 
 
 def test_lmmse_near_inverse():
@@ -123,14 +130,12 @@ def test_scale_rows_always_below_one():
 
 
 def test_scale_rows_refuses_an_epsilon_that_is_not_finite():
-    # a NaN epsilon gave NaN alpha, an infinite one zero alpha
+    # a NaN epsilon gave NaN alpha, an infinite one zero alpha, True ran as 1.0
     V = np.full((2, 4), 0.5 + 0.25j)
-    for eps in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="epsilon must be finite"):
+    for eps in (np.nan, np.inf, 0.0, -1.0, -np.inf, True):
+        with pytest.raises(ValueError) as exc:
             scale_rows(V, eps)
-    for eps in (0.0, -1.0, -np.inf):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            scale_rows(V, eps)
+        assert str(exc.value) == f"epsilon {eps!r} is not a finite number > 0"
 
 
 def test_build_weights_threshold_extremes():
@@ -185,7 +190,7 @@ def test_tag_input_extremes_and_recompute():
 
 
 @pytest.mark.parametrize("fmts", [(WEIGHT_FMT, INPUT_FMT), (None, None)])
-@pytest.mark.parametrize("tau", [-2.0**-9, float("nan"), float("inf")])
+@pytest.mark.parametrize("tau", [-2.0**-9, float("nan"), float("inf"), 0.25 + 0j])
 def test_bad_threshold_rejected_at_construction(tau, fmts):
     wfmt, yfmt = fmts
     with pytest.raises(ValueError, match="threshold"):
@@ -498,24 +503,34 @@ _GAIN_ENTRIES = {
                                                         FrontEnd(input_fmt=None, gain=g)),
     "simulate_stream": lambda w, y, x, g: simulate_stream(
         w, [tag_input(y[:, 0], 0.1, None)], PipelineConfig(), True, gain=g),
+    "simulate_stream-empty": lambda w, y, x, g: simulate_stream(
+        w, [], PipelineConfig(), True, gain=g),
 }
 
 
 @pytest.mark.parametrize("entry", list(_GAIN_ENTRIES))
 def test_every_entry_refuses_a_gain_that_is_a_bool_or_not_finite_and_positive(entry):
-    # gain 0 gave inf estimates, NaN NaN ones, inf zeros, and True ran as 1.0
+    # gain 0 gave inf estimates, NaN NaN ones, inf zeros, and True ran as 1.0;
+    # a string or complex gain raised TypeError, and an empty stream took them all
     w, y, x = _float_setup()
-    for gain in (0.0, -1.0, np.nan, np.inf, True, np.bool_(True)):
-        with pytest.raises(ValueError, match=r"gain must be finite and positive, got "):
+    for gain in (0.0, -1.0, np.nan, np.inf, True, np.bool_(True), "0.5", 0.5 + 0j):
+        with pytest.raises(ValueError) as exc:
             _GAIN_ENTRIES[entry](w, y, x, gain)
+        assert str(exc.value) == f"gain {gain!r} is not a finite number > 0"
     _GAIN_ENTRIES[entry](w, y, x, 0.5)
 
 
-def test_quantized_front_end_still_refuses_a_nan_gain_as_a_sample():
-    # the front end scales and quantizes before the product reads the gain
+def test_front_end_refuses_a_gain_that_is_not_finite_at_construction():
+    # the front end scaled and quantized before the product read the gain:
+    # a NaN gain was reported as a non-finite sample, and an infinite one on
+    # [1+0j] raised NumPy's RuntimeWarning (inf * 0) first
     wa, _, _ = scalar_setup()
-    with pytest.raises(ValueError, match="non-finite sample"):
-        equalize_block("lmmse-a", wa, None, np.array([1.0 + 0j]), FrontEnd(gain=np.nan))
+    for gain in (np.nan, np.inf):
+        with pytest.raises(ValueError) as exc:
+            equalize_block("lmmse-a", wa, None, np.array([1.0 + 0j]), FrontEnd(gain=gain))
+        assert str(exc.value) == f"gain {gain!r} is not a finite number > 0"
+    fe = FrontEnd(gain=np.float32(0.5))
+    assert type(fe.gain) is float and fe == FrontEnd(gain=0.5)
 
 
 def test_equalize_scalar_lmmse_a():

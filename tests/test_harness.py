@@ -191,45 +191,51 @@ def test_snr_without_finite_positive_noise_power_is_rejected(snr_db, capsys, mon
 
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
 def test_non_finite_snr_is_refused_by_name(snr_db, monkeypatch):
-    # the noise power's owner names the SNR; run_ber's own pass said "invalid SNR list"
+    # the SNR's check names it; run_ber's own pass said "invalid SNR list", and a NaN
+    # or infinite SNR was reported as one that gives no finite positive noise power N0
     def ran(*args, **kwargs):
         pytest.fail("a block ran before every SNR was checked")
 
     monkeypatch.setattr("spadesim.harness._simulate", ran)
     with pytest.raises(ValueError) as exc:
         run_ber(small_cfg(), [0.0, snr_db], "lmmse-a")
-    assert str(exc.value) == f"SNR {snr_db!r} dB gives no finite positive noise power N0"
+    assert str(exc.value) == f"SNR {snr_db!r} is not a finite number"
+
+
+_SNR, _THRESHOLD = "SNR {!r} is not a finite number", "threshold {!r} is not a finite number >= 0"
 
 
 @pytest.mark.parametrize("call,refused", [
-    (lambda v: run_ber(small_cfg(), [0.0, v], "lmmse-a"), "SNR"),
-    (lambda v: activity_grid(small_cfg(), "lmmse-spade", v, [0.1], [0.1]), "SNR"),
-    (lambda v: activity_grid(small_cfg(), "lmmse-spade", 10.0, [0.1, v], [0.1]), "threshold"),
-    (lambda v: activity_grid(small_cfg(), "lmmse-a", 10.0, [0.1], [v]), "threshold"),
-    (lambda v: threshold_sweep(small_cfg(), [v], [0.1], activity_draws=1), "threshold"),
-    (lambda v: threshold_sweep(small_cfg(), [0.1], [0.2, v], activity_draws=1), "threshold"),
+    (lambda v: run_ber(small_cfg(), [0.0, v], "lmmse-a"), _SNR),
+    (lambda v: activity_grid(small_cfg(), "lmmse-spade", v, [0.1], [0.1]), _SNR),
+    (lambda v: activity_grid(small_cfg(), "lmmse-spade", 10.0, [0.1, v], [0.1]), _THRESHOLD),
+    (lambda v: activity_grid(small_cfg(), "lmmse-a", 10.0, [0.1], [v]), _THRESHOLD),
+    (lambda v: threshold_sweep(small_cfg(), [v], [0.1], activity_draws=1), _THRESHOLD),
+    (lambda v: threshold_sweep(small_cfg(), [0.1], [0.2, v], activity_draws=1), _THRESHOLD),
 ], ids=["run_ber", "activity_grid-snr", "activity_grid-tau_w", "activity_grid-tau_y",
         "threshold_sweep-tau_w", "threshold_sweep-tau_y"])
 def test_bool_snrs_and_grid_thresholds_are_refused(call, refused, monkeypatch):
     # float() turned a bool into 1.0 or 0.0: run_ber ran a point at 1.0 dB,
-    # activity_grid measured at it and threshold_sweep swept tau_w = 1.0
+    # activity_grid measured at it and threshold_sweep swept tau_w = 1.0;
+    # run_ber parsed a string SNR, and the other strings raised TypeError
     def ran(*args, **kwargs):
         pytest.fail("a block ran before every input was checked")
 
     monkeypatch.setattr("spadesim.harness._simulate", ran)
     monkeypatch.setattr("spadesim.harness._block", ran)
-    for flag in (True, False, np.bool_(True)):
+    for flag in (True, False, np.bool_(True), "10"):
         with pytest.raises(ValueError) as exc:
             call(flag)
-        assert str(exc.value) == f"{refused} must be a number, not {flag!r}"
+        assert str(exc.value) == refused.format(flag)
 
 
 @pytest.mark.parametrize("mode", ["lmmse-a", "lmmse-b"])
 def test_activity_grid_checks_thresholds_in_modes_that_do_not_skip(mode):
     # a mode that does not skip returned activity 1.0 for any threshold
     for tau in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+        with pytest.raises(ValueError) as exc:
             activity_grid(small_cfg(), mode, 10.0, [0.1], [tau], draws=1)
+        assert str(exc.value) == _THRESHOLD.format(tau)
 
 
 def test_snr_list_beyond_the_stream_tags_is_rejected(tmp_path, capsys, monkeypatch):
@@ -283,10 +289,28 @@ _QAM_ERROR = "M must be one of (4, 16, 64, 256), got 8"
     (lambda: bit_errors(np.zeros(2, dtype=complex), np.zeros(2, dtype=int), 8, 1.0), _QAM_ERROR),
     (lambda: throughput_bps(720e6, 16, 8), _QAM_ERROR),
     (lambda: RunConfig(M=8), _QAM_ERROR),
+    (lambda: run_ber(small_cfg(weight_fmt=QFormat(10, 8)), [10.0], "lmmse-spade"),
+     "weight format must span [-1, 1): use frac_bits = total_bits - 1"),
+    (lambda: run_ber(small_cfg(weight_fmt=QFormat(32, 31), input_fmt=QFormat(32, 9)), [10.0],
+                     "lmmse-spade"), "formats too wide for exact accumulation"),
+    (lambda: run_ber(small_cfg(twiddle_fmt="6:4"), [10.0], "lmmse-spade"),
+     "twiddle_fmt '6:4' is not a QFormat"),
+    (lambda: run_ber(small_cfg(weight_fmt="10:9"), [10.0], "lmmse-spade"),
+     "weight_fmt '10:9' is not a QFormat"),
+    (lambda: run_ber(small_cfg(input_fmt=None), [10.0], "lmmse-spade"),
+     "input_fmt None is not a QFormat"),
 ], ids=["run_ber", "snr_operating_point", "threshold_sweep", "activity_grid", "equalize_block",
-        "front_end", "qam_index", "bit_errors", "throughput_bps", "RunConfig"])
-def test_every_caller_gives_its_setting_owners_message(call, message):
-    # the mode and the QAM order are each checked by one owner that every caller asks
+        "front_end", "qam_index", "bit_errors", "throughput_bps", "RunConfig",
+        "RunConfig-weight-span", "RunConfig-accumulator", "RunConfig-twiddle_fmt-str",
+        "RunConfig-weight_fmt-str", "RunConfig-input_fmt-None"])
+def test_every_caller_gives_its_setting_owners_message(call, message, monkeypatch):
+    # the mode and the QAM order are each checked by one owner that every caller asks;
+    # RunConfig took formats its first block refused (or failed on with AttributeError)
+    def ran(*args, **kwargs):
+        pytest.fail("a block ran before every setting was checked")
+
+    monkeypatch.setattr("spadesim.harness._simulate", ran)
+    monkeypatch.setattr("spadesim.harness._block", ran)
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
@@ -464,8 +488,9 @@ def test_counts_take_numpy_integers():
 def test_thresholds_are_stored_as_floats_and_refuse_bools(name):
     # tau_w=True ran as 1.0 but wrote True into the report; tau_w=1 wrote 1
     for flag in (True, np.True_, False):
-        with pytest.raises(ValueError, match=f"^{name}: threshold must be a number"):
+        with pytest.raises(ValueError) as exc:
             small_cfg(**{name: flag})
+        assert str(exc.value) == f"{name}: " + _THRESHOLD.format(flag)
     cfg = small_cfg(**{name: 1})
     assert type(getattr(cfg, name)) is float and cfg == small_cfg(**{name: 1.0})
     header, row = render_report(run_ber(cfg, [4.0], "lmmse-spade",
