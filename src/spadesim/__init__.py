@@ -15,7 +15,6 @@ from .channel import (
     synth_receive,
 )
 from .datapath import (
-    MuteTrace,
     PipelineConfig,
     PowerCoeffs,
     effective_throughput,

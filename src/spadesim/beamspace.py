@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import TWIDDLE_FMT, QFormat, dequantize, quantize_complex
+from .numerics import TWIDDLE_FMT, QFormat, _check_flag, dequantize, quantize_complex
 
 
 # Columns of a block that a wide-block pass works on at once, here and in
@@ -48,6 +48,9 @@ class TwiddleConfig:
 
     exact: bool = True
     twiddle_fmt: QFormat = field(default=TWIDDLE_FMT)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exact", _check_flag("exact", self.exact))
 
 
 @lru_cache(maxsize=None)

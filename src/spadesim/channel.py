@@ -144,8 +144,8 @@ def _gray_decode(g: np.ndarray) -> np.ndarray:
 
 
 def qam_scale(M: int, Es: float) -> float:
-    """Per-axis level spacing factor giving average symbol energy Es."""
-    return np.sqrt(3.0 * Es / (2.0 * (M - 1)))
+    """Per-axis level spacing factor giving average symbol energy Es (> 0, finite)."""
+    return np.sqrt(3.0 * _check_real("Es", Es, 0, strict=True) / (2.0 * (M - 1)))
 
 
 @lru_cache(maxsize=64)
@@ -172,7 +172,8 @@ def qam_index(bitgroups: np.ndarray, M: int) -> np.ndarray:
 
 def qam_modulate(bitgroups: np.ndarray, M: int, Es: float) -> np.ndarray:
     """Map bit groups (last axis, MSB first, I bits then Q bits) to symbols."""
-    return _qam_table(M, Es)[qam_index(bitgroups, M)]
+    # checked before the cached table, where True would hit the Es = 1.0 entry
+    return _qam_table(M, _check_real("Es", Es, 0, strict=True))[qam_index(bitgroups, M)]
 
 
 @lru_cache(maxsize=8)

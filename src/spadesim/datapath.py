@@ -28,7 +28,7 @@ from .equalizer import (
     _column_tiles,
     equalize_tagged,
 )
-from .numerics import _check_integer, _check_real
+from .numerics import _check_flag, _check_integer, _check_real
 
 
 @dataclass(frozen=True)
@@ -47,38 +47,25 @@ class PipelineConfig:
         return U + N + self.latency(B)
 
 
-class MuteTrace:
-    """Disabled multiplier input registers of a stream, read off its activity report.
-
-    A register is disabled in a cycle iff power saving is on and both of its
-    operands' comparison bits are set: exactly when its real product is skipped.
-    """
-
-    def __init__(self, report: ActivityReport):
-        self.report = report
-
-    def mute_count(self) -> int:
-        return self.report.total - self.report.executed
-
-
 def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
                     save_power: bool, gain: float = 1.0):
     """Stream tagged vectors through the array, one accepted per cycle.
 
     Each vector must be one 1-D vector, not a block, and all must share one
-    length, input format and threshold; the gain, an empty stream's too,
-    and the whole stream are checked before any is scored. The vectors are
-    then scored as (B, T) blocks of the equalizer's column-tile width T
-    (float raws as one block, as the equalizer scores them), each written
-    into its rows of the outputs, so only one tile of the stream is ever
-    gathered. A tile's (T, B) rows of each part are one join of its
+    length, input format and threshold; the gain and ``save_power``, an
+    empty stream's too, and the whole stream are checked before any is
+    scored. The vectors are then scored as (B, T) blocks of the equalizer's
+    column-tile width T (float raws as one block, as the equalizer scores
+    them), each written into its rows of the outputs, so only one tile of
+    the stream is ever gathered. A tile's (T, B) rows of each part are one join of its
     vectors' raw buffers (B their own length, so the equalizer reports a
-    mismatch with the weights). Returns (outputs, cycles, trace, report):
+    mismatch with the weights). Returns (outputs, cycles, report, report):
     outputs is (N, U) estimates bit-identical to the equalizer module,
-    cycles is ``cfg.cycles(U, N, B)``, and the trace counts the muted
-    registers from the report.
+    cycles is ``cfg.cycles(U, N, B)``, and the report, in the mute trace's
+    slot too, counts the muted registers (:meth:`ActivityReport.mute_count`).
     """
     gain = _check_real("gain", gain, 0, strict=True)
+    save_power = _check_flag("save_power", save_power)
     vectors = list(vectors)
     U, B, n = weights.U, weights.B, len(vectors)
     outputs = np.empty((n, U), dtype=np.complex128)
@@ -99,7 +86,7 @@ def simulate_stream(weights: EqualizerWeights, vectors, cfg: PipelineConfig,
             S, per_vector[rows] = equalize_tagged(weights, block, save_power, gain=gain)
             outputs[rows] = S.T
     report = ActivityReport(per_vector, 4 * B * U)
-    return outputs, cfg.cycles(U, n, B), MuteTrace(report), report
+    return outputs, cfg.cycles(U, n, B), report, report
 
 
 def throughput_bps(clock_hz: float, U: int, M: int) -> float:
@@ -136,6 +123,6 @@ class PowerCoeffs:
 def power_proxy(report: ActivityReport, coeffs: PowerCoeffs, fft_active: bool) -> float:
     """Relative power estimate from the multiplier activity rate."""
     p = coeffs.fixed + coeffs.per_activity * report.activity_rate
-    if fft_active:
+    if _check_flag("fft_active", fft_active):
         p += coeffs.fft_on
     return p

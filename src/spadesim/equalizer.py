@@ -47,7 +47,8 @@ import numpy as np
 
 from .beamspace import _TILE_COLUMNS, TwiddleConfig, _is_power_of_4, beamspace_raws
 from .channel import DOMAINS, ChannelMatrix
-from .numerics import INPUT_FMT, QFormat, _check_integer, _check_real, quantize_complex
+from .numerics import (INPUT_FMT, QFormat, _check_flag, _check_integer, _check_real,
+                       quantize_complex)
 
 _MODE_RULES = {"lmmse-a": ("antenna", False), "lmmse-b": ("beamspace", False),
                "lmmse-spade": ("beamspace", True)}
@@ -186,6 +187,10 @@ class ActivityReport:
     @property
     def activity_rate(self) -> float:
         return self.executed / self.total if self.total else 1.0
+
+    def mute_count(self) -> int:
+        """Multiplier input registers muted: one per skipped real product."""
+        return self.total - self.executed
 
 
 @dataclass(frozen=True)
@@ -341,10 +346,11 @@ def equalize_pairs(weights: EqualizerWeights, x: BeamVector, taus: list, save_po
     pairs, their (k, U, ...) estimates and their (k, ...) executed
     products. Entry j of a group equals ``equalize_tagged(replace(weights,
     tau_w=tw), replace(x, tau_y=ty), save_power, gain)`` for
-    ``taus[indices[j]] == (tw, ty)``, byte for byte. Every entry's gain is
-    checked here, by :func:`numerics._check_real`.
+    ``taus[indices[j]] == (tw, ty)``, byte for byte. Every entry's gain and
+    ``save_power`` flag are checked here, by :mod:`numerics`.
     """
     gain = _check_real("gain", gain, 0, strict=True)
+    save_power = _check_flag("save_power", save_power)
     if x.B != weights.B:
         raise ValueError("length mismatch")
     if (weights.fmt is None) != (x.fmt is None):

@@ -53,7 +53,8 @@ from .equalizer import (
     _mode_rule,
     _threshold_raw,
 )
-from .numerics import INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat, _check_integer, _check_real
+from .numerics import (INPUT_FMT, TWIDDLE_FMT, WEIGHT_FMT, QFormat, _check_flag, _check_integer,
+                       _check_real)
 
 # Threshold pair used by default in lmmse-spade runs; picked from the
 # artifact's own 8x8 sweep on LoS channels (lowest mean activity among pairs
@@ -152,9 +153,7 @@ class RunConfig:
         if self.channel_file is not None and self.channel != "file":
             raise ValueError("channel_file needs channel 'file'")
         for name in ("exact_fft", "quantized"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} {getattr(self, name)!r} is not a bool")
-            object.__setattr__(self, name, bool(getattr(self, name)))
+            object.__setattr__(self, name, _check_flag(name, getattr(self, name)))
         for name in ("weight_fmt", "input_fmt", "twiddle_fmt"):
             if not isinstance(getattr(self, name), QFormat):
                 raise ValueError(f"{name} {getattr(self, name)!r} is not a QFormat")
@@ -440,7 +439,7 @@ def _operating_points(cfg: RunConfig, mode: str, pairs: list, target: float,
     searching on shared blocks. Returns the operating point and the (snr, ber,
     vectors) probe list of each pair.
     """
-    if not 0.0 < target < 0.5:
+    if not _check_real("target_ber", target, 0, strict=True) < 0.5:
         raise ValueError("target_ber must be in (0, 0.5)")
     _check_integer("probe_cap", probe_cap, 1)
     _mode_rule(mode)
@@ -514,6 +513,7 @@ def activity_grid(config: RunConfig, mode: str, snr_db: float, tau_w_grid,
     """
     _check_integer("draws", draws, 1)  # an activity mean over no draws or no vectors is 0/0
     _check_integer("vectors_per_draw", vectors_per_draw, 1)
+    per_draw = _check_flag("per_draw", per_draw)
     _n0_for_snr(config, snr_db)  # in every mode, not only where the draws need N0
     tau_w_grid = [_threshold_raw(t, None) for t in tau_w_grid]
     tau_y_grid = [_threshold_raw(t, None) for t in tau_y_grid]

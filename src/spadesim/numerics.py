@@ -9,8 +9,9 @@ A quantized value is held as its raw integer in float64, the type the
 datapath computes in: every raw of a format up to 32 bits is float-exact.
 
 The module also owns the check of every integer size, count, seed and
-width and of its range (:func:`_check_integer`), and of every real-valued
-setting (:func:`_check_real`), as the bottom of the import order.
+width and of its range (:func:`_check_integer`), of every real-valued
+setting (:func:`_check_real`) and of every flag (:func:`_check_flag`), as
+the bottom of the import order.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def _check_real(name: str, value, lo: float | None = None, strict: bool = False)
         accepted = "" if lo is None else f" {'>' if strict else '>='} {lo}"
         raise ValueError(f"{name} {value!r} is not a finite number{accepted}")
     return x
+
+
+def _check_flag(name: str, value) -> bool:
+    """``value`` as a ``bool`` (``np.bool_`` passes); a truthy ``"false"`` or 1 raises ``ValueError``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} {value!r} is not a bool")
+    return bool(value)
 
 
 # Defaults used throughout the artifact; every one of these is configurable.

@@ -241,6 +241,17 @@ def test_no_mutes_without_save_power():
     assert report.activity_rate == 1.0
 
 
+@pytest.mark.parametrize("n", [0, 5, 2 * _TILE_COLUMNS + 3], ids=["empty", "one-tile", "tiles"])
+def test_stream_report_is_its_mute_trace(n):
+    # a stream has one activity object: its mute count is its skipped products
+    rng = np.random.default_rng(70)
+    weights, vectors = make_stream(rng, n=n, tau=0.5)
+    _, _, trace, report = simulate_stream(weights, vectors, PipelineConfig(), save_power=True)
+    assert trace is report
+    assert report.mute_count() == report.total - report.executed
+    assert (report.mute_count() > 0) == (n > 0)
+
+
 def test_pipeline_latency_defaults():
     cfg = PipelineConfig()
     assert cfg.latency(64) == 4   # 1 input stage + ceil(6/2) tree stages

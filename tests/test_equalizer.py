@@ -7,7 +7,7 @@ import pytest
 
 from spadesim.beamspace import to_beamspace
 from spadesim.channel import ChannelMatrix, draw_channel_matrix
-from spadesim.channel import bit_errors, qam_index, qam_modulate
+from spadesim.channel import bit_errors, qam_index, qam_modulate, qam_scale
 from spadesim.datapath import PipelineConfig, simulate_stream
 from spadesim.equalizer import (
     BeamVector,
@@ -74,6 +74,27 @@ def test_lmmse_refuses_a_noise_power_that_is_negative_or_not_finite(call):
         with pytest.raises(ValueError) as exc:
             call(H, 0.5, es)
         assert str(exc.value) == f"Es {es!r} is not a finite number > 0"
+
+
+def _cached_then(es):
+    qam_modulate(np.zeros((1, 4), dtype=np.int64), 16, 1.0)  # caches the Es = 1.0 table
+    return qam_modulate(np.zeros((1, 4), dtype=np.int64), 16, es)
+
+
+@pytest.mark.parametrize("call", [
+    lambda es: qam_scale(16, es),
+    lambda es: qam_modulate(np.zeros((3, 2), dtype=np.int64), 4, es),
+    _cached_then,
+    lambda es: bit_errors(np.array([0.3 + 0.1j]), np.array([1]), 16, es),
+], ids=["qam_scale", "qam_modulate", "qam_modulate-cached", "bit_errors"])
+def test_qam_refuses_an_es_that_is_not_positive_and_finite(call):
+    # Es = NaN gave NaN symbols, -1.0 a RuntimeWarning in sqrt and True ran as
+    # 1.0, through the cached Es = 1.0 table too (True hashes as 1.0)
+    for es in (0.0, -1.0, np.nan, np.inf, True, "1.0"):
+        with pytest.raises(ValueError) as exc:
+            call(es)
+        assert str(exc.value) == f"Es {es!r} is not a finite number > 0"
+    call(np.float64(2.0))
 
 
 def test_lmmse_near_inverse():

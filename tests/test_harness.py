@@ -27,8 +27,24 @@ from spadesim.channel import (
 )
 from spadesim.cli import _COMMANDS, _effective, _snr_list, build_parser
 from spadesim.cli import main as cli_main
-from spadesim.datapath import PipelineConfig, effective_throughput, throughput_bps
-from spadesim.equalizer import MODES, FrontEnd, equalize_block, front_end
+from spadesim.beamspace import TwiddleConfig
+from spadesim.datapath import (
+    PipelineConfig,
+    PowerCoeffs,
+    effective_throughput,
+    power_proxy,
+    simulate_stream,
+    throughput_bps,
+)
+from spadesim.equalizer import (
+    MODES,
+    ActivityReport,
+    FrontEnd,
+    equalize_block,
+    equalize_pairs,
+    equalize_tagged,
+    front_end,
+)
 from spadesim.harness import (
     _CHUNK_MATRICES,
     _WAVE_BLOCKS,
@@ -51,6 +67,7 @@ from spadesim.harness import (
 from spadesim.numerics import QFormat
 
 from reference import activity_rates_per_draw, q_func, q_func_inv
+from test_equalizer import random_tagged, random_weights
 
 
 def small_cfg(**kw):
@@ -164,6 +181,22 @@ def test_invalid_inputs():
         RunConfig(channel="file")
     with pytest.raises(ValueError):
         snr_operating_point(small_cfg(), "lmmse-a", target_ber=0.6)
+
+
+@pytest.mark.parametrize("search", [
+    lambda t: snr_operating_point(small_cfg(), "lmmse-a", target_ber=t),
+    lambda t: threshold_sweep(small_cfg(), [0.1], [0.1], target_ber=t),
+], ids=["snr_operating_point", "threshold_sweep"])
+def test_target_ber_is_a_finite_number_in_its_open_range(search):
+    # a string or complex target raised TypeError from the comparison
+    for target in ("0.01", 0.01 + 0j, True, 0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError) as exc:
+            search(target)
+        assert str(exc.value) == f"target_ber {target!r} is not a finite number > 0"
+    for target in (0.5, 0.6):
+        with pytest.raises(ValueError) as exc:
+            search(target)
+        assert str(exc.value) == "target_ber must be in (0, 0.5)"
 
 
 @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3200.0])
@@ -405,6 +438,44 @@ def test_run_config_flags_must_be_bools(name):
         stored = getattr(small_cfg(**{name: value}), name)
         assert type(stored) is bool and stored == value
     assert small_cfg(**{name: np.bool_(False)}) == small_cfg(**{name: False})
+
+
+def _flag_callers():
+    rng = np.random.default_rng(71)
+    w, x = random_weights(rng, 4, 16, tau_w=0.3), random_tagged(rng, 16, tau_y=0.3)
+    report = equalize_tagged(w, x, True)[1]
+
+    def stream(vectors, v):
+        _, cycles, trace, _ = simulate_stream(w, vectors, PipelineConfig(), v)
+        return cycles, trace.mute_count()
+
+    return {
+        "exact": lambda v: (type(TwiddleConfig(exact=v).exact), TwiddleConfig(exact=v).exact),
+        "save_power": lambda v: equalize_pairs(w, x, [(0.3, 0.3)], v)[0][2].tolist(),
+        "save_power-tagged": lambda v: int(equalize_tagged(w, x, v)[1]),
+        "save_power-stream": lambda v: stream([x, x], v),
+        "save_power-empty-stream": lambda v: stream([], v),
+        "per_draw": lambda v: activity_grid(small_cfg(), "lmmse-spade", 10.0, [0.1], [0.1],
+                                            draws=2, vectors_per_draw=1, per_draw=v).shape,
+        "fft_active": lambda v: power_proxy(ActivityReport(np.atleast_1d(report), 256),
+                                            PowerCoeffs(fft_on=0.5), v),
+    }
+
+
+@pytest.mark.parametrize("caller", list(_flag_callers()))
+def test_every_flag_refuses_what_run_config_refuses(caller):
+    # each ran a truthy string or number as its bool: exact="false" ran the
+    # exact DFT, save_power="False" skipped products, per_draw="no" returned
+    # the per-draw array, fft_active="no" added the transform's power and an
+    # empty stream returned its cycles for save_power="x"
+    call, name = _flag_callers()[caller], caller.split("-")[0]
+    for value in ("false", 0, 1, 1.0, None):
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == f"{name} {value!r} is not a bool"
+    for value in (True, False):
+        assert call(np.bool_(value)) == call(value)
+    assert call(True) != call(False) or caller == "save_power-empty-stream"
 
 
 def test_probe_cap_below_one_is_rejected(tmp_path, capsys):
